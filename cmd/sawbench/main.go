@@ -30,6 +30,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,7 +39,6 @@ import (
 	"sacs/internal/experiments"
 	"sacs/internal/obs"
 	"sacs/internal/runner"
-	"sacs/internal/trace"
 )
 
 func main() { os.Exit(run()) }
@@ -94,40 +94,46 @@ func run() int {
 
 	pool := runner.New(*parallel)
 	defer pool.Close()
-	var rec *trace.Recorder
-	if *metrics != "" {
-		// The pool's Trace hook records one point per completed job in the
-		// series "runner/<experiment>" (y = elapsed seconds); at the end the
-		// recorder is folded into an obs histogram family and dumped. Bound
-		// the recorder so a huge suite cannot grow it without limit — the
-		// histograms aggregate, so dropping the oldest raw points is fine.
-		rec = trace.NewRecorder()
-		rec.SetLimit(1 << 16) // per series: newest 65536 job latencies
-		pool.Trace = rec
-	}
-
 	// Per-experiment cost accounting. An experiment's outer job is useless
 	// for timing: while it blocks in Batch.Wait it helps run whatever is
 	// ready on the shared pool — including other experiments' jobs — so its
 	// elapsed time conflates everything in flight. Instead, sum the leaf
 	// simulation jobs' own run times by experiment; outer suite jobs are
 	// marked with suiteSystem and skipped.
+	//
+	// With -metrics, every job — suite and leaf alike — is also observed
+	// into sacs_runner_job_seconds{series="runner/<experiment>"}, one
+	// histogram series per experiment, registered on its first job.
 	var (
 		timeMu   sync.Mutex
 		jobTime  = map[string]time.Duration{}
 		jobCount = map[string]int{}
+		jobHist  = map[string]*obs.Histogram{}
+		metReg   *obs.Registry
 	)
+	if *metrics != "" {
+		metReg = obs.NewRegistry()
+	}
 	var report func(runner.Progress)
 	if *progress {
 		report = runner.NewReporter(os.Stderr, 2*time.Second)
 	}
 	pool.OnProgress = func(pr runner.Progress) {
+		timeMu.Lock()
 		if pr.Key.System != suiteSystem {
-			timeMu.Lock()
 			jobTime[pr.Key.Experiment] += pr.JobTime
 			jobCount[pr.Key.Experiment]++
-			timeMu.Unlock()
 		}
+		if metReg != nil {
+			h := jobHist[pr.Key.Experiment]
+			if h == nil {
+				h = metReg.Histogram("sacs_runner_job_seconds", "per-job run time by experiment series",
+					obs.Seconds, obs.DurationBounds(), obs.L("series", "runner/"+pr.Key.Experiment))
+				jobHist[pr.Key.Experiment] = h
+			}
+			h.ObserveDuration(pr.JobTime)
+		}
+		timeMu.Unlock()
 		if report != nil {
 			report(pr)
 		}
@@ -188,8 +194,8 @@ func run() int {
 		}
 	}
 
-	if rec != nil {
-		if err := writeMetrics(*metrics, rec); err != nil {
+	if metReg != nil {
+		if err := writeMetrics(*metrics, metReg); err != nil {
 			fmt.Fprintf(os.Stderr, "sawbench: metrics: %v\n", err)
 			exit = 1
 		}
@@ -199,14 +205,8 @@ func run() int {
 	return exit
 }
 
-// writeMetrics folds the pool's job-latency trace into an obs histogram
-// family (one series per "runner/<experiment>") and writes the Prometheus
-// text exposition to path. Import happens once, at dump time, so the hot
-// pool path stays exactly what it was: one Recorder.Record per job.
-func writeMetrics(path string, rec *trace.Recorder) error {
-	reg := obs.NewRegistry()
-	obs.ImportRecorder(reg, rec, "sacs_runner_job_seconds",
-		"per-job run time by experiment series", obs.Seconds, obs.DurationBounds())
+// writeMetrics writes reg's Prometheus text exposition to path.
+func writeMetrics(path string, reg *obs.Registry) error {
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
@@ -302,7 +302,9 @@ func writeJSON(path string, arts []artifact) error {
 }
 
 // writeCSV dumps an experiment's table (one row per system) and every
-// figure series (long format via the trace recorder) into dir.
+// figure series into dir. The series file is long format (series,t,value),
+// keyed "<figure>/<series>" and sorted by key; a key that occurs more than
+// once keeps its points in figure order.
 func writeCSV(dir string, r *experiments.Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -334,18 +336,21 @@ func writeCSV(dir string, r *experiments.Result) error {
 	if len(r.Figures) == 0 {
 		return nil
 	}
-	rec := trace.NewRecorder()
+	rows := [][]string{{"series", "t", "value"}}
 	for _, f := range r.Figures {
 		for _, sr := range f.Series {
 			for i := range sr.X {
-				rec.Record(f.Title+"/"+sr.Name, sr.X[i], sr.Y[i])
+				rows = append(rows, []string{f.Title + "/" + sr.Name,
+					strconv.FormatFloat(sr.X[i], 'g', -1, 64), strconv.FormatFloat(sr.Y[i], 'g', -1, 64)})
 			}
 		}
 	}
+	data := rows[1:]
+	sort.SliceStable(data, func(i, j int) bool { return data[i][0] < data[j][0] })
 	ff, err := os.Create(filepath.Join(dir, r.ID+"_series.csv"))
 	if err != nil {
 		return err
 	}
 	defer ff.Close()
-	return rec.WriteCSV(ff)
+	return csv.NewWriter(ff).WriteAll(rows)
 }

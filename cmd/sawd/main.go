@@ -158,8 +158,6 @@ func run() int {
 		mailboxBudget = flag.Int("mailbox-budget", 0, "per-population cap on stimuli pending delivery; past it POST .../stimuli sheds with 429 "+
 			"(0 = adaptive from population size and work-proxy quantiles, negative disables shedding)")
 		explainBudget = flag.Int("explain-budget", 0, "byte cap per rendered explanation (0 = 64KiB default, negative = uncapped)")
-		lockedReads   = flag.Bool("locked-reads", false, "serve status/cluster/explain under the population lock instead of the published view "+
-			"(benchmark baseline for tools/loadgen; never set in production)")
 	)
 	var specArgs []string
 	flag.Func("pop", "population spec: id=...,workload=...,agents=N,shards=N,seed=N (repeatable)",
@@ -207,7 +205,6 @@ func run() int {
 		RebalanceMaxMoves:  *rebalMoves,
 		MailboxBudget:      *mailboxBudget,
 		ExplainBudget:      *explainBudget,
-		LockedReads:        *lockedReads,
 	}
 	if *clusterList != "" {
 		cl, err := cluster.Dial(strings.Split(*clusterList, ","), 10*time.Second)

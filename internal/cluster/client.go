@@ -951,7 +951,7 @@ func (t *Transport) Assign(rs *population.RangeState, to int) error {
 // executes them with Migrate, in order, at the caller's tick barrier. It
 // returns the moves that committed; a failed move stops the batch (the
 // failed move's own rollback semantics apply — see Migrate).
-func (t *Transport) Rebalance(r Rebalancer) ([]Move, error) {
+func (t *Transport) Rebalance(r *CostRebalancer) ([]Move, error) {
 	if r == nil {
 		return nil, errors.New("cluster: nil rebalancer")
 	}

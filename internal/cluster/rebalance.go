@@ -15,9 +15,9 @@ type Move struct {
 	From, To int
 }
 
-// View is the read-only placement snapshot a Rebalancer decides from: the
-// shard→worker map, the coordinator's per-shard cost estimates (nanos, see
-// Transport.ShardCosts), which worker slots are detached, and the slot
+// View is the read-only placement snapshot a CostRebalancer decides from:
+// the shard→worker map, the coordinator's per-shard cost estimates (nanos,
+// see Transport.ShardCosts), which worker slots are detached, and the slot
 // count. All slices are copies — a policy may scribble on them.
 type View struct {
 	Owner   []int
@@ -26,24 +26,20 @@ type View struct {
 	Workers int
 }
 
-// Rebalancer proposes a batch of migrations against a placement view. It
-// is a pure policy seam: proposing moves has no effect until
-// Transport.Rebalance executes them at a tick barrier, and a correct
-// policy is deterministic in its inputs (the placement loop may run under
-// the engine's reproducibility contract).
-type Rebalancer interface {
-	Propose(v View) []Move
-}
-
-// CostRebalancer balances per-worker summed step cost. Its control law for
-// *how many* workers should carry shards is an injected cloudsim.Autoscaler
-// — the same laws the cloud simulation exercises, fed here with real
-// measurements instead of synthetic arrivals: queued = total estimated
-// step cost per worker (scaled to whole units), active = workers currently
-// carrying shards. Shard placement across the chosen workers is then LPT
-// — evacuate workers outside the target set onto the lightest member,
-// then peel single shards from the heaviest onto the lightest until the
-// max/min load ratio drops under Threshold.
+// CostRebalancer balances per-worker summed step cost. It is pure policy:
+// proposing moves has no effect until Transport.Rebalance executes them at
+// a tick barrier, and a proposal is deterministic in its inputs (the
+// placement loop may run under the engine's reproducibility contract).
+//
+// Its control law for *how many* workers should carry shards is an
+// injected cloudsim.Autoscaler — the same laws the cloud simulation
+// exercises, fed here with real measurements instead of synthetic
+// arrivals: queued = total estimated step cost per worker (scaled to whole
+// units), active = workers currently carrying shards. Shard placement
+// across the chosen workers is then LPT — evacuate workers outside the
+// target set onto the lightest member, then peel single shards from the
+// heaviest onto the lightest until the max/min load ratio drops under
+// Threshold.
 //
 // Shards owned by dead workers are never proposed (they need
 // Transport.Assign from a snapshot, not a live migration), and dead
@@ -80,8 +76,9 @@ func (r *CostRebalancer) maxMoves() int {
 	return r.MaxMoves
 }
 
-// Propose implements Rebalancer. The proposal is deterministic in the
-// view (and the call count, which clocks the autoscaler).
+// Propose returns the next batch of moves for v. The proposal is
+// deterministic in the view (and the call count, which clocks the
+// autoscaler).
 func (r *CostRebalancer) Propose(v View) []Move {
 	now := float64(r.ticks)
 	r.ticks++

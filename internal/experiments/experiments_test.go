@@ -264,11 +264,6 @@ func TestS1ScalingShape(t *testing.T) {
 		if p50 < agents || p99 < p50 {
 			t.Fatalf("%s: work quantiles inconsistent: p50=%v p99=%v", label, p50, p99)
 		}
-		// The scheduler cross-check rerun must agree exactly.
-		m, ok := r.Table.Lookup(label, "sched-match")
-		if !ok || m != 1 {
-			t.Fatalf("%s: sched-match = %v, want 1 (LPT+steal vs index-order no-steal diverged)", label, m)
-		}
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"sacs/internal/trace"
 )
 
 // TestConcurrentInstruments hammers one counter, one gauge and one
@@ -161,25 +159,5 @@ func TestRegistrationCollisionsPanic(t *testing.T) {
 			}()
 			f(NewRegistry())
 		})
-	}
-}
-
-func TestImportRecorder(t *testing.T) {
-	rec := trace.NewRecorder()
-	rec.Record("runner/E1", 0, 0.001) // 1ms
-	rec.Record("runner/E1", 1, 0.010)
-	rec.Record("runner/E2", 0, 2.0)
-	reg := NewRegistry()
-	ImportRecorder(reg, rec, "sacs_runner_job_seconds", "job latency", Seconds, DurationBounds())
-	snap := reg.Snapshot()
-	hv, ok := snap[`sacs_runner_job_seconds{series="runner/E1"}`].(HistogramValue)
-	if !ok {
-		t.Fatalf("missing E1 histogram in %v", snap)
-	}
-	if hv.Count != 2 || hv.Sum < 0.0109 || hv.Sum > 0.0111 {
-		t.Errorf("E1 count/sum = %d/%g, want 2/~0.011", hv.Count, hv.Sum)
-	}
-	if hv2 := snap[`sacs_runner_job_seconds{series="runner/E2"}`].(HistogramValue); hv2.Count != 1 {
-		t.Errorf("E2 count = %d, want 1", hv2.Count)
 	}
 }

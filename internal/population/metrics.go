@@ -36,7 +36,7 @@ type Metrics struct {
 
 	ticks    *obs.Counter
 	lastTick *obs.Gauge
-	steals   *obs.Counter // shards claimed off their planned executor (see Scheduler)
+	steals   *obs.Counter // shards claimed off their planned executor (see LocalTransport.Step)
 
 	phaseStep    *obs.Counter // ns, rendered as seconds
 	phaseBarrier *obs.Counter
@@ -115,7 +115,7 @@ type MetricsSnapshot struct {
 	Ticks int64 `json:"ticks"`
 
 	// Steals counts shards executed off their planned executor by
-	// intra-tick work stealing (cumulative; see Scheduler).
+	// intra-tick work stealing (cumulative; see LocalTransport.Step).
 	Steals int64 `json:"sched_steals"`
 
 	// Cumulative per-phase wall time, seconds (see Metrics for the phase

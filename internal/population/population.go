@@ -85,10 +85,6 @@ type Config struct {
 	// engine aggregates it across the population (merged in shard index
 	// order, so the moments are deterministic too).
 	Observe func(id int, a *core.Agent) float64
-	// Scheduler orders each tick's shard dispatch (default LPT with work
-	// stealing). Pure wall-time policy: results are byte-identical under
-	// any scheduler, which TestSchedulerSkewDeterminism pins.
-	Scheduler Scheduler
 	// Metrics, when non-nil, attaches the engine's observability plane
 	// (see NewMetrics). Observation-only: stepping and snapshots are
 	// byte-identical with or without it, and it is never serialised.
@@ -126,9 +122,6 @@ func (c Config) Normalized() Config {
 		// no goroutines; creating it once here keeps nil-pool Ticks from
 		// building a fresh dispatcher each tick.
 		c.Pool = runner.New(1)
-	}
-	if c.Scheduler == nil {
-		c.Scheduler = LPT{}
 	}
 	return c
 }

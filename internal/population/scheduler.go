@@ -3,12 +3,13 @@ package population
 import "sort"
 
 // This file is the tick's dispatch-order plane: a per-shard cost model fed
-// by observed StepNanos and a Scheduler seam that turns those costs into a
+// by observed StepNanos and the LPT plan that turns those costs into a
 // dispatch order. Everything here is observation-driven and
 // observation-only — the order shards *execute* in never changes the order
-// their exchanges *merge* in (shard index, always), so any scheduler, any
-// cost history and any steal interleaving produce byte-identical ticks.
-// Cost state is consequently excluded from snapshots, like all metrics.
+// their exchanges *merge* in (shard index, always), so any dispatch order,
+// any cost history and any steal interleaving produce byte-identical
+// ticks. Cost state is consequently excluded from snapshots, like all
+// metrics.
 
 // costWindow is how many recent per-shard step times the cost model
 // retains alongside its running estimate — enough for a rebalancer to see
@@ -94,50 +95,18 @@ func (c *CostModel) Seed(lo int, costs []float64) {
 	}
 }
 
-// Scheduler decides the order a tick's shard dispatch set is issued in,
-// and whether idle executors steal queued work from their siblings within
-// the tick. The barrier merge is always shard-index order regardless of
-// the scheduler, so scheduling affects wall time and nothing else; see
-// DESIGN.md "Shard scheduling".
-type Scheduler interface {
-	// Name identifies the policy (metrics, Explain output, tests).
-	Name() string
-	// Plan writes a permutation of [0, len(order)) into order: the
-	// positions shards are dispatched in. cost[i] is the cost model's
-	// estimate (nanoseconds) for the i-th shard of the dispatch set, 0
-	// when that shard has never been observed. Plan runs between ticks on
-	// the dispatching goroutine and must be deterministic in cost.
-	Plan(order []int, cost []float64)
-	// Steal reports whether executors that drain their planned share keep
-	// claiming remaining shards from the shared dispatch list.
-	Steal() bool
-}
-
-// LPT is the default scheduler: longest-processing-time-first with
-// intra-tick work stealing. Shards dispatch in descending estimated cost
-// (ties break toward the lower index, keeping the plan deterministic), so
-// the tick's critical path starts first and cheap shards fill the gaps —
-// classic LPT list scheduling, bounded at 4/3 of optimal makespan. Before
-// any costs have been observed every estimate is 0 and LPT degenerates to
-// index order, i.e. exactly the pre-scheduler behaviour.
-type LPT struct {
-	// NoSteal pins each shard to its planned executor stride instead of
-	// letting idle executors claim leftovers. Only the determinism suite
-	// should want this: it exists so stealing-vs-no-stealing byte equality
-	// is a testable property rather than an assumption.
-	NoSteal bool
-}
-
-// Name implements Scheduler.
-func (l LPT) Name() string {
-	if l.NoSteal {
-		return "lpt-nosteal"
-	}
-	return "lpt"
-}
-
-// Plan implements Scheduler.
-func (l LPT) Plan(order []int, cost []float64) {
+// lptPlan writes the tick's dispatch order into order: a permutation of
+// [0, len(order)) by descending cost, where cost[i] is the cost model's
+// estimate (nanoseconds) for the i-th shard of the dispatch set, 0 when
+// that shard has never been observed. Ties break toward the lower index,
+// keeping the plan deterministic in cost. This is longest-processing-
+// time-first list scheduling: the tick's critical path starts first and
+// cheap shards fill the gaps, bounded at 4/3 of optimal makespan. Before
+// any costs have been observed every estimate is 0 and the plan is index
+// order. The barrier merge is shard-index order regardless of the plan,
+// so the plan affects wall time and nothing else; see DESIGN.md "Shard
+// scheduling".
+func lptPlan(order []int, cost []float64) {
 	for i := range order {
 		order[i] = i
 	}
@@ -145,32 +114,3 @@ func (l LPT) Plan(order []int, cost []float64) {
 		return cost[order[a]] > cost[order[b]]
 	})
 }
-
-// Steal implements Scheduler.
-func (l LPT) Steal() bool { return !l.NoSteal }
-
-// IndexOrder dispatches shards in shard-index order — the pre-cost-model
-// behaviour, kept as an explicit policy so scheduling comparisons (and the
-// determinism suite's LPT-vs-index equality leg) have a baseline.
-type IndexOrder struct {
-	// NoSteal as in LPT.
-	NoSteal bool
-}
-
-// Name implements Scheduler.
-func (o IndexOrder) Name() string {
-	if o.NoSteal {
-		return "index-nosteal"
-	}
-	return "index"
-}
-
-// Plan implements Scheduler.
-func (o IndexOrder) Plan(order []int, cost []float64) {
-	for i := range order {
-		order[i] = i
-	}
-}
-
-// Steal implements Scheduler.
-func (o IndexOrder) Steal() bool { return !o.NoSteal }

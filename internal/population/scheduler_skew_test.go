@@ -22,15 +22,14 @@ import (
 // 100× the sensing work of everyone else — the adversarial input for
 // cost-aware scheduling: the cost model must learn the skew, LPT must front
 // it, and none of that may change a single byte of state.
-func skewConfig(agents, shards int, pool *runner.Pool, sched population.Scheduler) population.Config {
+func skewConfig(agents, shards int, pool *runner.Pool) population.Config {
 	perShard := agents / shards
 	return population.Config{
-		Name:      "skew",
-		Agents:    agents,
-		Shards:    shards,
-		Seed:      99,
-		Pool:      pool,
-		Scheduler: sched,
+		Name:   "skew",
+		Agents: agents,
+		Shards: shards,
+		Seed:   99,
+		Pool:   pool,
 		New: func(id int, rng *rand.Rand) *core.Agent {
 			spin := 40
 			if id < perShard {
@@ -70,17 +69,10 @@ func skewConfig(agents, shards int, pool *runner.Pool, sched population.Schedule
 	}
 }
 
-// skewSnapshotBytes runs the skewed population and returns its encoded
-// snapshot — the bytes that must be invariant under every scheduling choice.
-func skewSnapshotBytes(t *testing.T, workers int, sched population.Scheduler, ticks int) []byte {
+// encodeSnapshot returns e's encoded snapshot — the bytes that must be
+// invariant under every dispatch order.
+func encodeSnapshot(t *testing.T, e *population.Engine) []byte {
 	t.Helper()
-	var pool *runner.Pool
-	if workers > 0 {
-		pool = runner.New(workers)
-		defer pool.Close()
-	}
-	e := population.New(skewConfig(96, 8, pool, sched))
-	e.Run(ticks)
 	snap, err := e.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -92,29 +84,56 @@ func skewSnapshotBytes(t *testing.T, workers int, sched population.Scheduler, ti
 	return buf
 }
 
+// skewSnapshotBytes runs the skewed population for ticks ticks on a
+// workers-wide pool and returns its encoded snapshot. With permSeed == 0
+// the transport dispatches in the LPT order its cost model learns from
+// the skew. Otherwise, before every tick, it is handed distinct cost
+// priors drawn from a permSeed-seeded RNG, so LPT dispatches the shards
+// in a fresh seeded random permutation each tick.
+func skewSnapshotBytes(t *testing.T, workers int, permSeed int64, ticks int) []byte {
+	t.Helper()
+	pool := runner.New(workers)
+	defer pool.Close()
+	cfg := skewConfig(96, 8, pool).Normalized()
+	lt := population.NewLocalTransport(cfg, 0, cfg.Shards)
+	e, err := population.NewWithTransport(cfg, lt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(permSeed))
+	costs := make([]float64, cfg.Shards)
+	for i := 0; i < ticks; i++ {
+		if permSeed != 0 {
+			for s, p := range rng.Perm(cfg.Shards) {
+				costs[s] = float64(p + 1)
+			}
+			if err := lt.SeedCosts(costs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.TickErr(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return encodeSnapshot(t, e)
+}
+
 // TestSchedulerSkewDeterminism is the acceptance test for cost-aware
 // dispatch: under a ~100× per-shard cost skew, the encoded snapshot is
-// byte-identical across worker counts 1/2/4/8, across LPT vs index-order
-// dispatch, and across stealing vs pinned executors. The reference is the
-// inline engine (no pool), which never consults a scheduler at all.
+// byte-identical to the inline reference engine (no pool) across worker
+// counts 1/2/4/8, each under the learned LPT order and under several
+// seeded random dispatch permutations that change every tick — with work
+// stealing on throughout, so claims interleave arbitrarily too.
 func TestSchedulerSkewDeterminism(t *testing.T) {
 	const ticks = 10
-	ref := skewSnapshotBytes(t, 0, nil, ticks)
-	scheds := []population.Scheduler{
-		nil, // Normalized() default: LPT with stealing
-		population.LPT{NoSteal: true},
-		population.IndexOrder{},
-		population.IndexOrder{NoSteal: true},
-	}
+	ref := population.New(skewConfig(96, 8, nil))
+	ref.Run(ticks)
+	want := encodeSnapshot(t, ref)
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, sched := range scheds {
-			name := "default"
-			if sched != nil {
-				name = sched.Name()
-			}
-			if got := skewSnapshotBytes(t, workers, sched, ticks); !bytes.Equal(got, ref) {
-				t.Errorf("workers=%d sched=%s: snapshot bytes diverge from inline reference (%d vs %d bytes)",
-					workers, name, len(got), len(ref))
+		for _, permSeed := range []int64{0, 1, 2, 3, 4} {
+			if got := skewSnapshotBytes(t, workers, permSeed, ticks); !bytes.Equal(got, want) {
+				t.Errorf("workers=%d permSeed=%d: snapshot bytes diverge from inline reference (%d vs %d bytes)",
+					workers, permSeed, len(got), len(want))
 			}
 		}
 	}
@@ -127,7 +146,7 @@ func TestSchedulerSkewDeterminism(t *testing.T) {
 func TestSkewCostLearningAndStealing(t *testing.T) {
 	pool := runner.New(4)
 	defer pool.Close()
-	cfg := skewConfig(96, 8, pool, population.LPT{})
+	cfg := skewConfig(96, 8, pool)
 	cfg.Metrics = population.NewMetrics(obs.NewRegistry(), "skew")
 	e := population.New(cfg)
 	e.Run(30)

@@ -7,42 +7,16 @@ import (
 
 func TestLPTPlanDescendingStable(t *testing.T) {
 	order := make([]int, 5)
-	LPT{}.Plan(order, []float64{10, 50, 10, 90, 50})
+	lptPlan(order, []float64{10, 50, 10, 90, 50})
 	// Descending cost; equal costs keep index order (3, then the 50s in
 	// index order, then the 10s in index order).
 	if want := []int{3, 1, 4, 0, 2}; !reflect.DeepEqual(order, want) {
 		t.Fatalf("LPT plan = %v, want %v", order, want)
 	}
 	// All-zero costs (nothing observed yet) degenerate to index order.
-	LPT{}.Plan(order, make([]float64, 5))
+	lptPlan(order, make([]float64, 5))
 	if want := []int{0, 1, 2, 3, 4}; !reflect.DeepEqual(order, want) {
 		t.Fatalf("LPT plan over zero costs = %v, want index order", order)
-	}
-}
-
-func TestIndexOrderPlanIsIdentity(t *testing.T) {
-	order := make([]int, 4)
-	IndexOrder{}.Plan(order, []float64{5, 1, 9, 2}) // costs must be ignored
-	if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(order, want) {
-		t.Fatalf("IndexOrder plan = %v, want identity", order)
-	}
-}
-
-func TestSchedulerNames(t *testing.T) {
-	for _, tc := range []struct {
-		s    Scheduler
-		name string
-		st   bool
-	}{
-		{LPT{}, "lpt", true},
-		{LPT{NoSteal: true}, "lpt-nosteal", false},
-		{IndexOrder{}, "index", true},
-		{IndexOrder{NoSteal: true}, "index-nosteal", false},
-	} {
-		if tc.s.Name() != tc.name || tc.s.Steal() != tc.st {
-			t.Errorf("%T = (%q, steal=%v), want (%q, steal=%v)",
-				tc.s, tc.s.Name(), tc.s.Steal(), tc.name, tc.st)
-		}
 	}
 }
 

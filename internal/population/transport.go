@@ -41,7 +41,7 @@ type ShardExchange struct {
 	StepNanos int64
 
 	// Steals is 1 when this shard was claimed by an executor other than
-	// the one the dispatch plan assigned it to (see Scheduler) — the
+	// the one the dispatch plan assigned it to (see LocalTransport.Step) — the
 	// intra-tick work stealing counter's unit. Observability only, outside
 	// the byte-equality contract exactly like StepNanos.
 	Steals int
@@ -152,13 +152,12 @@ type LocalTransport struct {
 	// memory (see core.Arena).
 	arenas []*core.Arena
 
-	// Dispatch-order plane: the per-shard cost model the executors feed,
-	// the scheduler that turns estimates into a dispatch order, and the
-	// per-tick scratch both reuse. Observation-only (see Scheduler).
+	// Dispatch-order plane: the per-shard cost model the executors feed
+	// and the per-tick scratch lptPlan reuses to turn its estimates into a
+	// dispatch order. Observation-only (see lptPlan).
 	costs   *CostModel
-	sched   Scheduler
 	order   []int     // dispatch positions, local shard indices
-	costBuf []float64 // Plan input scratch
+	costBuf []float64 // lptPlan input scratch
 }
 
 // NewLocalTransport builds the agents of shards [lo, hi) of cfg's
@@ -184,7 +183,6 @@ func NewLocalTransport(cfg Config, lo, hi int) *LocalTransport {
 		results:   make([]*ShardExchange, hi-lo),
 		arenas:    make([]*core.Arena, hi-lo),
 		costs:     NewCostModel(cfg.Shards),
-		sched:     cfg.Scheduler,
 		order:     make([]int, hi-lo),
 		costBuf:   make([]float64, 0, hi-lo),
 	}
@@ -253,38 +251,26 @@ func (t *LocalTransport) Agent(id int) *core.Agent {
 	return t.agents[id]
 }
 
-// Step dispatches the owned shards in the scheduler's cost order and
-// returns their exchanges in shard index order — the dispatch order and
-// the merge order are deliberately decoupled, which is the whole
-// determinism story of cost-aware scheduling. It never fails: in-process
-// shard steps surface bugs as panics through the pool's per-job recovery,
-// not as transport errors.
+// Step dispatches the owned shards in LPT cost order and returns their
+// exchanges in shard index order — the dispatch order and the merge order
+// are deliberately decoupled, which is the whole determinism story of
+// cost-aware scheduling. It never fails: in-process shard steps surface
+// bugs as panics through the pool's per-job recovery, not as transport
+// errors.
 //
-// Two dispatch mechanics, chosen by Scheduler.Steal():
-//
-//   - stealing (default): min(workers, shards) executor jobs share an
-//     atomic claim cursor over the planned order. Executor e's planned
-//     share is positions e, e+E, e+2E, …; a claim outside that stride
-//     means the planned executor was still busy and the work moved — one
-//     steal, recorded on the stolen shard's exchange.
-//   - no stealing: every shard is its own pool job, submitted in plan
-//     order through runner.FanOutOrder (ordered submit, any-order
-//     execute), so expensive shards still start first but claims follow
-//     the pool's FIFO pickup with no intra-tick redistribution.
+// min(workers, shards) executor jobs share an atomic claim cursor over
+// the planned order. Executor e's planned share is positions e, e+E,
+// e+2E, …; a claim outside that stride means the planned executor was
+// still busy and the work moved — one steal, recorded on the stolen
+// shard's exchange.
 //
 //sacs:hotpath
 func (t *LocalTransport) Step(tick int, mail [][]core.Stimulus) ([]*ShardExchange, error) {
 	now := float64(tick)
 	n := t.hi - t.lo
 	t.costBuf = t.costs.EstimatesInto(t.costBuf[:0], t.lo, t.hi)
-	t.sched.Plan(t.order, t.costBuf)
+	lptPlan(t.order, t.costBuf)
 	key := runner.Key{Experiment: t.cfg.Name, System: "shard"}
-	if !t.sched.Steal() {
-		runner.FanOutOrder(t.cfg.Pool, key, n, t.order,
-			//sacslint:allow hotalloc one dispatch closure per tick, not per agent; fan-out needs the tick context
-			func(i int) *ShardExchange { return t.stepShard(t.lo+i, tick, now, mail) })
-		return t.results, nil
-	}
 	execs := t.cfg.Pool.Workers()
 	if execs > n {
 		execs = n
@@ -356,9 +342,6 @@ func (t *LocalTransport) SeedCosts(costs []float64) error {
 // Costs exposes the transport's cost model (observation-only; see
 // CostModel for its concurrency contract).
 func (t *LocalTransport) Costs() *CostModel { return t.costs }
-
-// Scheduler reports the dispatch policy the transport runs.
-func (t *LocalTransport) Scheduler() Scheduler { return t.sched }
 
 // Export copies out the owned range's state in index order.
 func (t *LocalTransport) Export() (*RangeState, error) {

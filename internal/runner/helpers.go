@@ -1,7 +1,5 @@
 package runner
 
-import "fmt"
-
 // The helpers in this file capture the fan-out shape every experiment
 // shares — "loop systems × seeds, sum, divide" — as pool jobs. Summation
 // always runs in ascending job-index order after all jobs finish, so the
@@ -33,54 +31,6 @@ func FanOut[T any](p *Pool, key Key, n int, fn func(i int) T) []T {
 	out := make([]T, n)
 	for i, r := range rs {
 		out[i] = r.Value.(T)
-	}
-	return out
-}
-
-// FanOutOrder is FanOut with the submission order decoupled from the
-// logical index order: jobs are added to the pool's ready queue in the
-// sequence given by order (a permutation of [0, n)), so whichever worker
-// goes idle first picks up the earliest-submitted — not the lowest-indexed
-// — remaining job. Results still come back in logical index order, which
-// is what keeps callers' merge order (and therefore determinism)
-// independent of the dispatch order. A nil order means index order,
-// making FanOutOrder(p, key, n, nil, fn) identical to FanOut.
-//
-// This is the dispatch mode a cost-aware scheduler needs: submit the
-// expensive jobs first and the pool's FIFO pickup turns the order into
-// longest-processing-time-first list scheduling, while FanOut and Rows
-// keep their index-order pickup.
-func FanOutOrder[T any](p *Pool, key Key, n int, order []int, fn func(i int) T) []T {
-	if order == nil {
-		return FanOut(p, key, n, fn)
-	}
-	if len(order) != n {
-		panic(fmt.Sprintf("runner: FanOutOrder over %d jobs got a %d-element order", n, len(order)))
-	}
-	if p == nil {
-		p = New(1)
-	}
-	b := p.NewBatch()
-	seen := make([]bool, n)
-	perm := make([]int, n) // perm[logical index] = submission index
-	for pos, i := range order {
-		if i < 0 || i >= n || seen[i] {
-			panic(fmt.Sprintf("runner: FanOutOrder order is not a permutation of [0, %d): %v", n, order))
-		}
-		seen[i] = true
-		perm[i] = pos
-		i := i
-		k := key
-		k.Seed = i
-		b.Add(k, nil, func() (any, error) { return fn(i), nil })
-	}
-	rs := b.Wait()
-	if err := Errors(rs); err != nil {
-		panic(err)
-	}
-	out := make([]T, n)
-	for i := 0; i < n; i++ {
-		out[i] = rs[perm[i]].Value.(T)
 	}
 	return out
 }

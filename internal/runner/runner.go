@@ -7,8 +7,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
-
-	"sacs/internal/trace"
 )
 
 // Key identifies a job: which experiment, which system/variant row, and
@@ -68,15 +66,14 @@ type Pool struct {
 
 	// OnProgress, when non-nil, is invoked after every job completes,
 	// before the job is marked done — Batch.Wait returns only once the
-	// callbacks for all its jobs have run. It may be called from several
-	// goroutines at once and must be safe for that (NewReporter returns a
-	// suitable callback). It must not call back into the pool. Set it
-	// before submitting work.
+	// callbacks for all its jobs have run. It is the pool's one per-job
+	// timing hook: each call carries the job's Key and its own JobTime,
+	// which is what progress reporting and per-experiment job-time
+	// accounting (sawbench's -metrics histograms) are built on. It may be
+	// called from several goroutines at once and must be safe for that
+	// (NewReporter returns a suitable callback). It must not call back
+	// into the pool. Set it before submitting work.
 	OnProgress func(Progress)
-	// Trace, when non-nil, records one point per completed job in the
-	// series "runner/<experiment>": x is the job's batch index, y its
-	// elapsed seconds. Set it before submitting work.
-	Trace *trace.Recorder
 }
 
 type task struct {
@@ -244,7 +241,7 @@ func (p *Pool) popLocked() *task {
 
 // run executes one job with panic recovery, records its result and timing,
 // reports progress, then releases its dependents and marks the job done.
-// Trace and OnProgress are delivered strictly before the job counts as
+// OnProgress is delivered strictly before the job counts as
 // complete, so when Batch.Wait returns every callback for the batch's jobs
 // has already run — callers may read state the callbacks accumulate.
 func (p *Pool) run(t *task) {
@@ -259,9 +256,6 @@ func (p *Pool) run(t *task) {
 	poolElapsed := time.Since(p.started)
 	p.mu.Unlock()
 
-	if p.Trace != nil {
-		p.Trace.Record("runner/"+t.key.Experiment, float64(t.index), elapsed.Seconds())
-	}
 	if f := p.OnProgress; f != nil {
 		var eta time.Duration
 		if done > 0 && done < total {

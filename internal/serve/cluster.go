@@ -118,8 +118,7 @@ type ClusterStatus struct {
 // population's placement as captured in its published view. Views swap at
 // tick barriers and after admit/rebalance, so the owner maps are never
 // mid-migration — and the read never takes a population lock, so polling
-// /cluster cannot stall ticking. With Options.LockedReads it reads the
-// live placement under each population's lock (the benchmark baseline).
+// /cluster cannot stall ticking.
 func (s *Server) ClusterStatus() (ClusterStatus, error) {
 	ctl, err := s.clusterCtl()
 	if err != nil {
@@ -130,17 +129,6 @@ func (s *Server) ClusterStatus() (ClusterStatus, error) {
 		h, err := s.hosted(id)
 		if err != nil {
 			continue // removed between IDs and here; nothing to report
-		}
-		if s.opts.LockedReads {
-			tr := ctl.transport(id)
-			if tr == nil {
-				continue
-			}
-			h.mu.Lock()
-			owner, workers := tr.Placement() //sacslint:allow lockatomic LockedReads mode reads live placement at the tick barrier by design; the lock-free path is the default
-			h.mu.Unlock()
-			out.Populations = append(out.Populations, ClusterPopPlacement{ID: id, Owner: owner, Workers: workers})
-			continue
 		}
 		if p := h.vs.published().placement; p != nil {
 			out.Populations = append(out.Populations, *p)

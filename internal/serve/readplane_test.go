@@ -500,35 +500,6 @@ func TestReadHammerDuringClusterAdvance(t *testing.T) {
 	}
 }
 
-// TestLockedReadsBaseline sanity-checks the benchmark baseline mode: the
-// locked path still answers correctly (same fields, fresh view) so the
-// loadgen before/after comparison measures locking, not correctness.
-func TestLockedReadsBaseline(t *testing.T) {
-	s, err := New(Options{Workloads: []Workload{gossip()}, LockedReads: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(demoSpec()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Advance("demo", 2); err != nil {
-		t.Fatal(err)
-	}
-	st, err := s.Status("demo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Tick != 2 || st.ViewTick != 2 {
-		t.Fatalf("locked status = tick %d view %d, want 2/2", st.Tick, st.ViewTick)
-	}
-	if _, tick, err := s.ExplainAt("demo", 3); err != nil || tick != 2 {
-		t.Fatalf("locked explain: tick %d err %v", tick, err)
-	}
-	if _, _, err := s.ExplainAt("demo", 999); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("locked out-of-range explain: want ErrNotFound, got %v", err)
-	}
-}
-
 // TestEngineMailboxBudgetFlows pins that a fixed Options.MailboxBudget
 // reaches the engine config (defense in depth below the serve-level
 // admission check).

@@ -94,12 +94,6 @@ type Options struct {
 	// explanations, keyed (agent, tick) and invalidated by the tick-barrier
 	// view swap (0 = default 256; negative disables caching).
 	ExplainCacheSize int
-	// LockedReads restores the pre-view read path: Status, cluster status
-	// and explain take the population lock and render on every request.
-	// It exists so the serving-plane benchmark (tools/loadgen) can measure
-	// the lock-free read plane against the locked baseline in one binary;
-	// production never sets it.
-	LockedReads bool
 
 	// cluster is set by UseCluster: the admin-plane handle (shared client
 	// plus every hosted population's transport) behind the /cluster HTTP
@@ -476,7 +470,7 @@ func (s *Server) Advance(id string, n int) (population.TickStats, error) {
 	defer h.mu.Unlock()
 	// The ticking flag is observability for the lock-free read plane: any
 	// view read that lands while it is set completed during a tick, which
-	// is exactly what the locked read path could never do.
+	// no read that took h.mu could ever do.
 	h.vs.ticking.Store(true)
 	defer h.vs.ticking.Store(false)
 	var last population.TickStats
@@ -703,9 +697,6 @@ func (s *Server) ExplainAt(id string, agent int) (string, int, error) {
 	if err != nil {
 		return "", 0, err
 	}
-	if s.opts.LockedReads {
-		return s.explainLockedBaseline(h, agent)
-	}
 	v := h.vs.published()
 	if agent < 0 || agent >= v.st.Agents {
 		return "", v.st.ViewTick, fmt.Errorf("serve: agent %d out of range (population %d): %w",
@@ -743,22 +734,6 @@ func (s *Server) ExplainAt(id string, agent int) (string, int, error) {
 		h.explain.put(agent, tick, text)
 	}
 	return text, tick, nil
-}
-
-// explainLockedBaseline is the pre-view explain path, kept verbatim behind
-// Options.LockedReads for the loadgen baseline.
-func (s *Server) explainLockedBaseline(h *hosted, agent int) (string, int, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if agent < 0 || agent >= h.eng.Agents() {
-		return "", h.eng.Ticks(), fmt.Errorf("serve: agent %d out of range (population %d): %w",
-			agent, h.eng.Agents(), ErrNotFound)
-	}
-	text, err := h.eng.Explain(agent)
-	if err != nil {
-		return "", h.eng.Ticks(), fmt.Errorf("serve: explain (%w): %w", ErrHost, err)
-	}
-	return truncateExplain(text, s.explainBudget()), h.eng.Ticks(), nil
 }
 
 func (s *Server) explainBudget() int {
@@ -810,22 +785,11 @@ type Status struct {
 // Status reports population id's live metrics. The read is lock-free: it
 // loads the view published at the last tick barrier and overlays the two
 // between-barrier atomics (Ingested, Queued). It never takes h.mu, so a
-// status poll can neither block nor be blocked by Advance — with
-// Options.LockedReads it falls back to rendering under the lock (the
-// benchmark baseline).
+// status poll can neither block nor be blocked by Advance.
 func (s *Server) Status(id string) (Status, error) {
 	h, err := s.hosted(id)
 	if err != nil {
 		return Status{}, err
-	}
-	if s.opts.LockedReads {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		s.publishLocked(h) // keep the view (and its age) fresh for parity
-		st := h.vs.published().st
-		st.Ingested = h.ingested.Load()
-		st.Queued = h.pm.queued.Value()
-		return st, nil
 	}
 	h.pm.viewReads.Inc()
 	if h.vs.ticking.Load() {

@@ -6,19 +6,16 @@
 // (the lock-free read plane's proof of life) and the number of shed writes.
 //
 // Results are merged into a BENCH_*.json file through internal/benchjson:
-// run once with -mode before against `sawd -locked-reads` and once with
-// -mode after against a stock sawd, and the file carries the locked
-// baseline and the lock-free numbers side by side, the same way PR 4's
-// agent-hot-path file does:
+// each run writes every entry's After side and keeps any Before side the
+// file already carries, so a committed baseline (BENCH_PR9.json's locked
+// read path) stays next to the fresh numbers:
 //
-//	sawd -locked-reads -dir '' &
-//	loadgen -mode before -out BENCH_PR9.json
 //	sawd -dir '' &
-//	loadgen -mode after -out BENCH_PR9.json -max-p99 50ms -min-reads-during-tick 1
+//	loadgen -out BENCH_PR9.json -max-p99 50ms -min-reads-during-tick 1
 //
 // Exit status is non-zero when a gate fails: -max-p99 bounds the GET
 // status p99, -min-reads-during-tick requires that many reads to have been
-// served mid-tick (both usually gated only on the after run).
+// served mid-tick.
 package main
 
 import (
@@ -78,16 +75,11 @@ func main() {
 		tickEvery   = flag.Duration("tick-every", 50*time.Millisecond, "drive POST .../ticks at this cadence (0 = no ticking)")
 		ticksPerReq = flag.Int("ticks-per-req", 1, "n per ticks POST")
 		out         = flag.String("out", "", "BENCH_*.json file to merge results into (empty = report only)")
-		mode        = flag.String("mode", "after", "which side of the bench entries to write: before|after")
 		note        = flag.String("note", "", "note recorded in the bench file (only when creating it)")
 		maxP99      = flag.Duration("max-p99", 0, "gate: fail when GET status p99 exceeds this (0 = no gate)")
 		minDuring   = flag.Int("min-reads-during-tick", 0, "gate: fail unless at least this many reads completed while a tick was in flight")
 	)
 	flag.Parse()
-	if *mode != "before" && *mode != "after" {
-		fmt.Fprintf(os.Stderr, "loadgen: -mode must be before|after, got %q\n", *mode)
-		os.Exit(2)
-	}
 
 	client := &http.Client{Timeout: 10 * time.Second}
 	base := strings.TrimRight(*addr, "/")
@@ -158,8 +150,8 @@ func main() {
 			codes[s.code]++
 		}
 	}
-	fmt.Printf("loadgen: %s for %s against %s (pop=%s agents=%d concurrency=%d, %d ticks driven)\n",
-		*mode, duration.String(), base, *pop, agents, *concurrency, ticks.Load())
+	fmt.Printf("loadgen: %s against %s (pop=%s agents=%d concurrency=%d, %d ticks driven)\n",
+		duration.String(), base, *pop, agents, *concurrency, ticks.Load())
 	results := make(map[string]benchjson.Result, opKinds)
 	var statusP99 float64
 	for op := opKind(0); op < opKinds; op++ {
@@ -192,11 +184,11 @@ func main() {
 	fmt.Printf("  reads during tick: %d   shed writes: %d   status codes: %v\n", readsDuring, shed, codes)
 
 	if *out != "" {
-		if err := merge(*out, *mode, *note, results); err != nil {
+		if err := merge(*out, *note, results); err != nil {
 			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("  wrote %s (%s side)\n", *out, *mode)
+		fmt.Printf("  wrote %s\n", *out)
 	}
 
 	fail := false
@@ -304,10 +296,9 @@ func counters(client *http.Client, base, pop string) (during, shed float64) {
 	return during, shed
 }
 
-// merge folds results into the bench file: -mode after writes each entry's
-// After side, -mode before its Before side, preserving whatever the other
-// side already holds.
-func merge(path, mode, note string, results map[string]benchjson.Result) error {
+// merge folds results into the bench file: it writes each entry's After
+// side and keeps whatever Before side the entry already holds.
+func merge(path, note string, results map[string]benchjson.Result) error {
 	f, err := benchjson.Load(path)
 	if err != nil {
 		if !os.IsNotExist(err) {
@@ -320,12 +311,7 @@ func merge(path, mode, note string, results map[string]benchjson.Result) error {
 	}
 	for name, res := range results {
 		e := f.Benchmarks[name]
-		if mode == "before" {
-			r := res
-			e.Before = &r
-		} else {
-			e.After = res
-		}
+		e.After = res
 		f.Benchmarks[name] = e
 	}
 	return f.Write(path)

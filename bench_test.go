@@ -8,6 +8,9 @@ package sacs_bench
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"sacs/internal/camnet"
@@ -134,6 +137,45 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(encoded), "snapshot-bytes")
+		})
+	}
+}
+
+// BenchmarkCheckpointWrite is the write half of the durability path alone,
+// the one a checkpoint holds the population lock for: Snapshot (state
+// export, on a 2-worker pool) then checkpoint.Write (encode, file write,
+// fsync, rename). alloc-x is bytes allocated per op over the file's size;
+// 1 would be a writer that allocates nothing beyond one copy of the state.
+func BenchmarkCheckpointWrite(b *testing.B) {
+	for _, agents := range []int{2048} {
+		b.Run(fmt.Sprintf("agents=%d", agents), func(b *testing.B) {
+			p := runner.New(2)
+			defer p.Close()
+			eng := population.New(experiments.S2Config(agents, 16, 1, p))
+			eng.Run(20)
+			path := filepath.Join(b.TempDir(), checkpoint.FileName("bench", 20))
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				snap, err := eng.Snapshot()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := checkpoint.Write(path, snap, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			fi, err := os.Stat(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			perOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N)
+			b.ReportMetric(float64(fi.Size()), "snapshot-bytes")
+			b.ReportMetric(perOp/float64(fi.Size()), "alloc-x")
 		})
 	}
 }

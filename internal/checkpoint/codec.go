@@ -23,37 +23,57 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // the versioned wire format. Equal snapshots and metadata encode to equal
 // bytes.
 func Encode(w io.Writer, s *population.Snapshot, meta map[string]string) error {
-	payload := encodePayload(s, meta)
-	var header [20]byte
-	copy(header[:8], magic[:])
-	binary.LittleEndian.PutUint32(header[8:12], Version)
-	binary.LittleEndian.PutUint64(header[12:20], uint64(len(payload)))
-	if _, err := w.Write(header[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.Checksum(payload, castagnoli))
-	_, err := w.Write(sum[:])
-	return err
+	segs, n := encodePayload(s, meta)
+	return writeFramed(w, segs, n)
 }
 
-// EncodeBytes is Encode into a fresh byte slice.
+// EncodeBytes is Encode into a fresh byte slice, allocated once at the
+// exact encoded size.
 func EncodeBytes(s *population.Snapshot, meta map[string]string) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, s, meta); err != nil {
+	segs, n := encodePayload(s, meta)
+	buf := bytes.NewBuffer(make([]byte, 0, headerLen+n+trailerLen))
+	if err := writeFramed(buf, segs, n); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// headerLen and trailerLen are the fixed frame around the payload: magic,
+// version and payload length before it, the payload's CRC-32C after it.
+const (
+	headerLen  = 20
+	trailerLen = 4
+)
+
+// writeFramed writes the header for an n-byte payload, the payload
+// segments in order, and the trailer. The checksum runs over the segments
+// as they are written, so the payload is never joined into one buffer.
+func writeFramed(w io.Writer, segs [][]byte, n int) error {
+	var header [headerLen]byte
+	copy(header[:8], magic[:])
+	binary.LittleEndian.PutUint32(header[8:12], Version)
+	binary.LittleEndian.PutUint64(header[12:20], uint64(n))
+	if _, err := w.Write(header[:]); err != nil {
+		return err
+	}
+	var crc uint32
+	for _, seg := range segs {
+		if _, err := w.Write(seg); err != nil {
+			return err
+		}
+		crc = crc32.Update(crc, castagnoli, seg)
+	}
+	var sum [trailerLen]byte
+	binary.LittleEndian.PutUint32(sum[:], crc)
+	_, err := w.Write(sum[:])
+	return err
 }
 
 // Decode reads one snapshot from r, verifying magic, version, length and
 // checksum before interpreting the payload. Damage is reported as an error
 // wrapping ErrCorrupt.
 func Decode(r io.Reader) (*population.Snapshot, map[string]string, error) {
-	var header [20]byte
+	var header [headerLen]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {
 		return nil, nil, fmt.Errorf("%w: header: %v", ErrCorrupt, err)
 	}
@@ -72,7 +92,7 @@ func Decode(r io.Reader) (*population.Snapshot, map[string]string, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: payload: %v", ErrCorrupt, err)
 	}
-	var sum [4]byte
+	var sum [trailerLen]byte
 	if _, err := io.ReadFull(r, sum[:]); err != nil {
 		return nil, nil, fmt.Errorf("%w: checksum: %v", ErrCorrupt, err)
 	}
@@ -95,30 +115,28 @@ func DecodeBytes(b []byte) (*population.Snapshot, map[string]string, error) {
 	return Decode(bytes.NewReader(b))
 }
 
-// readPayload reads exactly n declared payload bytes, growing the buffer
-// geometrically instead of trusting the untrusted length field with one
-// up-front allocation: a corrupt header claiming gigabytes on a short file
-// fails at the first missing chunk with a few MiB allocated, not an OOM.
+// readPayload reads exactly n declared payload bytes without trusting the
+// untrusted length field with one up-front allocation. It starts at one
+// 4 MiB chunk and doubles the buffer (capped at n) only once the bytes
+// read have filled it, so a corrupt header claiming gigabytes on a short
+// file fails having allocated at most one chunk or twice the bytes
+// present, not an OOM. Reads land directly in the buffer's spare capacity.
 func readPayload(r io.Reader, n uint64) ([]byte, error) {
 	const chunk = 4 << 20
-	if n <= chunk {
-		buf := make([]byte, n)
-		_, err := io.ReadFull(r, buf)
-		return buf, err
-	}
-	buf := make([]byte, 0, chunk)
-	tmp := make([]byte, chunk)
-	for uint64(len(buf)) < n {
-		c := n - uint64(len(buf))
-		if c > chunk {
-			c = chunk
-		}
-		if _, err := io.ReadFull(r, tmp[:c]); err != nil {
+	buf := make([]byte, 0, min(n, chunk))
+	for {
+		k, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+k]
+		if err != nil {
 			return nil, err
 		}
-		buf = append(buf, tmp[:c]...)
+		if uint64(len(buf)) == n {
+			return buf, nil
+		}
+		grown := make([]byte, len(buf), min(2*uint64(cap(buf)), n))
+		copy(grown, buf)
+		buf = grown
 	}
-	return buf, nil
 }
 
 // ---- payload encoding ----
@@ -266,8 +284,47 @@ func (e *Encoder) RangeState(rs *population.RangeState) {
 	}
 }
 
-func encodePayload(s *population.Snapshot, meta map[string]string) []byte {
-	e := &Encoder{buf: make([]byte, 0, 1<<16)}
+// segmentSize is the size at which encodePayload sets a payload segment
+// aside and starts a fresh one; segmentSlack is the headroom above it that
+// lets the element which crosses the mark (one agent state, one inbox)
+// finish in place. Full segments are never copied again, unlike a single
+// growing buffer, which Go reallocates and copies in 1.25x steps.
+const (
+	segmentSize  = 1 << 20
+	segmentSlack = 64 << 10
+)
+
+// segmenter is an Encoder whose buffer is cut into fixed-size segments
+// between top-level payload elements.
+type segmenter struct {
+	Encoder
+	full [][]byte // segments set aside, in payload order
+	n    int      // bytes in full
+}
+
+func newSegmenter() *segmenter {
+	return &segmenter{Encoder: Encoder{buf: make([]byte, 0, segmentSize+segmentSlack)}}
+}
+
+// cut sets the current segment aside once it has reached segmentSize.
+func (g *segmenter) cut() {
+	if len(g.buf) < segmentSize {
+		return
+	}
+	g.full = append(g.full, g.buf)
+	g.n += len(g.buf)
+	g.buf = make([]byte, 0, segmentSize+segmentSlack)
+}
+
+// segments returns the whole payload as ordered segments and its length.
+func (g *segmenter) segments() ([][]byte, int) {
+	return append(g.full, g.buf), g.n + len(g.buf)
+}
+
+// encodePayload encodes the snapshot payload as ordered segments whose
+// concatenation is the payload, plus its total length.
+func encodePayload(s *population.Snapshot, meta map[string]string) ([][]byte, int) {
+	e := newSegmenter()
 	keys := make([]string, 0, len(meta))
 	for k := range meta {
 		keys = append(keys, k)
@@ -304,12 +361,14 @@ func encodePayload(s *population.Snapshot, meta map[string]string) []byte {
 		for _, st := range inbox {
 			e.Stimulus(st)
 		}
+		e.cut()
 	}
 	e.Uvarint(uint64(len(s.AgentStates)))
 	for _, a := range s.AgentStates {
 		e.AgentState(a)
+		e.cut()
 	}
-	return e.buf
+	return e.segments()
 }
 
 // ---- payload decoding ----

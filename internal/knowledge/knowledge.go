@@ -733,28 +733,23 @@ func (r *Ring) grow() {
 func (r *Ring) Len() int { return r.size }
 
 // Values returns stored values oldest-first.
-func (r *Ring) Values() []float64 {
-	out := make([]float64, 0, r.size)
-	start := r.head - r.size
-	if start < 0 {
-		start += len(r.t)
-	}
-	for i := 0; i < r.size; i++ {
-		out = append(out, r.v[(start+i)%len(r.v)])
-	}
-	return out
-}
+func (r *Ring) Values() []float64 { return r.linear(r.v) }
 
 // Times returns stored timestamps oldest-first.
-func (r *Ring) Times() []float64 {
-	out := make([]float64, 0, r.size)
+func (r *Ring) Times() []float64 { return r.linear(r.t) }
+
+// linear copies the stored window of buf (r.t or r.v) out oldest-first as
+// at most two block copies — the tail half from the oldest point, then the
+// wrapped head half — instead of a modulo per element: snapshot export
+// copies every history of every agent through here.
+func (r *Ring) linear(buf []float64) []float64 {
+	out := make([]float64, r.size)
 	start := r.head - r.size
 	if start < 0 {
-		start += len(r.t)
+		start += len(buf)
 	}
-	for i := 0; i < r.size; i++ {
-		out = append(out, r.t[(start+i)%len(r.t)])
-	}
+	k := copy(out, buf[start:])
+	copy(out[k:], buf[:r.head])
 	return out
 }
 

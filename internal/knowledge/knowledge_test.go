@@ -1,6 +1,7 @@
 package knowledge
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -169,6 +170,62 @@ func TestRingGrowsToBound(t *testing.T) {
 		}
 		if got := len(r.t); got > bound {
 			t.Errorf("bound %d: backing grew to %d, past the bound", bound, got)
+		}
+	}
+}
+
+// TestRingCopiesMatchReference checks the block-copy Times/Values against
+// an element-by-element walk of the backing arrays (the modulo loop they
+// replaced) on empty, growing, full and wrapped rings.
+func TestRingCopiesMatchReference(t *testing.T) {
+	reference := func(r *Ring, buf []float64) []float64 {
+		out := make([]float64, 0, r.size)
+		start := r.head - r.size
+		if start < 0 {
+			start += len(buf)
+		}
+		for i := 0; i < r.size; i++ {
+			out = append(out, buf[(start+i)%len(buf)])
+		}
+		return out
+	}
+	check := func(label string, r *Ring) {
+		t.Helper()
+		for _, c := range []struct {
+			name      string
+			got, want []float64
+		}{
+			{"Times", r.Times(), reference(r, r.t)},
+			{"Values", r.Values(), reference(r, r.v)},
+		} {
+			if c.got == nil || len(c.got) != len(c.want) {
+				t.Fatalf("%s: %s = %v, want %v", label, c.name, c.got, c.want)
+			}
+			for i := range c.want {
+				if c.got[i] != c.want[i] {
+					t.Fatalf("%s: %s = %v, want %v", label, c.name, c.got, c.want)
+				}
+			}
+		}
+	}
+	for _, bound := range []int{1, 5, ringSeed, 3 * ringSeed} {
+		r := NewRing(bound)
+		check(fmt.Sprintf("bound %d empty", bound), r)
+		seen := map[string]bool{}
+		for i := 0; i < 4*bound+3; i++ {
+			r.Push(float64(i), -float64(i*7%13))
+			state := "growing"
+			switch {
+			case r.size == r.max && r.head == 0:
+				state = "full"
+			case r.size == r.max:
+				state = "wrapped"
+			}
+			seen[state] = true
+			check(fmt.Sprintf("bound %d %s after %d pushes", bound, state, i+1), r)
+		}
+		if bound > 1 && !(seen["growing"] && seen["full"] && seen["wrapped"]) {
+			t.Fatalf("bound %d: pushes reached only %v", bound, seen)
 		}
 	}
 }

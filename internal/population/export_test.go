@@ -1,0 +1,76 @@
+// Parallel export (LocalTransport.ExportRange fans one job per shard over
+// the engine's pool) must be invisible in the snapshot: the encoded bytes
+// and the reported error are the serial loop's at every worker count.
+package population_test
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"sacs/internal/core"
+	"sacs/internal/experiments"
+	"sacs/internal/learning"
+	"sacs/internal/population"
+	"sacs/internal/runner"
+)
+
+var exportWorkers = []int{1, 2, 4, 8}
+
+func TestParallelExportBytesEqualAcrossWorkers(t *testing.T) {
+	var want []byte
+	for _, workers := range exportWorkers {
+		pool := runner.New(workers)
+		eng := population.New(experiments.S2Config(64, 16, 5, pool))
+		eng.Run(12)
+		got := encodeSnapshot(t, eng)
+		pool.Close()
+		if want == nil {
+			want = got
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("workers=%d: snapshot bytes differ from workers=%d", workers, exportWorkers[0])
+		}
+	}
+}
+
+// opaquePredictor forecasts fine but has no exportable state, so an agent
+// using it cannot be checkpointed.
+type opaquePredictor struct{ last float64 }
+
+func (p *opaquePredictor) Observe(x float64) { p.last = x }
+func (p *opaquePredictor) Predict() float64  { return p.last }
+func (p *opaquePredictor) Name() string      { return "opaque" }
+
+func TestParallelExportReportsLowestFailingAgent(t *testing.T) {
+	const agents, shards = 64, 8
+	bad := map[int]bool{13: true, 50: true} // shards 1 and 6
+	for _, workers := range exportWorkers {
+		pool := runner.New(workers)
+		eng := population.New(population.Config{
+			Name: "opaque", Agents: agents, Shards: shards, Seed: 3, Pool: pool,
+			New: func(id int, rng *rand.Rand) *core.Agent {
+				a := core.New(core.Config{
+					Name: fmt.Sprintf("a%02d", id),
+					Caps: core.Caps(core.LevelStimulus, core.LevelTime),
+					Sensors: []core.Sensor{core.ScalarSensor("load", core.Private,
+						func(float64) float64 { return rng.Float64() })},
+					ExplainDepth: -1,
+				})
+				if bad[id] {
+					a.TimeProcess().NewPredict = func() learning.Predictor { return &opaquePredictor{} }
+				}
+				return a
+			},
+		})
+		eng.Run(3)
+		_, err := eng.Snapshot()
+		pool.Close()
+		if err == nil || !strings.Contains(err.Error(), "agent 13 state") {
+			t.Fatalf("workers=%d: Snapshot error = %v, want it to name agent 13", workers, err)
+		}
+	}
+}

@@ -352,6 +352,11 @@ func (t *LocalTransport) Export() (*RangeState, error) {
 // inside the owned range — the drain half of a live shard migration: the
 // coordinator pulls just the moving subrange, without materialising the
 // whole transport's state.
+//
+// The copy runs as one job per shard on the engine's pool, which is idle
+// at the barrier. Each job fills only its own shard's slots of the
+// preallocated slices, so the result is byte-for-byte the serial loop's;
+// when several agents fail to export, the error names the lowest agent id.
 func (t *LocalTransport) ExportRange(lo, hi int) (*RangeState, error) {
 	if err := ValidateShardRange(lo, hi, t.cfg.Shards); err != nil {
 		return nil, err
@@ -362,20 +367,28 @@ func (t *LocalTransport) ExportRange(lo, hi int) (*RangeState, error) {
 	loA, hiA := t.bounds[lo], t.bounds[hi]
 	rs := &RangeState{
 		LoShard: lo, HiShard: hi, LoAgent: loA, HiAgent: hiA,
-		ShardRNG:    make([]uint64, 0, hi-lo),
-		AgentRNG:    make([]uint64, 0, hiA-loA),
-		AgentStates: make([]core.AgentState, 0, hiA-loA),
+		ShardRNG:    make([]uint64, hi-lo),
+		AgentRNG:    make([]uint64, hiA-loA),
+		AgentStates: make([]core.AgentState, hiA-loA),
 	}
-	for s := lo; s < hi; s++ {
-		rs.ShardRNG = append(rs.ShardRNG, t.shardSrcs[s].State())
-	}
-	for id := loA; id < hiA; id++ {
-		rs.AgentRNG = append(rs.AgentRNG, t.agentSrcs[id].State())
-		st, err := t.agents[id].State()
-		if err != nil {
-			return nil, fmt.Errorf("agent %d state: %w", id, err)
+	key := runner.Key{Experiment: t.cfg.Name, System: "export"}
+	errs := runner.FanOut(t.cfg.Pool, key, hi-lo, func(i int) error {
+		s := lo + i
+		rs.ShardRNG[i] = t.shardSrcs[s].State()
+		for id := t.bounds[s]; id < t.bounds[s+1]; id++ {
+			rs.AgentRNG[id-loA] = t.agentSrcs[id].State()
+			st, err := t.agents[id].State()
+			if err != nil {
+				return fmt.Errorf("agent %d state: %w", id, err)
+			}
+			rs.AgentStates[id-loA] = st
 		}
-		rs.AgentStates = append(rs.AgentStates, st)
+		return nil
+	})
+	for _, err := range errs { // shard order, so the lowest failing agent
+		if err != nil {
+			return nil, err
+		}
 	}
 	return rs, nil
 }

@@ -30,7 +30,9 @@ func FanOut[T any](p *Pool, key Key, n int, fn func(i int) T) []T {
 	}
 	out := make([]T, n)
 	for i, r := range rs {
-		out[i] = r.Value.(T)
+		// Comma-ok: a nil interface result (FanOut[error] with a job that
+		// succeeded) boxes to a nil any, which a plain assertion rejects.
+		out[i], _ = r.Value.(T)
 	}
 	return out
 }

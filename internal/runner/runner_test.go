@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -48,6 +49,31 @@ func TestFanOutValuesByIndex(t *testing.T) {
 	for i, v := range out {
 		if v != i*i {
 			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
+		}
+	}
+}
+
+// TestFanOutInterfaceNilResults pins FanOut over an interface result type:
+// a job returning a nil interface must yield the zero T, not a panic from
+// the type assertion.
+func TestFanOutInterfaceNilResults(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		p := New(workers)
+		out := FanOut(p, Key{Experiment: "fanout-err"}, 10, func(i int) error {
+			if i%3 == 0 {
+				return fmt.Errorf("job %d", i)
+			}
+			return nil
+		})
+		p.Close()
+		for i, err := range out {
+			if i%3 == 0 {
+				if err == nil || err.Error() != fmt.Sprintf("job %d", i) {
+					t.Fatalf("workers=%d: out[%d] = %v, want job %d", workers, i, err, i)
+				}
+			} else if err != nil {
+				t.Fatalf("workers=%d: out[%d] = %v, want nil", workers, i, err)
+			}
 		}
 	}
 }

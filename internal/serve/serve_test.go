@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -446,4 +447,35 @@ func TestHTTPBatchIngest(t *testing.T) {
 	post("/populations/demo/stimuli", `[]`, http.StatusBadRequest)
 	post("/populations/demo/stimuli", `not json`, http.StatusBadRequest)
 	post("/populations/demo/stimuli", strings.Repeat(" ", maxStimuliBody+2), http.StatusRequestEntityTooLarge)
+}
+
+// TestCheckpointAllocationBounded guards the checkpoint write path's
+// allocation: exporting, encoding and writing one snapshot allocates a
+// small multiple of the file it produces, not a cascade of reallocated
+// copies of it.
+func TestCheckpointAllocationBounded(t *testing.T) {
+	s := newTestServer(t, t.TempDir(), 0)
+	if err := s.Add(Spec{ID: "demo", Workload: "gossip", Agents: 256, Shards: 16, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Advance("demo", 40); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	path, err := s.Checkpoint("demo")
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, size := after.TotalAlloc-before.TotalAlloc, uint64(fi.Size())
+	t.Logf("checkpoint of %d bytes allocated %d bytes (%.2fx)", size, alloc, float64(alloc)/float64(size))
+	if alloc > 3*size {
+		t.Fatalf("checkpoint of %d bytes allocated %d bytes (%.2fx), want at most 3x",
+			size, alloc, float64(alloc)/float64(size))
+	}
 }

@@ -35,9 +35,10 @@ go test -run '^$' -bench \
   -benchmem -benchtime=20000x . | tee "$raw"
 
 # Macro-benchmarks: small fixed iteration counts (each op is a full tick,
-# checkpoint round trip, or S1 table build).
+# checkpoint round trip, checkpoint write, or S1 table build).
+# CheckpointWrite is recorded, not gated.
 go test -run '^$' -bench \
-  '^(BenchmarkPopulationTick|BenchmarkCheckpointRoundTrip|BenchmarkS1PopulationScaling)$' \
+  '^(BenchmarkPopulationTick|BenchmarkCheckpointRoundTrip|BenchmarkCheckpointWrite|BenchmarkS1PopulationScaling)$' \
   -benchmem -benchtime=10x -timeout 30m . | tee -a "$raw"
 
 go run ./cmd/benchjson \

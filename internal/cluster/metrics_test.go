@@ -59,11 +59,11 @@ func TestClientInstrumentation(t *testing.T) {
 
 	// StepNanos travelled the wire: the engine's per-shard step histogram
 	// saw one observation per shard per tick with non-zero total time.
-	ms := eng.Metrics().Snapshot()
-	if ms.ShardStepSeconds.Count != int64(ticks*tShards) {
-		t.Errorf("shard step observations = %d, want %d", ms.ShardStepSeconds.Count, ticks*tShards)
+	hv, _ := snap[`sacs_population_shard_step_seconds{pop="p"}`].(obs.HistogramValue)
+	if hv.Count != int64(ticks*tShards) {
+		t.Errorf("shard step observations = %d, want %d", hv.Count, ticks*tShards)
 	}
-	if ms.ShardStepSeconds.Sum <= 0 {
+	if hv.Sum <= 0 {
 		t.Error("remote shard busy time never accumulated")
 	}
 

@@ -130,7 +130,7 @@ type Spec struct {
 	Seed     int64
 
 	// Costs optionally carries the coordinator's per-shard cost snapshot
-	// (population.Engine.ShardCosts: estimate nanos, shard index order,
+	// (Transport.ShardCosts: estimate nanos, shard index order,
 	// len Shards or empty). Each worker receives its owned slice at init
 	// and seeds its transport's cost model with it, so after a restart or
 	// rebalance the very first tick already dispatches expensive shards

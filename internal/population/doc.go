@@ -20,11 +20,8 @@
 // through a coordinator free list, and the work-proxy history is a
 // fixed-size ring (DESIGN.md "Hot-path performance").
 //
-// External stimuli enter through Enqueue, which optionally enforces
-// Config.MailboxBudget: past that many stimuli pending delivery at the
-// next barrier it returns ErrMailboxFull, the engine-level half of the
-// serving layer's admission control. The pending count is admission
-// bookkeeping, not simulation state — it is excluded from snapshots and
-// reset at every barrier and on restore, so budgets never perturb the
-// byte-equality contracts.
+// External stimuli enter through Enqueue, exactly as if a peer had sent
+// them at the previous barrier. Admission control (how much outside
+// traffic may be pending) belongs to the hosting service, internal/serve;
+// the engine accepts whatever it is given and never drops a stimulus.
 package population

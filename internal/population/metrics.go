@@ -47,7 +47,7 @@ type Metrics struct {
 	mailDepth *obs.Histogram // stimuli delivered into one shard per tick
 
 	// shardCost gauges (nanos, rendered seconds) are registered on the
-	// first tick, when the engine's shard count is known — Metrics is
+	// first tick, when the transport's shard count is known — Metrics is
 	// built from a name alone, before any Config exists.
 	shardCost []*obs.Gauge
 }
@@ -90,9 +90,10 @@ func NewMetrics(reg *obs.Registry, pop string) *Metrics {
 	return m
 }
 
-// observeCosts publishes the engine's per-shard cost estimates, registering
-// the gauge family {pop,shard} on first use (idempotently, like every obs
-// registration — re-hosting re-attaches to the same series).
+// observeCosts publishes the per-shard estimates of the cost model that
+// dispatched them (LocalTransport.Step), registering the gauge family
+// {pop,shard} on first use (idempotently, like every obs registration —
+// re-hosting re-attaches to the same series).
 func (m *Metrics) observeCosts(c *CostModel) {
 	if m.shardCost == nil {
 		m.shardCost = make([]*obs.Gauge, c.Shards())
@@ -107,58 +108,3 @@ func (m *Metrics) observeCosts(c *CostModel) {
 		g.Set(int64(c.Estimate(s)))
 	}
 }
-
-// MetricsSnapshot is the typed, JSON-friendly view of a population's
-// metrics — what serve embeds into Status so clients get the engine's
-// timing decomposition next to its logical counters.
-type MetricsSnapshot struct {
-	Ticks int64 `json:"ticks"`
-
-	// Steals counts shards executed off their planned executor by
-	// intra-tick work stealing (cumulative; see LocalTransport.Step).
-	Steals int64 `json:"sched_steals"`
-
-	// Cumulative per-phase wall time, seconds (see Metrics for the phase
-	// decomposition).
-	StepSeconds     float64 `json:"step_seconds"`
-	BarrierSeconds  float64 `json:"barrier_seconds"`
-	RouteSeconds    float64 `json:"route_seconds"`
-	SnapshotSeconds float64 `json:"snapshot_seconds"`
-
-	ShardStepSeconds  obs.HistogramValue `json:"shard_step_seconds"`
-	ShardMailboxDepth obs.HistogramValue `json:"shard_mailbox_depth"`
-
-	// ShardCostSeconds is the per-shard dispatch cost estimate (absent
-	// until the first instrumented tick) — the scheduler's live view, and
-	// the input a future rebalancer would read over HTTP.
-	ShardCostSeconds []float64 `json:"shard_cost_seconds,omitempty"`
-}
-
-// Snapshot captures the instruments' current values. Nil-safe: a nil
-// Metrics yields a nil snapshot (rendered as absent by encoding/json).
-func (m *Metrics) Snapshot() *MetricsSnapshot {
-	if m == nil {
-		return nil
-	}
-	s := &MetricsSnapshot{
-		Ticks:             m.ticks.Value(),
-		Steals:            m.steals.Value(),
-		StepSeconds:       float64(m.phaseStep.Value()) * obs.Seconds,
-		BarrierSeconds:    float64(m.phaseBarrier.Value()) * obs.Seconds,
-		RouteSeconds:      float64(m.phaseRoute.Value()) * obs.Seconds,
-		SnapshotSeconds:   float64(m.phaseSnap.Value()) * obs.Seconds,
-		ShardStepSeconds:  m.shardStep.Value(obs.Seconds),
-		ShardMailboxDepth: m.mailDepth.Value(1),
-	}
-	if m.shardCost != nil {
-		s.ShardCostSeconds = make([]float64, len(m.shardCost))
-		for i, g := range m.shardCost {
-			s.ShardCostSeconds[i] = float64(g.Value()) * obs.Seconds
-		}
-	}
-	return s
-}
-
-// Metrics returns the engine's attached instrument set (nil when the
-// engine is uninstrumented).
-func (e *Engine) Metrics() *Metrics { return e.cfg.Metrics }

@@ -42,9 +42,11 @@ func TestMetricsObservationOnly(t *testing.T) {
 	}
 }
 
-// TestMetricsValues checks the instruments carry what they claim: tick
-// counter, per-shard histogram counts (one observation per shard per tick),
-// and a phase decomposition that is present and non-negative.
+// TestMetricsValues checks the instruments carry what they claim, read
+// from the registry (the only place metrics are rendered): tick counter,
+// per-shard histogram counts (one observation per shard per tick), a phase
+// decomposition that is present and non-negative, and one cost gauge per
+// shard equal to the dispatching transport's own cost model.
 func TestMetricsValues(t *testing.T) {
 	const agents, shards, ticks = 120, 6, 10
 	reg := obs.NewRegistry()
@@ -56,27 +58,6 @@ func TestMetricsValues(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ms := e.Metrics().Snapshot()
-	if ms.Ticks != ticks {
-		t.Errorf("ticks = %d, want %d", ms.Ticks, ticks)
-	}
-	if got := ms.ShardStepSeconds.Count; got != int64(ticks*shards) {
-		t.Errorf("shard-step observations = %d, want %d", got, ticks*shards)
-	}
-	if got := ms.ShardMailboxDepth.Count; got != int64(ticks*shards) {
-		t.Errorf("mailbox-depth observations = %d, want %d", got, ticks*shards)
-	}
-	if ms.StepSeconds < 0 || ms.BarrierSeconds < 0 || ms.RouteSeconds < 0 {
-		t.Errorf("negative phase time: %+v", ms)
-	}
-	if ms.StepSeconds == 0 {
-		t.Error("step phase never accumulated")
-	}
-	if ms.SnapshotSeconds <= 0 {
-		t.Error("snapshot phase never accumulated")
-	}
-
-	// The registry view agrees with the typed snapshot.
 	snap := reg.Snapshot()
 	if v := snap[`sacs_population_ticks_total{pop="test"}`]; v != float64(ticks) {
 		t.Errorf("registry ticks = %v, want %d", v, ticks)
@@ -84,28 +65,45 @@ func TestMetricsValues(t *testing.T) {
 	if v := snap[`sacs_population_tick{pop="test"}`]; v != float64(ticks) {
 		t.Errorf("registry tick gauge = %v, want %d", v, ticks)
 	}
-	// Scheduling series: the steal counter exists (inline engine: always 0),
-	// and one cost gauge per shard carries the model's estimate.
-	if v, ok := snap[`sacs_population_sched_steal_total{pop="test"}`]; !ok || v != float64(ms.Steals) {
-		t.Errorf("registry steal counter = %v (ok=%v), want %d", v, ok, ms.Steals)
+	for _, name := range []string{"sacs_population_shard_step_seconds", "sacs_population_shard_mailbox_depth"} {
+		hv, ok := snap[name+`{pop="test"}`].(obs.HistogramValue)
+		if !ok || hv.Count != int64(ticks*shards) {
+			t.Errorf("%s observations = %+v, want count %d", name, snap[name+`{pop="test"}`], ticks*shards)
+		}
 	}
+	phase := func(name string) float64 {
+		v, _ := snap[`sacs_population_phase_seconds_total{phase="`+name+`",pop="test"}`].(float64)
+		return v
+	}
+	for _, name := range []string{"step", "barrier", "route"} {
+		if phase(name) < 0 {
+			t.Errorf("negative %s phase time %v", name, phase(name))
+		}
+	}
+	if phase("step") == 0 {
+		t.Error("step phase never accumulated")
+	}
+	if phase("snapshot") <= 0 {
+		t.Error("snapshot phase never accumulated")
+	}
+	// Scheduling series: the steal counter exists (inline engine: always 0),
+	// and one cost gauge per shard carries the transport's estimate.
+	if v, ok := snap[`sacs_population_sched_steal_total{pop="test"}`]; !ok || v != 0.0 {
+		t.Errorf("registry steal counter = %v (ok=%v), want 0 on the inline engine", v, ok)
+	}
+	costs := e.Transport().(*LocalTransport).Costs()
 	for s := 0; s < shards; s++ {
 		key := `sacs_population_shard_cost_seconds{pop="test",shard="` + strconv.Itoa(s) + `"}`
 		v, ok := snap[key].(float64)
 		if !ok || v <= 0 {
 			t.Errorf("registry cost gauge %s = %v (ok=%v), want > 0 after %d ticks", key, snap[key], ok, ticks)
 		}
-		if ok && v != ms.ShardCostSeconds[s] {
-			t.Errorf("%s = %v disagrees with typed snapshot %v", key, v, ms.ShardCostSeconds[s])
+		if want := float64(int64(costs.Estimate(s))) * obs.Seconds; ok && v != want {
+			t.Errorf("%s = %v disagrees with the transport's cost model %v", key, v, want)
 		}
 	}
 
-	// Nil instruments are safe everywhere.
 	if NewMetrics(nil, "x") != nil {
 		t.Error("NewMetrics(nil) must return nil")
-	}
-	var nilM *Metrics
-	if nilM.Snapshot() != nil {
-		t.Error("nil Metrics snapshot must be nil")
 	}
 }

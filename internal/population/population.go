@@ -1,7 +1,6 @@
 package population
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -10,12 +9,6 @@ import (
 	"sacs/internal/runner"
 	"sacs/internal/stats"
 )
-
-// ErrMailboxFull is wrapped by Enqueue when Config.MailboxBudget external
-// stimuli are already pending delivery. Callers shed the stimulus (the
-// hosting service maps it to 429 + Retry-After) and retry after the next
-// tick drains the mailboxes.
-var ErrMailboxFull = errors.New("population: mailbox budget exceeded")
 
 // DefaultShards is the shard count used when Config.Shards is zero. It is a
 // fixed constant rather than a function of the pool's worker count because
@@ -89,14 +82,6 @@ type Config struct {
 	// (see NewMetrics). Observation-only: stepping and snapshots are
 	// byte-identical with or without it, and it is never serialised.
 	Metrics *Metrics
-	// MailboxBudget caps externally enqueued stimuli pending delivery
-	// (Enqueue returns ErrMailboxFull past it); 0 means unbounded. The
-	// budget is admission control on outside traffic only: agent-to-agent
-	// messages routed at tick barriers are never budgeted, accepted
-	// stimuli are never dropped, and the budget itself is not part of the
-	// snapshot — so runs fed the same accepted stimuli stay byte-identical
-	// at any budget.
-	MailboxBudget int
 }
 
 // Normalized returns the config with name, shard-count and pool defaults
@@ -204,19 +189,12 @@ type Engine struct {
 	free      [][]core.Stimulus // spare mailbox slices (barrier-only; bounded)
 
 	tick                                int
-	extPending                          int // externally enqueued stimuli awaiting the next tick (see Config.MailboxBudget)
 	steps, messages, delivered, actions int64
 	lastObserved                        stats.Online
 	work                                []float64 // work-proxy ring (see WorkWindow)
 	workHead                            int       // oldest element once the ring is full
 	workScratch                         []float64 // Run's linearized history, reused per call
 	broken                              error     // first transport failure; poisons further ticks
-
-	// costs mirrors the transport's per-shard cost model at the barrier —
-	// fed from the exchanges' StepNanos, it works identically for local
-	// and cluster transports and is what the cost gauges and a future
-	// rebalancer read. Observation-only, excluded from snapshots.
-	costs *CostModel
 }
 
 // New builds the population in-process: agents are constructed
@@ -250,7 +228,6 @@ func newEngine(cfg Config, t Transport) *Engine {
 		transport: t,
 		cur:       make([][]core.Stimulus, cfg.Agents),
 		next:      make([][]core.Stimulus, cfg.Agents),
-		costs:     NewCostModel(cfg.Shards),
 	}
 }
 
@@ -354,8 +331,7 @@ func (e *Engine) TickErr() (TickStats, error) {
 	}
 	ts := TickStats{Tick: e.tick, Steps: e.cfg.Agents}
 	steals := 0
-	for s, o := range outs {
-		e.costs.Observe(s, o.StepNanos)
+	for _, o := range outs {
 		steals += o.Steals
 		ts.Delivered += o.Delivered
 		ts.Actions += o.Actions
@@ -390,7 +366,6 @@ func (e *Engine) TickErr() (TickStats, error) {
 		e.free = e.free[:limit]
 	}
 	e.cur, e.next = e.next, e.cur
-	e.extPending = 0 // everything queued externally was delivered this tick
 
 	e.tick++
 	if m != nil {
@@ -398,7 +373,6 @@ func (e *Engine) TickErr() (TickStats, error) {
 		m.ticks.Inc()
 		m.lastTick.Set(int64(e.tick))
 		m.steals.Add(int64(steals))
-		m.observeCosts(e.costs)
 	}
 	e.steps += int64(ts.Steps)
 	e.messages += int64(ts.Messages)
@@ -466,17 +440,4 @@ func (e *Engine) Run(ticks int) RunStats {
 		Observed: e.lastObserved,
 		work:     e.workScratch,
 	}
-}
-
-// ShardCost reports the engine's current cost estimate for shard s in
-// nanoseconds (0 until observed). The estimate is fed from the per-shard
-// StepNanos crossing the barrier, so it covers remote shards identically
-// to local ones — the number a rebalancer would place ranges by.
-func (e *Engine) ShardCost(s int) float64 { return e.costs.Estimate(s) }
-
-// ShardCosts appends every shard's cost estimate (nanoseconds, shard index
-// order) to dst and returns it — the coordinator-side cost snapshot that
-// internal/cluster carries to workers at attach.
-func (e *Engine) ShardCosts(dst []float64) []float64 {
-	return e.costs.EstimatesInto(dst, 0, e.cfg.Shards)
 }

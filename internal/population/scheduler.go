@@ -11,11 +11,6 @@ import "sort"
 // ticks. Cost state is consequently excluded from snapshots, like all
 // metrics.
 
-// costWindow is how many recent per-shard step times the cost model
-// retains alongside its running estimate — enough for a rebalancer to see
-// variance and spikes, small enough to be free (one cache line per shard).
-const costWindow = 8
-
 // costAlpha is the EWMA smoothing factor for the per-shard cost estimate.
 // 0.25 follows the knowledge layer's trend smoothing: heavy enough that a
 // persistent skew reorders dispatch within a few ticks, light enough that
@@ -23,42 +18,27 @@ const costWindow = 8
 const costAlpha = 0.25
 
 // CostModel tracks, per shard, an EWMA estimate of the shard's step cost
-// (nanoseconds) and a ring of the most recent observations. Writers are
-// the shard executors (each shard's slot is written by exactly one
-// executor per tick) and readers run between ticks on the dispatching
-// goroutine, so the model needs no locking.
+// (nanoseconds). Writers are the shard executors (each shard's slot is
+// written by exactly one executor per tick) and readers run between ticks
+// on the dispatching goroutine, so the model needs no locking.
 type CostModel struct {
-	est  []float64 // EWMA of observed StepNanos; 0 = never observed
-	ring []int64   // costWindow recent observations per shard, newest overwriting oldest
-	head []uint32  // next ring slot per shard
-	seen []uint32  // observations recorded per shard, saturating at costWindow
+	est []float64 // EWMA of observed StepNanos; 0 = never observed
 }
 
 // NewCostModel returns a model covering shards shards with no history.
 func NewCostModel(shards int) *CostModel {
-	return &CostModel{
-		est:  make([]float64, shards),
-		ring: make([]int64, shards*costWindow),
-		head: make([]uint32, shards),
-		seen: make([]uint32, shards),
-	}
+	return &CostModel{est: make([]float64, shards)}
 }
 
 // Shards reports how many shards the model covers.
 func (c *CostModel) Shards() int { return len(c.est) }
 
-// Observe folds one measured step time for shard s into the estimate and
-// the ring.
+// Observe folds one measured step time for shard s into the estimate.
 func (c *CostModel) Observe(s int, nanos int64) {
 	if c.est[s] == 0 {
 		c.est[s] = float64(nanos)
 	} else {
 		c.est[s] += costAlpha * (float64(nanos) - c.est[s])
-	}
-	c.ring[s*costWindow+int(c.head[s])] = nanos
-	c.head[s] = (c.head[s] + 1) % costWindow
-	if c.seen[s] < costWindow {
-		c.seen[s]++
 	}
 }
 
@@ -70,16 +50,6 @@ func (c *CostModel) Estimate(s int) float64 { return c.est[s] }
 // returns it — the Plan input for a transport dispatching that range.
 func (c *CostModel) EstimatesInto(dst []float64, lo, hi int) []float64 {
 	return append(dst, c.est[lo:hi]...)
-}
-
-// Window appends shard s's retained observations to dst, oldest first,
-// and returns it. At most costWindow values.
-func (c *CostModel) Window(s int, dst []int64) []int64 {
-	n := int(c.seen[s])
-	for i := 0; i < n; i++ {
-		dst = append(dst, c.ring[s*costWindow+(int(c.head[s])+costWindow-n+i)%costWindow])
-	}
-	return dst
 }
 
 // Seed overwrites the estimates of shards [lo, lo+len(costs)) with a prior

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"sacs/internal/checkpoint"
@@ -140,32 +141,51 @@ func TestSchedulerSkewDeterminism(t *testing.T) {
 }
 
 // TestSkewCostLearningAndStealing checks the observability half of the
-// skew story on a live pooled engine: the cost model singles out the
-// expensive shard, the steal counter moves, and the per-shard cost gauges
-// are published.
+// skew story on a live pooled engine: the dispatching transport's cost
+// model singles out the expensive shard, the steal counter moves, and the
+// published per-shard cost gauges equal the model.
+//
+// Estimates are wall-clock EWMAs, so a GC pause, or a loaded host
+// descheduling an executor, can inflate a cheap shard's estimate past the
+// 100×-cost shard's for several ticks. Such noise only ever adds wall
+// time, so the rank is asserted on each shard's lowest estimate across
+// many barriers: the reading closest to its real cost. Shard 0's must
+// exceed every cheap shard's.
 func TestSkewCostLearningAndStealing(t *testing.T) {
 	pool := runner.New(4)
 	defer pool.Close()
 	cfg := skewConfig(96, 8, pool)
-	cfg.Metrics = population.NewMetrics(obs.NewRegistry(), "skew")
+	reg := obs.NewRegistry()
+	cfg.Metrics = population.NewMetrics(reg, "skew")
 	e := population.New(cfg)
-	e.Run(30)
+	costs := e.Transport().(*population.LocalTransport).Costs()
+	e.Run(10) // let the model learn the skew
 
-	for s := 1; s < 8; s++ {
-		if e.ShardCost(0) <= e.ShardCost(s) {
-			t.Errorf("cost model missed the skew: shard 0 estimate %.0fns <= shard %d estimate %.0fns",
-				e.ShardCost(0), s, e.ShardCost(s))
+	const barriers = 30
+	lowest := make([]float64, costs.Shards())
+	for i := 0; i < barriers; i++ {
+		e.Tick()
+		for s := range lowest {
+			if est := costs.Estimate(s); i == 0 || est < lowest[s] {
+				lowest[s] = est
+			}
 		}
 	}
-	ms := e.Metrics().Snapshot()
-	if ms.Steals == 0 {
-		t.Error("30 skewed ticks over 4 executors recorded zero steals")
+	for s := 1; s < len(lowest); s++ {
+		if lowest[0] <= lowest[s] {
+			t.Errorf("cost model missed the skew: over %d barriers shard 0's lowest estimate %.0fns <= shard %d's %.0fns",
+				barriers, lowest[0], s, lowest[s])
+		}
 	}
-	if len(ms.ShardCostSeconds) != 8 {
-		t.Fatalf("snapshot carries %d shard cost gauges, want 8", len(ms.ShardCostSeconds))
+
+	snap := reg.Snapshot()
+	if v, _ := snap[`sacs_population_sched_steal_total{pop="skew"}`].(float64); v == 0 {
+		t.Errorf("%d skewed ticks over 4 executors recorded zero steals", 10+barriers)
 	}
-	if ms.ShardCostSeconds[0] <= ms.ShardCostSeconds[1] {
-		t.Errorf("published cost gauges missed the skew: shard 0 %.9fs <= shard 1 %.9fs",
-			ms.ShardCostSeconds[0], ms.ShardCostSeconds[1])
+	for s := 0; s < costs.Shards(); s++ {
+		key := `sacs_population_shard_cost_seconds{pop="skew",shard="` + strconv.Itoa(s) + `"}`
+		if v, want := snap[key], float64(int64(costs.Estimate(s)))*obs.Seconds; v != want {
+			t.Errorf("%s = %v, want the transport's estimate %v", key, v, want)
+		}
 	}
 }

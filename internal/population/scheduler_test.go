@@ -20,7 +20,7 @@ func TestLPTPlanDescendingStable(t *testing.T) {
 	}
 }
 
-func TestCostModelEWMAAndWindow(t *testing.T) {
+func TestCostModelEWMA(t *testing.T) {
 	c := NewCostModel(2)
 	if c.Shards() != 2 || c.Estimate(0) != 0 {
 		t.Fatal("fresh model must report zero estimates")
@@ -36,21 +36,6 @@ func TestCostModelEWMAAndWindow(t *testing.T) {
 	}
 	if c.Estimate(1) != 0 {
 		t.Fatal("observing shard 0 must not touch shard 1")
-	}
-	// Ring: push past the window, keep exactly the newest costWindow
-	// observations, oldest first.
-	c2 := NewCostModel(1)
-	for i := int64(1); i <= costWindow+3; i++ {
-		c2.Observe(0, i)
-	}
-	win := c2.Window(0, nil)
-	if len(win) != costWindow {
-		t.Fatalf("window holds %d observations, want %d", len(win), costWindow)
-	}
-	for i, v := range win {
-		if want := int64(4 + i); v != want {
-			t.Fatalf("window[%d] = %d, want %d", i, v, want)
-		}
 	}
 }
 

@@ -183,7 +183,6 @@ func (e *Engine) install(s *Snapshot) error {
 		}
 	}
 	e.tick = s.Tick
-	e.extPending = 0
 	e.steps, e.messages, e.delivered, e.actions = s.Steps, s.Messages, s.Delivered, s.Actions
 	e.lastObserved.SetState(s.Observed)
 	// Refill the work ring oldest-first. Snapshots written by the current
@@ -208,21 +207,10 @@ func (e *Engine) Enqueue(to int, s core.Stimulus) error {
 	if to < 0 || to >= e.cfg.Agents {
 		return fmt.Errorf("population: enqueue to out-of-range agent %d (population %d)", to, e.cfg.Agents)
 	}
-	if e.cfg.MailboxBudget > 0 && e.extPending >= e.cfg.MailboxBudget {
-		return fmt.Errorf("population: %d stimuli pending delivery (budget %d): %w",
-			e.extPending, e.cfg.MailboxBudget, ErrMailboxFull)
-	}
 	box := e.cur[to]
 	if box == nil {
 		box = e.grabBox()
 	}
 	e.cur[to] = append(box, s)
-	e.extPending++
 	return nil
 }
-
-// PendingExternal reports the number of externally enqueued stimuli waiting
-// for the next tick. It resets to zero at every tick barrier (delivery) and
-// after Restore (pending mail restored from a snapshot was budgeted when it
-// was first accepted and is never re-counted).
-func (e *Engine) PendingExternal() int { return e.extPending }

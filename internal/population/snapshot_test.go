@@ -186,3 +186,20 @@ func TestEnqueueDeliversNextTick(t *testing.T) {
 		t.Fatalf("external stimulus not injected: stim/ext=%v", got)
 	}
 }
+
+// TestMailboxBudgetUnbounded pins that the engine has no mailbox budget
+// and never sheds outside traffic: admission control belongs to the
+// hosting service, so every Enqueue to a valid agent is accepted and the
+// next tick delivers all of it.
+func TestMailboxBudgetUnbounded(t *testing.T) {
+	e := New(testConfig(4, 2, nil))
+	for i := 0; i < 500; i++ {
+		if err := e.Enqueue(i%4, core.Stimulus{Name: "ext", Source: "client",
+			Scope: core.Public, Value: float64(i)}); err != nil {
+			t.Fatalf("enqueue %d: %v", i, err)
+		}
+	}
+	if ts := e.Tick(); ts.Delivered != 500 {
+		t.Fatalf("first tick delivered %d stimuli, want all 500 enqueued", ts.Delivered)
+	}
+}

@@ -154,7 +154,8 @@ type LocalTransport struct {
 
 	// Dispatch-order plane: the per-shard cost model the executors feed
 	// and the per-tick scratch lptPlan reuses to turn its estimates into a
-	// dispatch order. Observation-only (see lptPlan).
+	// dispatch order. Observation-only (see lptPlan). It is the population's
+	// one cost model: Step publishes it as the shard cost gauges.
 	costs   *CostModel
 	order   []int     // dispatch positions, local shard indices
 	costBuf []float64 // lptPlan input scratch
@@ -289,6 +290,9 @@ func (t *LocalTransport) Step(tick int, mail [][]core.Stimulus) ([]*ShardExchang
 			}
 		}
 	})
+	if m := t.cfg.Metrics; m != nil {
+		m.observeCosts(t.costs)
+	}
 	return t.results, nil
 }
 

@@ -13,7 +13,6 @@ import (
 	"sacs/internal/core"
 	"sacs/internal/knowledge"
 	"sacs/internal/obs"
-	"sacs/internal/population"
 )
 
 // The HTTP surface of a Server. Errors are returned as JSON
@@ -251,9 +250,8 @@ func (s *Server) Handler() http.Handler {
 		if err != nil {
 			// Budget shedding is its own contract: 429 with a Retry-After
 			// of about one tick interval, after which the barrier will
-			// have drained the mailboxes. Both the serve-level budget and
-			// the engine's own hard cap spell it the same way.
-			if errors.Is(err, ErrOverloaded) || errors.Is(err, population.ErrMailboxFull) {
+			// have drained the mailboxes.
+			if errors.Is(err, ErrOverloaded) {
 				w.Header().Set("Retry-After", strconv.Itoa(s.RetryAfter(r.PathValue("id"))))
 				writeErr(w, http.StatusTooManyRequests, err)
 				return

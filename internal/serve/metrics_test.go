@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -51,7 +52,8 @@ func TestMetricsEndpointsAgreeWithStatus(t *testing.T) {
 		t.Fatalf("ticks = %d", code)
 	}
 
-	// /populations/{id}: the source of truth, with the metrics embed.
+	// /populations/{id}: the logical counters. Metrics are not copied into
+	// the status body; the registry renders them below.
 	code, body := get("/populations/demo")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
@@ -63,12 +65,8 @@ func TestMetricsEndpointsAgreeWithStatus(t *testing.T) {
 	if st.Tick != ticks {
 		t.Fatalf("status tick = %d, want %d", st.Tick, ticks)
 	}
-	if st.Metrics == nil || st.Metrics.Ticks != ticks {
-		t.Fatalf("status metrics embed = %+v, want ticks %d", st.Metrics, ticks)
-	}
-	if st.Metrics.ShardStepSeconds.Count != int64(ticks*st.Shards) {
-		t.Fatalf("embedded shard-step count = %d, want %d",
-			st.Metrics.ShardStepSeconds.Count, ticks*st.Shards)
+	if strings.Contains(body, `"metrics"`) {
+		t.Fatalf("status body still embeds a metrics copy: %s", body)
 	}
 
 	// /metrics: the exposition reports the same tick count.
@@ -83,6 +81,8 @@ func TestMetricsEndpointsAgreeWithStatus(t *testing.T) {
 		`sacs_serve_stimuli_queued{pop="demo"} 0`,
 		`# TYPE sacs_http_requests_total counter`,
 		`# TYPE sacs_population_phase_seconds_total counter`,
+		`sacs_population_shard_step_seconds_count{pop="demo"} ` + strconv.Itoa(ticks*st.Shards),
+		`sacs_population_shard_cost_seconds{pop="demo",shard="0"}`,
 	} {
 		if !strings.Contains(expo, line) {
 			t.Errorf("/metrics missing %q\n%s", line, expo)
@@ -100,6 +100,10 @@ func TestMetricsEndpointsAgreeWithStatus(t *testing.T) {
 	}
 	if v := vars[`sacs_population_ticks_total{pop="demo"}`]; v != float64(ticks) {
 		t.Fatalf("debug/vars ticks = %v, want %d", v, ticks)
+	}
+	hv, _ := vars[`sacs_population_shard_step_seconds{pop="demo"}`].(map[string]any)
+	if n, _ := hv["count"].(float64); n != float64(ticks*st.Shards) {
+		t.Fatalf("debug/vars shard-step count = %v, want %d", hv["count"], ticks*st.Shards)
 	}
 
 	// The request middleware counted the calls made above.

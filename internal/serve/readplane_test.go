@@ -13,8 +13,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unicode/utf8"
 
-	"sacs/internal/population"
+	"sacs/internal/obs"
 )
 
 // getWithin performs a GET and fails the test if it does not complete
@@ -224,6 +225,24 @@ func TestExplainBudgetTruncates(t *testing.T) {
 	}
 	if text, _, err := full.ExplainAt("demo", 0); err != nil || strings.Contains(text, "[explain truncated") {
 		t.Fatalf("negative budget must disable the cap (err %v)", err)
+	}
+}
+
+// TestTruncateExplainKeepsRunesWhole: explanations quote stimulus names and
+// sources from ingest JSON, so they can be non-ASCII. With no newline in
+// the back half of the budget the cut lands mid-line; at every budget the
+// result must still be valid UTF-8 (it is served as text/plain;
+// charset=utf-8) and carry the truncation marker.
+func TestTruncateExplainKeepsRunesWhole(t *testing.T) {
+	text := strings.Repeat("température ", 40)
+	for budget := 1; budget < len(text); budget++ {
+		got := truncateExplain(text, budget)
+		if !utf8.ValidString(got) {
+			t.Fatalf("budget %d: truncated explanation is not valid UTF-8: %q", budget, got)
+		}
+		if !strings.Contains(got, "[explain truncated to") {
+			t.Fatalf("budget %d: no truncation marker: %q", budget, got)
+		}
 	}
 }
 
@@ -500,28 +519,49 @@ func TestReadHammerDuringClusterAdvance(t *testing.T) {
 	}
 }
 
-// TestEngineMailboxBudgetFlows pins that a fixed Options.MailboxBudget
-// reaches the engine config (defense in depth below the serve-level
-// admission check).
-func TestEngineMailboxBudgetFlows(t *testing.T) {
-	s, err := New(Options{Workloads: []Workload{gossip()}, MailboxBudget: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := s.build(demoSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.MailboxBudget != 5 {
-		t.Fatalf("engine config budget = %d, want 5", cfg.MailboxBudget)
-	}
-	eng := population.New(cfg)
-	for i := 0; i < 5; i++ {
-		if err := eng.Enqueue(i, extStim(0)); err != nil {
-			t.Fatal(err)
+// TestResumeAdmitsFullBudget pins that admission reads the one pending
+// count Status reports. A population checkpointed with 4 stimuli queued and
+// resumed into a fresh Server on the same registry starts at Queued 0 —
+// restored mail was admitted when first accepted and is never counted
+// again — and admits a whole budget's batch.
+func TestResumeAdmitsFullBudget(t *testing.T) {
+	opts := Options{Dir: t.TempDir(), Workloads: []Workload{gossip()}, MailboxBudget: 10,
+		Registry: obs.NewRegistry()}
+	batch := func(n int) []IngestItem {
+		items := make([]IngestItem, n)
+		for i := range items {
+			items[i] = IngestItem{To: i, Stim: extStim(0)}
 		}
+		return items
 	}
-	if err := eng.Enqueue(0, extStim(0)); !errors.Is(err, population.ErrMailboxFull) {
-		t.Fatalf("engine past budget: want ErrMailboxFull, got %v", err)
+	first, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Add(demoSpec()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.IngestBatch("demo", batch(4)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Checkpoint("demo"); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.Resume(demoSpec()); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := resumed.Status("demo"); st.Queued != 0 {
+		t.Fatalf("resumed Status.Queued = %d, want 0", st.Queued)
+	}
+	if _, err := resumed.IngestBatch("demo", batch(10)); err != nil {
+		t.Fatalf("a full-budget batch after resume was refused: %v", err)
+	}
+	if st, _ := resumed.Status("demo"); st.Queued != 10 {
+		t.Fatalf("Status.Queued after admitting 10 = %d, want 10", st.Queued)
 	}
 }

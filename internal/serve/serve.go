@@ -90,10 +90,6 @@ type Options struct {
 	// renderings are cut at a line boundary with an explicit truncation
 	// marker. 0 means the default (64 KiB); negative disables the cap.
 	ExplainBudget int
-	// ExplainCacheSize is the per-population LRU capacity for rendered
-	// explanations, keyed (agent, tick) and invalidated by the tick-barrier
-	// view swap (0 = default 256; negative disables caching).
-	ExplainCacheSize int
 
 	// cluster is set by UseCluster: the admin-plane handle (shared client
 	// plus every hosted population's transport) behind the /cluster HTTP
@@ -123,7 +119,7 @@ type hosted struct {
 
 	ingested atomic.Int64  // external stimuli accepted over the population's life
 	vs       viewState     // the published immutable view (see view.go)
-	explain  *explainCache // nil when Options.ExplainCacheSize < 0
+	explain  *explainCache // rendered explanations of the current tick
 }
 
 // popMetrics is one hosted population's serve-plane instruments (the
@@ -251,12 +247,6 @@ func (s *Server) build(spec Spec) (population.Config, error) {
 	// population id; the config flows through NewEngine/RestoreEngine, so
 	// cluster-hosted coordinator engines are instrumented identically.
 	cfg.Metrics = population.NewMetrics(s.reg, spec.ID)
-	// A fixed budget is enforced in the engine too (defense in depth for
-	// direct Engine users); the adaptive budget lives only in IngestBatch,
-	// which rejects whole batches before anything reaches a mailbox.
-	if s.opts.MailboxBudget > 0 {
-		cfg.MailboxBudget = s.opts.MailboxBudget
-	}
 	return cfg, nil
 }
 
@@ -300,24 +290,25 @@ func (s *Server) register(h *hosted) {
 	s.nPops.Store(int64(len(s.pops)))
 }
 
-// defaultExplainCache is the per-population LRU capacity when
-// Options.ExplainCacheSize is zero.
-const defaultExplainCache = 256
+// explainCacheSize is the per-population LRU capacity for rendered
+// explanations, keyed (agent, tick) and invalidated by the tick-barrier
+// view swap.
+const explainCacheSize = 256
 
 // defaultExplainBudget caps one rendered explanation when
 // Options.ExplainBudget is zero.
 const defaultExplainBudget = 64 << 10
 
 // newHosted builds the hosted wrapper for a freshly built or restored
-// engine; the caller publishes a view and registers it.
+// engine; the caller publishes a view and registers it. The queued gauge is
+// the population's one pending-ingest count — admission reads it — so it
+// starts at zero even when re-attaching to a series a previous host left
+// non-zero: mail restored from a snapshot was admitted when first accepted
+// and is never counted again.
 func (s *Server) newHosted(spec Spec, eng *population.Engine) *hosted {
-	h := &hosted{spec: spec, eng: eng, pm: newPopMetrics(s.reg, spec.ID), lastCkpt: eng.Ticks()}
-	if size := s.opts.ExplainCacheSize; size >= 0 {
-		if size == 0 {
-			size = defaultExplainCache
-		}
-		h.explain = newExplainCache(size)
-	}
+	h := &hosted{spec: spec, eng: eng, pm: newPopMetrics(s.reg, spec.ID), lastCkpt: eng.Ticks(),
+		explain: newExplainCache(explainCacheSize)}
+	h.pm.queued.Set(0)
 	return h
 }
 
@@ -543,9 +534,10 @@ func (s *Server) IngestBatch(id string, items []IngestItem) (deliverAt int, err 
 	// the pending-external count past the budget is shed whole, before a
 	// single stimulus reaches a mailbox — there is no dropped-then-applied
 	// middle state. The caller gets 429 + Retry-After and the shed is
-	// counted on both metrics planes.
+	// counted on both metrics planes. The pending count is the queued
+	// gauge, written only under h.mu (here and at the barrier in Advance).
 	if budget := s.effectiveBudget(h); budget > 0 {
-		if pending := h.eng.PendingExternal(); pending+len(items) > budget {
+		if pending := int(h.pm.queued.Value()); pending+len(items) > budget {
 			h.pm.shed.Add(int64(len(items)))
 			return 0, fmt.Errorf("serve: population %q has %d stimuli pending delivery "+
 				"(budget %d, batch %d): %w", h.spec.ID, pending, budget, len(items), ErrOverloaded)
@@ -702,11 +694,9 @@ func (s *Server) ExplainAt(id string, agent int) (string, int, error) {
 		return "", v.st.ViewTick, fmt.Errorf("serve: agent %d out of range (population %d): %w",
 			agent, v.st.Agents, ErrNotFound)
 	}
-	if h.explain != nil {
-		if text, ok := h.explain.get(agent, v.st.ViewTick); ok {
-			h.pm.explainHits.Inc()
-			return text, v.st.ViewTick, nil
-		}
+	if text, ok := h.explain.get(agent, v.st.ViewTick); ok {
+		h.pm.explainHits.Inc()
+		return text, v.st.ViewTick, nil
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -714,11 +704,9 @@ func (s *Server) ExplainAt(id string, agent int) (string, int, error) {
 	// the rendering by the engine's actual tick so it stays valid for the
 	// whole next view generation.
 	tick := h.eng.Ticks()
-	if h.explain != nil {
-		if text, ok := h.explain.get(agent, tick); ok {
-			h.pm.explainHits.Inc()
-			return text, tick, nil
-		}
+	if text, ok := h.explain.get(agent, tick); ok {
+		h.pm.explainHits.Inc()
+		return text, tick, nil
 	}
 	// The rendering lives in core.ExplainAgent and, for cluster-hosted
 	// populations, runs on the worker that owns the agent — one spelling
@@ -730,9 +718,7 @@ func (s *Server) ExplainAt(id string, agent int) (string, int, error) {
 	}
 	h.pm.explainRenders.Inc()
 	text = truncateExplain(text, s.explainBudget())
-	if h.explain != nil {
-		h.explain.put(agent, tick, text)
-	}
+	h.explain.put(agent, tick, text)
 	return text, tick, nil
 }
 
@@ -746,7 +732,8 @@ func (s *Server) explainBudget() int {
 	return defaultExplainBudget
 }
 
-// Status is one population's live metrics, JSON-shaped.
+// Status is one population's live counters, JSON-shaped. Timing metrics
+// are not copied in: GET /metrics and /debug/vars render them.
 type Status struct {
 	ID       string `json:"id"`
 	Workload string `json:"workload"`
@@ -776,13 +763,9 @@ type Status struct {
 	// checkpoints (ticking continues; the operator should reclaim disk).
 	PruneErrs int    `json:"prune_failures,omitempty"`
 	LastPrune string `json:"last_prune_error,omitempty"`
-	// Metrics is the engine's observability snapshot: phase timing
-	// decomposition and per-shard distributions (absent only for engines
-	// built outside the server's registry).
-	Metrics *population.MetricsSnapshot `json:"metrics,omitempty"`
 }
 
-// Status reports population id's live metrics. The read is lock-free: it
+// Status reports population id's live counters. The read is lock-free: it
 // loads the view published at the last tick barrier and overlays the two
 // between-barrier atomics (Ingested, Queued). It never takes h.mu, so a
 // status poll can neither block nor be blocked by Advance.

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // The lock-free read plane. At every tick barrier (and at every other
@@ -31,8 +32,8 @@ import (
 var ErrNotFound = errors.New("not found")
 
 // ErrOverloaded marks ingest rejected by the population's mailbox budget.
-// The HTTP layer maps it (and population.ErrMailboxFull) to 429 with a
-// Retry-After derived from the population's observed tick cadence.
+// The HTTP layer maps it to 429 with a Retry-After derived from the
+// population's observed tick cadence.
 var ErrOverloaded = errors.New("overloaded")
 
 // popView is one population's immutable read-plane snapshot. Everything in
@@ -101,8 +102,7 @@ func (v *viewState) retryAfterSeconds() int {
 // publishLocked renders h's current state into a fresh immutable view and
 // swaps it in. Callers hold h.mu (or own h exclusively, pre-register); the
 // render touches only coordinator-local state — aggregate counters, the
-// work ring, the metrics registry, the placement map — never a cluster
-// worker.
+// work ring, the placement map — never a cluster worker.
 func (s *Server) publishLocked(h *hosted) {
 	rs := h.eng.Run(0) // zero ticks: aggregate counters only
 	v := &popView{st: Status{
@@ -124,7 +124,6 @@ func (s *Server) publishLocked(h *hosted) {
 		CkptPath:  h.lastPath,
 		PruneErrs: h.pruneErrs,
 		LastPrune: h.lastPrune,
-		Metrics:   h.eng.Metrics().Snapshot(),
 	}}
 	if ctl := s.opts.cluster; ctl != nil {
 		if tr := ctl.transport(h.spec.ID); tr != nil {
@@ -205,7 +204,9 @@ func (c *explainCache) len() int {
 // truncateExplain caps one rendered explanation at budget bytes, cutting at
 // a line boundary where possible so the text stays readable, and appending
 // an explicit marker so a truncated explanation can never be mistaken for a
-// complete one.
+// complete one. A cut that would split a multi-byte rune (stimulus names
+// and sources come from ingest JSON) backs up to the rune's first byte, so
+// the result is always valid UTF-8.
 func truncateExplain(text string, budget int) string {
 	if budget <= 0 || len(text) <= budget {
 		return text
@@ -216,6 +217,9 @@ func truncateExplain(text string, budget int) string {
 			cut = i
 			break
 		}
+	}
+	for cut > 0 && !utf8.RuneStart(text[cut]) {
+		cut--
 	}
 	return text[:cut] + fmt.Sprintf("\n… [explain truncated to %d of %d bytes]\n", cut, len(text))
 }

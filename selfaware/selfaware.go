@@ -163,9 +163,6 @@ type (
 	// PopulationConfig.Metrics to decompose tick time into step, barrier
 	// wait, mailbox routing and snapshot encode.
 	Metrics = population.Metrics
-	// MetricsSnapshot is a point-in-time copy of a Population's Metrics,
-	// embedded in PopulationStatus and served at /populations/{id}.
-	MetricsSnapshot = population.MetricsSnapshot
 )
 
 // NewMetricsRegistry builds an empty metrics registry.
@@ -250,7 +247,7 @@ type (
 	ServeWorkload = serve.Workload
 	// PopulationSpec names one population a Server should host.
 	PopulationSpec = serve.Spec
-	// PopulationStatus is a hosted population's live metrics.
+	// PopulationStatus is a hosted population's live counters.
 	PopulationStatus = serve.Status
 )
 

@@ -3,8 +3,9 @@
 #
 # Usage: tools/ci-lint.sh [outdir]       (default outdir: lint-out)
 #
-# Always runs the toolchain-only core: go vet and sacslint (the repo's own
-# analyzer suite, with a SARIF copy of the findings for code-scanning UIs).
+# Always runs the toolchain-only core: gofmt, go vet and sacslint (the
+# repo's own analyzer suite, with a SARIF copy of the findings for
+# code-scanning UIs).
 # When the pinned external tools are on PATH — CI installs them first, see
 # .github/workflows/ci.yml — it also runs staticcheck and govulncheck,
 # failing on NEW findings only: anything listed in tools/lint-baseline.txt
@@ -17,6 +18,14 @@ cd "$(dirname "$0")/.."
 out="${1:-lint-out}"
 mkdir -p "$out"
 baseline="tools/lint-baseline.txt"
+
+echo "==> gofmt"
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+  echo "gofmt: these files need formatting (run gofmt -w):" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
 
 echo "==> go vet"
 go vet ./...

@@ -469,17 +469,12 @@ func (t *Transport) ownedByWorker() [][]int {
 	return owned
 }
 
-// agentSpans turns a sorted shard list into its agent intervals, one per
-// contiguous shard run.
-func (t *Transport) agentSpans(shards []int) []span {
-	var spans []span
-	for i := 0; i < len(shards); {
-		j := i
-		for j+1 < len(shards) && shards[j+1] == shards[j]+1 {
-			j++
-		}
-		spans = append(spans, span{lo: t.abounds[shards[i]], hi: t.abounds[shards[j]+1]})
-		i = j + 1
+// agentSpans maps shard runs to their agent intervals under the agent
+// partition bounds.
+func agentSpans(bounds []int, runs []span) []span {
+	spans := make([]span, len(runs))
+	for i, r := range runs {
+		spans[i] = span{lo: bounds[r.lo], hi: bounds[r.hi]}
 	}
 	return spans
 }
@@ -532,32 +527,15 @@ func (t *Transport) Step(tick int, mail [][]core.Stimulus) ([]*population.ShardE
 			shards := owned[wi]
 			e := t.popHeader(wi)
 			e.Int(tick)
-			encodeMail(e, mail, t.agentSpans(shards))
+			encodeMail(e, mail, agentSpans(t.abounds, shardRuns(shards)))
 			body, err := c.call(msgTick, e.Bytes(), msgTickOK)
 			if err != nil {
 				errs[wi] = err
 				return
 			}
-			d := checkpoint.NewDecoder(body)
-			n := d.Count(1)
-			if err := d.Err(); err != nil {
+			if err := decodeTickReply(body, shards, t.outs, t.spec.Agents); err != nil {
 				errs[wi] = fmt.Errorf("cluster: worker %s: %w", c.addr, err)
-				return
 			}
-			if n != len(shards) {
-				// The one way split ownership surfaces: a worker stepping
-				// more or fewer shards than the coordinator routed to it.
-				errs[wi] = fmt.Errorf("cluster: worker %s stepped %d shards, coordinator routed %d "+
-					"(split ownership after a failed migration?)", c.addr, n, len(shards))
-				return
-			}
-			for _, s := range shards {
-				if err := decodeExchange(d, t.outs[s]); err != nil {
-					errs[wi] = fmt.Errorf("cluster: worker %s: %w", c.addr, err)
-					return
-				}
-			}
-			errs[wi] = d.Finish()
 		}()
 	}
 	wg.Wait()

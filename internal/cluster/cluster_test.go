@@ -474,3 +474,63 @@ func mustTransport(t *testing.T, cl *Client) *Transport {
 	}
 	return tr
 }
+
+// TestTickReplyOutOfRangeTargetPoisons: a worker whose tick reply routes a
+// message to an agent outside the population fails the tick — the engine
+// is poisoned with an error — instead of crashing the coordinator on the
+// mailbox index.
+func TestTickReplyOutOfRangeTargetPoisons(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	// A confused worker: it attaches like a real one, then answers every
+	// tick with one message per shard addressed to agent tAgents+3.
+	reply := checkpoint.NewEncoder()
+	reply.Uvarint(tShards)
+	for s := 0; s < tShards; s++ {
+		encodeExchange(reply, &population.ShardExchange{Msgs: []population.Routed{{To: tAgents + 3, Stim: extStim(s)}}})
+	}
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				for {
+					typ, _, err := readFrame(c)
+					if err != nil {
+						return
+					}
+					rt, body := msgOK, []byte(nil)
+					switch typ {
+					case msgInit:
+						e := checkpoint.NewEncoder()
+						e.Uvarint(1)
+						body = e.Bytes()
+					case msgTick:
+						rt, body = msgTickOK, reply.Bytes()
+					}
+					if writeFrame(c, rt, body) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+
+	cl := dialAll(t, []string{ln.Addr().String()})
+	eng, err := population.NewWithTransport(testBuild(tAgents, tShards, tSeed, nil), mustTransport(t, cl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.TickErr(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("agent %d outside population", tAgents+3)) {
+		t.Fatalf("tick with an out-of-range target: err = %v", err)
+	}
+	if _, err := eng.TickErr(); err == nil || !strings.Contains(err.Error(), "poisoned") {
+		t.Fatalf("engine not poisoned after the bad reply: %v", err)
+	}
+}

@@ -1,8 +1,8 @@
 // Package cluster runs a sharded population across processes: a
 // coordinator process owns the tick barrier, mailbox routing, counters and
 // external ingest (it hosts a plain population.Engine), while each worker
-// process hosts a contiguous shard range of the agents and steps it with
-// its own runner.Pool. The two halves meet at population.Transport: the
+// process hosts a set of the population's shards and steps them with its
+// own runner.Pool. The two halves meet at population.Transport: the
 // coordinator's engine talks to a cluster.Transport, which fans every tick
 // out to the workers over a length-prefixed TCP protocol whose payloads are
 // spelled with the checkpoint codec's primitives (internal/checkpoint), so

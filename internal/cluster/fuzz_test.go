@@ -1,0 +1,175 @@
+package cluster
+
+import (
+	"io"
+	"log/slog"
+	"net"
+	"strings"
+	"testing"
+
+	"sacs/internal/checkpoint"
+	"sacs/internal/population"
+	"sacs/internal/runner"
+)
+
+// The fuzzed worker hosts shards [0, 2) of a 4-shard, 16-agent population.
+const (
+	fzAgents = 16
+	fzShards = 4
+)
+
+// fuzzWorkload is testBuild refusing to grow past the fuzz population: a
+// worker builds whatever shape its coordinator's init names, so a mutated
+// init must not ask the fuzzing process for an arbitrarily large
+// population. A larger spec fails the worker's shape check instead.
+var fuzzWorkload = Workload{Name: "gossip", Build: func(agents, shards int, seed int64, pool *runner.Pool) population.Config {
+	return testBuild(min(agents, fzAgents), shards, seed, pool)
+}}
+
+func fuzzInitBody(lo, hi int) []byte {
+	e := checkpoint.NewEncoder()
+	e.Uvarint(protocolVersion)
+	encodeSpec(e, Spec{ID: "p", Workload: "gossip", Agents: fzAgents, Shards: fzShards, Seed: tSeed})
+	e.Int(lo)
+	e.Int(hi)
+	e.F64s(nil)
+	return e.Bytes()
+}
+
+// fuzzWorker returns a fresh worker hosting shards [0, 2) of population
+// "p" at attach epoch 1, so every fuzz input starts from the same state.
+func fuzzWorker(t testing.TB, ln net.Listener) *Worker {
+	w, err := NewWorker(ln, nil, []Workload{fuzzWorkload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	if rt, body := w.handle(msgInit, fuzzInitBody(0, 2)); rt != msgOK {
+		t.Fatalf("fuzz worker init: %s", checkpoint.NewDecoder(body).Str())
+	}
+	return w
+}
+
+// fuzzRequest starts a post-init request body for population "p" at the
+// fuzz worker's epoch.
+func fuzzRequest() *checkpoint.Encoder {
+	e := checkpoint.NewEncoder()
+	e.Str("p")
+	e.Uvarint(1)
+	return e
+}
+
+// FuzzWorkerRequest: any request type and body either succeeds or earns an
+// error reply; none may panic a handler (Worker.handle turns a panic into a
+// "worker panic" error, which this target counts as a failure).
+func FuzzWorkerRequest(f *testing.F) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer ln.Close()
+
+	// The malformed requests of TestWorkerSurvivesMalformedRequests.
+	ghost := checkpoint.NewEncoder()
+	ghost.Str("ghost")
+	ghost.Int(0)
+	ghost.Uvarint(0)
+	f.Add(byte(msgTick), ghost.Bytes())
+	f.Add(byte(msgInit), []byte{protocolVersion})
+	v99 := checkpoint.NewEncoder()
+	v99.Uvarint(99)
+	encodeSpec(v99, testSpec("v"))
+	v99.Int(0)
+	v99.Int(1)
+	f.Add(byte(msgInit), v99.Bytes())
+
+	// A valid body of every request type.
+	snap, err := population.New(testBuild(fzAgents, fzShards, tSeed, nil)).Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	state := func(lo, hi int) *population.RangeState {
+		rs, err := snap.Range(lo, hi)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return rs
+	}
+	f.Add(byte(msgPing), []byte(nil))
+	f.Add(byte(msgInit), fuzzInitBody(2, 4))
+	f.Add(byte(msgInit), fuzzInitBody(0, 0))
+	install := fuzzRequest()
+	install.RangeState(state(0, 2))
+	f.Add(byte(msgInstall), install.Bytes())
+	tick := fuzzRequest()
+	tick.Int(0)
+	tick.Uvarint(1)
+	tick.Int(3)
+	tick.Uvarint(1)
+	tick.Stimulus(extStim(0))
+	f.Add(byte(msgTick), tick.Bytes())
+	f.Add(byte(msgExport), fuzzRequest().Bytes())
+	explain := fuzzRequest()
+	explain.Int(3)
+	explain.F64(0)
+	f.Add(byte(msgExplain), explain.Bytes())
+	migrate := fuzzRequest()
+	migrate.Int(1)
+	migrate.Int(2)
+	f.Add(byte(msgMigrate), migrate.Bytes())
+	adopt := fuzzRequest()
+	adopt.RangeState(state(2, 4))
+	adopt.F64s([]float64{1e5, 2e5})
+	f.Add(byte(msgAdopt), adopt.Bytes())
+	release := fuzzRequest()
+	release.Int(0)
+	release.Int(1)
+	f.Add(byte(msgRelease), release.Bytes())
+	f.Add(byte(msgDrop), fuzzRequest().Bytes())
+
+	f.Fuzz(func(t *testing.T, typ byte, body []byte) {
+		w := fuzzWorker(t, ln)
+		if rt, rbody := w.handle(msgType(typ), body); rt == msgErr {
+			if msg := checkpoint.NewDecoder(rbody).Str(); strings.Contains(msg, "worker panic") {
+				t.Fatalf("%s request: %s", msgName(msgType(typ)), msg)
+			}
+		}
+	})
+}
+
+// FuzzTickReply: the coordinator's tick-reply decoder returns an error or
+// exchanges whose every message targets an agent of the population.
+func FuzzTickReply(f *testing.F) {
+	shards := []int{1, 3} // the shards routed to the replying worker
+	reply := func(to int) []byte {
+		e := checkpoint.NewEncoder()
+		e.Uvarint(uint64(len(shards)))
+		for range shards {
+			encodeExchange(e, &population.ShardExchange{Delivered: 2, Actions: 1, StepNanos: 1000,
+				Msgs: []population.Routed{{To: to, Stim: extStim(1)}}})
+		}
+		return e.Bytes()
+	}
+	f.Add(reply(fzAgents - 1))
+	f.Add(reply(fzAgents))
+	f.Add(reply(-1))
+	f.Add([]byte{})
+	f.Add([]byte{3})
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		outs := make([]*population.ShardExchange, fzShards)
+		for s := range outs {
+			outs[s] = &population.ShardExchange{}
+		}
+		if err := decodeTickReply(body, shards, outs, fzAgents); err != nil {
+			return
+		}
+		for _, s := range shards {
+			for _, m := range outs[s].Msgs {
+				if m.To < 0 || m.To >= fzAgents {
+					t.Fatalf("shard %d: accepted a message to agent %d of %d", s, m.To, fzAgents)
+				}
+			}
+		}
+	})
+}

@@ -48,8 +48,7 @@ func encodeSnap(t *testing.T, eng *population.Engine) []byte {
 	return b
 }
 
-// hostedRuns reads a worker's hosted shard runs for population id — the
-// coalescing invariant check.
+// hostedRuns reads a worker's hosted shard runs for population id.
 func hostedRuns(t *testing.T, w *Worker, id string) []span {
 	t.Helper()
 	w.mu.Lock()
@@ -60,11 +59,7 @@ func hostedRuns(t *testing.T, w *Worker, id string) []span {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	runs := make([]span, 0, len(p.ranges))
-	for _, r := range p.ranges {
-		runs = append(runs, span{r.lo, r.hi})
-	}
-	return runs
+	return shardRuns(p.t.Owned())
 }
 
 // TestLiveMigrationByteIdentical is the tentpole at test scale: shard
@@ -354,5 +349,75 @@ func TestAdmitWorkerEpochAndGuards(t *testing.T) {
 	}
 	if err := tr.AdmitWorker(99); err == nil || !strings.Contains(err.Error(), "admit worker 99") {
 		t.Fatalf("admit out-of-range worker: %v", err)
+	}
+}
+
+// hostedAgents returns the agents worker w hosts of population id, by id.
+func hostedAgents(t *testing.T, w *Worker, id string) map[int]*core.Agent {
+	t.Helper()
+	w.mu.Lock()
+	p := w.pops[id]
+	w.mu.Unlock()
+	if p == nil {
+		t.Fatalf("worker hosts no population %q", id)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	agents := make(map[int]*core.Agent)
+	for ag := 0; ag < tAgents; ag++ {
+		if a := p.t.Agent(ag); a != nil {
+			agents[ag] = a
+		}
+	}
+	return agents
+}
+
+// TestMigrationKeepsNeighbourAgents: an ownership change builds or drops
+// only the shards that move. When an adjacent range migrates in or out, a
+// worker's remaining agents stay the very same *core.Agent objects, and
+// the run stays stat-identical to the single-process engine.
+func TestMigrationKeepsNeighbourAgents(t *testing.T) {
+	ref := population.New(testBuild(tAgents, tShards, tSeed, nil))
+	addrs, workers := startWorkers(t, 2)
+	tr, err := dialAll(t, addrs).NewTransport(testSpec("p"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := population.NewWithTransport(testBuild(tAgents, tShards, tSeed, nil), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick := 0
+	for ; tick < 5; tick++ {
+		tickBoth(t, tick, ref, eng)
+	}
+	// Worker 0 owns [0, 4), worker 1 owns [4, 8). [2, 4) moves in next to
+	// worker 1's run and out of the tail of worker 0's; then [2, 3) moves
+	// back in next to worker 0's [0, 2) and out of the head of worker 1's.
+	for _, m := range []struct{ lo, hi, to int }{{2, 4, 1}, {2, 3, 0}} {
+		before := []map[int]*core.Agent{hostedAgents(t, workers[0], "p"), hostedAgents(t, workers[1], "p")}
+		if err := tr.Migrate(m.lo, m.hi, m.to); err != nil {
+			t.Fatalf("migrate [%d, %d)→%d: %v", m.lo, m.hi, m.to, err)
+		}
+		for wi, w := range workers {
+			kept := 0
+			for id, a := range hostedAgents(t, w, "p") {
+				if old, ok := before[wi][id]; ok {
+					kept++
+					if old != a {
+						t.Fatalf("migrate [%d, %d)→%d rebuilt worker %d's agent %d", m.lo, m.hi, m.to, wi, id)
+					}
+				}
+			}
+			if kept == 0 {
+				t.Fatalf("migrate [%d, %d)→%d: worker %d kept no agents to compare", m.lo, m.hi, m.to, wi)
+			}
+		}
+		for end := tick + 3; tick < end; tick++ {
+			tickBoth(t, tick, ref, eng)
+		}
+	}
+	if !bytes.Equal(encodeSnap(t, ref), encodeSnap(t, eng)) {
+		t.Fatal("snapshot bytes diverge after the migrations")
 	}
 }

@@ -45,12 +45,12 @@ const maxFrame = 1 << 30
 // StepNanos they never feed stepping, so v3 ticks are byte-identical to v2
 // ticks modulo the two new varint fields.
 //
-// v4 made shard ownership elastic: a worker may host several disjoint
-// shard ranges of one population (so msgInit accepts an empty range — an
-// admitted member holding no shards yet), msgExport replies msgRanges (one
-// RangeState per hosted contiguous range), tick requests carry mail for
-// every owned agent interval and tick replies concatenate the owned
-// ranges' exchanges in shard index order, and the msgMigrate / msgAdopt /
+// v4 made shard ownership elastic: a worker hosts an arbitrary set of a
+// population's shards (so msgInit accepts an empty range — an admitted
+// member holding no shards yet), msgExport replies msgRanges (one
+// RangeState per contiguous run of the hosted set), tick requests carry
+// mail for every owned agent interval and tick replies carry the owned
+// shards' exchanges in shard index order, and the msgMigrate / msgAdopt /
 // msgRelease triplet moves a shard range between workers at a tick
 // barrier. Ownership changes never touch the moving state's bytes, so v4
 // runs — migrations included — stay byte-identical to v3 and to the
@@ -78,7 +78,7 @@ const (
 	msgDrop                   // id, epoch (dropped only if the epoch still owns it)
 	msgPing                   // empty body (readiness probe)
 	msgMigrate                // id, epoch, shard range → msgRange (read-only drain of a hosted subrange)
-	msgAdopt                  // id, epoch, RangeState, cost priors (install a new range next to existing ones)
+	msgAdopt                  // id, epoch, RangeState, cost priors (add a range to the hosted shards)
 	msgRelease                // id, epoch, shard range (forget it: a migration's source-side commit, or a failed adopt's rollback)
 	msgRanges                 // count-prefixed RangeStates in shard order (export reply)
 )
@@ -158,9 +158,12 @@ func decodeSpec(d *checkpoint.Decoder) Spec {
 	}
 }
 
-// span is one owned agent interval [lo, hi). A v4 worker may own several
-// disjoint shard ranges, so mail crosses the wire per interval list.
+// span is one half-open interval [lo, hi) of shards or agents. A v4 worker
+// may own several disjoint shard runs, so mail crosses the wire per
+// interval list.
 type span struct{ lo, hi int }
+
+func (s span) String() string { return fmt.Sprintf("[%d, %d)", s.lo, s.hi) }
 
 // encodeMail appends the non-empty mailboxes of the given agent intervals
 // as (agent id, stimuli) pairs. Spans must be sorted and disjoint, so the
@@ -235,9 +238,35 @@ func encodeExchange(e *checkpoint.Encoder, o *population.ShardExchange) {
 	}
 }
 
+// decodeTickReply decodes a worker's msgTickOK body into outs[s] for each
+// shard s the coordinator routed to it, in order. Every routed message must
+// target an agent of the population, [0, agents): the engine indexes its
+// mailboxes by target, so a confused worker's out-of-range one must fail the
+// tick (poisoning the engine) instead of crashing the coordinator.
+func decodeTickReply(body []byte, shards []int, outs []*population.ShardExchange, agents int) error {
+	d := checkpoint.NewDecoder(body)
+	n := d.Count(1)
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if n != len(shards) {
+		// The one way split ownership surfaces: a worker stepping more or
+		// fewer shards than the coordinator routed to it.
+		return fmt.Errorf("stepped %d shards, coordinator routed %d "+
+			"(split ownership after a failed migration?)", n, len(shards))
+	}
+	for _, s := range shards {
+		if err := decodeExchange(d, outs[s], agents); err != nil {
+			return err
+		}
+	}
+	return d.Finish()
+}
+
 // decodeExchange decodes one shard's tick result into the pooled o
-// (reusing Msgs capacity between ticks).
-func decodeExchange(d *checkpoint.Decoder, o *population.ShardExchange) error {
+// (reusing Msgs capacity between ticks), rejecting a message whose target
+// lies outside [0, agents).
+func decodeExchange(d *checkpoint.Decoder, o *population.ShardExchange, agents int) error {
 	o.Delivered = d.Int()
 	o.Actions = d.Int()
 	o.StepNanos = d.Varint()
@@ -250,6 +279,9 @@ func decodeExchange(d *checkpoint.Decoder, o *population.ShardExchange) error {
 	o.Msgs = o.Msgs[:0]
 	for j := 0; j < msgs; j++ {
 		to := d.Int()
+		if to < 0 || to >= agents {
+			return fmt.Errorf("message to agent %d outside population of %d", to, agents)
+		}
 		o.Msgs = append(o.Msgs, population.Routed{To: to, Stim: d.Stimulus()})
 	}
 	return d.Err()

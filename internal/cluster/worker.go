@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"sort"
 	"sync"
 
 	"sacs/internal/checkpoint"
@@ -25,11 +24,11 @@ type Workload struct {
 	Build func(agents, shards int, seed int64, pool *runner.Pool) population.Config
 }
 
-// Worker hosts shard ranges of populations on behalf of a coordinator.
-// Create with NewWorker, then Serve; one worker can host ranges of any
-// number of populations (keyed by population id), and — since protocol v4
-// — several disjoint ranges of one population, which migrations create and
-// adjacent-range coalescing collapses back into maximal contiguous runs.
+// Worker hosts shards of populations on behalf of a coordinator. Create
+// with NewWorker, then Serve; one worker can host shards of any number of
+// populations (keyed by population id). Since protocol v4 the shards a
+// worker hosts of one population are an arbitrary set, which migrations
+// grow and shrink one range at a time.
 type Worker struct {
 	ln        net.Listener
 	pool      *runner.Pool
@@ -42,62 +41,26 @@ type Worker struct {
 	epochs uint64 // attach-epoch counter, incremented per successful init
 }
 
-// workerPop is one hosted population: its attach epoch, the config every
-// range is built from, the owned ranges (sorted by shard, disjoint, kept
-// maximal by coalescing), and the reusable tick scratch. An admitted
-// worker may hold zero ranges — a member of the placement with no shards
-// yet, waiting for the rebalancer to move some over.
+// workerPop is one hosted population: its attach epoch, the one transport
+// that hosts its shard set, and the reusable tick scratch. An admitted
+// worker may own no shards — a member of the placement waiting for the
+// rebalancer to move some over.
 type workerPop struct {
 	mu      sync.Mutex
 	epoch   uint64 // the attach that owns this population (split-brain guard)
-	spec    Spec
-	cfg     population.Config // built once at init; adopts reuse it
-	bounds  []int             // global agent partition (population.Partition)
-	ranges  []*popRange
-	mail    [][]core.Stimulus // global-indexed scratch inboxes, owned ranges only
+	bounds  []int  // global agent partition (population.Partition)
+	t       *population.LocalTransport
+	runs    []span            // owned shard runs, ascending; refreshed per ownership change
+	spans   []span            // the runs' agent intervals: the ids tick mail may address
+	mail    [][]core.Stimulus // global-indexed scratch inboxes, owned agents only
 	touched []int             // ids filled this tick, cleared after the step
-	spanBuf []span            // owned agent intervals, rebuilt per tick
 }
 
-// popRange is one contiguous hosted shard range.
-type popRange struct {
-	t      *population.LocalTransport
-	lo, hi int // shard interval [lo, hi)
-}
-
-// spans rebuilds the owned agent intervals in shard order. Callers hold
-// p.mu.
-func (p *workerPop) spans() []span {
-	p.spanBuf = p.spanBuf[:0]
-	for _, r := range p.ranges {
-		p.spanBuf = append(p.spanBuf, span{lo: p.bounds[r.lo], hi: p.bounds[r.hi]})
-	}
-	return p.spanBuf
-}
-
-// covering returns the hosted range containing [lo, hi), or an error
-// naming what is hosted. Callers hold p.mu.
-func (p *workerPop) covering(lo, hi int) (*popRange, error) {
-	for _, r := range p.ranges {
-		if lo >= r.lo && hi <= r.hi {
-			return r, nil
-		}
-	}
-	return nil, fmt.Errorf("shards [%d, %d) not inside a hosted range (hosting %s)", lo, hi, p.rangeList())
-}
-
-func (p *workerPop) rangeList() string {
-	if len(p.ranges) == 0 {
-		return "no ranges"
-	}
-	s := ""
-	for i, r := range p.ranges {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("[%d, %d)", r.lo, r.hi)
-	}
-	return s
+// owned refreshes runs and spans from the transport's owned shards. Callers
+// hold p.mu (or own p exclusively).
+func (p *workerPop) owned() {
+	p.runs = shardRuns(p.t.Owned())
+	p.spans = agentSpans(p.bounds, p.runs)
 }
 
 // NewWorker wraps an existing listener (so tests and cmd/sawd can bind
@@ -270,16 +233,15 @@ func (w *Worker) handleInit(body []byte) (msgType, []byte) {
 	if err := d.Finish(); err != nil {
 		return errReply(fmt.Errorf("bad init: %w", err))
 	}
+	if spec.Agents <= 0 || spec.Shards <= 0 || spec.Shards > spec.Agents {
+		return errReply(fmt.Errorf("bad init: population shape agents=%d shards=%d", spec.Agents, spec.Shards))
+	}
 	// v4: lo == hi == 0 admits this worker with no shards — it joins the
 	// placement and waits for the coordinator to migrate ranges over.
-	empty := lo == 0 && hi == 0
-	if !empty {
+	if lo != 0 || hi != 0 {
 		if err := population.ValidateShardRange(lo, hi, spec.Shards); err != nil {
 			return errReply(fmt.Errorf("bad init: %w", err))
 		}
-	}
-	if len(costs) != 0 && len(costs) != hi-lo {
-		return errReply(fmt.Errorf("bad init: %d cost priors for %d owned shards", len(costs), hi-lo))
 	}
 	wl, ok := w.workloads[spec.Workload]
 	if !ok {
@@ -290,23 +252,20 @@ func (w *Worker) handleInit(body []byte) (msgType, []byte) {
 		return errReply(fmt.Errorf("workload %q built shape (agents=%d shards=%d), coordinator expects (agents=%d shards=%d)",
 			spec.Workload, cfg.Agents, cfg.Shards, spec.Agents, spec.Shards))
 	}
+	transport := population.NewLocalTransport(cfg, lo, hi)
+	if len(costs) > 0 {
+		// Seed the dispatch-order plane with the coordinator's view so the
+		// first tick already issues this range's expensive shards first.
+		if err := transport.SeedCosts(costs); err != nil {
+			return errReply(fmt.Errorf("bad init: %w", err))
+		}
+	}
 	p := &workerPop{
-		spec:   spec,
-		cfg:    cfg,
 		bounds: population.Partition(spec.Agents, spec.Shards),
+		t:      transport,
 		mail:   make([][]core.Stimulus, spec.Agents),
 	}
-	if !empty {
-		transport := population.NewLocalTransport(cfg, lo, hi)
-		if len(costs) > 0 {
-			// Seed the dispatch-order plane with the coordinator's view so the
-			// first tick already issues this range's expensive shards first.
-			if err := transport.SeedCosts(costs); err != nil {
-				return errReply(err)
-			}
-		}
-		p.ranges = []*popRange{{t: transport, lo: lo, hi: hi}}
-	}
+	p.owned()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	// Re-init replaces: a restarted coordinator re-attaches to a live
@@ -341,16 +300,10 @@ func (w *Worker) handleInstall(body []byte) (msgType, []byte) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, r := range p.ranges {
-		if r.lo == rs.LoShard && r.hi == rs.HiShard {
-			if err := r.t.Install(rs); err != nil {
-				return errReply(err)
-			}
-			return msgOK, nil
-		}
+	if err := p.t.Install(rs); err != nil {
+		return errReply(fmt.Errorf("%w (hosting shards %v)", err, p.runs))
 	}
-	return errReply(fmt.Errorf("install covers shards [%d, %d), not a hosted range (hosting %s)",
-		rs.LoShard, rs.HiShard, p.rangeList()))
+	return msgOK, nil
 }
 
 func (w *Worker) handleTick(body []byte) (msgType, []byte) {
@@ -371,30 +324,24 @@ func (w *Worker) handleTick(body []byte) (msgType, []byte) {
 	// already filled some of them, and leaked mail would be injected
 	// twice if the population is ever ticked again.
 	defer p.clearMail()
-	p.touched, err = decodeMailInto(d, p.mail, p.spans(), p.touched[:0])
+	p.touched, err = decodeMailInto(d, p.mail, p.spans, p.touched[:0])
 	if err == nil {
 		err = d.Finish()
 	}
 	if err != nil {
 		return errReply(fmt.Errorf("bad tick mail: %w", err))
 	}
-	// Ranges step in shard order and their exchanges concatenate in shard
-	// order, so the reply is index-sorted no matter how migration carved
-	// the ownership up.
-	e := checkpoint.NewEncoder()
-	shards := 0
-	for _, r := range p.ranges {
-		shards += r.hi - r.lo
+	// One step over the whole owned set: its exchanges come back in shard
+	// order, so the reply is index-sorted however migration carved the
+	// ownership up.
+	outs, err := p.t.Step(tick, p.mail)
+	if err != nil {
+		return errReply(err)
 	}
-	e.Uvarint(uint64(shards))
-	for _, r := range p.ranges {
-		outs, err := r.t.Step(tick, p.mail)
-		if err != nil {
-			return errReply(err)
-		}
-		for _, o := range outs {
-			encodeExchange(e, o)
-		}
+	e := checkpoint.NewEncoder()
+	e.Uvarint(uint64(len(outs)))
+	for _, o := range outs {
+		encodeExchange(e, o)
 	}
 	return msgTickOK, e.Bytes()
 }
@@ -430,9 +377,9 @@ func (w *Worker) handleExport(body []byte) (msgType, []byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	e := checkpoint.NewEncoder()
-	e.Uvarint(uint64(len(p.ranges)))
-	for _, r := range p.ranges {
-		rs, err := r.t.Export()
+	e.Uvarint(uint64(len(p.runs)))
+	for _, r := range p.runs {
+		rs, err := p.t.ExportRange(r.lo, r.hi)
 		if err != nil {
 			return errReply(err)
 		}
@@ -442,7 +389,7 @@ func (w *Worker) handleExport(body []byte) (msgType, []byte) {
 }
 
 // handleMigrate is the source half of a live migration: a read-only drain
-// of shards [lo, hi) out of the hosted range containing them. Nothing is
+// of shards [lo, hi), which must all be hosted here. Nothing is
 // released here — the source stays authoritative until the coordinator,
 // having confirmed the destination's adopt, sends msgRelease. A migration
 // that fails at any later step therefore leaves this worker's state
@@ -461,26 +408,21 @@ func (w *Worker) handleMigrate(body []byte) (msgType, []byte) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	r, err := p.covering(lo, hi)
+	rs, err := p.t.ExportRange(lo, hi)
 	if err != nil {
-		return errReply(fmt.Errorf("migrate: %w", err))
-	}
-	rs, err := r.t.ExportRange(lo, hi)
-	if err != nil {
-		return errReply(err)
+		return errReply(fmt.Errorf("migrate: %w (hosting shards %v)", err, p.runs))
 	}
 	e := checkpoint.NewEncoder()
 	e.RangeState(rs)
 	return msgRange, e.Bytes()
 }
 
-// handleAdopt installs a migrated (or re-assigned) range next to whatever
-// this worker already hosts. Ranges adjacent to the adopted one are
-// coalesced back into a single transport, so ownership stays a set of
-// maximal contiguous runs — the invariant Install and Migrate rely on.
-// Nothing is committed until construction and state transfer succeed, so a
-// failed adopt leaves the worker exactly as it was (the coordinator can
-// roll the migration back with the source still authoritative).
+// handleAdopt adds a migrated (or re-assigned) range to the shards this
+// worker hosts. Only the adopted shards' agents are built; the hosted ones
+// step on untouched. Nothing is committed until construction and state
+// transfer succeed, so a failed adopt leaves the worker exactly as it was
+// (the coordinator can roll the migration back with the source still
+// authoritative).
 func (w *Worker) handleAdopt(body []byte) (msgType, []byte) {
 	d := checkpoint.NewDecoder(body)
 	id := d.Str()
@@ -496,86 +438,19 @@ func (w *Worker) handleAdopt(body []byte) (msgType, []byte) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := population.ValidateShardRange(rs.LoShard, rs.HiShard, p.spec.Shards); err != nil {
-		return errReply(fmt.Errorf("adopt: %w", err))
+	if err := p.t.Adopt(rs, costs); err != nil {
+		return errReply(fmt.Errorf("%w (hosting shards %v)", err, p.runs))
 	}
-	if rs.LoAgent != p.bounds[rs.LoShard] || rs.HiAgent != p.bounds[rs.HiShard] {
-		return errReply(fmt.Errorf("adopt: shards [%d, %d) carry agents [%d, %d), partition says [%d, %d)",
-			rs.LoShard, rs.HiShard, rs.LoAgent, rs.HiAgent, p.bounds[rs.LoShard], p.bounds[rs.HiShard]))
-	}
-	if len(costs) != 0 && len(costs) != rs.HiShard-rs.LoShard {
-		return errReply(fmt.Errorf("adopt: %d cost priors for %d shards", len(costs), rs.HiShard-rs.LoShard))
-	}
-	var left, right *popRange
-	for _, r := range p.ranges {
-		if rs.LoShard < r.hi && r.lo < rs.HiShard {
-			return errReply(fmt.Errorf("adopt: shards [%d, %d) overlap hosted range [%d, %d)",
-				rs.LoShard, rs.HiShard, r.lo, r.hi))
-		}
-		if r.hi == rs.LoShard {
-			left = r
-		}
-		if r.lo == rs.HiShard {
-			right = r
-		}
-	}
-	// Cost priors for the whole resulting run: the neighbours' live
-	// estimates plus the coordinator's priors for the adopted shards, so
-	// the merged transport keeps dispatching in LPT order.
-	merged := rs
-	prior := costs
-	if len(prior) == 0 {
-		prior = make([]float64, rs.HiShard-rs.LoShard)
-	}
-	if left != nil {
-		lrs, err := left.t.Export()
-		if err != nil {
-			return errReply(fmt.Errorf("adopt: coalesce with [%d, %d): %w", left.lo, left.hi, err))
-		}
-		if merged, err = population.MergeRanges(lrs, merged); err != nil {
-			return errReply(fmt.Errorf("adopt: %w", err))
-		}
-		prior = append(left.t.Costs().EstimatesInto(nil, left.lo, left.hi), prior...)
-	}
-	if right != nil {
-		rrs, err := right.t.Export()
-		if err != nil {
-			return errReply(fmt.Errorf("adopt: coalesce with [%d, %d): %w", right.lo, right.hi, err))
-		}
-		if merged, err = population.MergeRanges(merged, rrs); err != nil {
-			return errReply(fmt.Errorf("adopt: %w", err))
-		}
-		prior = append(prior, right.t.Costs().EstimatesInto(nil, right.lo, right.hi)...)
-	}
-	nt := population.NewLocalTransport(p.cfg, merged.LoShard, merged.HiShard)
-	if err := nt.Install(merged); err != nil {
-		return errReply(fmt.Errorf("adopt: %w", err))
-	}
-	if err := nt.SeedCosts(prior); err != nil {
-		return errReply(fmt.Errorf("adopt: %w", err))
-	}
-	// Commit: drop the coalesced neighbours, insert the merged run, keep
-	// the list sorted by shard.
-	kept := p.ranges[:0]
-	for _, r := range p.ranges {
-		if r != left && r != right {
-			kept = append(kept, r)
-		}
-	}
-	p.ranges = append(kept, &popRange{t: nt, lo: merged.LoShard, hi: merged.HiShard})
-	sort.Slice(p.ranges, func(i, j int) bool { return p.ranges[i].lo < p.ranges[j].lo })
+	p.owned()
 	w.log.Info("cluster: adopted range",
-		"pop", id, "shards_lo", rs.LoShard, "shards_hi", rs.HiShard,
-		"run_lo", merged.LoShard, "run_hi", merged.HiShard, "hosting", p.rangeList())
+		"pop", id, "shards_lo", rs.LoShard, "shards_hi", rs.HiShard, "hosting", p.runs)
 	return msgOK, nil
 }
 
 // handleRelease forgets shards [lo, hi): the source-side commit of a
 // migration (the destination has adopted; serving these shards again would
 // be split ownership), or the destination-side rollback of an adopt whose
-// migration later failed. Releasing the middle of a hosted range rebuilds
-// the remainders as separate transports via export + install — the state
-// bytes are untouched either way.
+// migration later failed. Only the released shards' agents are dropped.
 func (w *Worker) handleRelease(body []byte) (msgType, []byte) {
 	d := checkpoint.NewDecoder(body)
 	id := d.Str()
@@ -590,38 +465,12 @@ func (w *Worker) handleRelease(body []byte) (msgType, []byte) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	r, err := p.covering(lo, hi)
-	if err != nil {
-		return errReply(fmt.Errorf("release: %w", err))
+	if err := p.t.Release(lo, hi); err != nil {
+		return errReply(fmt.Errorf("%w (hosting shards %v)", err, p.runs))
 	}
-	var rem []*popRange
-	for _, iv := range []span{{r.lo, lo}, {hi, r.hi}} {
-		if iv.lo >= iv.hi {
-			continue
-		}
-		rrs, err := r.t.ExportRange(iv.lo, iv.hi)
-		if err != nil {
-			return errReply(fmt.Errorf("release: remainder [%d, %d): %w", iv.lo, iv.hi, err))
-		}
-		nt := population.NewLocalTransport(p.cfg, iv.lo, iv.hi)
-		if err := nt.Install(rrs); err != nil {
-			return errReply(fmt.Errorf("release: remainder [%d, %d): %w", iv.lo, iv.hi, err))
-		}
-		if err := nt.SeedCosts(r.t.Costs().EstimatesInto(nil, iv.lo, iv.hi)); err != nil {
-			return errReply(fmt.Errorf("release: remainder [%d, %d): %w", iv.lo, iv.hi, err))
-		}
-		rem = append(rem, &popRange{t: nt, lo: iv.lo, hi: iv.hi})
-	}
-	kept := p.ranges[:0]
-	for _, x := range p.ranges {
-		if x != r {
-			kept = append(kept, x)
-		}
-	}
-	p.ranges = append(kept, rem...)
-	sort.Slice(p.ranges, func(i, j int) bool { return p.ranges[i].lo < p.ranges[j].lo })
+	p.owned()
 	w.log.Info("cluster: released range",
-		"pop", id, "shards_lo", lo, "shards_hi", hi, "hosting", p.rangeList())
+		"pop", id, "shards_lo", lo, "shards_hi", hi, "hosting", p.runs)
 	return msgOK, nil
 }
 
@@ -640,18 +489,13 @@ func (w *Worker) handleExplain(body []byte) (msgType, []byte) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, r := range p.ranges {
-		if agent >= p.bounds[r.lo] && agent < p.bounds[r.hi] {
-			text, err := r.t.Explain(agent, now)
-			if err != nil {
-				return errReply(err)
-			}
-			e := checkpoint.NewEncoder()
-			e.Str(text)
-			return msgText, e.Bytes()
-		}
+	text, err := p.t.Explain(agent, now)
+	if err != nil {
+		return errReply(fmt.Errorf("%w (hosting shards %v)", err, p.runs))
 	}
-	return errReply(fmt.Errorf("agent %d not hosted here (hosting shards %s)", agent, p.rangeList()))
+	e := checkpoint.NewEncoder()
+	e.Str(text)
+	return msgText, e.Bytes()
 }
 
 func (w *Worker) handleDrop(body []byte) (msgType, []byte) {

@@ -9,7 +9,7 @@ import (
 )
 
 // rangeTestSnapshot builds a stepped engine and returns its snapshot — the
-// source material for Range / merge round-trip tests.
+// source material for the Range tests.
 func rangeTestSnapshot(t *testing.T) *Snapshot {
 	t.Helper()
 	cfg := tinyConfig(48)
@@ -75,87 +75,6 @@ func TestSnapshotRangeInconsistent(t *testing.T) {
 	if _, err := snap.Range(0, 2); err == nil ||
 		!strings.Contains(err.Error(), "inconsistent") {
 		t.Fatalf("Range on truncated snapshot: %v", err)
-	}
-}
-
-// TestMergeRangesRoundTrip: splitting a population's state at arbitrary
-// cuts and merging it back must reproduce the whole exactly, and the merge
-// must own fresh backing arrays.
-func TestMergeRangesRoundTrip(t *testing.T) {
-	snap := rangeTestSnapshot(t)
-	full, err := snap.Range(0, snap.Shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := snap.Range(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := snap.Range(2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := snap.Range(5, snap.Shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ab, err := MergeRanges(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	abc, err := MergeRanges(ab, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(abc, full) {
-		t.Fatal("split + merge does not reproduce the full range")
-	}
-	// The merge owns its arrays: scribbling on it leaves the parts alone.
-	abc.ShardRNG[0]++
-	if a.ShardRNG[0] == abc.ShardRNG[0] {
-		t.Fatal("merged range shares backing arrays with its inputs")
-	}
-}
-
-// TestMergeRangesRejectsMisalignment: gaps, overlaps, agent-interval
-// mismatches, internally inconsistent inputs and nils all fail loudly.
-func TestMergeRangesRejectsMisalignment(t *testing.T) {
-	snap := rangeTestSnapshot(t)
-	rng := func(lo, hi int) *RangeState {
-		rs, err := snap.Range(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rs
-	}
-
-	cases := []struct {
-		name string
-		a, b *RangeState
-		want string
-	}{
-		{"gap", rng(0, 2), rng(3, 5), "non-adjacent"},
-		{"overlap", rng(0, 3), rng(2, 5), "non-adjacent"},
-		{"reversed", rng(3, 5), rng(0, 3), "non-adjacent"},
-		{"nil b", rng(0, 2), nil, "nil range state"},
-	}
-	for _, c := range cases {
-		if _, err := MergeRanges(c.a, c.b); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Fatalf("%s: err = %v, want containing %q", c.name, err, c.want)
-		}
-	}
-
-	// Adjacent shard intervals whose agent intervals disagree.
-	a, b := rng(0, 2), rng(2, 5)
-	b.LoAgent++
-	if _, err := MergeRanges(a, b); err == nil || !strings.Contains(err.Error(), "inconsistent") {
-		t.Fatalf("agent-interval mismatch: %v", err)
-	}
-	// Header/body disagreement inside one input.
-	a, b = rng(0, 2), rng(2, 5)
-	b.ShardRNG = b.ShardRNG[:1]
-	if _, err := MergeRanges(a, b); err == nil || !strings.Contains(err.Error(), "inconsistent") {
-		t.Fatalf("truncated input: %v", err)
 	}
 }
 

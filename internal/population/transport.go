@@ -3,6 +3,7 @@ package population
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -48,17 +49,19 @@ type ShardExchange struct {
 }
 
 // RangeState is the executor-side state of a contiguous shard range: every
-// owned shard's RNG stream position and every owned agent's RNG position and
-// exported state, in index order. It is the unit of state transfer between
-// an engine snapshot and the transport hosting the agents — for the
-// in-process transport a plain copy, for a cluster the payload that
-// initialises or rebalances a worker (serialised with the checkpoint codec).
+// shard's RNG stream position and every agent's RNG position and exported
+// state, in index order. It is the unit of state transfer between an engine
+// snapshot and the transport hosting the agents — for the in-process
+// transport a plain copy, for a cluster the payload that initialises,
+// migrates or rebalances shards of a worker (serialised with the checkpoint
+// codec). A transport whose owned shards have gaps transfers them one
+// contiguous run at a time.
 type RangeState struct {
-	LoShard, HiShard int // owned shard interval [LoShard, HiShard)
+	LoShard, HiShard int // shard interval [LoShard, HiShard)
 	LoAgent, HiAgent int // corresponding agent interval
 
-	ShardRNG    []uint64 // one stream position per owned shard
-	AgentRNG    []uint64 // one stream position per owned agent
+	ShardRNG    []uint64 // one stream position per shard
+	AgentRNG    []uint64 // one stream position per agent
 	AgentStates []core.AgentState
 }
 
@@ -123,111 +126,152 @@ func ValidateShardRange(lo, hi, shards int) error {
 	return nil
 }
 
-// LocalTransport hosts a contiguous shard range of a population in-process:
-// it constructs the range's agents and steps them through the configured
+// LocalTransport hosts a set of shards of a population in-process: it
+// constructs those shards' agents and steps them through the configured
 // runner pool. NewLocalTransport(cfg, 0, shards) — what New installs — is
 // the whole-population case and reproduces the pre-transport engine
-// byte-for-byte. A worker process in internal/cluster hosts a narrower
-// range; construction is per-agent-id deterministic (each agent's stream
-// derives from Seed and id alone), so a range built remotely is identical
-// to the same range of a single-process population.
+// byte-for-byte. A worker process in internal/cluster hosts a subset, which
+// live migration grows with Adopt and shrinks with Release. Construction is
+// per-agent-id deterministic (each agent's stream derives from Seed and id
+// alone), so shards built remotely are identical to the same shards of a
+// single-process population, and an ownership change builds or drops only
+// the shards that move.
 type LocalTransport struct {
 	cfg    Config
-	lo, hi int   // owned shard interval
 	bounds []int // global shard partition: shard s owns agents [bounds[s], bounds[s+1])
+	owned  []int // owned shards, ascending; replaced, never modified, by Adopt and Release
 
-	// Sparse global-indexed state: only owned slots are populated.
+	// Sparse global-indexed state: a slot is populated exactly when its
+	// shard is owned.
 	agents    []*core.Agent
 	rngs      []*rand.Rand // one persistent stream per owned shard
 	shardSrcs []*xrand.Source
 	agentSrcs []*xrand.Source
 
-	// results holds one reusable exchange per owned shard; stepShard
-	// resets and refills it, so the per-tick fan-out allocates neither
-	// exchanges nor (steady-state) outbox slices.
+	// results holds one reusable exchange per owned shard, in owned order;
+	// stepShard resets and refills it, so the per-tick fan-out allocates
+	// neither exchanges nor (steady-state) outbox slices.
 	results []*ShardExchange
-
-	// arenas hold the owned agents' hot step state, one contiguous block
-	// per owned shard in agent order, so a shard step sweeps adjacent
-	// memory (see core.Arena).
-	arenas []*core.Arena
 
 	// Dispatch-order plane: the per-shard cost model the executors feed
 	// and the per-tick scratch lptPlan reuses to turn its estimates into a
 	// dispatch order. Observation-only (see lptPlan). It is the population's
 	// one cost model: Step publishes it as the shard cost gauges.
 	costs   *CostModel
-	order   []int     // dispatch positions, local shard indices
-	costBuf []float64 // lptPlan input scratch
+	order   []int     // dispatch positions, indices into owned
+	costBuf []float64 // lptPlan input scratch, one slot per owned shard
 }
 
 // NewLocalTransport builds the agents of shards [lo, hi) of cfg's
-// population. It panics on an invalid configuration or range, exactly as
+// population; lo == hi == 0 builds a transport that owns no shards until it
+// Adopts some. It panics on an invalid configuration or range, exactly as
 // New does on an invalid configuration.
 func NewLocalTransport(cfg Config, lo, hi int) *LocalTransport {
 	cfg = cfg.Normalized()
 	if cfg.New == nil {
 		panic("population: Config.New is required")
 	}
-	if err := ValidateShardRange(lo, hi, cfg.Shards); err != nil {
-		panic(err.Error())
+	if lo != 0 || hi != 0 {
+		if err := ValidateShardRange(lo, hi, cfg.Shards); err != nil {
+			panic(err.Error())
+		}
 	}
 	t := &LocalTransport{
 		cfg:       cfg,
-		lo:        lo,
-		hi:        hi,
 		bounds:    Partition(cfg.Agents, cfg.Shards),
 		agents:    make([]*core.Agent, cfg.Agents),
 		rngs:      make([]*rand.Rand, cfg.Shards),
 		shardSrcs: make([]*xrand.Source, cfg.Shards),
 		agentSrcs: make([]*xrand.Source, cfg.Agents),
-		results:   make([]*ShardExchange, hi-lo),
-		arenas:    make([]*core.Arena, hi-lo),
 		costs:     NewCostModel(cfg.Shards),
-		order:     make([]int, hi-lo),
-		costBuf:   make([]float64, 0, hi-lo),
 	}
-	for i := range t.results {
-		t.results[i] = &ShardExchange{}
-	}
-	for id := t.bounds[lo]; id < t.bounds[hi]; id++ {
-		t.agentSrcs[id] = xrand.NewSource(mix(cfg.Seed, 0x9E3779B97F4A7C15, int64(id)))
-		t.agents[id] = cfg.New(id, rand.New(t.agentSrcs[id]))
+	t.build(lo, hi)
+	t.own(lo, hi)
+	return t
+}
+
+// build constructs the agents, step arenas and RNG streams of the unowned
+// shards [lo, hi) into their global slots. It leaves the owned list alone:
+// the caller commits the shards, or drops them again.
+func (t *LocalTransport) build(lo, hi int) {
+	loA, hiA := t.bounds[lo], t.bounds[hi]
+	for id := loA; id < hiA; id++ {
+		t.agentSrcs[id] = xrand.NewSource(mix(t.cfg.Seed, 0x9E3779B97F4A7C15, int64(id)))
+		t.agents[id] = t.cfg.New(id, rand.New(t.agentSrcs[id]))
 		if t.agents[id] == nil {
 			panic(fmt.Sprintf("population: Config.New returned nil for agent %d", id))
 		}
 	}
-	// Re-home each shard's agents' hot step state into one contiguous
-	// arena block, in step order: the shard step then walks adjacent
-	// memory instead of pointer-chasing per-agent heap allocations.
-	// Adoption is pure layout — no observable state changes (see
-	// core.Arena) — so construction stays deterministic.
 	for s := lo; s < hi; s++ {
+		// Re-home the shard's agents' hot step state into one contiguous
+		// arena block, in step order: the shard step then walks adjacent
+		// memory instead of pointer-chasing per-agent heap allocations.
+		// Adoption is pure layout — no observable state changes (see
+		// core.Arena) — so construction stays deterministic.
 		ar := core.NewArena(t.bounds[s+1] - t.bounds[s])
 		for id := t.bounds[s]; id < t.bounds[s+1]; id++ {
 			ar.Adopt(t.agents[id])
 		}
-		t.arenas[s-lo] = ar
+		t.shardSrcs[s] = xrand.NewSource(mix(t.cfg.Seed, 0xBF58476D1CE4E5B9, int64(s)))
+		t.rngs[s] = rand.New(t.shardSrcs[s])
 	}
 	// Knowledge stores owned by exactly one agent never see concurrent
 	// access (a shard steps its agents sequentially; barriers order the
 	// ticks), so their locking and atomic counters are pure overhead:
-	// mark them unshared. A store given to several agents — a shared
-	// collective blackboard — keeps full locking.
-	owners := make(map[*knowledge.Store]int, t.bounds[hi]-t.bounds[lo])
-	for id := t.bounds[lo]; id < t.bounds[hi]; id++ {
-		owners[t.agents[id].Store()]++
+	// mark them unshared. Owners are counted over every hosted agent, so
+	// a store given to several agents — a shared collective blackboard —
+	// keeps full locking.
+	owners := make(map[*knowledge.Store]int, hiA-loA)
+	for _, a := range t.agents {
+		if a != nil {
+			owners[a.Store()]++
+		}
 	}
-	for st, n := range owners {
-		if n == 1 {
+	for id := loA; id < hiA; id++ {
+		if st := t.agents[id].Store(); owners[st] == 1 {
 			st.Unshared()
 		}
 	}
-	for s := lo; s < hi; s++ {
-		t.shardSrcs[s] = xrand.NewSource(mix(cfg.Seed, 0xBF58476D1CE4E5B9, int64(s)))
-		t.rngs[s] = rand.New(t.shardSrcs[s])
+}
+
+// drop clears shards [lo, hi)'s global slots.
+func (t *LocalTransport) drop(lo, hi int) {
+	for id := t.bounds[lo]; id < t.bounds[hi]; id++ {
+		t.agents[id], t.agentSrcs[id] = nil, nil
 	}
-	return t
+	for s := lo; s < hi; s++ {
+		t.rngs[s], t.shardSrcs[s] = nil, nil
+	}
+}
+
+// own adds the built, unowned shards [lo, hi) to the owned list.
+func (t *LocalTransport) own(lo, hi int) {
+	i := sort.SearchInts(t.owned, lo)
+	owned := make([]int, 0, len(t.owned)+hi-lo)
+	owned = append(owned, t.owned[:i]...)
+	for s := lo; s < hi; s++ {
+		owned = append(owned, s)
+	}
+	t.setOwned(append(owned, t.owned[i:]...))
+}
+
+// setOwned commits a new owned list and sizes the per-tick step scratch
+// to it.
+func (t *LocalTransport) setOwned(owned []int) {
+	t.owned = owned
+	t.results = make([]*ShardExchange, len(owned))
+	for i := range t.results {
+		t.results[i] = &ShardExchange{}
+	}
+	t.order = make([]int, len(owned))
+	t.costBuf = make([]float64, len(owned))
+}
+
+// owns reports whether every shard of the valid range [lo, hi) is owned.
+func (t *LocalTransport) owns(lo, hi int) bool {
+	i := sort.SearchInts(t.owned, lo)
+	j := i + hi - lo - 1
+	return j < len(t.owned) && t.owned[i] == lo && t.owned[j] == hi-1
 }
 
 // mix derives a well-separated sub-seed from a base seed, a stream salt and
@@ -238,15 +282,14 @@ func mix(seed int64, salt uint64, i int64) int64 {
 	return int64(x*0x94D049BB133111EB) + i
 }
 
-// Range reports the owned shard interval [lo, hi).
-func (t *LocalTransport) Range() (lo, hi int) { return t.lo, t.hi }
-
-// AgentRange reports the owned agent interval corresponding to Range.
-func (t *LocalTransport) AgentRange() (lo, hi int) { return t.bounds[t.lo], t.bounds[t.hi] }
+// Owned reports the owned shards in ascending order. Adopt and Release
+// replace the slice rather than modify it; callers must not modify it
+// either.
+func (t *LocalTransport) Owned() []int { return t.owned }
 
 // Agent returns agent id when this transport owns it, nil otherwise.
 func (t *LocalTransport) Agent(id int) *core.Agent {
-	if id < t.bounds[t.lo] || id >= t.bounds[t.hi] {
+	if id < 0 || id >= len(t.agents) {
 		return nil
 	}
 	return t.agents[id]
@@ -268,8 +311,10 @@ func (t *LocalTransport) Agent(id int) *core.Agent {
 //sacs:hotpath
 func (t *LocalTransport) Step(tick int, mail [][]core.Stimulus) ([]*ShardExchange, error) {
 	now := float64(tick)
-	n := t.hi - t.lo
-	t.costBuf = t.costs.EstimatesInto(t.costBuf[:0], t.lo, t.hi)
+	n := len(t.owned)
+	for i, s := range t.owned {
+		t.costBuf[i] = t.costs.Estimate(s)
+	}
 	lptPlan(t.order, t.costBuf)
 	key := runner.Key{Experiment: t.cfg.Name, System: "shard"}
 	execs := t.cfg.Pool.Workers()
@@ -284,7 +329,8 @@ func (t *LocalTransport) Step(tick int, mail [][]core.Stimulus) ([]*ShardExchang
 			if pos >= n {
 				return 0
 			}
-			res := t.stepShard(t.lo+t.order[pos], tick, now, mail)
+			i := t.order[pos]
+			res := t.stepShard(t.owned[i], t.results[i], tick, now, mail)
 			if pos%execs != e {
 				res.Steals = 1
 			}
@@ -296,15 +342,14 @@ func (t *LocalTransport) Step(tick int, mail [][]core.Stimulus) ([]*ShardExchang
 	return t.results, nil
 }
 
-// stepShard runs shard s for one tick. It touches only shard-local state:
-// its own agents, its own RNG stream, the read-only mailboxes of its own
-// agents, and its own pooled exchange (reset here, read by the engine at
-// the barrier, never shared between shards).
+// stepShard runs shard s for one tick into its pooled exchange res. It
+// touches only shard-local state: its own agents, its own RNG stream, the
+// read-only mailboxes of its own agents, and res (reset here, read by the
+// engine at the barrier, never shared between shards).
 //
 //sacs:hotpath
-func (t *LocalTransport) stepShard(s, tick int, now float64, mail [][]core.Stimulus) *ShardExchange {
+func (t *LocalTransport) stepShard(s int, res *ShardExchange, tick int, now float64, mail [][]core.Stimulus) *ShardExchange {
 	start := time.Now() //sacslint:allow detsource observation-only: per-shard busy-time estimate feeds the cost model, not agent state
-	res := t.results[s-t.lo]
 	res.Delivered, res.Actions, res.Steals = 0, 0, 0
 	res.Msgs = res.Msgs[:0]
 	res.Observed = stats.Online{}
@@ -336,10 +381,12 @@ func (t *LocalTransport) stepShard(s, tick int, now float64, mail [][]core.Stimu
 // snapshot at attach, so its first tick dispatches in the established LPT
 // order instead of rediscovering the skew from scratch.
 func (t *LocalTransport) SeedCosts(costs []float64) error {
-	if len(costs) != t.hi-t.lo {
-		return fmt.Errorf("population: %d cost priors for %d owned shards", len(costs), t.hi-t.lo)
+	if len(costs) != len(t.owned) {
+		return fmt.Errorf("population: %d cost priors for %d owned shards", len(costs), len(t.owned))
 	}
-	t.costs.Seed(t.lo, costs)
+	for i, s := range t.owned {
+		t.costs.Seed(s, costs[i:i+1])
+	}
 	return nil
 }
 
@@ -347,15 +394,20 @@ func (t *LocalTransport) SeedCosts(costs []float64) error {
 // CostModel for its concurrency contract).
 func (t *LocalTransport) Costs() *CostModel { return t.costs }
 
-// Export copies out the owned range's state in index order.
+// Export copies out the owned shards' state in index order. They must form
+// one contiguous run; a transport with gaps exports run by run through
+// ExportRange.
 func (t *LocalTransport) Export() (*RangeState, error) {
-	return t.ExportRange(t.lo, t.hi)
+	if len(t.owned) == 0 {
+		return nil, fmt.Errorf("population: export: no shards owned")
+	}
+	return t.ExportRange(t.owned[0], t.owned[len(t.owned)-1]+1)
 }
 
-// ExportRange copies out the state of shards [lo, hi), which must lie
-// inside the owned range — the drain half of a live shard migration: the
-// coordinator pulls just the moving subrange, without materialising the
-// whole transport's state.
+// ExportRange copies out the state of shards [lo, hi), which must all be
+// owned — the drain half of a live shard migration: the coordinator pulls
+// just the moving subrange, without materialising the whole transport's
+// state.
 //
 // The copy runs as one job per shard on the engine's pool, which is idle
 // at the barrier. Each job fills only its own shard's slots of the
@@ -365,8 +417,8 @@ func (t *LocalTransport) ExportRange(lo, hi int) (*RangeState, error) {
 	if err := ValidateShardRange(lo, hi, t.cfg.Shards); err != nil {
 		return nil, err
 	}
-	if lo < t.lo || hi > t.hi {
-		return nil, fmt.Errorf("population: export range [%d, %d) outside owned [%d, %d)", lo, hi, t.lo, t.hi)
+	if !t.owns(lo, hi) {
+		return nil, fmt.Errorf("population: export range [%d, %d) outside owned shards", lo, hi)
 	}
 	loA, hiA := t.bounds[lo], t.bounds[hi]
 	rs := &RangeState{
@@ -397,30 +449,100 @@ func (t *LocalTransport) ExportRange(lo, hi int) (*RangeState, error) {
 	return rs, nil
 }
 
-// Install overlays rs — which must cover exactly the owned range — onto the
-// freshly constructed agents: RNG stream positions and agent states.
-func (t *LocalTransport) Install(rs *RangeState) error {
-	loA, hiA := t.AgentRange()
-	if rs.LoShard != t.lo || rs.HiShard != t.hi || rs.LoAgent != loA || rs.HiAgent != hiA {
-		return fmt.Errorf("population: install: state covers shards [%d, %d) agents [%d, %d), transport owns [%d, %d)/[%d, %d)",
-			rs.LoShard, rs.HiShard, rs.LoAgent, rs.HiAgent, t.lo, t.hi, loA, hiA)
+// checkState verifies that rs is a well-formed range of this population:
+// a valid shard interval, the partition's agent interval for it, and
+// slices of matching lengths. op names the caller in the error.
+func (t *LocalTransport) checkState(op string, rs *RangeState) error {
+	if err := ValidateShardRange(rs.LoShard, rs.HiShard, t.cfg.Shards); err != nil {
+		return fmt.Errorf("population: %s: %w", op, err)
 	}
-	if len(rs.ShardRNG) != t.hi-t.lo || len(rs.AgentRNG) != hiA-loA || len(rs.AgentStates) != hiA-loA {
-		return fmt.Errorf("population: install: state internally inconsistent "+
+	loA, hiA := t.bounds[rs.LoShard], t.bounds[rs.HiShard]
+	if rs.LoAgent != loA || rs.HiAgent != hiA {
+		return fmt.Errorf("population: %s: shards [%d, %d) carry agents [%d, %d), partition says [%d, %d)",
+			op, rs.LoShard, rs.HiShard, rs.LoAgent, rs.HiAgent, loA, hiA)
+	}
+	if len(rs.ShardRNG) != rs.HiShard-rs.LoShard || len(rs.AgentRNG) != hiA-loA || len(rs.AgentStates) != hiA-loA {
+		return fmt.Errorf("population: %s: state internally inconsistent "+
 			"(%d shard streams, %d agent streams, %d agent states for %d shards, %d agents)",
-			len(rs.ShardRNG), len(rs.AgentRNG), len(rs.AgentStates), t.hi-t.lo, hiA-loA)
+			op, len(rs.ShardRNG), len(rs.AgentRNG), len(rs.AgentStates), rs.HiShard-rs.LoShard, hiA-loA)
 	}
+	return nil
+}
+
+// Install overlays rs, which may cover any range of owned shards, onto
+// their agents: RNG stream positions and agent states.
+func (t *LocalTransport) Install(rs *RangeState) error {
+	if err := t.checkState("install", rs); err != nil {
+		return err
+	}
+	if !t.owns(rs.LoShard, rs.HiShard) {
+		return fmt.Errorf("population: install: shards [%d, %d) outside owned shards", rs.LoShard, rs.HiShard)
+	}
+	return t.overlay(rs)
+}
+
+// overlay writes a checked rs into its shards' slots.
+func (t *LocalTransport) overlay(rs *RangeState) error {
 	for i, st := range rs.ShardRNG {
-		t.shardSrcs[t.lo+i].SetState(st)
+		t.shardSrcs[rs.LoShard+i].SetState(st)
 	}
 	for i, st := range rs.AgentRNG {
-		t.agentSrcs[loA+i].SetState(st)
+		t.agentSrcs[rs.LoAgent+i].SetState(st)
 	}
 	for i := range rs.AgentStates {
-		if err := t.agents[loA+i].SetState(rs.AgentStates[i]); err != nil {
+		if err := t.agents[rs.LoAgent+i].SetState(rs.AgentStates[i]); err != nil {
 			return fmt.Errorf("population: restore: %w", err)
 		}
 	}
+	return nil
+}
+
+// Adopt takes ownership of the shards rs covers, none of which may be
+// owned yet: it builds only their agents, installs rs over them and seeds
+// their cost priors (costs: one per adopted shard, non-positive = no
+// prior; or empty). The shards already owned are not touched, so their
+// agents step on as the same objects. A failed Adopt leaves the transport
+// exactly as it was.
+func (t *LocalTransport) Adopt(rs *RangeState, costs []float64) error {
+	if err := t.checkState("adopt", rs); err != nil {
+		return err
+	}
+	lo, hi := rs.LoShard, rs.HiShard
+	if len(costs) != 0 && len(costs) != hi-lo {
+		return fmt.Errorf("population: adopt: %d cost priors for %d shards", len(costs), hi-lo)
+	}
+	if i := sort.SearchInts(t.owned, lo); i < len(t.owned) && t.owned[i] < hi {
+		return fmt.Errorf("population: adopt: shards [%d, %d) overlap owned shard %d", lo, hi, t.owned[i])
+	}
+	committed := false
+	defer func() {
+		if !committed { // a SetState error, or a panicking Config.New
+			t.drop(lo, hi)
+		}
+	}()
+	t.build(lo, hi)
+	if err := t.overlay(rs); err != nil {
+		return err
+	}
+	t.own(lo, hi)
+	t.costs.Seed(lo, costs)
+	committed = true
+	return nil
+}
+
+// Release gives up shards [lo, hi), which must all be owned: their agents
+// and streams are dropped, and every other owned shard is left as it was.
+func (t *LocalTransport) Release(lo, hi int) error {
+	if err := ValidateShardRange(lo, hi, t.cfg.Shards); err != nil {
+		return fmt.Errorf("population: release: %w", err)
+	}
+	if !t.owns(lo, hi) {
+		return fmt.Errorf("population: release: shards [%d, %d) outside owned shards", lo, hi)
+	}
+	t.drop(lo, hi)
+	i := sort.SearchInts(t.owned, lo)
+	owned := make([]int, 0, len(t.owned)-(hi-lo))
+	t.setOwned(append(append(owned, t.owned[:i]...), t.owned[i+hi-lo:]...))
 	return nil
 }
 
@@ -428,7 +550,7 @@ func (t *LocalTransport) Install(rs *RangeState) error {
 func (t *LocalTransport) Explain(id int, now float64) (string, error) {
 	a := t.Agent(id)
 	if a == nil {
-		return "", fmt.Errorf("population: agent %d not hosted by shards [%d, %d)", id, t.lo, t.hi)
+		return "", fmt.Errorf("population: agent %d not hosted here", id)
 	}
 	return core.ExplainAgent(a, now), nil
 }

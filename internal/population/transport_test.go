@@ -3,21 +3,30 @@ package population
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sacs/internal/core"
 )
 
-// splitTransport composes LocalTransports over disjoint shard ranges into
+// splitTransport composes LocalTransports over disjoint shard sets into
 // one whole-population transport — the in-process model of a worker
 // cluster, with no wire in between. It exists only to pin the Transport
 // seam: an engine over split executors must be byte-identical to the
-// engine over the single default transport.
-type splitTransport struct{ parts []*LocalTransport }
+// engine over the single default transport, also while Move migrates
+// shards between the parts.
+type splitTransport struct {
+	parts  []*LocalTransport
+	bounds []int            // global agent partition
+	outs   []*ShardExchange // Step's result, shard-indexed
+}
 
 func newSplitTransport(cfg Config, cuts ...int) *splitTransport {
 	cfg = cfg.Normalized()
-	st := &splitTransport{}
+	st := &splitTransport{
+		bounds: Partition(cfg.Agents, cfg.Shards),
+		outs:   make([]*ShardExchange, cfg.Shards),
+	}
 	lo := 0
 	for _, hi := range append(cuts, cfg.Shards) {
 		st.parts = append(st.parts, NewLocalTransport(cfg, lo, hi))
@@ -26,47 +35,88 @@ func newSplitTransport(cfg Config, cuts ...int) *splitTransport {
 	return st
 }
 
+// NewSplitTransport hands the split helper to the external tests, which
+// may import the checkpoint codec to compare encoded snapshot bytes.
+var NewSplitTransport = newSplitTransport
+
+// ownedRuns lists p's owned shards as contiguous [lo, hi) runs.
+func ownedRuns(p *LocalTransport) [][2]int {
+	var runs [][2]int
+	for _, s := range p.Owned() {
+		if n := len(runs); n > 0 && runs[n-1][1] == s {
+			runs[n-1][1]++
+		} else {
+			runs = append(runs, [2]int{s, s + 1})
+		}
+	}
+	return runs
+}
+
 func (st *splitTransport) Step(tick int, mail [][]core.Stimulus) ([]*ShardExchange, error) {
-	var outs []*ShardExchange
 	for _, p := range st.parts {
-		o, err := p.Step(tick, mail)
+		outs, err := p.Step(tick, mail)
 		if err != nil {
 			return nil, err
 		}
-		outs = append(outs, o...)
+		for i, s := range p.Owned() {
+			st.outs[s] = outs[i]
+		}
 	}
-	return outs, nil
+	return st.outs, nil
 }
 
 func (st *splitTransport) Export() (*RangeState, error) {
-	full := &RangeState{}
+	shards, agents := len(st.outs), st.bounds[len(st.outs)]
+	full := &RangeState{
+		HiShard: shards, HiAgent: agents,
+		ShardRNG:    make([]uint64, shards),
+		AgentRNG:    make([]uint64, agents),
+		AgentStates: make([]core.AgentState, agents),
+	}
 	for _, p := range st.parts {
-		rs, err := p.Export()
-		if err != nil {
-			return nil, err
+		for _, r := range ownedRuns(p) {
+			rs, err := p.ExportRange(r[0], r[1])
+			if err != nil {
+				return nil, err
+			}
+			copy(full.ShardRNG[rs.LoShard:], rs.ShardRNG)
+			copy(full.AgentRNG[rs.LoAgent:], rs.AgentRNG)
+			copy(full.AgentStates[rs.LoAgent:], rs.AgentStates)
 		}
-		full.HiShard, full.HiAgent = rs.HiShard, rs.HiAgent
-		full.ShardRNG = append(full.ShardRNG, rs.ShardRNG...)
-		full.AgentRNG = append(full.AgentRNG, rs.AgentRNG...)
-		full.AgentStates = append(full.AgentStates, rs.AgentStates...)
 	}
 	return full, nil
 }
 
 func (st *splitTransport) Install(rs *RangeState) error {
 	for _, p := range st.parts {
-		lo, hi := p.Range()
-		loA, hiA := p.AgentRange()
-		if err := p.Install(&RangeState{
-			LoShard: lo, HiShard: hi, LoAgent: loA, HiAgent: hiA,
-			ShardRNG:    rs.ShardRNG[lo:hi],
-			AgentRNG:    rs.AgentRNG[loA:hiA],
-			AgentStates: rs.AgentStates[loA:hiA],
-		}); err != nil {
-			return err
+		for _, r := range ownedRuns(p) {
+			lo, hi := r[0], r[1]
+			loA, hiA := st.bounds[lo], st.bounds[hi]
+			if err := p.Install(&RangeState{
+				LoShard: lo, HiShard: hi, LoAgent: loA, HiAgent: hiA,
+				ShardRNG:    rs.ShardRNG[lo:hi],
+				AgentRNG:    rs.AgentRNG[loA:hiA],
+				AgentStates: rs.AgentStates[loA:hiA],
+			}); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
+}
+
+// Move migrates shards [lo, hi) from part `from` to part `to` the way a
+// cluster does: drain, adopt with the source's cost estimates, release.
+func (st *splitTransport) Move(lo, hi, from, to int) error {
+	src := st.parts[from]
+	rs, err := src.ExportRange(lo, hi)
+	if err != nil {
+		return err
+	}
+	if err := st.parts[to].Adopt(rs, src.Costs().EstimatesInto(nil, lo, hi)); err != nil {
+		return err
+	}
+	return src.Release(lo, hi)
 }
 
 func (st *splitTransport) Explain(id int, now float64) (string, error) {
@@ -144,5 +194,110 @@ func TestSplitTransportByteIdentical(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("restored tick %d diverges", i)
 		}
+	}
+}
+
+// transportView is what a failed ownership change must leave untouched: the
+// owned list, every agent slot (by identity) and every cost estimate.
+type transportView struct {
+	owned  []int
+	agents []*core.Agent
+	costs  []float64
+}
+
+func viewOf(lt *LocalTransport) transportView {
+	v := transportView{owned: append([]int(nil), lt.Owned()...)}
+	for id := range lt.agents {
+		v.agents = append(v.agents, lt.Agent(id))
+	}
+	v.costs = lt.Costs().EstimatesInto(nil, 0, lt.Costs().Shards())
+	return v
+}
+
+// TestAdoptFailureLeavesTransportUnchanged: every way an Adopt can fail —
+// an overlapping shard, a state whose lengths disagree, a wrong prior
+// count, an agent state SetState rejects — leaves the owned list, the
+// agents and the cost estimates exactly as they were, and a valid adopt
+// still succeeds afterwards.
+func TestAdoptFailureLeavesTransportUnchanged(t *testing.T) {
+	cfg := tinyConfig(48)
+	cfg.Shards = 6
+	cfg = cfg.Normalized()
+	src := NewLocalTransport(cfg, 0, cfg.Shards)
+	lt := NewLocalTransport(cfg, 0, 3)
+	mail := make([][]core.Stimulus, cfg.Agents)
+	for tick := 0; tick < 3; tick++ {
+		for _, tr := range []*LocalTransport{src, lt} {
+			if _, err := tr.Step(tick, mail); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	export := func(lo, hi int) *RangeState {
+		rs, err := src.ExportRange(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	truncated := export(3, 5)
+	truncated.AgentStates = truncated.AgentStates[:len(truncated.AgentStates)-1]
+	renamed := export(3, 5)
+	renamed.AgentStates[len(renamed.AgentStates)-1].Name = "someone else"
+
+	cases := []struct {
+		name  string
+		rs    *RangeState
+		costs []float64
+		want  string
+	}{
+		{"overlap", export(2, 4), nil, "overlap owned shard 2"},
+		{"inconsistent lengths", truncated, nil, "internally inconsistent"},
+		{"wrong prior count", export(3, 5), []float64{1}, "1 cost priors for 2 shards"},
+		{"SetState error", renamed, []float64{5, 5}, "applied to agent"},
+	}
+	before := viewOf(lt)
+	for _, c := range cases {
+		if err := lt.Adopt(c.rs, c.costs); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: Adopt = %v, want error containing %q", c.name, err, c.want)
+		}
+		if after := viewOf(lt); !reflect.DeepEqual(before, after) {
+			t.Fatalf("%s: failed Adopt changed the transport:\nbefore %+v\nafter  %+v", c.name, before, after)
+		}
+	}
+	if err := lt.Adopt(export(3, 5), nil); err != nil {
+		t.Fatalf("valid adopt after failures: %v", err)
+	}
+	if got := lt.Owned(); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("owned after adopt = %v", got)
+	}
+}
+
+// TestReleaseRejectsUnowned: Release of an interior subrange drops just
+// those shards, and a release naming any shard not owned — outside the
+// set, or in a gap an earlier release left — fails without changing it.
+func TestReleaseRejectsUnowned(t *testing.T) {
+	cfg := tinyConfig(48)
+	cfg.Shards = 6
+	cfg = cfg.Normalized()
+	lt := NewLocalTransport(cfg, 1, 5)
+	if err := lt.Release(2, 3); err != nil {
+		t.Fatalf("interior release: %v", err)
+	}
+	bounds := Partition(cfg.Agents, cfg.Shards)
+	if lt.Agent(bounds[2]) != nil || lt.Agent(bounds[3]) == nil {
+		t.Fatal("interior release dropped the wrong agents")
+	}
+	before := viewOf(lt)
+	for _, r := range [][2]int{{0, 2}, {4, 6}, {1, 4}, {2, 3}, {3, 3}} {
+		if err := lt.Release(r[0], r[1]); err == nil {
+			t.Fatalf("Release(%d, %d) of unowned shards succeeded", r[0], r[1])
+		}
+		if after := viewOf(lt); !reflect.DeepEqual(before, after) {
+			t.Fatalf("failed Release(%d, %d) changed the transport", r[0], r[1])
+		}
+	}
+	if got := lt.Owned(); !reflect.DeepEqual(got, []int{1, 3, 4}) {
+		t.Fatalf("owned = %v, want [1 3 4]", got)
 	}
 }

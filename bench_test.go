@@ -180,6 +180,52 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckpointRead is the resume half: checkpoint.Read (file read,
+// checksum, decode) then population.Restore (construct and install, on a
+// 2-worker pool) of the file CheckpointWrite's population writes. alloc-x
+// is bytes allocated per op over the file's size.
+func BenchmarkCheckpointRead(b *testing.B) {
+	for _, agents := range []int{2048} {
+		b.Run(fmt.Sprintf("agents=%d", agents), func(b *testing.B) {
+			p := runner.New(2)
+			defer p.Close()
+			cfg := experiments.S2Config(agents, 16, 1, p)
+			eng := population.New(cfg)
+			eng.Run(20)
+			snap, err := eng.Snapshot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			path := filepath.Join(b.TempDir(), checkpoint.FileName("bench", 20))
+			if err := checkpoint.Write(path, snap, nil); err != nil {
+				b.Fatal(err)
+			}
+			fi, err := os.Stat(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				got, _, err := checkpoint.Read(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := population.Restore(cfg, got); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			perOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N)
+			b.ReportMetric(float64(fi.Size()), "snapshot-bytes")
+			b.ReportMetric(perOp/float64(fi.Size()), "alloc-x")
+		})
+	}
+}
+
 // Dispatcher benchmarks: the runner pool's per-job overhead and the
 // experiment suite's scaling with worker count.
 

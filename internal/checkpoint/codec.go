@@ -73,6 +73,20 @@ func writeFramed(w io.Writer, segs [][]byte, n int) error {
 // checksum before interpreting the payload. Damage is reported as an error
 // wrapping ErrCorrupt.
 func Decode(r io.Reader) (*population.Snapshot, map[string]string, error) {
+	return decode(r, -1)
+}
+
+// DecodeBytes is Decode from a byte slice, whose length bounds the payload
+// as a file's size does for Read.
+func DecodeBytes(b []byte) (*population.Snapshot, map[string]string, error) {
+	return decode(bytes.NewReader(b), int64(len(b)))
+}
+
+// decode is Decode from a reader that holds at most size bytes in all
+// (negative: unknown). A known size is a trusted bound, unlike the header's
+// length field: a payload that cannot fit in it is corrupt before a byte of
+// it is read, and one that can is read into one buffer of its exact size.
+func decode(r io.Reader, size int64) (*population.Snapshot, map[string]string, error) {
 	var header [headerLen]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {
 		return nil, nil, fmt.Errorf("%w: header: %v", ErrCorrupt, err)
@@ -88,7 +102,10 @@ func Decode(r io.Reader) (*population.Snapshot, map[string]string, error) {
 	if n > maxPayload {
 		return nil, nil, fmt.Errorf("%w: payload length %d exceeds limit", ErrCorrupt, n)
 	}
-	payload, err := readPayload(r, n)
+	if size >= 0 && n > uint64(max(size-headerLen-trailerLen, 0)) {
+		return nil, nil, fmt.Errorf("%w: payload length %d does not fit in %d bytes", ErrCorrupt, n, size)
+	}
+	payload, err := readPayload(r, n, size >= 0)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: payload: %v", ErrCorrupt, err)
 	}
@@ -99,31 +116,40 @@ func Decode(r io.Reader) (*population.Snapshot, map[string]string, error) {
 	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(sum[:]); got != want {
 		return nil, nil, fmt.Errorf("%w: checksum mismatch (payload %08x, trailer %08x)", ErrCorrupt, got, want)
 	}
-	d := NewDecoder(payload)
-	s, meta := d.payload()
-	if d.err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, d.err)
-	}
-	if err := d.Finish(); err != nil {
+	s, meta, err := decodePayload(payload)
+	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return s, meta, nil
 }
 
-// DecodeBytes is Decode from a byte slice.
-func DecodeBytes(b []byte) (*population.Snapshot, map[string]string, error) {
-	return Decode(bytes.NewReader(b))
+// decodePayload interprets a payload whose checksum has been verified: a
+// snapshot and its metadata, or the first malformed field. The payload
+// must be consumed exactly.
+func decodePayload(payload []byte) (*population.Snapshot, map[string]string, error) {
+	d := NewDecoder(payload)
+	s, meta := d.payload()
+	if err := d.Finish(); err != nil {
+		return nil, nil, err
+	}
+	return s, meta, nil
 }
 
-// readPayload reads exactly n declared payload bytes without trusting the
-// untrusted length field with one up-front allocation. It starts at one
-// 4 MiB chunk and doubles the buffer (capped at n) only once the bytes
-// read have filled it, so a corrupt header claiming gigabytes on a short
-// file fails having allocated at most one chunk or twice the bytes
-// present, not an OOM. Reads land directly in the buffer's spare capacity.
-func readPayload(r io.Reader, n uint64) ([]byte, error) {
+// readPayload reads exactly n declared payload bytes. When bounded, the
+// caller has checked n against the bytes r can hold, so the buffer is
+// allocated once at its exact size. Otherwise the length field is
+// untrusted: the buffer starts at one 4 MiB chunk and doubles (capped at
+// n) only once the bytes read have filled it, so a corrupt header claiming
+// gigabytes on a short stream fails having allocated at most one chunk or
+// twice the bytes present, not an OOM. Reads land directly in the buffer's
+// spare capacity.
+func readPayload(r io.Reader, n uint64, bounded bool) ([]byte, error) {
 	const chunk = 4 << 20
-	buf := make([]byte, 0, min(n, chunk))
+	first := n
+	if !bounded {
+		first = min(n, chunk)
+	}
+	buf := make([]byte, 0, first)
 	for {
 		k, err := io.ReadFull(r, buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+k]
@@ -492,6 +518,20 @@ func (d *Decoder) Str() string {
 	return s
 }
 
+// Minimum encoded sizes, in bytes, of the composite elements a length
+// prefix counts: what a zero-valued element encodes to. Passing them to
+// Count keeps a lying count from allocating more than a small multiple of
+// the bytes that are actually there.
+const (
+	MinStimulusSize   = 19 // two empty strings, a scope, two floats
+	MinRangeStateSize = 7  // four bounds, three empty lists
+	minEntrySize      = 29 // store entry: name, scope, 3 floats, count, 2 empty histories
+	minAgentSize      = 33 // name, steps, empty store (12), 2 floats, 3 absent flags
+	minPredictorSize  = 4  // two empty strings, two empty float lists
+	minInboxSize      = 1  // an empty mailbox's count
+	minMetaSize       = 2  // an empty key and value
+)
+
 // Count reads a length prefix for elements of at least elemSize bytes and
 // rejects counts the remaining payload cannot possibly hold, bounding
 // allocation even for adversarial inputs that happen to pass the CRC.
@@ -512,16 +552,23 @@ func (d *Decoder) Count(elemSize int) int {
 
 func uint64asInt(v uint64) int { return int(v) }
 
-// F64s reads a length-prefixed float64 slice.
+// F64s reads a length-prefixed float64 slice. The bound is checked once
+// for the whole slice, then the floats are read without per-element checks.
 func (d *Decoder) F64s() []float64 {
 	n := d.Count(8)
 	if n == 0 {
 		return nil
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.F64()
+	if len(d.buf)-d.pos < 8*n {
+		d.fail("%d floats overrun payload at offset %d", n, d.pos)
+		return nil
 	}
+	out := make([]float64, n)
+	b := d.buf[d.pos : d.pos+8*n]
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	d.pos += 8 * n
 	return out
 }
 
@@ -549,7 +596,7 @@ func (d *Decoder) StoreState() knowledge.StoreState {
 		Reads:   d.Varint(),
 		Writes:  d.Varint(),
 	}
-	n := d.Count(1)
+	n := d.Count(minEntrySize)
 	if n > 0 {
 		st.Entries = make([]knowledge.EntryState, n)
 	}
@@ -581,7 +628,7 @@ func (d *Decoder) AgentState() core.AgentState {
 	a.GoalSwitches = d.F64()
 	a.Interactions = d.F64()
 	if d.Bool() {
-		n := d.Count(1)
+		n := d.Count(minPredictorSize)
 		t := &core.TimeState{}
 		if n > 0 {
 			t.Preds = make([]core.PredictorState, n)
@@ -627,7 +674,7 @@ func (d *Decoder) RangeState() *population.RangeState {
 			rs.AgentRNG[i] = d.U64()
 		}
 	}
-	if n := d.Count(1); n > 0 {
+	if n := d.Count(minAgentSize); n > 0 {
 		rs.AgentStates = make([]core.AgentState, n)
 		for i := 0; i < n && d.err == nil; i++ {
 			rs.AgentStates[i] = d.AgentState()
@@ -637,7 +684,7 @@ func (d *Decoder) RangeState() *population.RangeState {
 }
 
 func (d *Decoder) payload() (*population.Snapshot, map[string]string) {
-	nm := d.Count(2)
+	nm := d.Count(minMetaSize)
 	meta := make(map[string]string, nm)
 	for i := 0; i < nm && d.err == nil; i++ {
 		k := d.Str()
@@ -669,10 +716,10 @@ func (d *Decoder) payload() (*population.Snapshot, map[string]string) {
 			s.AgentRNG[i] = d.U64()
 		}
 	}
-	if n := d.Count(1); n > 0 {
+	if n := d.Count(minInboxSize); n > 0 {
 		s.Mail = make([][]core.Stimulus, n)
 		for i := 0; i < n && d.err == nil; i++ {
-			m := d.Count(1)
+			m := d.Count(MinStimulusSize)
 			if m > 0 {
 				s.Mail[i] = make([]core.Stimulus, m)
 				for j := 0; j < m && d.err == nil; j++ {
@@ -681,7 +728,7 @@ func (d *Decoder) payload() (*population.Snapshot, map[string]string) {
 			}
 		}
 	}
-	if n := d.Count(1); n > 0 {
+	if n := d.Count(minAgentSize); n > 0 {
 		s.AgentStates = make([]core.AgentState, n)
 		for i := 0; i < n && d.err == nil; i++ {
 			s.AgentStates[i] = d.AgentState()

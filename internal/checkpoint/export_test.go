@@ -1,0 +1,23 @@
+package checkpoint
+
+import (
+	"bytes"
+
+	"sacs/internal/population"
+)
+
+// Hooks for the external tests (package checkpoint_test), which may import
+// populations that themselves import this package.
+var (
+	DecodePayload   = decodePayload
+	Frame           = frame
+	LyingEntryCount = lyingEntryCount
+	Synthetic       = syntheticSnapshot
+	CodecConfig     = testConfig
+)
+
+// EncodePayload is the snapshot payload the framed encoding carries.
+func EncodePayload(s *population.Snapshot, meta map[string]string) []byte {
+	segs, _ := encodePayload(s, meta)
+	return bytes.Join(segs, nil)
+}

@@ -50,14 +50,24 @@ func Write(path string, s *population.Snapshot, meta map[string]string) (err err
 
 // Read decodes the snapshot file at path. Corruption (truncation, bit
 // flips, wrong magic or version) is reported as an error wrapping
-// ErrCorrupt; plain I/O failure is returned as-is.
+// ErrCorrupt; plain I/O failure is returned as-is. The file's size bounds
+// the payload, so it is read into one buffer of its exact length, and a
+// header claiming more than the file holds fails before any is allocated.
 func Read(path string) (*population.Snapshot, map[string]string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer f.Close()
-	s, meta, err := Decode(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
+	size := int64(-1)
+	if fi.Mode().IsRegular() {
+		size = fi.Size()
+	}
+	s, meta, err := decode(f, size)
 	if err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: read %s: %w", path, err)
 	}

@@ -1,0 +1,72 @@
+package checkpoint_test
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+
+	"sacs/internal/checkpoint"
+	"sacs/internal/experiments"
+	"sacs/internal/population"
+)
+
+// payloadSeeds are payloads of the golden, codec, segment and lying-count
+// tests' snapshots, at sizes a mutator can work with.
+func payloadSeeds(f *testing.F) [][]byte {
+	snapshot := func(cfg population.Config, ticks int) *population.Snapshot {
+		e := population.New(cfg)
+		e.Run(ticks)
+		s, err := e.Snapshot()
+		if err != nil {
+			f.Fatal(err)
+		}
+		return s
+	}
+	return [][]byte{
+		checkpoint.EncodePayload(snapshot(experiments.S2Config(4, 1, 1, nil), 2),
+			map[string]string{"workload": "s2", "id": "golden"}),
+		checkpoint.EncodePayload(snapshot(checkpoint.CodecConfig(2, 1, 11), 9), nil),
+		checkpoint.EncodePayload(checkpoint.Synthetic(3, 4), map[string]string{"id": "multi"}),
+		checkpoint.EncodePayload(&population.Snapshot{}, nil),
+		checkpoint.LyingEntryCount(256),
+	}
+}
+
+// FuzzDecodePayload feeds arbitrary bytes to the payload decoder behind
+// the checksum. No input may panic or allocate more than a small multiple
+// of its length plus a constant; one that decodes must reach a fixed point
+// after one encode (encode → decode → encode gives identical bytes), and
+// its framed encoding must decode.
+func FuzzDecodePayload(f *testing.F) {
+	for _, seed := range payloadSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var (
+			s    *population.Snapshot
+			meta map[string]string
+			err  error
+		)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, meta, err = checkpoint.DecodePayload(payload)
+		runtime.ReadMemStats(&after)
+		if total, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(payload)+64<<10); total > limit {
+			t.Fatalf("a %d-byte payload allocated %d bytes, want at most %d", len(payload), total, limit)
+		}
+		if err != nil {
+			return
+		}
+		once := checkpoint.EncodePayload(s, meta)
+		s2, meta2, err := checkpoint.DecodePayload(once)
+		if err != nil {
+			t.Fatalf("re-encoded payload does not decode: %v", err)
+		}
+		if twice := checkpoint.EncodePayload(s2, meta2); !bytes.Equal(once, twice) {
+			t.Fatal("encode → decode → encode changed the bytes")
+		}
+		if _, _, err := checkpoint.DecodeBytes(checkpoint.Frame(once)); err != nil {
+			t.Fatalf("framed re-encoding does not decode: %v", err)
+		}
+	})
+}

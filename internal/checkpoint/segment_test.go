@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"sacs/internal/core"
 	"sacs/internal/knowledge"
 	"sacs/internal/population"
+	"sacs/internal/stats"
 )
 
 // syntheticSnapshot builds a snapshot whose agents each carry one store
@@ -116,7 +119,7 @@ func TestReadPayloadAllocationBounded(t *testing.T) {
 	}
 	var got []byte
 	var err error
-	total := allocated(func() { got, err = readPayload(bytes.NewReader(body), uint64(n)) })
+	total := allocated(func() { got, err = readPayload(bytes.NewReader(body), uint64(n), false) })
 	if err != nil || !bytes.Equal(got, body) {
 		t.Fatalf("readPayload: err %v, equal %v", err, bytes.Equal(got, body))
 	}
@@ -137,5 +140,137 @@ func TestDecodeLyingHeaderAllocatesLittle(t *testing.T) {
 	}
 	if limit := uint64(5 << 20); total > limit { // one 4 MiB read chunk, never a 1 GiB buffer
 		t.Fatalf("1 GiB header over a short body allocated %d bytes, want at most %d", total, limit)
+	}
+}
+
+// frame wraps a payload in a valid header and checksum.
+func frame(payload []byte) []byte {
+	var buf bytes.Buffer
+	if err := writeFramed(&buf, [][]byte{payload}, len(payload)); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// lyingEntryCount returns a size-byte payload, checksum-valid once framed,
+// whose one agent's store claims an entry for nearly every byte left: zero
+// padding, which decodes as zero-valued entries until it runs out.
+func lyingEntryCount(size int) []byte {
+	e := NewEncoder()
+	e.Uvarint(0) // no metadata
+	e.Str("lying")
+	for range 4 { // agents, shards, seed, tick
+		e.Int(1)
+	}
+	for range 4 { // steps, messages, delivered, actions
+		e.Varint(0)
+	}
+	e.Online(stats.OnlineState{})
+	e.F64s(nil)  // work
+	e.Uvarint(0) // shard streams
+	e.Uvarint(0) // agent streams
+	e.Uvarint(0) // mailboxes
+	e.Uvarint(1) // one agent state, whose store lies:
+	e.Str("a0")
+	e.Int(0)
+	e.F64(0.2)
+	e.Int(8)
+	e.Varint(0)
+	e.Varint(0)
+	e.Uvarint(uint64(size - 128)) // entries
+	return append(e.Bytes(), make([]byte, size-len(e.Bytes()))...)
+}
+
+// TestDecodeLyingCountAllocatesLittle: a checksum-valid payload whose one
+// store claims an entry for nearly every payload byte must fail having
+// allocated a small multiple of the payload, not an entry slice sized by
+// the claim (about 100 bytes per claimed entry).
+func TestDecodeLyingCountAllocatesLittle(t *testing.T) {
+	const size = 1 << 20
+	file := frame(lyingEntryCount(size))
+	var err error
+	total := allocated(func() { _, _, err = DecodeBytes(file) })
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("lying entry count: want ErrCorrupt, got %v", err)
+	}
+	if limit := uint64(8 * size); total > limit {
+		t.Fatalf("a %d-byte payload claiming %d entries allocated %d bytes, want at most %d",
+			size, size-128, total, limit)
+	}
+}
+
+// TestReadLyingHeaderAllocatesLittle: Read trusts the file's size, not the
+// header's length field, so a header claiming 1 GiB over a short file
+// fails having allocated less than the file holds.
+func TestReadLyingHeaderAllocatesLittle(t *testing.T) {
+	file := make([]byte, headerLen+64<<10)
+	copy(file[:8], magic[:])
+	binary.LittleEndian.PutUint32(file[8:12], Version)
+	binary.LittleEndian.PutUint64(file[12:20], 1<<30)
+	path := filepath.Join(t.TempDir(), FileName("lying", 1))
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	total := allocated(func() { _, _, err = Read(path) })
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("1 GiB header over a %d-byte file: want ErrCorrupt, got %v", len(file), err)
+	}
+	if limit := uint64(len(file)); total > limit {
+		t.Fatalf("1 GiB header over a %d-byte file allocated %d bytes, want at most the file's size", len(file), total)
+	}
+}
+
+// TestReadAllocatesPayloadOnce: a well-formed file is read into one buffer
+// of the payload's size, not grown toward it.
+func TestReadAllocatesPayloadOnce(t *testing.T) {
+	snap, b, _ := multiSegment(t)
+	path := filepath.Join(t.TempDir(), FileName("multi", 3))
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var got *population.Snapshot
+	var err error
+	withRead := allocated(func() { got, _, err = Read(path) })
+	if err != nil || !reflect.DeepEqual(got, snap) {
+		t.Fatalf("Read: err %v, equal %v", err, reflect.DeepEqual(got, snap))
+	}
+	payload := b[headerLen : len(b)-trailerLen]
+	decodeOnly := allocated(func() { _, _, err = decodePayload(payload) })
+	if extra := withRead - decodeOnly; extra > uint64(len(payload))+64<<10 {
+		t.Fatalf("Read allocated %d bytes beyond decoding a %d-byte payload, want one payload buffer", extra, len(payload))
+	}
+}
+
+// TestMinSizesMatchEncoder: every minimum size Count is given must be what
+// the encoder writes for a zero-valued element — larger would reject valid
+// payloads, smaller would loosen the allocation bound.
+func TestMinSizesMatchEncoder(t *testing.T) {
+	size := func(fn func(e *Encoder)) int {
+		e := &Encoder{}
+		fn(e)
+		return len(e.buf)
+	}
+	emptyStore := size(func(e *Encoder) { e.StoreState(knowledge.StoreState{}) })
+	emptyTime := size(func(e *Encoder) { e.AgentState(core.AgentState{Time: &core.TimeState{}}) })
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"stimulus", size(func(e *Encoder) { e.Stimulus(core.Stimulus{}) }), MinStimulusSize},
+		{"range state", size(func(e *Encoder) { e.RangeState(&population.RangeState{}) }), MinRangeStateSize},
+		{"store entry", size(func(e *Encoder) {
+			e.StoreState(knowledge.StoreState{Entries: []knowledge.EntryState{{}}})
+		}) - emptyStore, minEntrySize},
+		{"agent state", size(func(e *Encoder) { e.AgentState(core.AgentState{}) }), minAgentSize},
+		{"predictor", size(func(e *Encoder) {
+			e.AgentState(core.AgentState{Time: &core.TimeState{Preds: []core.PredictorState{{}}}})
+		}) - emptyTime, minPredictorSize},
+		{"inbox", size(func(e *Encoder) { e.Uvarint(0) }), minInboxSize},
+		{"metadata pair", size(func(e *Encoder) { e.Str(""); e.Str("") }), minMetaSize},
+	} {
+		if c.got != c.want {
+			t.Errorf("zero %s encodes to %d bytes, constant says %d", c.name, c.got, c.want)
+		}
 	}
 }

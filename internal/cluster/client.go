@@ -582,13 +582,13 @@ func (t *Transport) Export() (*population.RangeState, error) {
 				return
 			}
 			d := checkpoint.NewDecoder(body)
-			n := d.Count(1)
+			n := d.Count(checkpoint.MinRangeStateSize)
 			if err := d.Err(); err != nil {
 				errs[wi] = fmt.Errorf("cluster: worker %s: %w", c.addr, err)
 				return
 			}
 			list := make([]*population.RangeState, 0, n)
-			for i := 0; i < n; i++ {
+			for i := 0; i < n && d.Err() == nil; i++ {
 				list = append(list, d.RangeState())
 			}
 			if err := d.Finish(); err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sacs/internal/checkpoint"
+	"sacs/internal/core"
 	"sacs/internal/population"
 	"sacs/internal/runner"
 )
@@ -172,4 +173,26 @@ func FuzzTickReply(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestMinSizesMatchWire: the minimum sizes the frame decoders bound their
+// counts by must be what a zero-valued element encodes to.
+func TestMinSizesMatchWire(t *testing.T) {
+	size := func(fn func(e *checkpoint.Encoder)) int {
+		e := checkpoint.NewEncoder()
+		fn(e)
+		return len(e.Bytes())
+	}
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"mailbox", size(func(e *checkpoint.Encoder) { e.Int(0); e.Uvarint(0) }), minMailboxSize},
+		{"routed message", size(func(e *checkpoint.Encoder) { e.Int(0); e.Stimulus(core.Stimulus{}) }), minRoutedSize},
+		{"exchange", size(func(e *checkpoint.Encoder) { encodeExchange(e, &population.ShardExchange{}) }), minExchangeSize},
+	} {
+		if c.got != c.want {
+			t.Errorf("zero %s encodes to %d bytes, constant says %d", c.name, c.got, c.want)
+		}
+	}
 }

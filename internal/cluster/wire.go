@@ -158,6 +158,15 @@ func decodeSpec(d *checkpoint.Decoder) Spec {
 	}
 }
 
+// Minimum encoded sizes, in bytes, of the composite elements the frame
+// bodies count (see checkpoint.Decoder.Count): what a zero-valued element
+// encodes to.
+const (
+	minMailboxSize  = 2                              // agent id, empty stimulus list
+	minRoutedSize   = 1 + checkpoint.MinStimulusSize // target agent id, stimulus
+	minExchangeSize = 38                             // 4 counters, an empty Online (33), empty message list
+)
+
 // span is one half-open interval [lo, hi) of shards or agents. A v4 worker
 // may own several disjoint shard runs, so mail crosses the wire per
 // interval list.
@@ -197,10 +206,10 @@ func encodeMail(e *checkpoint.Encoder, mail [][]core.Stimulus, spans []span) {
 // cheaply after the tick. Every id must fall inside one of the owned
 // agent intervals.
 func decodeMailInto(d *checkpoint.Decoder, mail [][]core.Stimulus, spans []span, touched []int) ([]int, error) {
-	boxes := d.Count(2)
+	boxes := d.Count(minMailboxSize)
 	for i := 0; i < boxes; i++ {
 		id := d.Int()
-		n := d.Count(1)
+		n := d.Count(checkpoint.MinStimulusSize)
 		if err := d.Err(); err != nil {
 			return touched, err
 		}
@@ -245,7 +254,7 @@ func encodeExchange(e *checkpoint.Encoder, o *population.ShardExchange) {
 // tick (poisoning the engine) instead of crashing the coordinator.
 func decodeTickReply(body []byte, shards []int, outs []*population.ShardExchange, agents int) error {
 	d := checkpoint.NewDecoder(body)
-	n := d.Count(1)
+	n := d.Count(minExchangeSize)
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -272,7 +281,7 @@ func decodeExchange(d *checkpoint.Decoder, o *population.ShardExchange, agents i
 	o.StepNanos = d.Varint()
 	o.Steals = d.Int()
 	o.Observed.SetState(d.Online())
-	msgs := d.Count(2)
+	msgs := d.Count(minRoutedSize)
 	if err := d.Err(); err != nil {
 		return err
 	}

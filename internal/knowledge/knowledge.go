@@ -690,6 +690,30 @@ func (r *Ring) init(capacity int) {
 	*r = Ring{t: b[:n:n], v: b[n:], max: capacity}
 }
 
+// ringLen is the backing length of a ring bounded at max after k <= max
+// Pushes into NewRing(max): the seed, doubled (capped at the bound) until
+// it holds k points.
+func ringLen(max, k int) int {
+	n := min(max, ringSeed)
+	for n < k {
+		n = min(2*n, max)
+	}
+	return n
+}
+
+// restore sets the ring up over b, whose length is 2·ringLen(max, len(t)),
+// holding the points t, v (oldest-first): the ring NewRing(max) becomes
+// after Pushing them one by one, backing length and head included.
+func (r *Ring) restore(b, t, v []float64, max int) {
+	n := len(b) / 2
+	*r = Ring{t: b[:n:n], v: b[n:], head: len(t), size: len(t), max: max}
+	copy(r.t, t)
+	copy(r.v, v)
+	if r.head == n {
+		r.head = 0
+	}
+}
+
 // Push appends a point, evicting the oldest when full at the bound. The wrap
 // is a compare, not a modulo: Push runs once per observation per model and
 // the integer division dominated tick profiles. A ring full below its bound

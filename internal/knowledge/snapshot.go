@@ -71,18 +71,40 @@ func (s *Store) State() StoreState {
 // table survives: every interned Key is re-pointed at the restored entry of
 // the same name (or at nothing, when the state has no such model), so
 // processes that cached keys before the restore keep working.
+//
+// The restored entries and their rings come out of one entryBox block, and
+// every history out of one float slab, both sized from st: a resume
+// restores every store of every agent, so it costs a few allocations per
+// store rather than several per entry. Each history is copied straight
+// into a ring of the backing length NewRing plus its Pushes would have
+// grown to, so later growth, Trend and State are exactly the exporter's.
 func (s *Store) SetState(st StoreState) error {
-	entries := make(map[string]*Entry, len(st.Entries))
+	floats := 0
 	for _, es := range st.Entries {
 		if len(es.HistT) != len(es.HistV) {
 			return fmt.Errorf("knowledge: entry %q history length mismatch (%d times, %d values)",
 				es.Name, len(es.HistT), len(es.HistV))
 		}
-		if st.HistLen > 0 && len(es.HistT) > st.HistLen {
-			return fmt.Errorf("knowledge: entry %q history %d exceeds ring capacity %d",
-				es.Name, len(es.HistT), st.HistLen)
+		if st.HistLen > 0 {
+			if len(es.HistT) > st.HistLen {
+				return fmt.Errorf("knowledge: entry %q history %d exceeds ring capacity %d",
+					es.Name, len(es.HistT), st.HistLen)
+			}
+			floats += 2 * ringLen(st.HistLen, len(es.HistT))
 		}
-		e := &Entry{
+	}
+	boxes := make([]entryBox, len(st.Entries))
+	var slab []float64
+	if floats > 0 {
+		slab = make([]float64, floats)
+	}
+	entries := make(map[string]*Entry, len(st.Entries))
+	for i, es := range st.Entries {
+		if _, dup := entries[es.Name]; dup {
+			return fmt.Errorf("knowledge: duplicate entry %q in store state", es.Name)
+		}
+		box := &boxes[i]
+		box.e = Entry{
 			Name:       es.Name,
 			Scope:      es.Scope,
 			alpha:      st.Alpha,
@@ -93,15 +115,12 @@ func (s *Store) SetState(st StoreState) error {
 			lastUpdate: es.LastUpdate,
 		}
 		if st.HistLen > 0 {
-			e.hist = NewRing(st.HistLen)
-			for i := range es.HistT {
-				e.hist.Push(es.HistT[i], es.HistV[i])
-			}
+			n := 2 * ringLen(st.HistLen, len(es.HistT))
+			box.r.restore(slab[:n:n], es.HistT, es.HistV, st.HistLen)
+			slab = slab[n:]
+			box.e.hist = &box.r
 		}
-		if _, dup := entries[es.Name]; dup {
-			return fmt.Errorf("knowledge: duplicate entry %q in store state", es.Name)
-		}
-		entries[es.Name] = e
+		entries[es.Name] = &box.e
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -74,3 +74,55 @@ func TestParallelExportReportsLowestFailingAgent(t *testing.T) {
 		}
 	}
 }
+
+// Parallel install (LocalTransport.overlay fans one job per shard over the
+// engine's pool) must be invisible too: a population restored on any
+// worker count continues byte-identically to the uninterrupted run.
+func TestParallelRestoreBytesEqualAcrossWorkers(t *testing.T) {
+	const cut, more = 12, 6
+	eng := population.New(experiments.S2Config(64, 16, 5, nil))
+	eng.Run(cut)
+	snap, err := eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run(more)
+	want := encodeSnapshot(t, eng)
+	for _, workers := range exportWorkers {
+		pool := runner.New(workers)
+		r, err := population.Restore(experiments.S2Config(64, 16, 5, pool), snap)
+		if err != nil {
+			pool.Close()
+			t.Fatalf("workers=%d: restore: %v", workers, err)
+		}
+		r.Run(more)
+		got := encodeSnapshot(t, r)
+		pool.Close()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("workers=%d: restored run's snapshot bytes differ from the uninterrupted run", workers)
+		}
+	}
+}
+
+func TestParallelInstallReportsLowestFailingAgent(t *testing.T) {
+	const agents, shards = 64, 8
+	cfg := experiments.S2Config(agents, shards, 3, nil)
+	eng := population.New(cfg)
+	eng.Run(3)
+	snap, err := eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{13, 50} { // shards 1 and 6
+		snap.AgentStates[id].Name = "impostor"
+	}
+	for _, workers := range exportWorkers {
+		pool := runner.New(workers)
+		cfg.Pool = pool
+		_, err := population.Restore(cfg, snap)
+		pool.Close()
+		if err == nil || !strings.Contains(err.Error(), "agent 13:") {
+			t.Fatalf("workers=%d: Restore error = %v, want it to name agent 13", workers, err)
+		}
+	}
+}

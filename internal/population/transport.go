@@ -481,17 +481,28 @@ func (t *LocalTransport) Install(rs *RangeState) error {
 	return t.overlay(rs)
 }
 
-// overlay writes a checked rs into its shards' slots.
+// overlay writes a checked rs into its shards' slots: RNG stream positions
+// and agent states. Like ExportRange, it runs as one job per shard on the
+// engine's pool, which is idle at the barrier; each job writes only its own
+// shard's streams and agents, which are as independent here as in a
+// parallel tick. When several agents fail to restore, the error names the
+// lowest agent id.
 func (t *LocalTransport) overlay(rs *RangeState) error {
-	for i, st := range rs.ShardRNG {
-		t.shardSrcs[rs.LoShard+i].SetState(st)
-	}
-	for i, st := range rs.AgentRNG {
-		t.agentSrcs[rs.LoAgent+i].SetState(st)
-	}
-	for i := range rs.AgentStates {
-		if err := t.agents[rs.LoAgent+i].SetState(rs.AgentStates[i]); err != nil {
-			return fmt.Errorf("population: restore: %w", err)
+	key := runner.Key{Experiment: t.cfg.Name, System: "install"}
+	errs := runner.FanOut(t.cfg.Pool, key, rs.HiShard-rs.LoShard, func(i int) error {
+		s := rs.LoShard + i
+		t.shardSrcs[s].SetState(rs.ShardRNG[i])
+		for id := t.bounds[s]; id < t.bounds[s+1]; id++ {
+			t.agentSrcs[id].SetState(rs.AgentRNG[id-rs.LoAgent])
+			if err := t.agents[id].SetState(rs.AgentStates[id-rs.LoAgent]); err != nil {
+				return fmt.Errorf("population: restore: agent %d: %w", id, err)
+			}
+		}
+		return nil
+	})
+	for _, err := range errs { // shard order, so the lowest failing agent
+		if err != nil {
+			return err
 		}
 	}
 	return nil

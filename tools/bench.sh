@@ -35,10 +35,10 @@ go test -run '^$' -bench \
   -benchmem -benchtime=20000x . | tee "$raw"
 
 # Macro-benchmarks: small fixed iteration counts (each op is a full tick,
-# checkpoint round trip, checkpoint write, or S1 table build).
-# CheckpointWrite is recorded, not gated.
+# checkpoint round trip, checkpoint write or read, or S1 table build).
+# CheckpointWrite and CheckpointRead are recorded, not gated.
 go test -run '^$' -bench \
-  '^(BenchmarkPopulationTick|BenchmarkCheckpointRoundTrip|BenchmarkCheckpointWrite|BenchmarkS1PopulationScaling)$' \
+  '^(BenchmarkPopulationTick|BenchmarkCheckpointRoundTrip|BenchmarkCheckpointWrite|BenchmarkCheckpointRead|BenchmarkS1PopulationScaling)$' \
   -benchmem -benchtime=10x -timeout 30m . | tee -a "$raw"
 
 go run ./cmd/benchjson \

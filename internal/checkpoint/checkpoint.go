@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -56,6 +57,12 @@ func ownedBy(name, id string) bool {
 	return true
 }
 
+// tempName matches exactly the names Write's CreateTemp makes: a snapshot
+// file name (see FileName) followed by ".tmp" and the random digits in
+// place of its "*". A looser match would take the snapshots of an id such
+// as "a.ckpt.tmp" for orphans.
+var tempName = regexp.MustCompile(fmt.Sprintf(`-t\d{%d}%s\.tmp\d+$`, tickDigits, regexp.QuoteMeta(FileExt)))
+
 // Latest returns the path of the newest (highest-tick) snapshot file for
 // the given population id in dir, or os.ErrNotExist when none is present.
 func Latest(dir, id string) (string, error) {
@@ -91,7 +98,7 @@ func RemoveTemp(dir string) (int, error) {
 	}
 	removed := 0
 	for _, e := range entries {
-		if e.IsDir() || !strings.Contains(e.Name(), FileExt+".tmp") {
+		if e.IsDir() || !tempName.MatchString(e.Name()) {
 			continue
 		}
 		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {

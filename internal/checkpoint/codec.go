@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"sort"
 
+	"sacs/internal/codec"
 	"sacs/internal/core"
-	"sacs/internal/knowledge"
 	"sacs/internal/population"
-	"sacs/internal/stats"
 )
 
 // castagnoli is the CRC-32C table; hardware-accelerated on amd64/arm64.
@@ -23,14 +21,20 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // the versioned wire format. Equal snapshots and metadata encode to equal
 // bytes.
 func Encode(w io.Writer, s *population.Snapshot, meta map[string]string) error {
-	segs, n := encodePayload(s, meta)
+	segs, n, err := encodePayload(s, meta)
+	if err != nil {
+		return err
+	}
 	return writeFramed(w, segs, n)
 }
 
 // EncodeBytes is Encode into a fresh byte slice, allocated once at the
 // exact encoded size.
 func EncodeBytes(s *population.Snapshot, meta map[string]string) ([]byte, error) {
-	segs, n := encodePayload(s, meta)
+	segs, n, err := encodePayload(s, meta)
+	if err != nil {
+		return nil, err
+	}
 	buf := bytes.NewBuffer(make([]byte, 0, headerLen+n+trailerLen))
 	if err := writeFramed(buf, segs, n); err != nil {
 		return nil, err
@@ -105,7 +109,7 @@ func decode(r io.Reader, size int64) (*population.Snapshot, map[string]string, e
 	if size >= 0 && n > uint64(max(size-headerLen-trailerLen, 0)) {
 		return nil, nil, fmt.Errorf("%w: payload length %d does not fit in %d bytes", ErrCorrupt, n, size)
 	}
-	payload, err := readPayload(r, n, size >= 0)
+	payload, err := codec.ReadN(r, n, size >= 0)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: payload: %v", ErrCorrupt, err)
 	}
@@ -123,234 +127,27 @@ func decode(r io.Reader, size int64) (*population.Snapshot, map[string]string, e
 	return s, meta, nil
 }
 
-// decodePayload interprets a payload whose checksum has been verified: a
-// snapshot and its metadata, or the first malformed field. The payload
-// must be consumed exactly.
-func decodePayload(payload []byte) (*population.Snapshot, map[string]string, error) {
-	d := NewDecoder(payload)
-	s, meta := d.payload()
-	if err := d.Finish(); err != nil {
-		return nil, nil, err
-	}
-	return s, meta, nil
-}
-
-// readPayload reads exactly n declared payload bytes. When bounded, the
-// caller has checked n against the bytes r can hold, so the buffer is
-// allocated once at its exact size. Otherwise the length field is
-// untrusted: the buffer starts at one 4 MiB chunk and doubles (capped at
-// n) only once the bytes read have filled it, so a corrupt header claiming
-// gigabytes on a short stream fails having allocated at most one chunk or
-// twice the bytes present, not an OOM. Reads land directly in the buffer's
-// spare capacity.
-func readPayload(r io.Reader, n uint64, bounded bool) ([]byte, error) {
-	const chunk = 4 << 20
-	first := n
-	if !bounded {
-		first = min(n, chunk)
-	}
-	buf := make([]byte, 0, first)
-	for {
-		k, err := io.ReadFull(r, buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+k]
-		if err != nil {
-			return nil, err
-		}
-		if uint64(len(buf)) == n {
-			return buf, nil
-		}
-		grown := make([]byte, len(buf), min(2*uint64(cap(buf)), n))
-		copy(grown, buf)
-		buf = grown
-	}
-}
-
 // ---- payload encoding ----
 
-// Encoder appends the format's primitives — varints, length-prefixed
-// strings, IEEE-754 bit floats, and the shared composite shapes (stimuli,
-// store and agent states, shard range states) — to a growing buffer. The
-// snapshot payload is built from exactly these primitives, and
-// internal/cluster reuses them for its wire messages so the two formats can
-// never drift on how a stimulus or an agent state is spelled in bytes.
-type Encoder struct{ buf []byte }
-
-// NewEncoder returns an Encoder with a modest pre-grown buffer.
-func NewEncoder() *Encoder { return &Encoder{buf: make([]byte, 0, 1<<12)} }
-
-// Bytes returns the encoded buffer (owned by the encoder; copy to retain
-// past the encoder's next use).
-func (e *Encoder) Bytes() []byte { return e.buf }
-
-// Uvarint appends an unsigned varint.
-func (e *Encoder) Uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-
-// Varint appends a zig-zag signed varint.
-func (e *Encoder) Varint(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
-
-// Int appends an int as a signed varint.
-func (e *Encoder) Int(v int) { e.Varint(int64(v)) }
-
-// U64 appends a fixed-width little-endian uint64.
-func (e *Encoder) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-
-// F64 appends a float64 as its IEEE-754 bits.
-func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
-
-// Bool appends one byte, 0 or 1.
-func (e *Encoder) Bool(v bool) {
-	b := byte(0)
-	if v {
-		b = 1
-	}
-	e.buf = append(e.buf, b)
-}
-
-// Str appends a length-prefixed string.
-func (e *Encoder) Str(s string) {
-	e.Uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// F64s appends a length-prefixed float64 slice.
-func (e *Encoder) F64s(v []float64) {
-	e.Uvarint(uint64(len(v)))
-	for _, x := range v {
-		e.F64(x)
-	}
-}
-
-// Online appends a stats.Online state.
-func (e *Encoder) Online(o stats.OnlineState) {
-	e.Int(o.N)
-	e.F64(o.Mean)
-	e.F64(o.M2)
-	e.F64(o.Min)
-	e.F64(o.Max)
-}
-
-// Stimulus appends one core.Stimulus.
-func (e *Encoder) Stimulus(s core.Stimulus) {
-	e.Str(s.Name)
-	e.Str(s.Source)
-	e.Int(int(s.Scope))
-	e.F64(s.Value)
-	e.F64(s.Time)
-}
-
-// StoreState appends one knowledge store's exported state.
-func (e *Encoder) StoreState(st knowledge.StoreState) {
-	e.F64(st.Alpha)
-	e.Int(st.HistLen)
-	e.Varint(st.Reads)
-	e.Varint(st.Writes)
-	e.Uvarint(uint64(len(st.Entries)))
-	for _, en := range st.Entries {
-		e.Str(en.Name)
-		e.Int(int(en.Scope))
-		e.F64(en.Value)
-		e.F64(en.Variance)
-		e.Int(en.N)
-		e.F64(en.LastUpdate)
-		e.F64s(en.HistT)
-		e.F64s(en.HistV)
-	}
-}
-
-// AgentState appends one agent's exported state.
-func (e *Encoder) AgentState(a core.AgentState) {
-	e.Str(a.Name)
-	e.Int(a.Steps)
-	e.StoreState(a.Store)
-	e.Bool(a.Goals != nil)
-	if a.Goals != nil {
-		e.Int(a.Goals.Next)
-		e.Int(a.Goals.Switches)
-	}
-	e.F64(a.GoalSwitches)
-	e.F64(a.Interactions)
-	e.Bool(a.Time != nil)
-	if a.Time != nil {
-		e.Uvarint(uint64(len(a.Time.Preds)))
-		for _, p := range a.Time.Preds {
-			e.Str(p.Stim)
-			e.Str(p.Kind)
-			e.F64s(p.State)
-			e.F64s(p.Err)
-		}
-	}
-	e.Bool(a.Meta != nil)
-	if a.Meta != nil {
-		e.Int(a.Meta.PoolIdx)
-		e.Int(a.Meta.Adaptations)
-		e.F64(a.Meta.LastErr)
-		e.F64s(a.Meta.Detector)
-	}
-}
-
-// RangeState appends a population shard-range state — the state-transfer
-// payload that initialises or rebalances a cluster worker, spelled with the
-// same primitives as the snapshot payload.
-func (e *Encoder) RangeState(rs *population.RangeState) {
-	e.Int(rs.LoShard)
-	e.Int(rs.HiShard)
-	e.Int(rs.LoAgent)
-	e.Int(rs.HiAgent)
-	e.Uvarint(uint64(len(rs.ShardRNG)))
-	for _, v := range rs.ShardRNG {
-		e.U64(v)
-	}
-	e.Uvarint(uint64(len(rs.AgentRNG)))
-	for _, v := range rs.AgentRNG {
-		e.U64(v)
-	}
-	e.Uvarint(uint64(len(rs.AgentStates)))
-	for _, a := range rs.AgentStates {
-		e.AgentState(a)
-	}
-}
-
-// segmentSize is the size at which encodePayload sets a payload segment
-// aside and starts a fresh one; segmentSlack is the headroom above it that
-// lets the element which crosses the mark (one agent state, one inbox)
-// finish in place. Full segments are never copied again, unlike a single
-// growing buffer, which Go reallocates and copies in 1.25x steps.
+// Minimum encoded sizes, in bytes, of the composite elements a length
+// prefix counts: what a zero-valued element encodes to. Passing them to
+// codec.Decoder.Count keeps a lying count from allocating more than a
+// small multiple of the bytes that are actually there.
 const (
-	segmentSize  = 1 << 20
-	segmentSlack = 64 << 10
+	MinRangeStateSize = 7 // four bounds, three empty lists
+	minInboxSize      = 1 // an empty mailbox's count
+	minMetaSize       = 2 // an empty key and value
 )
 
-// segmenter is an Encoder whose buffer is cut into fixed-size segments
-// between top-level payload elements.
-type segmenter struct {
-	Encoder
-	full [][]byte // segments set aside, in payload order
-	n    int      // bytes in full
-}
-
-func newSegmenter() *segmenter {
-	return &segmenter{Encoder: Encoder{buf: make([]byte, 0, segmentSize+segmentSlack)}}
-}
-
-// cut sets the current segment aside once it has reached segmentSize.
-func (g *segmenter) cut() {
-	if len(g.buf) < segmentSize {
-		return
+// encodePayload spells the snapshot payload as ordered segments whose
+// concatenation is the payload, plus its total length: the metadata,
+// header fields, RNG positions and mail, encoded here, then every shard's
+// run of agent states as the transport wrote it — spliced, never copied.
+func encodePayload(s *population.Snapshot, meta map[string]string) ([][]byte, int, error) {
+	if s.Agents > 0 && len(s.Runs) != s.Shards {
+		return nil, 0, fmt.Errorf("checkpoint: snapshot has %d agent runs for %d shards", len(s.Runs), s.Shards)
 	}
-	g.full = append(g.full, g.buf)
-	g.n += len(g.buf)
-	g.buf = make([]byte, 0, segmentSize+segmentSlack)
-}
-
-// segments returns the whole payload as ordered segments and its length.
-func (g *segmenter) segments() ([][]byte, int) {
-	return append(g.full, g.buf), g.n + len(g.buf)
-}
-
-// encodePayload encodes the snapshot payload as ordered segments whose
-// concatenation is the payload, plus its total length.
-func encodePayload(s *population.Snapshot, meta map[string]string) ([][]byte, int) {
-	e := newSegmenter()
+	e := codec.NewEncoder()
 	keys := make([]string, 0, len(meta))
 	for k := range meta {
 		keys = append(keys, k)
@@ -371,322 +168,109 @@ func encodePayload(s *population.Snapshot, meta map[string]string) ([][]byte, in
 	e.Varint(s.Messages)
 	e.Varint(s.Delivered)
 	e.Varint(s.Actions)
-	e.Online(s.Observed)
+	s.Observed.AppendState(e)
 	e.F64s(s.Work)
-	e.Uvarint(uint64(len(s.ShardRNG)))
-	for _, v := range s.ShardRNG {
-		e.U64(v)
-	}
-	e.Uvarint(uint64(len(s.AgentRNG)))
-	for _, v := range s.AgentRNG {
-		e.U64(v)
-	}
+	e.U64s(s.ShardRNG)
+	e.U64s(s.AgentRNG)
 	e.Uvarint(uint64(len(s.Mail)))
 	for _, inbox := range s.Mail {
 		e.Uvarint(uint64(len(inbox)))
 		for _, st := range inbox {
-			e.Stimulus(st)
+			core.AppendStimulus(e, st)
 		}
-		e.cut()
 	}
-	e.Uvarint(uint64(len(s.AgentStates)))
-	for _, a := range s.AgentStates {
-		e.AgentState(a)
-		e.cut()
+	e.Uvarint(uint64(s.Agents))
+	segs := append(make([][]byte, 0, 1+len(s.Runs)), e.Bytes())
+	n := e.Len()
+	for _, run := range s.Runs {
+		segs = append(segs, run)
+		n += len(run)
 	}
-	return e.segments()
+	return segs, n, nil
+}
+
+// AppendRange writes a population shard-range state — the state-transfer
+// payload that initialises, migrates or rebalances a cluster worker,
+// spelled like the snapshot payload: bounds, RNG positions, the agent
+// count, then the shards' runs spliced verbatim.
+func AppendRange(e *codec.Encoder, rs *population.RangeState) {
+	e.Int(rs.LoShard)
+	e.Int(rs.HiShard)
+	e.Int(rs.LoAgent)
+	e.Int(rs.HiAgent)
+	e.U64s(rs.ShardRNG)
+	e.U64s(rs.AgentRNG)
+	e.Uvarint(uint64(rs.HiAgent - rs.LoAgent))
+	n := 0
+	for _, run := range rs.Runs {
+		n += len(run)
+	}
+	e.Reserve(n)
+	for _, run := range rs.Runs {
+		e.Raw(run)
+	}
 }
 
 // ---- payload decoding ----
 
-// Decoder walks a payload with saturating error handling: the first
-// malformed field poisons the decoder and every later read returns zero
-// values, so call sites stay linear and the caller checks Err once. In the
-// snapshot path the checksum has already validated the bytes, so errors
-// here mean a format bug or version skew; in the cluster wire path they
-// mean a framing bug or a peer speaking another version — but they are
-// always errors, never panics.
-type Decoder struct {
-	buf []byte
-	pos int
-	err error
-}
-
-// NewDecoder returns a Decoder over b (not copied).
-func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
-
-// Err reports the first decoding failure, or nil.
-func (d *Decoder) Err() error { return d.err }
-
-// Finish reports the first decoding failure, or an error when decoding
-// stopped short of the buffer's end — a well-formed message consumes
-// exactly its payload.
-func (d *Decoder) Finish() error {
-	if d.err != nil {
-		return d.err
-	}
-	if d.pos != len(d.buf) {
-		return fmt.Errorf("%d trailing bytes after payload", len(d.buf)-d.pos)
-	}
-	return nil
-}
-
-func (d *Decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-// Uvarint reads an unsigned varint.
-func (d *Decoder) Uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.pos:])
-	if n <= 0 {
-		d.fail("truncated uvarint at offset %d", d.pos)
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-// Varint reads a zig-zag signed varint.
-func (d *Decoder) Varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.pos:])
-	if n <= 0 {
-		d.fail("truncated varint at offset %d", d.pos)
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-// Int reads a signed varint as an int.
-func (d *Decoder) Int() int { return int(d.Varint()) }
-
-// U64 reads a fixed-width little-endian uint64.
-func (d *Decoder) U64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.pos+8 > len(d.buf) {
-		d.fail("truncated u64 at offset %d", d.pos)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.pos:])
-	d.pos += 8
-	return v
-}
-
-// F64 reads a float64 from its IEEE-754 bits.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// Bool reads one 0/1 byte.
-func (d *Decoder) Bool() bool {
-	if d.err != nil {
-		return false
-	}
-	if d.pos >= len(d.buf) {
-		d.fail("truncated bool at offset %d", d.pos)
-		return false
-	}
-	b := d.buf[d.pos]
-	d.pos++
-	if b > 1 {
-		d.fail("invalid bool byte %d at offset %d", b, d.pos-1)
-		return false
-	}
-	return b == 1
-}
-
-// Str reads a length-prefixed string.
-func (d *Decoder) Str() string {
-	n := d.Uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if uint64(len(d.buf)-d.pos) < n {
-		d.fail("string of %d bytes overruns payload at offset %d", n, d.pos)
-		return ""
-	}
-	s := string(d.buf[d.pos : d.pos+uint64asInt(n)])
-	d.pos += uint64asInt(n)
-	return s
-}
-
-// Minimum encoded sizes, in bytes, of the composite elements a length
-// prefix counts: what a zero-valued element encodes to. Passing them to
-// Count keeps a lying count from allocating more than a small multiple of
-// the bytes that are actually there.
-const (
-	MinStimulusSize   = 19 // two empty strings, a scope, two floats
-	MinRangeStateSize = 7  // four bounds, three empty lists
-	minEntrySize      = 29 // store entry: name, scope, 3 floats, count, 2 empty histories
-	minAgentSize      = 33 // name, steps, empty store (12), 2 floats, 3 absent flags
-	minPredictorSize  = 4  // two empty strings, two empty float lists
-	minInboxSize      = 1  // an empty mailbox's count
-	minMetaSize       = 2  // an empty key and value
-)
-
-// Count reads a length prefix for elements of at least elemSize bytes and
-// rejects counts the remaining payload cannot possibly hold, bounding
-// allocation even for adversarial inputs that happen to pass the CRC.
-func (d *Decoder) Count(elemSize int) int {
-	n := d.Uvarint()
-	if d.err != nil {
-		return 0
-	}
-	if elemSize < 1 {
-		elemSize = 1
-	}
-	if n > uint64(len(d.buf)-d.pos)/uint64(elemSize)+1 {
-		d.fail("count %d exceeds remaining payload at offset %d", n, d.pos)
-		return 0
-	}
-	return uint64asInt(n)
-}
-
-func uint64asInt(v uint64) int { return int(v) }
-
-// F64s reads a length-prefixed float64 slice. The bound is checked once
-// for the whole slice, then the floats are read without per-element checks.
-func (d *Decoder) F64s() []float64 {
-	n := d.Count(8)
-	if n == 0 {
-		return nil
-	}
-	if len(d.buf)-d.pos < 8*n {
-		d.fail("%d floats overrun payload at offset %d", n, d.pos)
-		return nil
-	}
-	out := make([]float64, n)
-	b := d.buf[d.pos : d.pos+8*n]
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	d.pos += 8 * n
-	return out
-}
-
-// Online reads a stats.Online state.
-func (d *Decoder) Online() stats.OnlineState {
-	return stats.OnlineState{N: d.Int(), Mean: d.F64(), M2: d.F64(), Min: d.F64(), Max: d.F64()}
-}
-
-// Stimulus reads one core.Stimulus.
-func (d *Decoder) Stimulus() core.Stimulus {
-	return core.Stimulus{
-		Name:   d.Str(),
-		Source: d.Str(),
-		Scope:  knowledge.Scope(d.Int()),
-		Value:  d.F64(),
-		Time:   d.F64(),
-	}
-}
-
-// StoreState reads one knowledge store's exported state.
-func (d *Decoder) StoreState() knowledge.StoreState {
-	st := knowledge.StoreState{
-		Alpha:   d.F64(),
-		HistLen: d.Int(),
-		Reads:   d.Varint(),
-		Writes:  d.Varint(),
-	}
-	n := d.Count(minEntrySize)
-	if n > 0 {
-		st.Entries = make([]knowledge.EntryState, n)
-	}
-	for i := 0; i < n && d.err == nil; i++ {
-		st.Entries[i] = knowledge.EntryState{
-			Name:       d.Str(),
-			Scope:      knowledge.Scope(d.Int()),
-			Value:      d.F64(),
-			Variance:   d.F64(),
-			N:          d.Int(),
-			LastUpdate: d.F64(),
-			HistT:      d.F64s(),
-			HistV:      d.F64s(),
-		}
-	}
-	return st
-}
-
-// AgentState reads one agent's exported state.
-func (d *Decoder) AgentState() core.AgentState {
-	a := core.AgentState{
-		Name:  d.Str(),
-		Steps: d.Int(),
-		Store: d.StoreState(),
-	}
-	if d.Bool() {
-		a.Goals = &core.SwitcherStateRef{Next: d.Int(), Switches: d.Int()}
-	}
-	a.GoalSwitches = d.F64()
-	a.Interactions = d.F64()
-	if d.Bool() {
-		n := d.Count(minPredictorSize)
-		t := &core.TimeState{}
-		if n > 0 {
-			t.Preds = make([]core.PredictorState, n)
-		}
-		for i := 0; i < n && d.err == nil; i++ {
-			t.Preds[i] = core.PredictorState{
-				Stim:  d.Str(),
-				Kind:  d.Str(),
-				State: d.F64s(),
-				Err:   d.F64s(),
-			}
-		}
-		a.Time = t
-	}
-	if d.Bool() {
-		a.Meta = &core.MetaState{
-			PoolIdx:     d.Int(),
-			Adaptations: d.Int(),
-			LastErr:     d.F64(),
-			Detector:    d.F64s(),
-		}
-	}
-	return a
-}
-
-// RangeState reads a population shard-range state.
-func (d *Decoder) RangeState() *population.RangeState {
+// DecodeRange reads a shard-range state of a population whose agent
+// partition is bounds (population.Partition). The agent states are cut
+// into one run per shard that shares d's buffer; a range the partition
+// does not have, or whose lists disagree with it, fails the decoder.
+func DecodeRange(d *codec.Decoder, bounds []int) *population.RangeState {
 	rs := &population.RangeState{
-		LoShard: d.Int(),
-		HiShard: d.Int(),
-		LoAgent: d.Int(),
-		HiAgent: d.Int(),
+		LoShard:  d.Int(),
+		HiShard:  d.Int(),
+		LoAgent:  d.Int(),
+		HiAgent:  d.Int(),
+		ShardRNG: d.U64s(),
+		AgentRNG: d.U64s(),
 	}
-	if n := d.Count(8); n > 0 {
-		rs.ShardRNG = make([]uint64, n)
-		for i := range rs.ShardRNG {
-			rs.ShardRNG[i] = d.U64()
-		}
+	n := d.Count(core.MinStateSize)
+	if d.Err() != nil {
+		return rs
 	}
-	if n := d.Count(8); n > 0 {
-		rs.AgentRNG = make([]uint64, n)
-		for i := range rs.AgentRNG {
-			rs.AgentRNG[i] = d.U64()
-		}
+	if err := population.ValidateShardRange(rs.LoShard, rs.HiShard, len(bounds)-1); err != nil {
+		d.Fail("range state: %v", err)
+		return rs
 	}
-	if n := d.Count(minAgentSize); n > 0 {
-		rs.AgentStates = make([]core.AgentState, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			rs.AgentStates[i] = d.AgentState()
-		}
+	lo, hi := bounds[rs.LoShard], bounds[rs.HiShard]
+	if rs.LoAgent != lo || rs.HiAgent != hi || n != hi-lo ||
+		len(rs.ShardRNG) != rs.HiShard-rs.LoShard || len(rs.AgentRNG) != hi-lo {
+		d.Fail("range state: shards [%d, %d) carry agents [%d, %d), %d shard streams, %d agent streams "+
+			"and %d agent states; partition says agents [%d, %d)",
+			rs.LoShard, rs.HiShard, rs.LoAgent, rs.HiAgent, len(rs.ShardRNG), len(rs.AgentRNG), n, lo, hi)
+		return rs
 	}
+	rs.Runs = splitRuns(d, bounds, rs.LoShard, rs.HiShard)
 	return rs
 }
 
-func (d *Decoder) payload() (*population.Snapshot, map[string]string) {
+// splitRuns cuts the agent states of shards [lo, hi) out of d as one run
+// per shard, sharing d's buffer. The walk reads lengths only — every count
+// through Count, so a lying one fails — and allocates nothing but the run
+// list.
+func splitRuns(d *codec.Decoder, bounds []int, lo, hi int) [][]byte {
+	runs := make([][]byte, hi-lo)
+	for s := lo; s < hi && d.Err() == nil; s++ {
+		start := d.Pos()
+		for id := bounds[s]; id < bounds[s+1]; id++ {
+			core.SkipState(d)
+		}
+		runs[s-lo] = d.Since(start)
+	}
+	return runs
+}
+
+// decodePayload interprets a payload whose checksum has been verified: a
+// snapshot and its metadata, or the first malformed field. The agent
+// states are split into one run per shard by the partition the header
+// names. The payload must be consumed exactly.
+func decodePayload(payload []byte) (*population.Snapshot, map[string]string, error) {
+	d := codec.NewDecoder(payload)
 	nm := d.Count(minMetaSize)
 	meta := make(map[string]string, nm)
-	for i := 0; i < nm && d.err == nil; i++ {
+	for i := 0; i < nm && d.Err() == nil; i++ {
 		k := d.Str()
 		meta[k] = d.Str()
 	}
@@ -701,38 +285,34 @@ func (d *Decoder) payload() (*population.Snapshot, map[string]string) {
 		Messages:  d.Varint(),
 		Delivered: d.Varint(),
 		Actions:   d.Varint(),
-		Observed:  d.Online(),
-		Work:      d.F64s(),
 	}
-	if n := d.Count(8); n > 0 {
-		s.ShardRNG = make([]uint64, n)
-		for i := range s.ShardRNG {
-			s.ShardRNG[i] = d.U64()
-		}
-	}
-	if n := d.Count(8); n > 0 {
-		s.AgentRNG = make([]uint64, n)
-		for i := range s.AgentRNG {
-			s.AgentRNG[i] = d.U64()
-		}
-	}
+	s.Observed.RestoreState(d)
+	s.Work, s.ShardRNG, s.AgentRNG = d.F64s(), d.U64s(), d.U64s()
 	if n := d.Count(minInboxSize); n > 0 {
 		s.Mail = make([][]core.Stimulus, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			m := d.Count(MinStimulusSize)
+		for i := 0; i < n && d.Err() == nil; i++ {
+			m := d.Count(core.MinStimulusSize)
 			if m > 0 {
 				s.Mail[i] = make([]core.Stimulus, m)
-				for j := 0; j < m && d.err == nil; j++ {
-					s.Mail[i][j] = d.Stimulus()
+				for j := 0; j < m && d.Err() == nil; j++ {
+					s.Mail[i][j] = core.DecodeStimulus(d)
 				}
 			}
 		}
 	}
-	if n := d.Count(minAgentSize); n > 0 {
-		s.AgentStates = make([]core.AgentState, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			s.AgentStates[i] = d.AgentState()
-		}
+	n := d.Count(core.MinStateSize)
+	switch {
+	case d.Err() != nil:
+	case n != s.Agents:
+		d.Fail("%d agent states for agents=%d", n, s.Agents)
+	case n == 0:
+	case s.Shards < 1 || s.Shards > n:
+		d.Fail("%d shards for %d agents", s.Shards, n)
+	default:
+		s.Runs = splitRuns(d, population.Partition(n, s.Shards), 0, s.Shards)
 	}
-	return s, meta
+	if err := d.Finish(); err != nil {
+		return nil, nil, err
+	}
+	return s, meta, nil
 }

@@ -16,8 +16,12 @@ var (
 	CodecConfig     = testConfig
 )
 
-// EncodePayload is the snapshot payload the framed encoding carries.
+// EncodePayload is the snapshot payload the framed encoding carries, or
+// nil when the snapshot cannot be encoded.
 func EncodePayload(s *population.Snapshot, meta map[string]string) []byte {
-	segs, _ := encodePayload(s, meta)
+	segs, _, err := encodePayload(s, meta)
+	if err != nil {
+		return nil
+	}
 	return bytes.Join(segs, nil)
 }

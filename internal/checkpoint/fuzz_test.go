@@ -8,6 +8,7 @@ import (
 	"sacs/internal/checkpoint"
 	"sacs/internal/experiments"
 	"sacs/internal/population"
+	"sacs/internal/runner"
 )
 
 // payloadSeeds are payloads of the golden, codec, segment and lying-count
@@ -26,7 +27,7 @@ func payloadSeeds(f *testing.F) [][]byte {
 		checkpoint.EncodePayload(snapshot(experiments.S2Config(4, 1, 1, nil), 2),
 			map[string]string{"workload": "s2", "id": "golden"}),
 		checkpoint.EncodePayload(snapshot(checkpoint.CodecConfig(2, 1, 11), 9), nil),
-		checkpoint.EncodePayload(checkpoint.Synthetic(3, 4), map[string]string{"id": "multi"}),
+		checkpoint.EncodePayload(checkpoint.Synthetic(3, 2, 4), map[string]string{"id": "multi"}),
 		checkpoint.EncodePayload(&population.Snapshot{}, nil),
 		checkpoint.LyingEntryCount(256),
 	}
@@ -36,11 +37,17 @@ func payloadSeeds(f *testing.F) [][]byte {
 // the checksum. No input may panic or allocate more than a small multiple
 // of its length plus a constant; one that decodes must reach a fixed point
 // after one encode (encode → decode → encode gives identical bytes), and
-// its framed encoding must decode.
+// its framed encoding must decode. Agent states are validated when they
+// are restored, not when they are decoded, so a decoded snapshot shaped
+// like the S2 seed's population is also restored into it: that gives an
+// engine or an error, never a panic, inside the same allocation bound.
 func FuzzDecodePayload(f *testing.F) {
 	for _, seed := range payloadSeeds(f) {
 		f.Add(seed)
 	}
+	pool := runner.New(1)
+	f.Cleanup(pool.Close)
+	s2 := experiments.S2Config(4, 1, 1, pool).Normalized()
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var (
 			s    *population.Snapshot
@@ -50,6 +57,9 @@ func FuzzDecodePayload(f *testing.F) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		s, meta, err = checkpoint.DecodePayload(payload)
+		if err == nil && s.Name == s2.Name && s.Agents == s2.Agents && s.Shards == s2.Shards && s.Seed == s2.Seed {
+			_, _ = population.Restore(s2, s)
+		}
 		runtime.ReadMemStats(&after)
 		if total, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(payload)+64<<10); total > limit {
 			t.Fatalf("a %d-byte payload allocated %d bytes, want at most %d", len(payload), total, limit)

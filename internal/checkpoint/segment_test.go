@@ -11,46 +11,75 @@ import (
 	"runtime"
 	"testing"
 
+	"sacs/internal/codec"
 	"sacs/internal/core"
-	"sacs/internal/knowledge"
 	"sacs/internal/population"
 	"sacs/internal/stats"
 )
 
-// syntheticSnapshot builds a snapshot whose agents each carry one store
-// entry with hist-point histories, so the payload size is set directly
-// rather than by running a population.
-func syntheticSnapshot(agents, hist int) *population.Snapshot {
-	s := &population.Snapshot{
-		Name: "synthetic", Agents: agents, Shards: 1, Seed: 7, Tick: 3,
-		ShardRNG:    []uint64{99},
-		AgentRNG:    make([]uint64, agents),
-		Mail:        make([][]core.Stimulus, agents),
-		AgentStates: make([]core.AgentState, agents),
+// syntheticAgent spells one agent's state — one store entry with
+// hist-point histories, no optional parts — so the payload size is set
+// directly rather than by running a population.
+func syntheticAgent(e *codec.Encoder, id, hist int) {
+	e.Str(fmt.Sprintf("s%05d", id))
+	e.Int(id) // steps
+	e.F64(0.25)
+	e.Int(hist)
+	e.Varint(0) // reads
+	e.Varint(0) // writes
+	e.Uvarint(1)
+	e.Str("stim/load")
+	e.Int(0)
+	e.F64(float64(id))
+	e.F64(0)
+	e.Int(hist)
+	e.F64(0)
+	ht, hv := make([]float64, hist), make([]float64, hist)
+	for i := range ht {
+		ht[i], hv[i] = float64(i), float64(id*hist+i)/3
 	}
-	for id := range s.AgentStates {
-		s.AgentRNG[id] = uint64(id) * 0x9E3779B97F4A7C15
-		ht, hv := make([]float64, hist), make([]float64, hist)
-		for i := range ht {
-			ht[i], hv[i] = float64(i), float64(id*hist+i)/3
+	e.F64s(ht)
+	e.F64s(hv)
+	e.Bool(false) // no goal switcher
+	e.F64(0)
+	e.F64(0)
+	e.Bool(false) // no predictors
+	e.Bool(false) // no meta monitor
+}
+
+// syntheticSnapshot builds a snapshot of synthetic agents over shards
+// runs.
+func syntheticSnapshot(agents, shards, hist int) *population.Snapshot {
+	s := &population.Snapshot{
+		Name: "synthetic", Agents: agents, Shards: shards, Seed: 7, Tick: 3,
+		ShardRNG: make([]uint64, shards),
+		AgentRNG: make([]uint64, agents),
+		Mail:     make([][]core.Stimulus, agents),
+		Runs:     make([][]byte, shards),
+	}
+	bounds := population.Partition(agents, shards)
+	for sh := range s.Runs {
+		s.ShardRNG[sh] = 99 + uint64(sh)
+		var e codec.Encoder
+		for id := bounds[sh]; id < bounds[sh+1]; id++ {
+			s.AgentRNG[id] = uint64(id) * 0x9E3779B97F4A7C15
+			syntheticAgent(&e, id, hist)
 		}
-		s.AgentStates[id] = core.AgentState{
-			Name:  fmt.Sprintf("s%05d", id),
-			Steps: id,
-			Store: knowledge.StoreState{Alpha: 0.25, HistLen: hist, Entries: []knowledge.EntryState{
-				{Name: "stim/load", Value: float64(id), N: hist, HistT: ht, HistV: hv},
-			}},
-		}
+		s.Runs[sh] = e.Bytes()
 	}
 	return s
 }
 
 // multiSegment returns a synthetic snapshot whose payload spans at least
-// three encoder segments, with its encoding and segment boundaries.
+// three segments — the encoded head and one run per shard — with its
+// encoding and segment boundaries.
 func multiSegment(t *testing.T) (*population.Snapshot, []byte, [][]byte) {
 	t.Helper()
-	snap := syntheticSnapshot(256, 1024) // ~16 KiB per agent, ~4 MiB in all
-	segs, n := encodePayload(snap, map[string]string{"id": "multi"})
+	snap := syntheticSnapshot(256, 4, 1024) // ~16 KiB per agent, ~4 MiB in all
+	segs, n, err := encodePayload(snap, map[string]string{"id": "multi"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(segs) < 3 {
 		t.Fatalf("payload of %d bytes spans %d segments, want at least 3", n, len(segs))
 	}
@@ -119,9 +148,9 @@ func TestReadPayloadAllocationBounded(t *testing.T) {
 	}
 	var got []byte
 	var err error
-	total := allocated(func() { got, err = readPayload(bytes.NewReader(body), uint64(n), false) })
+	total := allocated(func() { got, err = codec.ReadN(bytes.NewReader(body), uint64(n), false) })
 	if err != nil || !bytes.Equal(got, body) {
-		t.Fatalf("readPayload: err %v, equal %v", err, bytes.Equal(got, body))
+		t.Fatalf("ReadN: err %v, equal %v", err, bytes.Equal(got, body))
 	}
 	if limit := uint64(2*n + chunk); total > limit {
 		t.Fatalf("reading a %d-byte payload allocated %d bytes, want at most %d (2n + 4 MiB)", n, total, limit)
@@ -156,7 +185,7 @@ func frame(payload []byte) []byte {
 // whose one agent's store claims an entry for nearly every byte left: zero
 // padding, which decodes as zero-valued entries until it runs out.
 func lyingEntryCount(size int) []byte {
-	e := NewEncoder()
+	e := codec.NewEncoder()
 	e.Uvarint(0) // no metadata
 	e.Str("lying")
 	for range 4 { // agents, shards, seed, tick
@@ -165,7 +194,7 @@ func lyingEntryCount(size int) []byte {
 	for range 4 { // steps, messages, delivered, actions
 		e.Varint(0)
 	}
-	e.Online(stats.OnlineState{})
+	new(stats.Online).AppendState(e)
 	e.F64s(nil)  // work
 	e.Uvarint(0) // shard streams
 	e.Uvarint(0) // agent streams
@@ -244,30 +273,23 @@ func TestReadAllocatesPayloadOnce(t *testing.T) {
 
 // TestMinSizesMatchEncoder: every minimum size Count is given must be what
 // the encoder writes for a zero-valued element — larger would reject valid
-// payloads, smaller would loosen the allocation bound.
+// payloads, smaller would loosen the allocation bound. The store entry,
+// agent and predictor sizes are pinned next to their encoders, in
+// internal/knowledge and internal/core.
 func TestMinSizesMatchEncoder(t *testing.T) {
-	size := func(fn func(e *Encoder)) int {
-		e := &Encoder{}
+	size := func(fn func(e *codec.Encoder)) int {
+		e := &codec.Encoder{}
 		fn(e)
-		return len(e.buf)
+		return e.Len()
 	}
-	emptyStore := size(func(e *Encoder) { e.StoreState(knowledge.StoreState{}) })
-	emptyTime := size(func(e *Encoder) { e.AgentState(core.AgentState{Time: &core.TimeState{}}) })
 	for _, c := range []struct {
 		name      string
 		got, want int
 	}{
-		{"stimulus", size(func(e *Encoder) { e.Stimulus(core.Stimulus{}) }), MinStimulusSize},
-		{"range state", size(func(e *Encoder) { e.RangeState(&population.RangeState{}) }), MinRangeStateSize},
-		{"store entry", size(func(e *Encoder) {
-			e.StoreState(knowledge.StoreState{Entries: []knowledge.EntryState{{}}})
-		}) - emptyStore, minEntrySize},
-		{"agent state", size(func(e *Encoder) { e.AgentState(core.AgentState{}) }), minAgentSize},
-		{"predictor", size(func(e *Encoder) {
-			e.AgentState(core.AgentState{Time: &core.TimeState{Preds: []core.PredictorState{{}}}})
-		}) - emptyTime, minPredictorSize},
-		{"inbox", size(func(e *Encoder) { e.Uvarint(0) }), minInboxSize},
-		{"metadata pair", size(func(e *Encoder) { e.Str(""); e.Str("") }), minMetaSize},
+		{"stimulus", size(func(e *codec.Encoder) { core.AppendStimulus(e, core.Stimulus{}) }), core.MinStimulusSize},
+		{"range state", size(func(e *codec.Encoder) { AppendRange(e, &population.RangeState{}) }), MinRangeStateSize},
+		{"inbox", size(func(e *codec.Encoder) { e.Uvarint(0) }), minInboxSize},
+		{"metadata pair", size(func(e *codec.Encoder) { e.Str(""); e.Str("") }), minMetaSize},
 	} {
 		if c.got != c.want {
 			t.Errorf("zero %s encodes to %d bytes, constant says %d", c.name, c.got, c.want)

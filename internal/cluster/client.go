@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sacs/internal/checkpoint"
+	"sacs/internal/codec"
 	"sacs/internal/core"
 	"sacs/internal/obs"
 	"sacs/internal/population"
@@ -95,7 +96,7 @@ func (c *conn) call(t msgType, body []byte, want msgType) ([]byte, error) {
 		return nil, err
 	}
 	if rt == msgErr {
-		d := checkpoint.NewDecoder(rbody)
+		d := codec.NewDecoder(rbody)
 		return nil, fmt.Errorf("cluster: worker %s: %s", c.addr, d.Str())
 	}
 	if rt != want {
@@ -265,8 +266,8 @@ type Transport struct {
 
 // popHeader starts a request body with the population id and the attach
 // epoch worker wi handed out at init.
-func (t *Transport) popHeader(wi int) *checkpoint.Encoder {
-	e := checkpoint.NewEncoder()
+func (t *Transport) popHeader(wi int) *codec.Encoder {
+	e := codec.NewEncoder()
 	e.Str(t.spec.ID)
 	e.Uvarint(t.epochs[wi])
 	return e
@@ -314,7 +315,7 @@ func (cl *Client) NewTransport(spec Spec) (*Transport, error) {
 		for s := loS; s < hiS; s++ {
 			t.owner[s] = wi
 		}
-		e := checkpoint.NewEncoder()
+		e := codec.NewEncoder()
 		e.Uvarint(protocolVersion)
 		encodeSpec(e, spec)
 		e.Int(loS)
@@ -328,7 +329,7 @@ func (cl *Client) NewTransport(spec Spec) (*Transport, error) {
 		}
 		body, err := c.call(msgInit, e.Bytes(), msgOK)
 		if err == nil {
-			d := checkpoint.NewDecoder(body)
+			d := codec.NewDecoder(body)
 			t.epochs[wi] = d.Uvarint()
 			if ferr := d.Finish(); ferr != nil {
 				err = fmt.Errorf("cluster: worker %s: bad init reply: %w", c.addr, ferr)
@@ -558,7 +559,8 @@ func (t *Transport) Step(tick int, mail [][]core.Stimulus) ([]*population.ShardE
 
 // Export gathers every worker's hosted ranges in parallel and stitches the
 // full population state together in shard index order, validating that the
-// ranges tile [0, Shards) exactly as the owner map says.
+// ranges tile [0, Shards) exactly as the owner map says. Agent states are
+// never decoded here: each shard's run is a slice of its worker's reply.
 func (t *Transport) Export() (*population.RangeState, error) {
 	owned := t.ownedByWorker()
 	if err := t.checkAlive(owned); err != nil {
@@ -581,15 +583,11 @@ func (t *Transport) Export() (*population.RangeState, error) {
 				errs[wi] = err
 				return
 			}
-			d := checkpoint.NewDecoder(body)
+			d := codec.NewDecoder(body)
 			n := d.Count(checkpoint.MinRangeStateSize)
-			if err := d.Err(); err != nil {
-				errs[wi] = fmt.Errorf("cluster: worker %s: %w", c.addr, err)
-				return
-			}
 			list := make([]*population.RangeState, 0, n)
 			for i := 0; i < n && d.Err() == nil; i++ {
-				list = append(list, d.RangeState())
+				list = append(list, checkpoint.DecodeRange(d, t.abounds))
 			}
 			if err := d.Finish(); err != nil {
 				errs[wi] = fmt.Errorf("cluster: worker %s: %w", c.addr, err)
@@ -601,9 +599,9 @@ func (t *Transport) Export() (*population.RangeState, error) {
 	wg.Wait()
 	full := &population.RangeState{
 		LoShard: 0, HiShard: t.spec.Shards, LoAgent: 0, HiAgent: t.spec.Agents,
-		ShardRNG:    make([]uint64, t.spec.Shards),
-		AgentRNG:    make([]uint64, t.spec.Agents),
-		AgentStates: make([]core.AgentState, t.spec.Agents),
+		ShardRNG: make([]uint64, t.spec.Shards),
+		AgentRNG: make([]uint64, t.spec.Agents),
+		Runs:     make([][]byte, t.spec.Shards),
 	}
 	covered := make([]bool, t.spec.Shards)
 	for wi, list := range parts {
@@ -612,15 +610,6 @@ func (t *Transport) Export() (*population.RangeState, error) {
 		}
 		addr := t.client.conn(wi).addr
 		for _, rs := range list {
-			if err := population.ValidateShardRange(rs.LoShard, rs.HiShard, t.spec.Shards); err != nil {
-				return nil, fmt.Errorf("cluster: worker %s export: %w", addr, err)
-			}
-			if rs.LoAgent != t.abounds[rs.LoShard] || rs.HiAgent != t.abounds[rs.HiShard] ||
-				len(rs.ShardRNG) != rs.HiShard-rs.LoShard ||
-				len(rs.AgentRNG) != rs.HiAgent-rs.LoAgent || len(rs.AgentStates) != rs.HiAgent-rs.LoAgent {
-				return nil, fmt.Errorf("cluster: worker %s exported inconsistent range [%d, %d)/[%d, %d)",
-					addr, rs.LoShard, rs.HiShard, rs.LoAgent, rs.HiAgent)
-			}
 			for s := rs.LoShard; s < rs.HiShard; s++ {
 				if t.owner[s] != wi {
 					return nil, fmt.Errorf("cluster: worker %s exported shard %d, owner map says worker %s "+
@@ -633,7 +622,7 @@ func (t *Transport) Export() (*population.RangeState, error) {
 			}
 			copy(full.ShardRNG[rs.LoShard:rs.HiShard], rs.ShardRNG)
 			copy(full.AgentRNG[rs.LoAgent:rs.HiAgent], rs.AgentRNG)
-			copy(full.AgentStates[rs.LoAgent:rs.HiAgent], rs.AgentStates)
+			copy(full.Runs[rs.LoShard:rs.HiShard], rs.Runs)
 		}
 	}
 	for s, ok := range covered {
@@ -664,12 +653,12 @@ func (t *Transport) Install(rs *population.RangeState) error {
 			loA, hiA := t.abounds[run.lo], t.abounds[run.hi]
 			part := &population.RangeState{
 				LoShard: run.lo, HiShard: run.hi, LoAgent: loA, HiAgent: hiA,
-				ShardRNG:    rs.ShardRNG[run.lo:run.hi],
-				AgentRNG:    rs.AgentRNG[loA:hiA],
-				AgentStates: rs.AgentStates[loA:hiA],
+				ShardRNG: rs.ShardRNG[run.lo:run.hi],
+				AgentRNG: rs.AgentRNG[loA:hiA],
+				Runs:     rs.Runs[run.lo:run.hi],
 			}
 			e := t.popHeader(wi)
-			e.RangeState(part)
+			checkpoint.AppendRange(e, part)
 			if _, err := c.call(msgInstall, e.Bytes(), msgOK); err != nil {
 				return err
 			}
@@ -696,7 +685,7 @@ func (t *Transport) Explain(id int, now float64) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	d := checkpoint.NewDecoder(body)
+	d := codec.NewDecoder(body)
 	text := d.Str()
 	if err := d.Finish(); err != nil {
 		return "", fmt.Errorf("cluster: worker %s: %w", t.client.conn(wi).addr, err)
@@ -758,18 +747,18 @@ func (t *Transport) Migrate(lo, hi, to int) error {
 	if err != nil {
 		return fmt.Errorf("cluster: migrate [%d, %d) %s→%s: drain: %w", lo, hi, src.addr, dst.addr, err)
 	}
-	d := checkpoint.NewDecoder(body)
-	rs := d.RangeState()
-	if err := d.Finish(); err != nil {
-		return fmt.Errorf("cluster: migrate [%d, %d) %s→%s: drain reply: %w", lo, hi, src.addr, dst.addr, err)
-	}
-	if rs.LoShard != lo || rs.HiShard != hi || rs.LoAgent != t.abounds[lo] || rs.HiAgent != t.abounds[hi] {
-		return fmt.Errorf("cluster: migrate [%d, %d) %s→%s: drained shards [%d, %d) agents [%d, %d)",
-			lo, hi, src.addr, dst.addr, rs.LoShard, rs.HiShard, rs.LoAgent, rs.HiAgent)
+	// The drained range goes on to the destination as it arrived; only its
+	// bounds are read here, to check it is the range asked for. The
+	// destination validates the rest before adopting anything.
+	d := codec.NewDecoder(body)
+	if gLo, gHi, aLo, aHi := d.Int(), d.Int(), d.Int(), d.Int(); d.Err() != nil ||
+		gLo != lo || gHi != hi || aLo != t.abounds[lo] || aHi != t.abounds[hi] {
+		return fmt.Errorf("cluster: migrate [%d, %d) %s→%s: drained shards [%d, %d) agents [%d, %d) (%v)",
+			lo, hi, src.addr, dst.addr, gLo, gHi, aLo, aHi, d.Err())
 	}
 
 	e = t.popHeader(to)
-	e.RangeState(rs)
+	e.Raw(body)
 	e.F64s(t.costs.EstimatesInto(nil, lo, hi))
 	if _, err := dst.call(msgAdopt, e.Bytes(), msgOK); err != nil {
 		// The adopt may or may not have applied before the failure; try to
@@ -841,7 +830,7 @@ func (t *Transport) AdmitWorker(wi int) error {
 		}
 	}
 	c := t.client.conn(wi)
-	e := checkpoint.NewEncoder()
+	e := codec.NewEncoder()
 	e.Uvarint(protocolVersion)
 	encodeSpec(e, t.spec)
 	e.Int(0)
@@ -851,7 +840,7 @@ func (t *Transport) AdmitWorker(wi int) error {
 	if err != nil {
 		return err
 	}
-	d := checkpoint.NewDecoder(body)
+	d := codec.NewDecoder(body)
 	epoch := d.Uvarint()
 	if err := d.Finish(); err != nil {
 		return fmt.Errorf("cluster: worker %s: bad init reply: %w", c.addr, err)
@@ -908,7 +897,7 @@ func (t *Transport) Assign(rs *population.RangeState, to int) error {
 		}
 	}
 	e := t.popHeader(to)
-	e.RangeState(rs)
+	checkpoint.AppendRange(e, rs)
 	e.F64s(t.costs.EstimatesInto(nil, rs.LoShard, rs.HiShard))
 	if _, err := t.client.conn(to).call(msgAdopt, e.Bytes(), msgOK); err != nil {
 		return fmt.Errorf("cluster: assign [%d, %d) to %s: %w",

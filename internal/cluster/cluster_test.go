@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sacs/internal/checkpoint"
+	"sacs/internal/codec"
 	"sacs/internal/core"
 	"sacs/internal/population"
 	"sacs/internal/runner"
@@ -418,7 +419,7 @@ func TestWorkerSurvivesMalformedRequests(t *testing.T) {
 	}
 	defer rogue.Close()
 	// Tick for an unhosted population id.
-	e := checkpoint.NewEncoder()
+	e := codec.NewEncoder()
 	e.Str("ghost")
 	e.Int(0)
 	e.Uvarint(0)
@@ -429,7 +430,7 @@ func TestWorkerSurvivesMalformedRequests(t *testing.T) {
 	if err != nil || typ != msgErr {
 		t.Fatalf("unhosted tick reply = %d %v", typ, err)
 	}
-	if d := checkpoint.NewDecoder(body); !strings.Contains(d.Str(), "no population") {
+	if d := codec.NewDecoder(body); !strings.Contains(d.Str(), "no population") {
 		t.Fatal("error reply does not name the missing population")
 	}
 	// A truncated init body must produce an error, not a panic.
@@ -440,7 +441,7 @@ func TestWorkerSurvivesMalformedRequests(t *testing.T) {
 		t.Fatalf("truncated init reply = %d %v", typ, err)
 	}
 	// A wrong protocol version is refused by name.
-	e = checkpoint.NewEncoder()
+	e = codec.NewEncoder()
 	e.Uvarint(99)
 	encodeSpec(e, testSpec("v"))
 	e.Int(0)
@@ -452,7 +453,7 @@ func TestWorkerSurvivesMalformedRequests(t *testing.T) {
 	if err != nil || typ != msgErr {
 		t.Fatalf("version mismatch reply = %d %v", typ, err)
 	}
-	if d := checkpoint.NewDecoder(body); !strings.Contains(d.Str(), "version") {
+	if d := codec.NewDecoder(body); !strings.Contains(d.Str(), "version") {
 		t.Fatal("version error does not mention the version")
 	}
 
@@ -487,7 +488,7 @@ func TestTickReplyOutOfRangeTargetPoisons(t *testing.T) {
 	t.Cleanup(func() { ln.Close() })
 	// A confused worker: it attaches like a real one, then answers every
 	// tick with one message per shard addressed to agent tAgents+3.
-	reply := checkpoint.NewEncoder()
+	reply := codec.NewEncoder()
 	reply.Uvarint(tShards)
 	for s := 0; s < tShards; s++ {
 		encodeExchange(reply, &population.ShardExchange{Msgs: []population.Routed{{To: tAgents + 3, Stim: extStim(s)}}})
@@ -508,7 +509,7 @@ func TestTickReplyOutOfRangeTargetPoisons(t *testing.T) {
 					rt, body := msgOK, []byte(nil)
 					switch typ {
 					case msgInit:
-						e := checkpoint.NewEncoder()
+						e := codec.NewEncoder()
 						e.Uvarint(1)
 						body = e.Bytes()
 					case msgTick:

@@ -5,7 +5,7 @@
 // own runner.Pool. The two halves meet at population.Transport: the
 // coordinator's engine talks to a cluster.Transport, which fans every tick
 // out to the workers over a length-prefixed TCP protocol whose payloads are
-// spelled with the checkpoint codec's primitives (internal/checkpoint), so
+// spelled with the same primitives as checkpoint files (internal/codec), so
 // a stimulus or an agent state has exactly one byte-level spelling in the
 // whole system.
 //

@@ -1,13 +1,17 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/binary"
 	"io"
 	"log/slog"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 
 	"sacs/internal/checkpoint"
+	"sacs/internal/codec"
 	"sacs/internal/core"
 	"sacs/internal/population"
 	"sacs/internal/runner"
@@ -28,7 +32,7 @@ var fuzzWorkload = Workload{Name: "gossip", Build: func(agents, shards int, seed
 }}
 
 func fuzzInitBody(lo, hi int) []byte {
-	e := checkpoint.NewEncoder()
+	e := codec.NewEncoder()
 	e.Uvarint(protocolVersion)
 	encodeSpec(e, Spec{ID: "p", Workload: "gossip", Agents: fzAgents, Shards: fzShards, Seed: tSeed})
 	e.Int(lo)
@@ -46,15 +50,15 @@ func fuzzWorker(t testing.TB, ln net.Listener) *Worker {
 	}
 	w.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
 	if rt, body := w.handle(msgInit, fuzzInitBody(0, 2)); rt != msgOK {
-		t.Fatalf("fuzz worker init: %s", checkpoint.NewDecoder(body).Str())
+		t.Fatalf("fuzz worker init: %s", codec.NewDecoder(body).Str())
 	}
 	return w
 }
 
 // fuzzRequest starts a post-init request body for population "p" at the
 // fuzz worker's epoch.
-func fuzzRequest() *checkpoint.Encoder {
-	e := checkpoint.NewEncoder()
+func fuzzRequest() *codec.Encoder {
+	e := codec.NewEncoder()
 	e.Str("p")
 	e.Uvarint(1)
 	return e
@@ -71,13 +75,13 @@ func FuzzWorkerRequest(f *testing.F) {
 	defer ln.Close()
 
 	// The malformed requests of TestWorkerSurvivesMalformedRequests.
-	ghost := checkpoint.NewEncoder()
+	ghost := codec.NewEncoder()
 	ghost.Str("ghost")
 	ghost.Int(0)
 	ghost.Uvarint(0)
 	f.Add(byte(msgTick), ghost.Bytes())
 	f.Add(byte(msgInit), []byte{protocolVersion})
-	v99 := checkpoint.NewEncoder()
+	v99 := codec.NewEncoder()
 	v99.Uvarint(99)
 	encodeSpec(v99, testSpec("v"))
 	v99.Int(0)
@@ -100,14 +104,14 @@ func FuzzWorkerRequest(f *testing.F) {
 	f.Add(byte(msgInit), fuzzInitBody(2, 4))
 	f.Add(byte(msgInit), fuzzInitBody(0, 0))
 	install := fuzzRequest()
-	install.RangeState(state(0, 2))
+	checkpoint.AppendRange(install, state(0, 2))
 	f.Add(byte(msgInstall), install.Bytes())
 	tick := fuzzRequest()
 	tick.Int(0)
 	tick.Uvarint(1)
 	tick.Int(3)
 	tick.Uvarint(1)
-	tick.Stimulus(extStim(0))
+	core.AppendStimulus(tick, extStim(0))
 	f.Add(byte(msgTick), tick.Bytes())
 	f.Add(byte(msgExport), fuzzRequest().Bytes())
 	explain := fuzzRequest()
@@ -119,7 +123,7 @@ func FuzzWorkerRequest(f *testing.F) {
 	migrate.Int(2)
 	f.Add(byte(msgMigrate), migrate.Bytes())
 	adopt := fuzzRequest()
-	adopt.RangeState(state(2, 4))
+	checkpoint.AppendRange(adopt, state(2, 4))
 	adopt.F64s([]float64{1e5, 2e5})
 	f.Add(byte(msgAdopt), adopt.Bytes())
 	release := fuzzRequest()
@@ -131,7 +135,7 @@ func FuzzWorkerRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, typ byte, body []byte) {
 		w := fuzzWorker(t, ln)
 		if rt, rbody := w.handle(msgType(typ), body); rt == msgErr {
-			if msg := checkpoint.NewDecoder(rbody).Str(); strings.Contains(msg, "worker panic") {
+			if msg := codec.NewDecoder(rbody).Str(); strings.Contains(msg, "worker panic") {
 				t.Fatalf("%s request: %s", msgName(msgType(typ)), msg)
 			}
 		}
@@ -143,7 +147,7 @@ func FuzzWorkerRequest(f *testing.F) {
 func FuzzTickReply(f *testing.F) {
 	shards := []int{1, 3} // the shards routed to the replying worker
 	reply := func(to int) []byte {
-		e := checkpoint.NewEncoder()
+		e := codec.NewEncoder()
 		e.Uvarint(uint64(len(shards)))
 		for range shards {
 			encodeExchange(e, &population.ShardExchange{Delivered: 2, Actions: 1, StepNanos: 1000,
@@ -175,11 +179,72 @@ func FuzzTickReply(f *testing.F) {
 	})
 }
 
+// readFrameAllocLimit bounds what reading one frame may allocate: twice
+// the bytes present plus one of codec.ReadN's 4 MiB chunks, never the
+// size a header declares.
+func readFrameAllocLimit(present int) uint64 { return uint64(2*present + 4<<20 + 64<<10) }
+
+// TestReadFrameLyingHeaderAllocatesLittle: a 20-byte stream whose header
+// declares a maxFrame-sized frame must fail having allocated one read
+// chunk, not the gigabyte the header claims.
+func TestReadFrameLyingHeaderAllocatesLittle(t *testing.T) {
+	stream := make([]byte, 20)
+	binary.LittleEndian.PutUint32(stream, maxFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readFrame(bytes.NewReader(stream))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a truncated frame was accepted")
+	}
+	if total, limit := after.TotalAlloc-before.TotalAlloc, readFrameAllocLimit(len(stream)); total > limit {
+		t.Fatalf("a %d-byte stream declaring %d bytes allocated %d bytes, want at most %d",
+			len(stream), maxFrame, total, limit)
+	}
+}
+
+// FuzzReadFrame: any byte stream gives an error or a frame that writeFrame
+// spells exactly as the stream began, and reading it allocates no more than
+// readFrameAllocLimit.
+func FuzzReadFrame(f *testing.F) {
+	var valid bytes.Buffer
+	if err := writeFrame(&valid, msgTick, fuzzRequest().Bytes()); err != nil {
+		f.Fatal(err)
+	}
+	lying := make([]byte, 20)
+	binary.LittleEndian.PutUint32(lying, maxFrame)
+	f.Add(valid.Bytes())
+	f.Add(lying)
+	f.Add([]byte{1, 0, 0, 0, byte(msgPing)})
+	f.Add([]byte{0, 0, 0, 0})
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		typ, body, err := readFrame(bytes.NewReader(stream))
+		runtime.ReadMemStats(&after)
+		if total, limit := after.TotalAlloc-before.TotalAlloc, readFrameAllocLimit(len(stream)); total > limit {
+			t.Fatalf("a %d-byte stream allocated %d bytes, want at most %d", len(stream), total, limit)
+		}
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := writeFrame(&again, typ, body); err != nil {
+			t.Fatalf("writeFrame of a frame readFrame accepted: %v", err)
+		}
+		if !bytes.HasPrefix(stream, again.Bytes()) {
+			t.Fatalf("frame %x re-spelled as %x", stream[:min(len(stream), again.Len())], again.Bytes())
+		}
+	})
+}
+
 // TestMinSizesMatchWire: the minimum sizes the frame decoders bound their
 // counts by must be what a zero-valued element encodes to.
 func TestMinSizesMatchWire(t *testing.T) {
-	size := func(fn func(e *checkpoint.Encoder)) int {
-		e := checkpoint.NewEncoder()
+	size := func(fn func(e *codec.Encoder)) int {
+		e := codec.NewEncoder()
 		fn(e)
 		return len(e.Bytes())
 	}
@@ -187,9 +252,9 @@ func TestMinSizesMatchWire(t *testing.T) {
 		name      string
 		got, want int
 	}{
-		{"mailbox", size(func(e *checkpoint.Encoder) { e.Int(0); e.Uvarint(0) }), minMailboxSize},
-		{"routed message", size(func(e *checkpoint.Encoder) { e.Int(0); e.Stimulus(core.Stimulus{}) }), minRoutedSize},
-		{"exchange", size(func(e *checkpoint.Encoder) { encodeExchange(e, &population.ShardExchange{}) }), minExchangeSize},
+		{"mailbox", size(func(e *codec.Encoder) { e.Int(0); e.Uvarint(0) }), minMailboxSize},
+		{"routed message", size(func(e *codec.Encoder) { e.Int(0); core.AppendStimulus(e, core.Stimulus{}) }), minRoutedSize},
+		{"exchange", size(func(e *codec.Encoder) { encodeExchange(e, &population.ShardExchange{}) }), minExchangeSize},
 	} {
 		if c.got != c.want {
 			t.Errorf("zero %s encodes to %d bytes, constant says %d", c.name, c.got, c.want)

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 
-	"sacs/internal/checkpoint"
+	"sacs/internal/codec"
 	"sacs/internal/core"
 	"sacs/internal/population"
 )
@@ -16,7 +16,7 @@ import (
 //	offset  size  field
 //	0       4     frame length N, uint32 little-endian (type byte + body)
 //	4       1     message type
-//	5       N-1   body, spelled with the checkpoint codec's primitives
+//	5       N-1   body, spelled with internal/codec's primitives
 //
 // — and every request is answered by exactly one reply frame on the same
 // connection (msgErr is a valid reply to anything). The barrier protocol is
@@ -101,7 +101,10 @@ func writeFrame(w io.Writer, t msgType, body []byte) error {
 	return err
 }
 
-// readFrame reads one frame, bounding the allocation by maxFrame.
+// readFrame reads one frame. The length field is a peer's claim, so the
+// buffer grows as the bytes arrive (codec.ReadN's untrusted path): a header
+// declaring maxFrame over a short stream costs one read chunk, not the
+// declared size.
 func readFrame(r io.Reader) (msgType, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -111,8 +114,8 @@ func readFrame(r io.Reader) (msgType, []byte, error) {
 	if n < 1 || n > maxFrame {
 		return 0, nil, fmt.Errorf("%w (declared %d bytes)", errFrameTooLarge, n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := codec.ReadN(r, uint64(n), false)
+	if err != nil {
 		return 0, nil, err
 	}
 	return msgType(buf[0]), buf[1:], nil
@@ -140,7 +143,7 @@ type Spec struct {
 	Costs []float64
 }
 
-func encodeSpec(e *checkpoint.Encoder, s Spec) {
+func encodeSpec(e *codec.Encoder, s Spec) {
 	e.Str(s.ID)
 	e.Str(s.Workload)
 	e.Int(s.Agents)
@@ -148,7 +151,7 @@ func encodeSpec(e *checkpoint.Encoder, s Spec) {
 	e.Varint(s.Seed)
 }
 
-func decodeSpec(d *checkpoint.Decoder) Spec {
+func decodeSpec(d *codec.Decoder) Spec {
 	return Spec{
 		ID:       d.Str(),
 		Workload: d.Str(),
@@ -159,12 +162,12 @@ func decodeSpec(d *checkpoint.Decoder) Spec {
 }
 
 // Minimum encoded sizes, in bytes, of the composite elements the frame
-// bodies count (see checkpoint.Decoder.Count): what a zero-valued element
+// bodies count (see codec.Decoder.Count): what a zero-valued element
 // encodes to.
 const (
-	minMailboxSize  = 2                              // agent id, empty stimulus list
-	minRoutedSize   = 1 + checkpoint.MinStimulusSize // target agent id, stimulus
-	minExchangeSize = 38                             // 4 counters, an empty Online (33), empty message list
+	minMailboxSize  = 2                        // agent id, empty stimulus list
+	minRoutedSize   = 1 + core.MinStimulusSize // target agent id, stimulus
+	minExchangeSize = 38                       // 4 counters, an empty Online (33), empty message list
 )
 
 // span is one half-open interval [lo, hi) of shards or agents. A v4 worker
@@ -177,7 +180,7 @@ func (s span) String() string { return fmt.Sprintf("[%d, %d)", s.lo, s.hi) }
 // encodeMail appends the non-empty mailboxes of the given agent intervals
 // as (agent id, stimuli) pairs. Spans must be sorted and disjoint, so the
 // pairs come out in agent id order regardless of placement.
-func encodeMail(e *checkpoint.Encoder, mail [][]core.Stimulus, spans []span) {
+func encodeMail(e *codec.Encoder, mail [][]core.Stimulus, spans []span) {
 	boxes := 0
 	for _, sp := range spans {
 		for id := sp.lo; id < sp.hi; id++ {
@@ -195,7 +198,7 @@ func encodeMail(e *checkpoint.Encoder, mail [][]core.Stimulus, spans []span) {
 			e.Int(id)
 			e.Uvarint(uint64(len(mail[id])))
 			for _, st := range mail[id] {
-				e.Stimulus(st)
+				core.AppendStimulus(e, st)
 			}
 		}
 	}
@@ -205,11 +208,11 @@ func encodeMail(e *checkpoint.Encoder, mail [][]core.Stimulus, spans []span) {
 // len agents) and returns the ids it touched so the caller can clear them
 // cheaply after the tick. Every id must fall inside one of the owned
 // agent intervals.
-func decodeMailInto(d *checkpoint.Decoder, mail [][]core.Stimulus, spans []span, touched []int) ([]int, error) {
+func decodeMailInto(d *codec.Decoder, mail [][]core.Stimulus, spans []span, touched []int) ([]int, error) {
 	boxes := d.Count(minMailboxSize)
 	for i := 0; i < boxes; i++ {
 		id := d.Int()
-		n := d.Count(checkpoint.MinStimulusSize)
+		n := d.Count(core.MinStimulusSize)
 		if err := d.Err(); err != nil {
 			return touched, err
 		}
@@ -225,7 +228,7 @@ func decodeMailInto(d *checkpoint.Decoder, mail [][]core.Stimulus, spans []span,
 		}
 		box := mail[id][:0]
 		for j := 0; j < n; j++ {
-			box = append(box, d.Stimulus())
+			box = append(box, core.DecodeStimulus(d))
 		}
 		mail[id] = box
 		touched = append(touched, id)
@@ -234,16 +237,16 @@ func decodeMailInto(d *checkpoint.Decoder, mail [][]core.Stimulus, spans []span,
 }
 
 // encodeExchange appends one shard's tick result.
-func encodeExchange(e *checkpoint.Encoder, o *population.ShardExchange) {
+func encodeExchange(e *codec.Encoder, o *population.ShardExchange) {
 	e.Int(o.Delivered)
 	e.Int(o.Actions)
 	e.Varint(o.StepNanos)
 	e.Int(o.Steals)
-	e.Online(o.Observed.State())
+	o.Observed.AppendState(e)
 	e.Uvarint(uint64(len(o.Msgs)))
 	for _, m := range o.Msgs {
 		e.Int(m.To)
-		e.Stimulus(m.Stim)
+		core.AppendStimulus(e, m.Stim)
 	}
 }
 
@@ -253,7 +256,7 @@ func encodeExchange(e *checkpoint.Encoder, o *population.ShardExchange) {
 // mailboxes by target, so a confused worker's out-of-range one must fail the
 // tick (poisoning the engine) instead of crashing the coordinator.
 func decodeTickReply(body []byte, shards []int, outs []*population.ShardExchange, agents int) error {
-	d := checkpoint.NewDecoder(body)
+	d := codec.NewDecoder(body)
 	n := d.Count(minExchangeSize)
 	if err := d.Err(); err != nil {
 		return err
@@ -275,12 +278,12 @@ func decodeTickReply(body []byte, shards []int, outs []*population.ShardExchange
 // decodeExchange decodes one shard's tick result into the pooled o
 // (reusing Msgs capacity between ticks), rejecting a message whose target
 // lies outside [0, agents).
-func decodeExchange(d *checkpoint.Decoder, o *population.ShardExchange, agents int) error {
+func decodeExchange(d *codec.Decoder, o *population.ShardExchange, agents int) error {
 	o.Delivered = d.Int()
 	o.Actions = d.Int()
 	o.StepNanos = d.Varint()
 	o.Steals = d.Int()
-	o.Observed.SetState(d.Online())
+	o.Observed.RestoreState(d)
 	msgs := d.Count(minRoutedSize)
 	if err := d.Err(); err != nil {
 		return err
@@ -291,7 +294,7 @@ func decodeExchange(d *checkpoint.Decoder, o *population.ShardExchange, agents i
 		if to < 0 || to >= agents {
 			return fmt.Errorf("message to agent %d outside population of %d", to, agents)
 		}
-		o.Msgs = append(o.Msgs, population.Routed{To: to, Stim: d.Stimulus()})
+		o.Msgs = append(o.Msgs, population.Routed{To: to, Stim: core.DecodeStimulus(d)})
 	}
 	return d.Err()
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"sacs/internal/checkpoint"
+	"sacs/internal/codec"
 	"sacs/internal/core"
 	"sacs/internal/population"
 	"sacs/internal/runner"
@@ -148,7 +149,7 @@ func (w *Worker) handleConn(c net.Conn) {
 		}
 		rt, rbody := w.handle(t, body)
 		if rt == msgErr {
-			d := checkpoint.NewDecoder(rbody)
+			d := codec.NewDecoder(rbody)
 			w.log.Warn("cluster: request failed",
 				"remote", c.RemoteAddr().String(), "type", msgName(t), "err", d.Str())
 		}
@@ -198,7 +199,7 @@ func (w *Worker) handle(t msgType, body []byte) (rt msgType, rbody []byte) {
 }
 
 func errReply(err error) (msgType, []byte) {
-	e := checkpoint.NewEncoder()
+	e := codec.NewEncoder()
 	e.Str(err.Error())
 	return msgErr, append([]byte(nil), e.Bytes()...)
 }
@@ -223,7 +224,7 @@ func (w *Worker) pop(id string, epoch uint64) (*workerPop, error) {
 }
 
 func (w *Worker) handleInit(body []byte) (msgType, []byte) {
-	d := checkpoint.NewDecoder(body)
+	d := codec.NewDecoder(body)
 	if v := d.Uvarint(); v != protocolVersion {
 		return errReply(fmt.Errorf("protocol version %d not supported (worker speaks %d)", v, protocolVersion))
 	}
@@ -281,22 +282,25 @@ func (w *Worker) handleInit(body []byte) (msgType, []byte) {
 		"pop", spec.ID, "workload", spec.Workload,
 		"shards_lo", lo, "shards_hi", hi,
 		"epoch", p.epoch, "replaced", replaced)
-	e := checkpoint.NewEncoder()
+	e := codec.NewEncoder()
 	e.Uvarint(p.epoch)
 	return msgOK, e.Bytes()
 }
 
 func (w *Worker) handleInstall(body []byte) (msgType, []byte) {
-	d := checkpoint.NewDecoder(body)
+	d := codec.NewDecoder(body)
 	id := d.Str()
 	epoch := d.Uvarint()
-	rs := d.RangeState()
-	if err := d.Finish(); err != nil {
+	if err := d.Err(); err != nil {
 		return errReply(fmt.Errorf("bad install: %w", err))
 	}
 	p, err := w.pop(id, epoch)
 	if err != nil {
 		return errReply(err)
+	}
+	rs := checkpoint.DecodeRange(d, p.bounds)
+	if err := d.Finish(); err != nil {
+		return errReply(fmt.Errorf("bad install: %w", err))
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -307,7 +311,7 @@ func (w *Worker) handleInstall(body []byte) (msgType, []byte) {
 }
 
 func (w *Worker) handleTick(body []byte) (msgType, []byte) {
-	d := checkpoint.NewDecoder(body)
+	d := codec.NewDecoder(body)
 	id := d.Str()
 	epoch := d.Uvarint()
 	tick := d.Int()
@@ -338,7 +342,7 @@ func (w *Worker) handleTick(body []byte) (msgType, []byte) {
 	if err != nil {
 		return errReply(err)
 	}
-	e := checkpoint.NewEncoder()
+	e := codec.NewEncoder()
 	e.Uvarint(uint64(len(outs)))
 	for _, o := range outs {
 		encodeExchange(e, o)
@@ -364,7 +368,7 @@ func (p *workerPop) clearMail() {
 }
 
 func (w *Worker) handleExport(body []byte) (msgType, []byte) {
-	d := checkpoint.NewDecoder(body)
+	d := codec.NewDecoder(body)
 	id := d.Str()
 	epoch := d.Uvarint()
 	if err := d.Finish(); err != nil {
@@ -376,14 +380,14 @@ func (w *Worker) handleExport(body []byte) (msgType, []byte) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	e := checkpoint.NewEncoder()
+	e := codec.NewEncoder()
 	e.Uvarint(uint64(len(p.runs)))
 	for _, r := range p.runs {
 		rs, err := p.t.ExportRange(r.lo, r.hi)
 		if err != nil {
 			return errReply(err)
 		}
-		e.RangeState(rs)
+		checkpoint.AppendRange(e, rs)
 	}
 	return msgRanges, e.Bytes()
 }
@@ -395,7 +399,7 @@ func (w *Worker) handleExport(body []byte) (msgType, []byte) {
 // that fails at any later step therefore leaves this worker's state
 // exactly as it was.
 func (w *Worker) handleMigrate(body []byte) (msgType, []byte) {
-	d := checkpoint.NewDecoder(body)
+	d := codec.NewDecoder(body)
 	id := d.Str()
 	epoch := d.Uvarint()
 	lo, hi := d.Int(), d.Int()
@@ -412,8 +416,8 @@ func (w *Worker) handleMigrate(body []byte) (msgType, []byte) {
 	if err != nil {
 		return errReply(fmt.Errorf("migrate: %w (hosting shards %v)", err, p.runs))
 	}
-	e := checkpoint.NewEncoder()
-	e.RangeState(rs)
+	e := codec.NewEncoder()
+	checkpoint.AppendRange(e, rs)
 	return msgRange, e.Bytes()
 }
 
@@ -424,17 +428,20 @@ func (w *Worker) handleMigrate(body []byte) (msgType, []byte) {
 // (the coordinator can roll the migration back with the source still
 // authoritative).
 func (w *Worker) handleAdopt(body []byte) (msgType, []byte) {
-	d := checkpoint.NewDecoder(body)
+	d := codec.NewDecoder(body)
 	id := d.Str()
 	epoch := d.Uvarint()
-	rs := d.RangeState()
-	costs := d.F64s()
-	if err := d.Finish(); err != nil {
+	if err := d.Err(); err != nil {
 		return errReply(fmt.Errorf("bad adopt: %w", err))
 	}
 	p, err := w.pop(id, epoch)
 	if err != nil {
 		return errReply(err)
+	}
+	rs := checkpoint.DecodeRange(d, p.bounds)
+	costs := d.F64s()
+	if err := d.Finish(); err != nil {
+		return errReply(fmt.Errorf("bad adopt: %w", err))
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -452,7 +459,7 @@ func (w *Worker) handleAdopt(body []byte) (msgType, []byte) {
 // be split ownership), or the destination-side rollback of an adopt whose
 // migration later failed. Only the released shards' agents are dropped.
 func (w *Worker) handleRelease(body []byte) (msgType, []byte) {
-	d := checkpoint.NewDecoder(body)
+	d := codec.NewDecoder(body)
 	id := d.Str()
 	epoch := d.Uvarint()
 	lo, hi := d.Int(), d.Int()
@@ -475,7 +482,7 @@ func (w *Worker) handleRelease(body []byte) (msgType, []byte) {
 }
 
 func (w *Worker) handleExplain(body []byte) (msgType, []byte) {
-	d := checkpoint.NewDecoder(body)
+	d := codec.NewDecoder(body)
 	id := d.Str()
 	epoch := d.Uvarint()
 	agent := d.Int()
@@ -493,13 +500,13 @@ func (w *Worker) handleExplain(body []byte) (msgType, []byte) {
 	if err != nil {
 		return errReply(fmt.Errorf("%w (hosting shards %v)", err, p.runs))
 	}
-	e := checkpoint.NewEncoder()
+	e := codec.NewEncoder()
 	e.Str(text)
 	return msgText, e.Bytes()
 }
 
 func (w *Worker) handleDrop(body []byte) (msgType, []byte) {
-	d := checkpoint.NewDecoder(body)
+	d := codec.NewDecoder(body)
 	id := d.Str()
 	epoch := d.Uvarint()
 	if err := d.Finish(); err != nil {

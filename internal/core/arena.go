@@ -22,8 +22,8 @@ type StepState struct {
 // Arena is a contiguous block of StepStates covering the agents of one
 // shard, in step order. It exists purely for memory layout: adopting an
 // agent changes no observable behaviour, no snapshot byte, and no RNG
-// draw — Agent.State reads the same numbers from the arena slot it read
-// from the agent's private state before.
+// draw — Agent.AppendState reads the same numbers from the arena slot it
+// read from the agent's private state before.
 type Arena struct {
 	slots []StepState
 	used  int

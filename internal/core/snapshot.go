@@ -2,20 +2,15 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
-	"sacs/internal/goals"
+	"sacs/internal/codec"
 	"sacs/internal/knowledge"
 	"sacs/internal/learning"
 )
 
-func switcherState(r *SwitcherStateRef) goals.SwitcherState {
-	return goals.SwitcherState{Next: r.Next, Switches: r.Switches}
-}
-
-// This file implements agent checkpointing: State exports every piece of an
-// Agent's mutable run-time state that influences future behaviour, and
-// SetState reinstalls it on a freshly constructed agent, so that
+// This file implements agent checkpointing: AppendState writes every piece
+// of an Agent's mutable run-time state that influences future behaviour,
+// and RestoreState reads it back onto a freshly constructed agent, so that
 // resume(snapshot(T)) continues byte-identically (the contract documented
 // in DESIGN.md).
 //
@@ -29,197 +24,223 @@ func switcherState(r *SwitcherStateRef) goals.SwitcherState {
 //     the knowledge store (or derive it from the agent's RNG stream), both
 //     of which ARE captured.
 
-// PredictorState is the exported state of one time-awareness predictor:
-// which stimulus it forecasts, which strategy produced it (for validation
-// on restore), its learner state and its out-of-sample error tracker.
-type PredictorState struct {
-	Stim  string
-	Kind  string // learning.Predictor Name() of the exporter
-	State []float64
-	Err   []float64 // learning.MSETracker state
+// The fewest bytes each element can be spelled in, for
+// codec.Decoder.Count: an agent state (an empty name, a step count, an
+// empty store, two floats, three absent flags), a predictor (two empty
+// strings, two empty lists) and a stimulus (two empty strings, a scope,
+// two floats).
+const (
+	MinStateSize     = 33
+	minPredictorSize = 4
+	MinStimulusSize  = 19
+)
+
+// AppendStimulus writes one stimulus.
+func AppendStimulus(e *codec.Encoder, s Stimulus) {
+	e.Str(s.Name)
+	e.Str(s.Source)
+	e.Int(int(s.Scope))
+	e.F64(s.Value)
+	e.F64(s.Time)
 }
 
-// TimeState is the exported state of the built-in time-awareness process,
-// predictors sorted by stimulus name.
-type TimeState struct {
-	Preds []PredictorState
+// DecodeStimulus reads one stimulus.
+func DecodeStimulus(d *codec.Decoder) Stimulus {
+	return Stimulus{
+		Name:   d.Str(),
+		Source: d.Str(),
+		Scope:  knowledge.Scope(d.Int()),
+		Value:  d.F64(),
+		Time:   d.F64(),
+	}
 }
 
-// MetaState is the exported state of the agent's MetaMonitor.
-type MetaState struct {
-	PoolIdx     int
-	Adaptations int
-	LastErr     float64
-	Detector    []float64 // Page–Hinkley drift detector state
-}
-
-// AgentState is the complete exported run-time state of one Agent. It is
-// plain data: internal/checkpoint serialises it, and population.Restore
-// feeds it back through Agent.SetState.
-type AgentState struct {
-	Name  string // exporter's name, validated on restore
-	Steps int
-	Store knowledge.StoreState
-	// Goals is the goal switcher's schedule position (nil when the agent
-	// has no switcher).
-	Goals *SwitcherStateRef
-	// GoalSwitches is the goal-awareness process's own switch counter
-	// (distinct from the switcher's: the process counts switches it
-	// noticed).
-	GoalSwitches float64
-	// Interactions is the interaction-awareness process's running count.
-	Interactions float64
-	Time         *TimeState
-	Meta         *MetaState
-}
-
-// SwitcherStateRef mirrors goals.SwitcherState without forcing checkpoint
-// encoders to import the goals package for one tiny struct.
-type SwitcherStateRef struct {
-	Next     int
-	Switches int
-}
-
-// State exports the agent's mutable state. It fails when the agent's
-// time-awareness process carries a predictor that does not implement
-// learning.Stateful (a custom strategy the checkpoint layer cannot
-// serialise).
-func (a *Agent) State() (AgentState, error) {
-	st := AgentState{Name: a.name, Steps: a.hot.Steps, Store: a.store.State()}
+// AppendState writes the agent's mutable state to e. It fails when the
+// agent's time-awareness process carries a predictor that does not
+// implement learning.Stateful (a custom strategy the checkpoint layer
+// cannot serialise); e then holds a partial state to be discarded.
+func (a *Agent) AppendState(e *codec.Encoder) error {
+	e.Str(a.name)
+	e.Int(a.hot.Steps)
+	a.store.AppendState(e)
+	e.Bool(a.goals != nil)
 	if a.goals != nil {
-		gs := a.goals.State()
-		st.Goals = &SwitcherStateRef{Next: gs.Next, Switches: gs.Switches}
+		a.goals.AppendState(e)
 	}
-	if a.goalProc != nil {
-		st.GoalSwitches = a.hot.GoalSwitches
-	}
-	if a.interProc != nil {
-		st.Interactions = a.hot.Interactions
-	}
-	if a.timeProc != nil && a.timeProc.live > 0 {
-		names := make([]string, 0, len(a.timeProc.models))
-		for n, m := range a.timeProc.models {
-			if m.pred != nil { // Reset-discarded models carry no state
-				names = append(names, n)
+	e.F64(a.hot.GoalSwitches) // zero unless the goal process counts
+	e.F64(a.hot.Interactions) // zero unless the interaction process counts
+	tp := a.timeProc
+	e.Bool(tp != nil && tp.live > 0)
+	if tp != nil && tp.live > 0 {
+		e.Uvarint(uint64(tp.live))
+		for _, n := range tp.names {
+			m := tp.models[n]
+			if m.pred == nil { // Reset-discarded models carry no state
+				continue
 			}
-		}
-		sort.Strings(names)
-		ts := &TimeState{Preds: make([]PredictorState, 0, len(names))}
-		for _, n := range names {
-			m := a.timeProc.models[n]
 			sf, ok := m.pred.(learning.Stateful)
 			if !ok {
-				return AgentState{}, fmt.Errorf(
+				return fmt.Errorf(
 					"core: agent %s predictor %q (%s) does not support checkpointing", a.name, n, m.pred.Name())
 			}
-			ts.Preds = append(ts.Preds, PredictorState{
-				Stim:  n,
-				Kind:  m.pred.Name(),
-				State: sf.State(),
-				Err:   m.errs.State(),
-			})
+			e.Str(n)
+			e.Str(m.pred.Name())
+			e.F64s(sf.State())
+			e.F64s(m.errs.State())
 		}
-		st.Time = ts
 	}
+	e.Bool(a.meta != nil)
 	if a.meta != nil {
-		st.Meta = &MetaState{
-			PoolIdx:     a.meta.poolIdx,
-			Adaptations: a.meta.Adaptations,
-			LastErr:     a.meta.lastErr,
-			Detector:    a.meta.detector.State(),
-		}
+		e.Int(a.meta.poolIdx)
+		e.Int(a.meta.Adaptations)
+		e.F64(a.meta.lastErr)
+		e.F64s(a.meta.detector.State())
 	}
-	return st, nil
+	return nil
 }
 
-// SetState reinstalls a previously exported state on the agent. The agent
-// must have been constructed exactly as the exporter was (same Config, same
-// goal schedule, same capability set); mismatches are reported as errors.
-func (a *Agent) SetState(st AgentState) error {
-	if st.Name != a.name {
-		return fmt.Errorf("core: state for agent %q applied to agent %q", st.Name, a.name)
+// SkipState steps d over one agent's state without allocating, checking
+// every count against the bytes left: the walk that finds agent boundaries
+// in bytes that carry none.
+func SkipState(d *codec.Decoder) {
+	d.StrBytes()
+	d.Int()
+	knowledge.SkipState(d)
+	if d.Bool() {
+		d.Int()
+		d.Int()
 	}
-	if err := a.store.SetState(st.Store); err != nil {
+	d.Skip(16)
+	if d.Bool() {
+		skipPredictors(d)
+	}
+	if d.Bool() {
+		d.Int()
+		d.Int()
+		d.Skip(8)
+		d.SkipF64s()
+	}
+}
+
+func skipPredictors(d *codec.Decoder) {
+	n := d.Count(minPredictorSize)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		d.StrBytes()
+		d.StrBytes()
+		d.SkipF64s()
+		d.SkipF64s()
+	}
+}
+
+// RestoreState reads a state AppendState wrote back onto the agent. The
+// agent must have been constructed exactly as the writer was (same Config,
+// same goal schedule, same capability set); mismatches are reported as
+// errors, as are bytes that do not parse.
+func (a *Agent) RestoreState(d *codec.Decoder) error {
+	if name := d.StrBytes(); string(name) != a.name {
+		return fmt.Errorf("core: state for agent %q applied to agent %q", name, a.name)
+	}
+	a.hot.Steps = d.Int()
+	if err := a.store.RestoreState(d); err != nil {
 		return fmt.Errorf("agent %s: %w", a.name, err)
 	}
-	a.hot.Steps = st.Steps
-	if st.Goals != nil {
+	if d.Bool() {
 		if a.goals == nil {
 			return fmt.Errorf("core: agent %s state has goal switcher state but agent has no switcher", a.name)
 		}
-		if err := a.goals.SetState(switcherState(st.Goals)); err != nil {
+		if err := a.goals.RestoreState(d); err != nil {
 			return fmt.Errorf("agent %s: %w", a.name, err)
 		}
 	}
-	if a.goalProc != nil {
-		a.hot.GoalSwitches = st.GoalSwitches
-	}
-	if a.interProc != nil {
-		a.hot.Interactions = st.Interactions
-	}
+	a.hot.GoalSwitches = d.F64()
+	a.hot.Interactions = d.F64()
 	// Meta before time: the monitor's pool index determines which predictor
-	// factory the time process must rebuild forecasters with.
-	if st.Meta != nil {
+	// factory the time process must rebuild forecasters with, and it is
+	// written after the predictors. preds keeps their position.
+	hasTime := d.Bool()
+	preds := *d
+	if hasTime {
+		skipPredictors(d)
+	}
+	if d.Bool() {
 		if a.meta == nil {
 			return fmt.Errorf("core: agent %s state has meta state but agent lacks the meta level", a.name)
 		}
-		if st.Meta.PoolIdx < 0 || st.Meta.PoolIdx >= len(a.meta.pool) {
-			return fmt.Errorf("core: agent %s meta pool index %d out of range", a.name, st.Meta.PoolIdx)
+		idx := d.Int()
+		if idx < 0 || idx >= len(a.meta.pool) {
+			return fmt.Errorf("core: agent %s meta pool index %d out of range", a.name, idx)
 		}
-		a.meta.poolIdx = st.Meta.PoolIdx
-		a.meta.Adaptations = st.Meta.Adaptations
-		a.meta.lastErr = st.Meta.LastErr
-		if err := a.meta.detector.SetState(st.Meta.Detector); err != nil {
+		a.meta.poolIdx = idx
+		a.meta.Adaptations = d.Int()
+		a.meta.lastErr = d.F64()
+		if err := a.meta.detector.SetState(d.F64s()); err != nil {
 			return fmt.Errorf("agent %s: %w", a.name, err)
 		}
 		if a.timeProc != nil {
-			a.timeProc.NewPredict = a.meta.pool[a.meta.poolIdx].fn
+			a.timeProc.NewPredict = a.meta.pool[idx].fn
 		}
 	}
-	if st.Time != nil {
-		if a.timeProc == nil {
-			return fmt.Errorf("core: agent %s state has time state but agent lacks the time level", a.name)
+	if hasTime {
+		if err := a.restorePredictors(&preds); err != nil {
+			return err
 		}
-		factory := a.timeProc.NewPredict
-		if factory == nil {
-			factory = func() learning.Predictor { return learning.NewEWMA(0.3) }
-			a.timeProc.NewPredict = factory
+	}
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("agent %s: %w", a.name, err)
+	}
+	return nil
+}
+
+// restorePredictors rebuilds the time-awareness models from their state:
+// one fresh forecaster per stimulus from the current factory, which must
+// be the strategy the writer used.
+func (a *Agent) restorePredictors(d *codec.Decoder) error {
+	tp := a.timeProc
+	if tp == nil {
+		return fmt.Errorf("core: agent %s state has time state but agent lacks the time level", a.name)
+	}
+	factory := tp.NewPredict
+	if factory == nil {
+		factory = func() learning.Predictor { return learning.NewEWMA(0.3) }
+		tp.NewPredict = factory
+	}
+	n := d.Count(minPredictorSize)
+	tp.models = make(map[string]*timeModel, n)
+	tp.names = nil
+	tp.live = 0
+	for i := 0; i < n; i++ {
+		stim := d.Str()
+		kind := d.StrBytes()
+		pr := factory()
+		if pr.Name() != string(kind) {
+			return fmt.Errorf("core: agent %s predictor for %q is %q, state was exported from %q",
+				a.name, stim, pr.Name(), kind)
 		}
-		a.timeProc.models = make(map[string]*timeModel, len(st.Time.Preds))
-		a.timeProc.names = nil
-		a.timeProc.live = 0
-		for _, ps := range st.Time.Preds {
-			pr := factory()
-			if pr.Name() != ps.Kind {
-				return fmt.Errorf("core: agent %s predictor for %q is %q, state was exported from %q",
-					a.name, ps.Stim, pr.Name(), ps.Kind)
-			}
-			sf, ok := pr.(learning.Stateful)
-			if !ok {
-				return fmt.Errorf("core: agent %s predictor %q (%s) does not support checkpointing",
-					a.name, ps.Stim, pr.Name())
-			}
-			if err := sf.SetState(ps.State); err != nil {
-				return fmt.Errorf("agent %s predictor %q: %w", a.name, ps.Stim, err)
-			}
-			if _, dup := a.timeProc.models[ps.Stim]; dup {
-				return fmt.Errorf("core: agent %s has duplicate predictor state for %q", a.name, ps.Stim)
-			}
-			// Intern binds against the just-restored entries, whose scope
-			// wins over the argument (the Private here is only a fallback
-			// for the never-written case).
-			m := &timeModel{
-				pred:     pr,
-				predKey:  a.store.Intern("pred/"+ps.Stim, knowledge.Private),
-				trendKey: a.store.Intern("trend/"+ps.Stim, knowledge.Private),
-			}
-			if err := m.errs.SetState(ps.Err); err != nil {
-				return fmt.Errorf("agent %s predictor %q: %w", a.name, ps.Stim, err)
-			}
-			a.timeProc.models[ps.Stim] = m
-			a.timeProc.insertName(ps.Stim)
-			a.timeProc.live++
+		sf, ok := pr.(learning.Stateful)
+		if !ok {
+			return fmt.Errorf("core: agent %s predictor %q (%s) does not support checkpointing",
+				a.name, stim, pr.Name())
 		}
+		if err := sf.SetState(d.F64s()); err != nil {
+			return fmt.Errorf("agent %s predictor %q: %w", a.name, stim, err)
+		}
+		if _, dup := tp.models[stim]; dup {
+			return fmt.Errorf("core: agent %s has duplicate predictor state for %q", a.name, stim)
+		}
+		// Intern binds against the just-restored entries, whose scope
+		// wins over the argument (the Private here is only a fallback
+		// for the never-written case).
+		m := &timeModel{
+			pred:     pr,
+			predKey:  a.store.Intern("pred/"+stim, knowledge.Private),
+			trendKey: a.store.Intern("trend/"+stim, knowledge.Private),
+		}
+		if err := m.errs.SetState(d.F64s()); err != nil {
+			return fmt.Errorf("agent %s predictor %q: %w", a.name, stim, err)
+		}
+		tp.models[stim] = m
+		tp.insertName(stim)
+		tp.live++
 	}
 	return nil
 }

@@ -1,38 +1,37 @@
 package goals
 
-import "fmt"
+import (
+	"fmt"
 
-// SwitcherState is the exported run-time position of a Switcher: how far
-// through its schedule it has advanced and how many switches have fired.
-// The goal sets themselves are design-time code, so a restored Switcher is
-// rebuilt with the same initial set and schedule and then repositioned with
-// SetState — the active set is recomputed from the schedule position.
-type SwitcherState struct {
-	Next     int // schedule entries already applied
-	Switches int
-}
+	"sacs/internal/codec"
+)
 
-// State exports the switcher's schedule position.
-func (w *Switcher) State() SwitcherState {
+// AppendState writes the switcher's run-time position: how far through its
+// schedule it has advanced and how many switches have fired. The goal sets
+// themselves are design-time code, so a restored Switcher is rebuilt with
+// the same initial set and schedule and then repositioned by RestoreState.
+func (w *Switcher) AppendState(e *codec.Encoder) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	return SwitcherState{Next: w.next, Switches: w.Switches}
+	e.Int(w.next)
+	e.Int(w.Switches)
 }
 
-// SetState repositions the switcher. The receiver must carry the same
-// schedule the exporting switcher had; st.Next beyond the schedule is an
+// RestoreState repositions the switcher from the bytes AppendState wrote,
+// recomputing the active set from the schedule position. The receiver must
+// carry the same schedule the writer had; a position beyond it is an
 // error.
-func (w *Switcher) SetState(st SwitcherState) error {
+func (w *Switcher) RestoreState(d *codec.Decoder) error {
+	next, switches := d.Int(), d.Int()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if st.Next < 0 || st.Next > len(w.schedule) {
-		return fmt.Errorf("goals: switcher state next=%d outside schedule of %d entries",
-			st.Next, len(w.schedule))
+	if next < 0 || next > len(w.schedule) {
+		return fmt.Errorf("goals: switcher state next=%d outside schedule of %d entries", next, len(w.schedule))
 	}
-	w.next = st.Next
-	w.Switches = st.Switches
-	if st.Next > 0 {
-		w.active = w.schedule[st.Next-1].set
+	w.next = next
+	w.Switches = switches
+	if next > 0 {
+		w.active = w.schedule[next-1].set
 	}
 	return nil
 }

@@ -1,7 +1,7 @@
 package knowledge
 
 import (
-	"reflect"
+	"bytes"
 	"sync"
 	"testing"
 )
@@ -27,9 +27,8 @@ func TestInternKeyFastPathMatchesStringPath(t *testing.T) {
 	if got, want := byKey.ValueKey(k, -1), byName.Value("stim/load", -1); got != want {
 		t.Fatalf("ValueKey = %v, string path = %v", got, want)
 	}
-	a, b := byName.State(), byKey.State()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("states diverged:\n%+v\n%+v", a, b)
+	if a, b := stateBytes(byName), stateBytes(byKey); !bytes.Equal(a, b) {
+		t.Fatalf("states diverged:\n%x\n%x", a, b)
 	}
 }
 
@@ -137,28 +136,29 @@ func TestUnsharedMatchesShared(t *testing.T) {
 		t.Fatalf("counters diverged: reads %d/%d writes %d/%d",
 			shared.ReadCount(), solo.ReadCount(), shared.WriteCount(), solo.WriteCount())
 	}
-	if !reflect.DeepEqual(shared.State(), solo.State()) {
-		t.Fatalf("states diverged:\n%+v\n%+v", shared.State(), solo.State())
+	if a, b := stateBytes(shared), stateBytes(solo); !bytes.Equal(a, b) {
+		t.Fatalf("states diverged:\n%x\n%x", a, b)
 	}
 	if shared.Inventory(31) != solo.Inventory(31) {
 		t.Fatal("inventories diverged")
 	}
 }
 
-// TestUnsharedSurvivesSetState: entries rebuilt by SetState on an unshared
-// store must stay lock-elided, and interned keys must be rebound to the
-// restored entries.
+// TestUnsharedSurvivesSetState: entries rebuilt by RestoreState on an
+// unshared store must stay lock-elided, and interned keys must be rebound
+// to the restored entries.
 func TestUnsharedSurvivesSetState(t *testing.T) {
 	s := NewStore(0.3, 4)
 	s.Unshared()
 	k := s.Intern("m", Private)
 	s.ObserveKey(k, 5, 1)
-	st := s.State()
+	writes := s.WriteCount()
+	st := stateBytes(s)
 
 	r := NewStore(0.3, 4)
 	r.Unshared()
 	kr := r.Intern("m", Private)
-	if err := r.SetState(st); err != nil {
+	if err := restoreBytes(r, st); err != nil {
 		t.Fatal(err)
 	}
 	e := r.GetKey(kr)
@@ -169,8 +169,8 @@ func TestUnsharedSurvivesSetState(t *testing.T) {
 		t.Fatal("restored entry on an unshared store is not lock-elided")
 	}
 	r.ObserveKey(kr, 7, 2)
-	if r.WriteCount() != int(st.Writes)+1 {
-		t.Fatalf("write counter after restore = %d, want %d", r.WriteCount(), st.Writes+1)
+	if r.WriteCount() != writes+1 {
+		t.Fatalf("write counter after restore = %d, want %d", r.WriteCount(), writes+1)
 	}
 }
 
@@ -203,7 +203,7 @@ func TestSharedStoreStillLocksUnderRace(t *testing.T) {
 						s.Delete("cold")
 					}
 				case 3:
-					_ = s.State()
+					_ = stateBytes(s)
 					_ = s.Names(Private, false)
 				}
 			}

@@ -656,8 +656,8 @@ func (s *Store) Inventory(now float64) string {
 // profiles showed full-capacity rings were the single largest source of
 // object count in a populated run), and the bound only matters once enough
 // observations arrive to reach it. Capacity is an implementation detail —
-// snapshots serialize contents oldest-first (see EntryState), never the
-// backing size — so two rings with equal contents are indistinguishable.
+// snapshots serialize contents oldest-first (see Store.AppendState), never
+// the backing size — so two rings with equal contents are indistinguishable.
 type Ring struct {
 	t, v []float64
 	head int
@@ -699,19 +699,6 @@ func ringLen(max, k int) int {
 		n = min(2*n, max)
 	}
 	return n
-}
-
-// restore sets the ring up over b, whose length is 2·ringLen(max, len(t)),
-// holding the points t, v (oldest-first): the ring NewRing(max) becomes
-// after Pushing them one by one, backing length and head included.
-func (r *Ring) restore(b, t, v []float64, max int) {
-	n := len(b) / 2
-	*r = Ring{t: b[:n:n], v: b[n:], head: len(t), size: len(t), max: max}
-	copy(r.t, t)
-	copy(r.v, v)
-	if r.head == n {
-		r.head = 0
-	}
 }
 
 // Push appends a point, evicting the oldest when full at the bound. The wrap
@@ -764,8 +751,7 @@ func (r *Ring) Times() []float64 { return r.linear(r.t) }
 
 // linear copies the stored window of buf (r.t or r.v) out oldest-first as
 // at most two block copies — the tail half from the oldest point, then the
-// wrapped head half — instead of a modulo per element: snapshot export
-// copies every history of every agent through here.
+// wrapped head half — instead of a modulo per element.
 func (r *Ring) linear(buf []float64) []float64 {
 	out := make([]float64, r.size)
 	start := r.head - r.size

@@ -2,136 +2,211 @@ package knowledge
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
+
+	"sacs/internal/codec"
 )
 
-// EntryState is the exported, serialisable form of one Entry: everything a
-// restored store needs to continue producing byte-identical estimates,
-// confidences and trends. HistT/HistV hold the bounded history oldest-first
-// (nil when the store keeps no history); ring rotation is not preserved
-// because every reader of a Ring is rotation-invariant.
-type EntryState struct {
-	Name         string
-	Scope        Scope
-	Value        float64
-	Variance     float64
-	N            int
-	LastUpdate   float64
-	HistT, HistV []float64
-}
+// minEntrySize is the fewest bytes one entry can be spelled in: an empty
+// name, a scope, three floats, a count and two empty histories.
+const minEntrySize = 29
 
-// StoreState is the exported form of a whole Store, with entries sorted by
-// name so that two equal stores always export equal states.
-type StoreState struct {
-	Alpha   float64
-	HistLen int
-	Reads   int64 // instrumentation counters, restored for E9-style accounting
-	Writes  int64
-	Entries []EntryState
-}
-
-// State exports the store's complete contents. It takes the registry lock
-// and every entry lock, so it must not run concurrently with a caller that
-// holds entry locks; population checkpointing calls it only at tick
-// barriers, when no shard job is in flight.
-func (s *Store) State() StoreState {
+// AppendState writes the store's complete contents to e: its parameters
+// and counters, then the entries sorted by name, so equal stores write
+// equal bytes, each with its history oldest-first (ring rotation and
+// backing size are not written). It takes the registry lock and every
+// entry lock, so it must not run concurrently with a caller that holds
+// entry locks; population checkpointing calls it only at tick barriers.
+func (s *Store) AppendState(e *codec.Encoder) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st := StoreState{
-		Alpha:   s.alpha,
-		HistLen: s.histLen,
-		Reads:   s.reads.Load() + s.readsU,
-		Writes:  s.writes.Load() + s.writesU,
-		Entries: make([]EntryState, 0, len(s.entries)),
+	e.F64(s.alpha)
+	e.Int(s.histLen)
+	e.Varint(s.reads.Load() + s.readsU)
+	e.Varint(s.writes.Load() + s.writesU)
+	sorted := make([]*Entry, 0, len(s.entries))
+	for _, en := range s.entries {
+		sorted = append(sorted, en)
 	}
-	for _, e := range s.entries {
-		e.mu.RLock()
-		es := EntryState{
-			Name:       e.Name,
-			Scope:      e.Scope,
-			Value:      e.value,
-			Variance:   e.variance,
-			N:          e.n,
-			LastUpdate: e.lastUpdate,
+	slices.SortFunc(sorted, func(a, b *Entry) int { return strings.Compare(a.Name, b.Name) })
+	e.Uvarint(uint64(len(sorted)))
+	for _, en := range sorted {
+		en.mu.RLock()
+		e.Str(en.Name)
+		e.Int(int(en.Scope))
+		e.F64(en.value)
+		e.F64(en.variance)
+		e.Int(en.n)
+		e.F64(en.lastUpdate)
+		if en.hist != nil {
+			en.hist.appendWindow(e, en.hist.t)
+			en.hist.appendWindow(e, en.hist.v)
+		} else {
+			e.Uvarint(0)
+			e.Uvarint(0)
 		}
-		if e.hist != nil {
-			es.HistT = e.hist.Times()
-			es.HistV = e.hist.Values()
-		}
-		e.mu.RUnlock()
-		st.Entries = append(st.Entries, es)
+		en.mu.RUnlock()
 	}
-	sort.Slice(st.Entries, func(i, j int) bool { return st.Entries[i].Name < st.Entries[j].Name })
-	return st
 }
 
-// SetState replaces the store's contents with a previously exported state.
-// The store's smoothing factor and history length are overwritten too, so a
-// restored store behaves exactly like the one that was exported. The symbol
-// table survives: every interned Key is re-pointed at the restored entry of
-// the same name (or at nothing, when the state has no such model), so
-// processes that cached keys before the restore keep working.
-//
-// The restored entries and their rings come out of one entryBox block, and
-// every history out of one float slab, both sized from st: a resume
-// restores every store of every agent, so it costs a few allocations per
-// store rather than several per entry. Each history is copied straight
-// into a ring of the backing length NewRing plus its Pushes would have
-// grown to, so later growth, Trend and State are exactly the exporter's.
-func (s *Store) SetState(st StoreState) error {
-	floats := 0
-	for _, es := range st.Entries {
-		if len(es.HistT) != len(es.HistV) {
-			return fmt.Errorf("knowledge: entry %q history length mismatch (%d times, %d values)",
-				es.Name, len(es.HistT), len(es.HistV))
+// SkipState steps d over one store's state without allocating, checking
+// every count against the bytes left and every history against its bound.
+func SkipState(d *codec.Decoder) {
+	if _, _, err := scanState(d, nil); err != nil {
+		d.Fail("%v", err)
+	}
+}
+
+// scanState is SkipState's walk, which also sizes a restore: the floats
+// every history's ring needs and the bytes of the names s (when not nil)
+// does not hold yet.
+func scanState(d *codec.Decoder, s *Store) (floats, names int, err error) {
+	d.Skip(8) // alpha
+	histLen := d.Int()
+	d.Varint()
+	d.Varint()
+	n := d.Count(minEntrySize)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		name := d.StrBytes()
+		if _, ok := s.known(name); !ok {
+			names += len(name)
 		}
-		if st.HistLen > 0 {
-			if len(es.HistT) > st.HistLen {
-				return fmt.Errorf("knowledge: entry %q history %d exceeds ring capacity %d",
-					es.Name, len(es.HistT), st.HistLen)
-			}
-			floats += 2 * ringLen(st.HistLen, len(es.HistT))
+		d.Int()
+		d.Skip(16) // value, variance
+		d.Int()
+		d.Skip(8) // last update
+		nt, nv := d.SkipF64s(), d.SkipF64s()
+		switch {
+		case nt != nv:
+			return 0, 0, fmt.Errorf("knowledge: entry %q history length mismatch (%d times, %d values)", name, nt, nv)
+		case histLen > 0 && nt > histLen:
+			return 0, 0, fmt.Errorf("knowledge: entry %q history %d exceeds ring capacity %d", name, nt, histLen)
+		case histLen > 0:
+			floats += 2 * ringLen(histLen, nt)
 		}
 	}
-	boxes := make([]entryBox, len(st.Entries))
+	return floats, names, d.Err()
+}
+
+// RestoreState replaces the store's contents, smoothing factor and
+// history length with the state AppendState wrote. Interned Keys survive,
+// re-pointed at the restored entry of the same name (or at nothing), and a
+// state that fails to parse or validate leaves the store as it was.
+//
+// A length-only pre-scan sizes the restore, so the entries and their rings
+// come out of one entryBox block and every history out of one float slab:
+// a few allocations per store, not several per entry. Names the store
+// already holds are reused; the rest share one string block. Each history
+// is read straight into a ring of the backing length NewRing plus its
+// Pushes would have grown to, so later growth, Trend and AppendState are
+// exactly the writer's.
+func (s *Store) RestoreState(d *codec.Decoder) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	scan := *d
+	floats, nameBytes, err := scanState(&scan, s)
+	if err != nil {
+		return err
+	}
+	alpha, histLen := d.F64(), d.Int()
+	reads, writes := d.Varint(), d.Varint()
+	n := d.Count(minEntrySize)
+	boxes := make([]entryBox, n)
 	var slab []float64
 	if floats > 0 {
 		slab = make([]float64, floats)
 	}
-	entries := make(map[string]*Entry, len(st.Entries))
-	for i, es := range st.Entries {
-		if _, dup := entries[es.Name]; dup {
-			return fmt.Errorf("knowledge: duplicate entry %q in store state", es.Name)
+	var names strings.Builder
+	names.Grow(nameBytes)
+	entries := make(map[string]*Entry, n)
+	for i := range boxes {
+		raw := d.StrBytes()
+		name, ok := s.known(raw)
+		if !ok {
+			off := names.Len()
+			names.Write(raw)
+			name = names.String()[off:]
+		}
+		if _, dup := entries[name]; dup {
+			return fmt.Errorf("knowledge: duplicate entry %q in store state", name)
 		}
 		box := &boxes[i]
 		box.e = Entry{
-			Name:       es.Name,
-			Scope:      es.Scope,
-			alpha:      st.Alpha,
+			Name:       name,
+			Scope:      Scope(d.Int()),
+			alpha:      alpha,
 			noLock:     s.unshared,
-			value:      es.Value,
-			variance:   es.Variance,
-			n:          es.N,
-			lastUpdate: es.LastUpdate,
+			value:      d.F64(),
+			variance:   d.F64(),
+			n:          d.Int(),
+			lastUpdate: d.F64(),
 		}
-		if st.HistLen > 0 {
-			n := 2 * ringLen(st.HistLen, len(es.HistT))
-			box.r.restore(slab[:n:n], es.HistT, es.HistV, st.HistLen)
-			slab = slab[n:]
+		if histLen > 0 {
+			k := d.Count(8)
+			size := 2 * ringLen(histLen, k)
+			box.r.restore(d, slab[:size:size], k, histLen)
+			slab = slab[size:]
 			box.e.hist = &box.r
+		} else {
+			d.SkipF64s()
+			d.SkipF64s()
 		}
-		entries[es.Name] = &box.e
+		entries[name] = &box.e
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.alpha = st.Alpha
-	s.histLen = st.HistLen
+	if err := d.Err(); err != nil {
+		return err
+	}
+	s.alpha = alpha
+	s.histLen = histLen
 	s.entries = entries
 	for i := range s.slots {
 		s.slots[i].e = entries[s.slots[i].name]
 	}
-	s.reads.Store(st.Reads)
-	s.writes.Store(st.Writes)
+	s.lastGetName, s.lastGet = "", nil
+	s.reads.Store(reads)
+	s.writes.Store(writes)
 	s.readsU, s.writesU = 0, 0
 	return nil
+}
+
+// known returns the store's own copy of name when it holds one already —
+// a live entry's or an interned key's; a nil store holds none. Callers
+// hold the registry lock.
+func (s *Store) known(name []byte) (string, bool) {
+	if s == nil {
+		return "", false
+	}
+	if e := s.entries[string(name)]; e != nil {
+		return e.Name, true
+	}
+	if k, ok := s.keys[string(name)]; ok {
+		return s.slots[k-1].name, true
+	}
+	return "", false
+}
+
+// appendWindow writes buf's stored window (r.t or r.v) oldest-first as a
+// float list, straight from the ring's one or two contiguous halves.
+func (r *Ring) appendWindow(e *codec.Encoder, buf []float64) {
+	if start := r.head - r.size; start >= 0 {
+		e.F64s(buf[start:r.head])
+	} else {
+		e.F64s(buf[start+len(buf):], buf[:r.head])
+	}
+}
+
+// restore sets the ring up over b, whose length is 2·ringLen(max, k), and
+// reads its k times and k values (oldest-first, the values' count already
+// checked by the pre-scan) from d: the ring NewRing(max) becomes after
+// Pushing them one by one, backing length and head included.
+func (r *Ring) restore(d *codec.Decoder, b []float64, k, max int) {
+	n := len(b) / 2
+	*r = Ring{t: b[:n:n], v: b[n:], head: k, size: k, max: max}
+	d.F64sInto(r.t[:k])
+	d.Count(8)
+	d.F64sInto(r.v[:k])
+	if r.head == n {
+		r.head = 0
+	}
 }

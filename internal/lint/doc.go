@@ -11,8 +11,8 @@
 //     or float-accumulated results (the PR 3 MeanForecastError bug class);
 //   - detsource: wall clocks, global math/rand state and select statements
 //     inside the deterministic engine packages;
-//   - snapstate: every exported field of a snapshot-layer struct must be
-//     covered by the checkpoint codec, on both the encode and decode side;
+//   - snapstate: every field a state writer encodes must be restored by a
+//     state reader, and every field a reader restores must be encoded;
 //   - hotalloc: allocation-prone constructs inside //sacs:hotpath
 //     functions;
 //   - lockatomic: mixed atomic/plain field access, and Transport calls or
@@ -22,8 +22,7 @@
 // suite itself: `//sacslint:allow <analyzer> <reason>` suppresses exactly
 // one line's findings for one analyzer and must carry a justification; an
 // allow that suppresses nothing is reported as stale, so the allowlist
-// stays load-bearing. Snapshot-layer fields outside the codec by design
-// carry `//sacslint:snapshot-excluded <why>`.
+// stays load-bearing.
 //
 // The suite mirrors the golang.org/x/tools/go/analysis architecture
 // (Analyzer, Pass, Reportf, an analysistest-style fixture runner in

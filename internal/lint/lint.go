@@ -21,12 +21,6 @@ import (
 // decorative.
 const AllowPrefix = "//sacslint:allow"
 
-// ExcludedPrefix marks a snapshot-layer struct field as deliberately
-// outside the checkpoint codec (see the snapstate analyzer):
-//
-//	Pending int //sacslint:snapshot-excluded admission bookkeeping, reset at every barrier
-const ExcludedPrefix = "//sacslint:snapshot-excluded"
-
 // HotPathMarker tags a function as part of the allocation-free hot path,
 // putting it under the hotalloc analyzer's rules. It deliberately uses the
 // sacs namespace, not sacslint: the marker states a performance contract of

@@ -3,229 +3,204 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
+	"sort"
 )
 
-// SnapState cross-checks the snapshot layer against the checkpoint codec:
-// for every struct participating in checkpointing (any struct whose type
-// or fields the codec package references — AgentState, StoreState,
-// Snapshot, RangeState, …), each exported field must be written by the
-// encoder side AND read by the decoder side of the codec, or be explicitly
-// marked `//sacslint:snapshot-excluded <why>`. This catches the "added a
-// field, forgot the codec, restore silently diverges" failure mode at
-// compile time instead of at the first divergent resume.
-//
-// Mechanics: the codec package is any analyzed package named "checkpoint".
-// Each of its functions is classified encoder-side (methods on Encoder,
-// functions whose name contains "encode") or decoder-side (methods on
-// Decoder, names containing "decode"); unclassified helpers count for both
-// sides, erring toward silence. Field references are collected from the
-// type checker's use map, which covers both selector expressions
-// (encoding) and keyed composite literals (decoding). goals.SwitcherState
-// is covered through its mirror: checkpoint encodes it via
-// core.SwitcherStateRef, so its fields must be referenced by package core.
+// SnapState cross-checks the functions that write state into bytes against
+// the functions that read it back, field by field: a field added to one
+// side and forgotten on the other fails here, not at the first divergent
+// resume. A function outside the codec package (any package named
+// "codec") is a writer when it calls a codec Encoder or passes one on, and
+// a reader when it does so with a Decoder. A field a writer encodes — reads
+// in the arguments of such a call — must be referenced by some reader, or
+// it is encoded but never restored. A field a reader restores — assigns
+// from an expression that reads a Decoder, directly or as a keyed literal
+// element — must be referenced by some writer, or it is restored but never
+// encoded. A method that restores its receiver is a reader of its own;
+// fields a reader only consults, or sets from derived values, are outside
+// both rules.
 var SnapState = &Analyzer{
 	Name:   "snapstate",
-	Doc:    "verifies every exported field of snapshot-layer structs is covered by the checkpoint codec",
+	Doc:    "verifies every field the state writers encode is restored by a reader, and every restored field is encoded",
 	Global: true,
 	Run:    runSnapState,
 }
 
-// snapMirrors maps a struct (by qualified name) whose codec coverage is
-// indirect to the package (by name) that mirrors it into the wire format.
-var snapMirrors = map[string]string{
-	"goals.SwitcherState": "core",
-}
+// snapSides is what the functions contribute to the check.
+type snapSides struct{ encoded, restored, usedByWriter, usedByRd map[*types.Var]bool }
 
 func runSnapState(pass *Pass) error {
-	var codecs []*Package
+	analyzed := make(map[*types.Package]bool, len(pass.All))
 	for _, pkg := range pass.All {
-		if pkg.Name == "checkpoint" {
-			codecs = append(codecs, pkg)
-		}
+		analyzed[pkg.Types] = true
 	}
-	if len(codecs) == 0 {
-		return nil
+	sides := snapSides{
+		encoded:      make(map[*types.Var]bool),
+		restored:     make(map[*types.Var]bool),
+		usedByWriter: make(map[*types.Var]bool),
+		usedByRd:     make(map[*types.Var]bool),
 	}
-
-	usedEnc := make(map[types.Object]bool)
-	usedDec := make(map[types.Object]bool)
-	usedTypes := make(map[types.Object]bool)
-	for _, codec := range codecs {
-		collectCodecUses(codec, usedEnc, usedDec, usedTypes)
-	}
-
-	// References per non-codec package, for the mirror rule.
-	pkgUses := make(map[string]map[types.Object]bool)
 	for _, pkg := range pass.All {
-		uses := make(map[types.Object]bool, len(pkg.Info.Uses))
-		for _, obj := range pkg.Info.Uses {
-			uses[obj] = true
-		}
-		pkgUses[pkg.Name] = uses
-	}
-
-	for _, pkg := range pass.All {
-		if pkg.Name == "checkpoint" {
+		if pkg.Name == "codec" {
 			continue
 		}
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					checkSnapshotStruct(pass, pkg, ts, st, usedEnc, usedDec, usedTypes, pkgUses)
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					collectSnapSides(pkg.Info, fd.Body, &sides)
 				}
 			}
 		}
 	}
+	report := func(fields map[*types.Var]bool, counterpart map[*types.Var]bool, format string) {
+		var found []*types.Var
+		for f := range fields {
+			if !counterpart[f] && analyzed[f.Pkg()] {
+				found = append(found, f)
+			}
+		}
+		sort.Slice(found, func(i, j int) bool { return found[i].Pos() < found[j].Pos() })
+		for _, f := range found {
+			pass.Reportf(f.Pos(), format, f.Name())
+		}
+	}
+	report(sides.encoded, sides.usedByRd,
+		"field %s is encoded but never restored: no state reader references it, so a restore silently zeroes it")
+	report(sides.restored, sides.usedByWriter,
+		"field %s is restored but never encoded: no state writer references it, so a restore reads what was never written")
 	return nil
 }
 
-// collectCodecUses classifies every object use in a codec package as
-// encoder-side, decoder-side or both, by the function it occurs in.
-func collectCodecUses(codec *Package, usedEnc, usedDec, usedTypes map[types.Object]bool) {
-	for _, file := range codec.Files {
-		for _, decl := range file.Decls {
-			fd, isFunc := decl.(*ast.FuncDecl)
-			enc, dec := true, true
-			if isFunc {
-				enc, dec = codecSide(codec, fd)
-			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				id, ok := n.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				switch obj := codec.Info.Uses[id].(type) {
-				case *types.Var:
-					if obj.IsField() {
-						if enc {
-							usedEnc[obj] = true
-						}
-						if dec {
-							usedDec[obj] = true
-						}
-					}
-				case *types.TypeName:
-					usedTypes[obj] = true
-				}
-				return true
-			})
+// collectSnapSides classifies one function body and records its fields.
+func collectSnapSides(info *types.Info, body *ast.BlockStmt, sides *snapSides) {
+	writer, reader := false, false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			writer = writer || callUses(info, call, "Encoder")
+			reader = reader || callUses(info, call, "Decoder")
 		}
-	}
-}
-
-// codecSide reports which half of the codec a function belongs to.
-func codecSide(codec *Package, fd *ast.FuncDecl) (enc, dec bool) {
-	if fd.Recv != nil && len(fd.Recv.List) == 1 {
-		if n := namedOf(codec.Info.TypeOf(fd.Recv.List[0].Type)); n != nil {
-			switch n.Obj().Name() {
-			case "Encoder":
-				return true, false
-			case "Decoder":
-				return false, true
-			}
-		}
-	}
-	name := strings.ToLower(fd.Name.Name)
-	switch {
-	case strings.Contains(name, "encode"):
-		return true, false
-	case strings.Contains(name, "decode"):
-		return false, true
-	}
-	return true, true // shared helper: count for both sides
-}
-
-func checkSnapshotStruct(pass *Pass, pkg *Package, ts *ast.TypeSpec, st *ast.StructType,
-	usedEnc, usedDec, usedTypes map[types.Object]bool, pkgUses map[string]map[types.Object]bool) {
-
-	tn, _ := pkg.Info.Defs[ts.Name].(*types.TypeName)
-	if tn == nil {
+		return true
+	})
+	if !writer && !reader {
 		return
 	}
-	qualified := pkg.Name + "." + ts.Name.Name
-	mirror, mirrored := snapMirrors[qualified]
-
-	// Participation: the codec references the type or any of its fields.
-	participates := usedTypes[tn]
-	if !participates {
-		for _, f := range st.Fields.List {
-			for _, name := range f.Names {
-				obj := pkg.Info.Defs[name]
-				if usedEnc[obj] || usedDec[obj] {
-					participates = true
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Ident:
+			if f := fieldOf(info, n); f != nil {
+				if writer {
+					sides.usedByWriter[f] = true
+				}
+				if reader {
+					sides.usedByRd[f] = true
+				}
+			}
+		case *ast.CallExpr:
+			if writer && callUses(info, n, "Encoder") {
+				for _, arg := range n.Args {
+					addFields(info, arg, sides.encoded)
+				}
+			}
+		case *ast.AssignStmt:
+			if !reader {
+				break
+			}
+			for i, lhs := range n.Lhs {
+				rhs := n.Rhs[0]
+				if len(n.Rhs) == len(n.Lhs) {
+					rhs = n.Rhs[i]
+				}
+				if _, lit := ast.Unparen(rhs).(*ast.CompositeLit); lit {
+					continue // its keyed fields count, not the target
+				}
+				if f := rootField(info, lhs); f != nil && readsDecoder(info, rhs) {
+					sides.restored[f] = true
+				}
+			}
+		case *ast.KeyValueExpr:
+			if !reader {
+				break
+			}
+			if key, ok := n.Key.(*ast.Ident); ok && readsDecoder(info, n.Value) {
+				if f := fieldOf(info, key); f != nil {
+					sides.restored[f] = true
 				}
 			}
 		}
-	}
-	if !participates && !mirrored {
-		return
-	}
+		return true
+	})
+}
 
-	for _, f := range st.Fields.List {
-		if len(f.Names) == 0 {
-			continue // embedded fields are outside this check's model
+// codecType reports "Encoder" or "Decoder" when t is (a pointer to) that
+// type of a package named codec, and "" otherwise.
+func codecType(t types.Type) string {
+	n := namedOf(t)
+	if n == nil || n.Obj().Pkg() == nil || n.Obj().Pkg().Name() != "codec" {
+		return ""
+	}
+	return n.Obj().Name()
+}
+
+// callUses reports whether call is a method on a codec side (Encoder or
+// Decoder) or passes one as an argument.
+func callUses(info *types.Info, call *ast.CallExpr, side string) bool {
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && codecType(info.TypeOf(sel.X)) == side {
+		return true
+	}
+	for _, arg := range call.Args {
+		if codecType(info.TypeOf(arg)) == side {
+			return true
 		}
-		for _, name := range f.Names {
-			if !name.IsExported() {
-				continue
+	}
+	return false
+}
+
+// readsDecoder reports whether evaluating e reads from a Decoder.
+func readsDecoder(info *types.Info, e ast.Expr) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && callUses(info, call, "Decoder") {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// addFields records every field e reads.
+func addFields(info *types.Info, e ast.Expr, into map[*types.Var]bool) {
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if f := fieldOf(info, id); f != nil {
+				into[f] = true
 			}
-			if _, present := snapshotExcluded(pass, f, name.Name, qualified); present {
-				continue // justified, or already reported as unjustified
-			}
-			obj := pkg.Info.Defs[name]
-			if mirrored {
-				if !pkgUses[mirror][obj] {
-					pass.Reportf(name.Pos(), "exported snapshot field %s.%s is not referenced by its codec mirror package %q: restored state will silently diverge (or mark it //sacslint:snapshot-excluded <why>)",
-						qualified, name.Name, mirror)
-				}
-				continue
-			}
-			switch {
-			case !usedEnc[obj] && !usedDec[obj]:
-				pass.Reportf(name.Pos(), "exported snapshot field %s.%s is not referenced by the checkpoint codec: it will be silently dropped across snapshot/restore (encode+decode it, or mark it //sacslint:snapshot-excluded <why>)",
-					qualified, name.Name)
-			case !usedEnc[obj]:
-				pass.Reportf(name.Pos(), "exported snapshot field %s.%s is read by the checkpoint decoder but never written by the encoder", qualified, name.Name)
-			case !usedDec[obj]:
-				pass.Reportf(name.Pos(), "exported snapshot field %s.%s is written by the checkpoint encoder but never read by the decoder: restore will silently zero it", qualified, name.Name)
-			}
+		}
+		return true
+	})
+}
+
+// rootField returns the field an assignment target finally names: Steps for a.hot.Steps, Mail for s.Mail[i][j].
+func rootField(info *types.Info, e ast.Expr) *types.Var {
+	for {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			return fieldOf(info, x.Sel)
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return nil
 		}
 	}
 }
 
-// snapshotExcluded looks for a //sacslint:snapshot-excluded annotation on
-// the field (doc comment or trailing comment). The second return reports
-// whether an annotation is present at all; the first whether it carries
-// the required justification (an unjustified one is reported here).
-func snapshotExcluded(pass *Pass, f *ast.Field, fieldName, qualified string) (justified, present bool) {
-	for _, cg := range [2]*ast.CommentGroup{f.Doc, f.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			if !strings.HasPrefix(c.Text, ExcludedPrefix) {
-				continue
-			}
-			reason := strings.TrimSpace(strings.TrimPrefix(c.Text, ExcludedPrefix))
-			if reason == "" {
-				pass.Reportf(c.Pos(), "//sacslint:snapshot-excluded on %s.%s needs a justification: state why restore does not need this field", qualified, fieldName)
-				return false, true
-			}
-			return true, true
-		}
+// fieldOf returns the struct field id refers to, or nil.
+func fieldOf(info *types.Info, id *ast.Ident) *types.Var {
+	if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+		return v
 	}
-	return false, false
+	return nil
 }

@@ -1,23 +1,55 @@
-// Package core holds the fixture's snapshot-layer structs.
+// Package core holds the fixture's stateful types and their state writers
+// and readers.
 package core
 
-// AgentState participates in checkpointing (the codec references it), so
-// every exported field must be covered on both codec sides or be
-// explicitly excluded.
-type AgentState struct {
-	Name    string
-	Steps   int
-	Dropped float64 // want snapstate "not referenced by the checkpoint codec"
-	EncOnly int     // want snapstate "never read by the decoder"
-	DecOnly int     // want snapstate "never written by the encoder"
-	Scratch int     //sacslint:snapshot-excluded fixture: rebuilt from Name on restore
-	Bad     int     //sacslint:snapshot-excluded
-	// want:up snapstate "needs a justification"
+import (
+	"fmt"
 
-	cache int // unexported: outside the snapshot contract
+	"snapfix/codec"
+)
+
+// Agent writes and restores its own state.
+type Agent struct {
+	name    string
+	steps   int
+	encOnly int // want snapstate "encoded but never restored"
+	decOnly int // want snapstate "restored but never encoded"
+	limit   int // only consulted by the reader: outside both rules
+	pos     Pos
+
+	cache int // never in the state: no findings
 }
 
-// Runtime never appears in the codec: not a snapshot struct, no findings.
+// Pos is restored through a keyed composite literal.
+type Pos struct {
+	X, Y int
+	Z    int // want snapstate "restored but never encoded"
+}
+
+// AppendState writes a. decOnly is deliberately missing.
+func (a *Agent) AppendState(e *codec.Encoder) {
+	e.Str(a.name)
+	e.Int(a.steps)
+	e.Int(a.encOnly)
+	e.Int(a.pos.X)
+	e.Int(a.pos.Y)
+}
+
+// RestoreState reads a back. encOnly is deliberately missing.
+func (a *Agent) RestoreState(d *codec.Decoder) error {
+	if name := d.Str(); name != a.name {
+		return fmt.Errorf("state of %q applied to %q", name, a.name)
+	}
+	if a.steps = d.Int(); a.steps > a.limit {
+		return fmt.Errorf("%d steps over limit %d", a.steps, a.limit)
+	}
+	a.decOnly = d.Int()
+	a.pos = Pos{X: d.Int(), Y: d.Int(), Z: d.Int()}
+	a.cache = 0
+	return nil
+}
+
+// Runtime never meets the codec: not state, no findings.
 type Runtime struct {
 	Workers int
 	Queue   []int

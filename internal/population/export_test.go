@@ -113,8 +113,10 @@ func TestParallelInstallReportsLowestFailingAgent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bounds := population.Partition(agents, shards)
 	for _, id := range []int{13, 50} { // shards 1 and 6
-		snap.AgentStates[id].Name = "impostor"
+		s := id / (agents / shards)
+		snap.Runs[s] = population.RenamedRun(snap.Runs[s], id-bounds[s], "impostor")
 	}
 	for _, workers := range exportWorkers {
 		pool := runner.New(workers)

@@ -47,7 +47,7 @@ func TestSnapshotRangeBoundaries(t *testing.T) {
 		}
 		if !reflect.DeepEqual(rs.ShardRNG, snap.ShardRNG[c.lo:c.hi]) ||
 			!reflect.DeepEqual(rs.AgentRNG, snap.AgentRNG[bounds[c.lo]:bounds[c.hi]]) ||
-			!reflect.DeepEqual(rs.AgentStates, snap.AgentStates[bounds[c.lo]:bounds[c.hi]]) {
+			!reflect.DeepEqual(rs.Runs, snap.Runs[c.lo:c.hi]) {
 			t.Fatalf("Range(%d, %d) slices disagree with the snapshot", c.lo, c.hi)
 		}
 	}
@@ -102,7 +102,7 @@ func TestExportRangeSubset(t *testing.T) {
 	}
 	if !reflect.DeepEqual(part.ShardRNG, full.ShardRNG[1:4]) ||
 		!reflect.DeepEqual(part.AgentRNG, full.AgentRNG[bounds[1]:bounds[4]]) ||
-		!reflect.DeepEqual(part.AgentStates, full.AgentStates[bounds[1]:bounds[4]]) {
+		!reflect.DeepEqual(part.Runs, full.Runs[1:4]) {
 		t.Fatal("ExportRange disagrees with the corresponding slice of Export")
 	}
 

@@ -11,9 +11,9 @@ import (
 // Snapshot is the complete exported state of an Engine at a tick barrier:
 // the tick counter, run counters and work history, every RNG stream's
 // position, the pending (already routed, not yet delivered) mailboxes, and
-// every agent's exported state. It is plain data sharing no memory with the
-// engine — internal/checkpoint serialises it, and Restore rebuilds a live
-// engine from it.
+// every agent's state, already encoded. It shares no memory with the
+// engine — internal/checkpoint frames it into a file, and Restore rebuilds
+// a live engine from it.
 //
 // The determinism contract (DESIGN.md): for a population whose agents keep
 // their mutable state in the captured components — knowledge store, goal
@@ -31,7 +31,7 @@ type Snapshot struct {
 
 	Tick                                int
 	Steps, Messages, Delivered, Actions int64
-	Observed                            stats.OnlineState
+	Observed                            stats.Online
 	Work                                []float64 // recent per-tick work proxy (see WorkWindow)
 
 	ShardRNG []uint64 // xrand stream positions, one per shard
@@ -41,35 +41,35 @@ type Snapshot struct {
 	// externally) before the snapshot, to be injected at the next tick.
 	Mail [][]core.Stimulus
 
-	AgentStates []core.AgentState
+	// Runs holds every agent's state, one encoded run per shard (see
+	// RangeState.Runs).
+	Runs [][]byte
 }
 
 // Range extracts the slice of the snapshot covering shards [lo, hi) — the
 // state-transfer payload that initialises a cluster worker hosting that
-// range. The returned RangeState shares no memory with the snapshot's
-// slices' backing arrays beyond the elements themselves (states are plain
-// data).
+// range. The returned RangeState shares the snapshot's memory.
 func (s *Snapshot) Range(lo, hi int) (*RangeState, error) {
 	if err := ValidateShardRange(lo, hi, s.Shards); err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	if len(s.ShardRNG) != s.Shards || len(s.AgentRNG) != s.Agents || len(s.AgentStates) != s.Agents {
+	if len(s.ShardRNG) != s.Shards || len(s.AgentRNG) != s.Agents || len(s.Runs) != s.Shards {
 		return nil, fmt.Errorf("population: snapshot internally inconsistent "+
-			"(%d shard streams, %d agent streams, %d agent states for agents=%d shards=%d)",
-			len(s.ShardRNG), len(s.AgentRNG), len(s.AgentStates), s.Agents, s.Shards)
+			"(%d shard streams, %d agent streams, %d agent runs for agents=%d shards=%d)",
+			len(s.ShardRNG), len(s.AgentRNG), len(s.Runs), s.Agents, s.Shards)
 	}
 	bounds := Partition(s.Agents, s.Shards)
 	return &RangeState{
 		LoShard: lo, HiShard: hi, LoAgent: bounds[lo], HiAgent: bounds[hi],
-		ShardRNG:    s.ShardRNG[lo:hi],
-		AgentRNG:    s.AgentRNG[bounds[lo]:bounds[hi]],
-		AgentStates: s.AgentStates[bounds[lo]:bounds[hi]],
+		ShardRNG: s.ShardRNG[lo:hi],
+		AgentRNG: s.AgentRNG[bounds[lo]:bounds[hi]],
+		Runs:     s.Runs[lo:hi],
 	}, nil
 }
 
 // Snapshot exports the engine's complete state. It must be called between
 // ticks (never while a Tick is in flight) and fails when an agent carries
-// state the checkpoint layer cannot serialise (see core.Agent.State) or, on
+// state the checkpoint layer cannot serialise (see core.Agent.AppendState) or, on
 // a cluster transport, when a worker cannot be reached.
 func (e *Engine) Snapshot() (*Snapshot, error) {
 	if e.broken != nil {
@@ -87,11 +87,10 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("population: snapshot at tick %d: %w", e.tick, err)
 	}
-	if len(rs.ShardRNG) != e.cfg.Shards || len(rs.AgentRNG) != e.cfg.Agents ||
-		len(rs.AgentStates) != e.cfg.Agents {
+	if len(rs.ShardRNG) != e.cfg.Shards || len(rs.AgentRNG) != e.cfg.Agents || len(rs.Runs) != e.cfg.Shards {
 		return nil, fmt.Errorf("population: snapshot at tick %d: transport exported "+
-			"%d shard streams, %d agent streams, %d agent states for shards=%d agents=%d",
-			e.tick, len(rs.ShardRNG), len(rs.AgentRNG), len(rs.AgentStates), e.cfg.Shards, e.cfg.Agents)
+			"%d shard streams, %d agent streams, %d agent runs for shards=%d agents=%d",
+			e.tick, len(rs.ShardRNG), len(rs.AgentRNG), len(rs.Runs), e.cfg.Shards, e.cfg.Agents)
 	}
 	s := &Snapshot{
 		Name:      e.cfg.Name,
@@ -103,18 +102,18 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		Messages:  e.messages,
 		Delivered: e.delivered,
 		Actions:   e.actions,
-		Observed:  e.lastObserved.State(),
+		Observed:  e.lastObserved,
 		Work:      e.workHistory(),
 		ShardRNG:  rs.ShardRNG,
 		AgentRNG:  rs.AgentRNG,
 		Mail:      make([][]core.Stimulus, e.cfg.Agents),
+		Runs:      rs.Runs,
 	}
 	for i, inbox := range e.cur {
 		if len(inbox) > 0 {
 			s.Mail[i] = append([]core.Stimulus(nil), inbox...)
 		}
 	}
-	s.AgentStates = rs.AgentStates
 	return s, nil
 }
 
@@ -166,14 +165,14 @@ func (e *Engine) install(s *Snapshot) error {
 			e.cfg.Agents, e.cfg.Shards, e.cfg.Seed, s.Agents, s.Shards, s.Seed)
 	}
 	if len(s.ShardRNG) != s.Shards || len(s.AgentRNG) != s.Agents ||
-		len(s.Mail) != s.Agents || len(s.AgentStates) != s.Agents {
+		len(s.Mail) != s.Agents || len(s.Runs) != s.Shards {
 		return fmt.Errorf("population: restore: snapshot internally inconsistent "+
-			"(%d shard streams, %d agent streams, %d mailboxes, %d agent states for agents=%d shards=%d)",
-			len(s.ShardRNG), len(s.AgentRNG), len(s.Mail), len(s.AgentStates), s.Agents, s.Shards)
+			"(%d shard streams, %d agent streams, %d mailboxes, %d agent runs for agents=%d shards=%d)",
+			len(s.ShardRNG), len(s.AgentRNG), len(s.Mail), len(s.Runs), s.Agents, s.Shards)
 	}
 	if err := e.transport.Install(&RangeState{
 		LoShard: 0, HiShard: s.Shards, LoAgent: 0, HiAgent: s.Agents,
-		ShardRNG: s.ShardRNG, AgentRNG: s.AgentRNG, AgentStates: s.AgentStates,
+		ShardRNG: s.ShardRNG, AgentRNG: s.AgentRNG, Runs: s.Runs,
 	}); err != nil {
 		return err
 	}
@@ -184,7 +183,7 @@ func (e *Engine) install(s *Snapshot) error {
 	}
 	e.tick = s.Tick
 	e.steps, e.messages, e.delivered, e.actions = s.Steps, s.Messages, s.Delivered, s.Actions
-	e.lastObserved.SetState(s.Observed)
+	e.lastObserved = s.Observed
 	// Refill the work ring oldest-first. Snapshots written by the current
 	// format hold at most WorkWindow entries; older formats could carry up
 	// to 2·WorkWindow−1, of which the most recent WorkWindow are kept.

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sacs/internal/codec"
 	"sacs/internal/core"
 	"sacs/internal/knowledge"
 	"sacs/internal/runner"
@@ -49,20 +50,23 @@ type ShardExchange struct {
 }
 
 // RangeState is the executor-side state of a contiguous shard range: every
-// shard's RNG stream position and every agent's RNG position and exported
-// state, in index order. It is the unit of state transfer between an engine
-// snapshot and the transport hosting the agents — for the in-process
-// transport a plain copy, for a cluster the payload that initialises,
-// migrates or rebalances shards of a worker (serialised with the checkpoint
-// codec). A transport whose owned shards have gaps transfers them one
-// contiguous run at a time.
+// shard's RNG stream position, every agent's RNG position, and every
+// agent's state as the bytes core.Agent.AppendState writes. It is the unit
+// of state transfer between an engine snapshot and the transport hosting
+// the agents — in process it is handed over as is; for a cluster it is the
+// payload that initialises, migrates or rebalances shards of a worker
+// (framed by the checkpoint codec, which splices the runs verbatim). A
+// transport whose owned shards have gaps transfers them one contiguous run
+// at a time.
 type RangeState struct {
 	LoShard, HiShard int // shard interval [LoShard, HiShard)
 	LoAgent, HiAgent int // corresponding agent interval
 
-	ShardRNG    []uint64 // one stream position per shard
-	AgentRNG    []uint64 // one stream position per agent
-	AgentStates []core.AgentState
+	ShardRNG []uint64 // one stream position per shard
+	AgentRNG []uint64 // one stream position per agent
+	// Runs holds one encoded run per shard, in shard order: the states of
+	// the shard's agents in id order, back to back.
+	Runs [][]byte
 }
 
 // Transport is the engine's cross-shard data plane: the engine owns the
@@ -410,9 +414,10 @@ func (t *LocalTransport) Export() (*RangeState, error) {
 // state.
 //
 // The copy runs as one job per shard on the engine's pool, which is idle
-// at the barrier. Each job fills only its own shard's slots of the
-// preallocated slices, so the result is byte-for-byte the serial loop's;
-// when several agents fail to export, the error names the lowest agent id.
+// at the barrier. Each job fills only its own shard's slots and writes its
+// agents' states into its own run, so the result is byte-for-byte the
+// serial loop's; when several agents fail to export, the error names the
+// lowest agent id.
 func (t *LocalTransport) ExportRange(lo, hi int) (*RangeState, error) {
 	if err := ValidateShardRange(lo, hi, t.cfg.Shards); err != nil {
 		return nil, err
@@ -423,22 +428,28 @@ func (t *LocalTransport) ExportRange(lo, hi int) (*RangeState, error) {
 	loA, hiA := t.bounds[lo], t.bounds[hi]
 	rs := &RangeState{
 		LoShard: lo, HiShard: hi, LoAgent: loA, HiAgent: hiA,
-		ShardRNG:    make([]uint64, hi-lo),
-		AgentRNG:    make([]uint64, hiA-loA),
-		AgentStates: make([]core.AgentState, hiA-loA),
+		ShardRNG: make([]uint64, hi-lo),
+		AgentRNG: make([]uint64, hiA-loA),
+		Runs:     make([][]byte, hi-lo),
 	}
 	key := runner.Key{Experiment: t.cfg.Name, System: "export"}
 	errs := runner.FanOut(t.cfg.Pool, key, hi-lo, func(i int) error {
 		s := lo + i
 		rs.ShardRNG[i] = t.shardSrcs[s].State()
-		for id := t.bounds[s]; id < t.bounds[s+1]; id++ {
+		var e codec.Encoder
+		first, end := t.bounds[s], t.bounds[s+1]
+		for id := first; id < end; id++ {
+			if id == first+1 {
+				// Room for the rest at the first agent's size plus an
+				// eighth: the run grows about once, not in many steps.
+				e.Reserve(e.Len() * (end - id) * 9 / 8)
+			}
 			rs.AgentRNG[id-loA] = t.agentSrcs[id].State()
-			st, err := t.agents[id].State()
-			if err != nil {
+			if err := t.agents[id].AppendState(&e); err != nil {
 				return fmt.Errorf("agent %d state: %w", id, err)
 			}
-			rs.AgentStates[id-loA] = st
 		}
+		rs.Runs[i] = e.Bytes()
 		return nil
 	})
 	for _, err := range errs { // shard order, so the lowest failing agent
@@ -461,10 +472,10 @@ func (t *LocalTransport) checkState(op string, rs *RangeState) error {
 		return fmt.Errorf("population: %s: shards [%d, %d) carry agents [%d, %d), partition says [%d, %d)",
 			op, rs.LoShard, rs.HiShard, rs.LoAgent, rs.HiAgent, loA, hiA)
 	}
-	if len(rs.ShardRNG) != rs.HiShard-rs.LoShard || len(rs.AgentRNG) != hiA-loA || len(rs.AgentStates) != hiA-loA {
+	if len(rs.ShardRNG) != rs.HiShard-rs.LoShard || len(rs.AgentRNG) != hiA-loA || len(rs.Runs) != rs.HiShard-rs.LoShard {
 		return fmt.Errorf("population: %s: state internally inconsistent "+
-			"(%d shard streams, %d agent streams, %d agent states for %d shards, %d agents)",
-			op, len(rs.ShardRNG), len(rs.AgentRNG), len(rs.AgentStates), rs.HiShard-rs.LoShard, hiA-loA)
+			"(%d shard streams, %d agent streams, %d agent runs for %d shards, %d agents)",
+			op, len(rs.ShardRNG), len(rs.AgentRNG), len(rs.Runs), rs.HiShard-rs.LoShard, hiA-loA)
 	}
 	return nil
 }
@@ -483,20 +494,24 @@ func (t *LocalTransport) Install(rs *RangeState) error {
 
 // overlay writes a checked rs into its shards' slots: RNG stream positions
 // and agent states. Like ExportRange, it runs as one job per shard on the
-// engine's pool, which is idle at the barrier; each job writes only its own
-// shard's streams and agents, which are as independent here as in a
-// parallel tick. When several agents fail to restore, the error names the
-// lowest agent id.
+// engine's pool, which is idle at the barrier; each job restores only its
+// own shard's streams and agents, straight from the shard's run, which are
+// as independent here as in a parallel tick. When several agents fail to
+// restore, the error names the lowest agent id.
 func (t *LocalTransport) overlay(rs *RangeState) error {
 	key := runner.Key{Experiment: t.cfg.Name, System: "install"}
 	errs := runner.FanOut(t.cfg.Pool, key, rs.HiShard-rs.LoShard, func(i int) error {
 		s := rs.LoShard + i
 		t.shardSrcs[s].SetState(rs.ShardRNG[i])
+		d := codec.NewDecoder(rs.Runs[i])
 		for id := t.bounds[s]; id < t.bounds[s+1]; id++ {
 			t.agentSrcs[id].SetState(rs.AgentRNG[id-rs.LoAgent])
-			if err := t.agents[id].SetState(rs.AgentStates[id-rs.LoAgent]); err != nil {
+			if err := t.agents[id].RestoreState(d); err != nil {
 				return fmt.Errorf("population: restore: agent %d: %w", id, err)
 			}
+		}
+		if err := d.Finish(); err != nil {
+			return fmt.Errorf("population: restore: shard %d: %w", s, err)
 		}
 		return nil
 	})
@@ -527,7 +542,7 @@ func (t *LocalTransport) Adopt(rs *RangeState, costs []float64) error {
 	}
 	committed := false
 	defer func() {
-		if !committed { // a SetState error, or a panicking Config.New
+		if !committed { // a RestoreState error, or a panicking Config.New
 			t.drop(lo, hi)
 		}
 	}()

@@ -6,8 +6,25 @@ import (
 	"strings"
 	"testing"
 
+	"sacs/internal/codec"
 	"sacs/internal/core"
 )
+
+// RenamedRun returns a copy of run, one shard's encoded agent states, with
+// the name of its k-th agent replaced: a state RestoreState must reject.
+func RenamedRun(run []byte, k int, name string) []byte {
+	d := codec.NewDecoder(run)
+	for i := 0; i < k; i++ {
+		core.SkipState(d)
+	}
+	start := d.Pos()
+	d.StrBytes()
+	var e codec.Encoder
+	e.Raw(run[:start])
+	e.Str(name)
+	e.Raw(run[d.Pos():])
+	return e.Bytes()
+}
 
 // splitTransport composes LocalTransports over disjoint shard sets into
 // one whole-population transport — the in-process model of a worker
@@ -69,9 +86,9 @@ func (st *splitTransport) Export() (*RangeState, error) {
 	shards, agents := len(st.outs), st.bounds[len(st.outs)]
 	full := &RangeState{
 		HiShard: shards, HiAgent: agents,
-		ShardRNG:    make([]uint64, shards),
-		AgentRNG:    make([]uint64, agents),
-		AgentStates: make([]core.AgentState, agents),
+		ShardRNG: make([]uint64, shards),
+		AgentRNG: make([]uint64, agents),
+		Runs:     make([][]byte, shards),
 	}
 	for _, p := range st.parts {
 		for _, r := range ownedRuns(p) {
@@ -81,7 +98,7 @@ func (st *splitTransport) Export() (*RangeState, error) {
 			}
 			copy(full.ShardRNG[rs.LoShard:], rs.ShardRNG)
 			copy(full.AgentRNG[rs.LoAgent:], rs.AgentRNG)
-			copy(full.AgentStates[rs.LoAgent:], rs.AgentStates)
+			copy(full.Runs[rs.LoShard:], rs.Runs)
 		}
 	}
 	return full, nil
@@ -94,9 +111,9 @@ func (st *splitTransport) Install(rs *RangeState) error {
 			loA, hiA := st.bounds[lo], st.bounds[hi]
 			if err := p.Install(&RangeState{
 				LoShard: lo, HiShard: hi, LoAgent: loA, HiAgent: hiA,
-				ShardRNG:    rs.ShardRNG[lo:hi],
-				AgentRNG:    rs.AgentRNG[loA:hiA],
-				AgentStates: rs.AgentStates[loA:hiA],
+				ShardRNG: rs.ShardRNG[lo:hi],
+				AgentRNG: rs.AgentRNG[loA:hiA],
+				Runs:     rs.Runs[lo:hi],
 			}); err != nil {
 				return err
 			}
@@ -216,7 +233,7 @@ func viewOf(lt *LocalTransport) transportView {
 
 // TestAdoptFailureLeavesTransportUnchanged: every way an Adopt can fail —
 // an overlapping shard, a state whose lengths disagree, a wrong prior
-// count, an agent state SetState rejects — leaves the owned list, the
+// count, an agent state RestoreState rejects — leaves the owned list, the
 // agents and the cost estimates exactly as they were, and a valid adopt
 // still succeeds afterwards.
 func TestAdoptFailureLeavesTransportUnchanged(t *testing.T) {
@@ -241,9 +258,11 @@ func TestAdoptFailureLeavesTransportUnchanged(t *testing.T) {
 		return rs
 	}
 	truncated := export(3, 5)
-	truncated.AgentStates = truncated.AgentStates[:len(truncated.AgentStates)-1]
+	truncated.Runs = truncated.Runs[:len(truncated.Runs)-1]
 	renamed := export(3, 5)
-	renamed.AgentStates[len(renamed.AgentStates)-1].Name = "someone else"
+	bounds := Partition(cfg.Agents, cfg.Shards)
+	last := len(renamed.Runs) - 1
+	renamed.Runs[last] = RenamedRun(renamed.Runs[last], bounds[5]-bounds[4]-1, "someone else")
 
 	cases := []struct {
 		name  string
@@ -254,7 +273,7 @@ func TestAdoptFailureLeavesTransportUnchanged(t *testing.T) {
 		{"overlap", export(2, 4), nil, "overlap owned shard 2"},
 		{"inconsistent lengths", truncated, nil, "internally inconsistent"},
 		{"wrong prior count", export(3, 5), []float64{1}, "1 cost priors for 2 shards"},
-		{"SetState error", renamed, []float64{5, 5}, "applied to agent"},
+		{"RestoreState error", renamed, []float64{5, 5}, "applied to agent"},
 	}
 	before := viewOf(lt)
 	for _, c := range cases {

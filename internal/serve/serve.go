@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -257,6 +258,12 @@ func (s *Server) build(spec Spec) (population.Config, error) {
 // byte reaches a worker. Callers release the claim with unreserve; a
 // successful register consumes it.
 func (s *Server) reserve(id string) error {
+	// Checkpoint files are named after the id inside Options.Dir, so an id
+	// must be one plain file-name element: a separator, "." or ".." would
+	// write them elsewhere, and the next start would not find them.
+	if id == "." || id == ".." || strings.ContainsAny(id, `/\`) {
+		return fmt.Errorf("serve: population id %q is not a single file-name element", id)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.pops[id]; dup {

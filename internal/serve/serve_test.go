@@ -106,6 +106,54 @@ func TestNewCleansOrphanedTempFiles(t *testing.T) {
 	}
 }
 
+// TestNewKeepsSnapshotsOfTempLikeIDs: a population id that merely
+// contains ".ckpt.tmp" names real snapshots, not Write's orphans, so the
+// startup sweep must keep them and the next start resume the population
+// instead of starting it over at tick 0.
+func TestNewKeepsSnapshotsOfTempLikeIDs(t *testing.T) {
+	dir := t.TempDir()
+	spec := demoSpec()
+	spec.ID = "a.ckpt.tmp"
+	a := newTestServer(t, dir, 0)
+	if err := a.Add(spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Advance(spec.ID, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.CheckpointAll(); err != nil {
+		t.Fatal(err)
+	}
+	b := newTestServer(t, dir, 0)
+	resumed, err := b.AddOrResume(spec)
+	if err != nil || !resumed {
+		t.Fatalf("AddOrResume after restart: resumed=%v err=%v, want a resume", resumed, err)
+	}
+	if st, err := b.Status(spec.ID); err != nil || st.Tick != 3 {
+		t.Fatalf("resumed at tick %d (err %v), want 3", st.Tick, err)
+	}
+}
+
+// TestRejectsIDsOutsideDir: an id that is not one file-name element would
+// put its checkpoints outside the checkpoint directory, where the next
+// start cannot find them, so every entry point rejects it.
+func TestRejectsIDsOutsideDir(t *testing.T) {
+	s := newTestServer(t, t.TempDir(), 0)
+	for _, id := range []string{"../esc", "a/b", `a\b`, ".", ".."} {
+		spec := demoSpec()
+		spec.ID = id
+		if err := s.Add(spec); err == nil {
+			t.Errorf("Add accepted id %q", id)
+		}
+		if _, err := s.AddOrResume(spec); err == nil {
+			t.Errorf("AddOrResume accepted id %q", id)
+		}
+		if err := s.Resume(spec); err == nil {
+			t.Errorf("Resume accepted id %q", id)
+		}
+	}
+}
+
 // TestServiceResumeContinuity is the daemon-level resume contract: a
 // population served by one Server — with external stimuli ingested along
 // the way — that is checkpointed at shutdown and resumed by a *different*
@@ -476,6 +524,47 @@ func TestCheckpointAllocationBounded(t *testing.T) {
 	t.Logf("checkpoint of %d bytes allocated %d bytes (%.2fx)", size, alloc, float64(alloc)/float64(size))
 	if alloc > 3*size {
 		t.Fatalf("checkpoint of %d bytes allocated %d bytes (%.2fx), want at most 3x",
+			size, alloc, float64(alloc)/float64(size))
+	}
+}
+
+// TestResumeAllocationBounded is the resume half: reading that checkpoint
+// back and restoring the population from it allocates at most 3.5 times
+// the file — the payload buffer, the freshly built agents and their
+// restored state, with agent state read straight from the payload rather
+// than through a decoded copy of it.
+func TestResumeAllocationBounded(t *testing.T) {
+	s := newTestServer(t, t.TempDir(), 0)
+	spec := Spec{ID: "demo", Workload: "gossip", Agents: 256, Shards: 16, Seed: 1}
+	if err := s.Add(spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Advance("demo", 40); err != nil {
+		t.Fatal(err)
+	}
+	path, err := s.Checkpoint("demo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := gossip().Build(spec.Agents, spec.Shards, spec.Seed, nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	snap, _, err := checkpoint.Read(path)
+	if err == nil {
+		_, err = population.Restore(cfg, snap)
+	}
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, size := after.TotalAlloc-before.TotalAlloc, uint64(fi.Size())
+	t.Logf("resume of %d bytes allocated %d bytes (%.2fx)", size, alloc, float64(alloc)/float64(size))
+	if alloc > 7*size/2 {
+		t.Fatalf("resume of %d bytes allocated %d bytes (%.2fx), want at most 3.5x",
 			size, alloc, float64(alloc)/float64(size))
 	}
 }

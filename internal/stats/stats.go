@@ -3,6 +3,8 @@ package stats
 import (
 	"math"
 	"sort"
+
+	"sacs/internal/codec"
 )
 
 // Online accumulates count, mean and variance in a single pass using
@@ -68,22 +70,19 @@ func (o *Online) CI95() float64 {
 	return 1.96 * o.Std() / math.Sqrt(float64(o.n))
 }
 
-// OnlineState is the exported form of an Online accumulator: plain data
-// that snapshots (internal/checkpoint) can serialise and restore exactly.
-type OnlineState struct {
-	N                  int
-	Mean, M2, Min, Max float64
+// AppendState writes the accumulator's complete internal state.
+func (o *Online) AppendState(e *codec.Encoder) {
+	e.Int(o.n)
+	e.F64(o.mean)
+	e.F64(o.m2)
+	e.F64(o.min)
+	e.F64(o.max)
 }
 
-// State exports the accumulator's complete internal state.
-func (o *Online) State() OnlineState {
-	return OnlineState{N: o.n, Mean: o.mean, M2: o.m2, Min: o.min, Max: o.max}
-}
-
-// SetState overwrites the accumulator with a previously exported state, as
-// if it had Added the same observations.
-func (o *Online) SetState(s OnlineState) {
-	o.n, o.mean, o.m2, o.min, o.max = s.N, s.Mean, s.M2, s.Min, s.Max
+// RestoreState overwrites the accumulator with the state AppendState
+// wrote, as if it had Added the same observations.
+func (o *Online) RestoreState(d *codec.Decoder) {
+	o.n, o.mean, o.m2, o.min, o.max = d.Int(), d.F64(), d.F64(), d.F64(), d.F64()
 }
 
 // Merge folds other into o, as if every observation of other had been Added.

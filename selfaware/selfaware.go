@@ -201,12 +201,8 @@ var RestorePopulationWithTransport = population.RestoreWithTransport
 // checkpoint-friendly (mutable agent state confined to the knowledge
 // store, goal switcher, built-in processes and engine-owned RNG streams;
 // see DESIGN.md "Checkpointable populations").
-type (
-	// PopulationSnapshot is the complete exported state of a Population.
-	PopulationSnapshot = population.Snapshot
-	// AgentState is one agent's exported run-time state inside a snapshot.
-	AgentState = core.AgentState
-)
+// PopulationSnapshot is the complete exported state of a Population.
+type PopulationSnapshot = population.Snapshot
 
 // SnapshotPopulation exports a population's complete state; equivalent to
 // the Population's own Snapshot method, exported here so the whole

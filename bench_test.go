@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	"sacs/internal/camnet"
 	"sacs/internal/checkpoint"
@@ -144,8 +145,11 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 // BenchmarkCheckpointWrite is the write half of the durability path alone,
 // the one a checkpoint holds the population lock for: Snapshot (state
 // export, on a 2-worker pool) then checkpoint.Write (encode, file write,
-// fsync, rename). alloc-x is bytes allocated per op over the file's size;
-// 1 would be a writer that allocates nothing beyond one copy of the state.
+// fsync, rename), timed apart as export-ms and write-ms per op so the rung
+// shows which half moved. The population does not tick between ops, so
+// every export after the first finds each store's kept name order
+// unchanged. alloc-x is bytes allocated per op over the file's size; 1
+// would be a writer that allocates nothing beyond one copy of the state.
 func BenchmarkCheckpointWrite(b *testing.B) {
 	for _, agents := range []int{2048} {
 		b.Run(fmt.Sprintf("agents=%d", agents), func(b *testing.B) {
@@ -157,15 +161,20 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 			b.ReportAllocs()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
+			var export, write time.Duration
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				start := time.Now()
 				snap, err := eng.Snapshot()
 				if err != nil {
 					b.Fatal(err)
 				}
+				mid := time.Now()
 				if err := checkpoint.Write(path, snap, nil); err != nil {
 					b.Fatal(err)
 				}
+				export += mid.Sub(start)
+				write += time.Since(mid)
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
@@ -174,6 +183,8 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 				b.Fatal(err)
 			}
 			perOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N)
+			b.ReportMetric(float64(export.Microseconds())/1e3/float64(b.N), "export-ms")
+			b.ReportMetric(float64(write.Microseconds())/1e3/float64(b.N), "write-ms")
 			b.ReportMetric(float64(fi.Size()), "snapshot-bytes")
 			b.ReportMetric(perOp/float64(fi.Size()), "alloc-x")
 		})

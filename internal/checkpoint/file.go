@@ -12,6 +12,8 @@ import (
 // the target directory, fsync, then rename over path. A crash mid-write
 // therefore never leaves a half-written file under the final name — the
 // invariant that makes "resume from Latest" safe without a recovery scan.
+// Writeback of each segment's whole pages starts as soon as it is written
+// (see writeback), so the fsync waits for the tail rather than the file.
 func Write(path string, s *population.Snapshot, meta map[string]string) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
@@ -24,7 +26,11 @@ func Write(path string, s *population.Snapshot, meta map[string]string) (err err
 			os.Remove(tmp.Name())
 		}
 	}()
-	if err = Encode(tmp, s, meta); err != nil {
+	segs, n, err := encodePayload(s, meta)
+	if err == nil {
+		err = writeFramed(&writeback{f: tmp}, segs, n)
+	}
+	if err != nil {
 		return fmt.Errorf("checkpoint: encode %s: %w", path, err)
 	}
 	if err = tmp.Sync(); err != nil {
@@ -46,6 +52,31 @@ func Write(path string, s *population.Snapshot, meta map[string]string) (err err
 		d.Close()
 	}
 	return nil
+}
+
+// pageMask masks a file offset down to the start of its page.
+var pageMask = ^int64(os.Getpagesize() - 1)
+
+// writeback writes to a fresh file f and, after each write, starts the
+// kernel writing back every page it has completed since (startWriteback).
+// Only whole pages are started: a page still being filled is never under
+// writeback when the next write lands in it, which on devices that need
+// stable pages would make that write wait. Errors from startWriteback are
+// ignored; the fsync that follows is the durability point either way.
+type writeback struct {
+	f       *os.File
+	end     int64 // bytes written
+	started int64 // bytes whose writeback has been started
+}
+
+func (w *writeback) Write(p []byte) (int, error) {
+	n, err := w.f.Write(p)
+	w.end += int64(n)
+	if full := w.end & pageMask; full > w.started {
+		_ = startWriteback(w.f, w.started, full-w.started)
+		w.started = full
+	}
+	return n, err
 }
 
 // Read decodes the snapshot file at path. Corruption (truncation, bit

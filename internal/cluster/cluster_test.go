@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"log/slog"
 	"math/rand"
 	"net"
 	"reflect"
@@ -533,5 +535,35 @@ func TestTickReplyOutOfRangeTargetPoisons(t *testing.T) {
 	}
 	if _, err := eng.TickErr(); err == nil || !strings.Contains(err.Error(), "poisoned") {
 		t.Fatalf("engine not poisoned after the bad reply: %v", err)
+	}
+}
+
+// TestInitRejectsOversizedPopulation: an init frame naming more than
+// MaxAgents agents earns a "bad init" error before the worker calls the
+// workload's Build, so no frame can make a worker construct an unbounded
+// population.
+func TestInitRejectsOversizedPopulation(t *testing.T) {
+	builds := 0
+	w, err := NewWorker(nil, nil, []Workload{{Name: "gossip",
+		Build: func(agents, shards int, seed int64, pool *runner.Pool) population.Config {
+			builds++
+			return testBuild(agents, shards, seed, pool)
+		}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	e := codec.NewEncoder()
+	e.Uvarint(protocolVersion)
+	encodeSpec(e, Spec{ID: "p", Workload: "gossip", Agents: MaxAgents + 1, Shards: 1, Seed: tSeed})
+	e.Int(0)
+	e.Int(1)
+	e.F64s(nil)
+	typ, body := w.handle(msgInit, e.Bytes())
+	if msg := codec.NewDecoder(body).Str(); typ != msgErr || !strings.Contains(msg, "bad init") {
+		t.Fatalf("init of %d agents: reply %d %q, want a bad init error", MaxAgents+1, typ, msg)
+	}
+	if builds != 0 {
+		t.Fatalf("the worker called Build %d times for a rejected init", builds)
 	}
 }

@@ -15,6 +15,13 @@ import (
 	"sacs/internal/runner"
 )
 
+// MaxAgents is the largest population a worker agrees to build. An init
+// frame names the shape and the worker constructs every agent of it, so
+// an unchecked count would let one frame exhaust the worker's memory; the
+// bound sits two orders of magnitude above the largest populations the
+// benchmarks run (10k agents).
+const MaxAgents = 1 << 20
+
 // Workload is a named, rebuildable population configuration — the worker
 // side of serve.Workload. Build must be a pure function of its arguments:
 // the coordinator sends only (workload, agents, shards, seed) over the
@@ -234,8 +241,9 @@ func (w *Worker) handleInit(body []byte) (msgType, []byte) {
 	if err := d.Finish(); err != nil {
 		return errReply(fmt.Errorf("bad init: %w", err))
 	}
-	if spec.Agents <= 0 || spec.Shards <= 0 || spec.Shards > spec.Agents {
-		return errReply(fmt.Errorf("bad init: population shape agents=%d shards=%d", spec.Agents, spec.Shards))
+	if spec.Agents <= 0 || spec.Agents > MaxAgents || spec.Shards <= 0 || spec.Shards > spec.Agents {
+		return errReply(fmt.Errorf("bad init: population shape agents=%d shards=%d (at most %d agents)",
+			spec.Agents, spec.Shards, MaxAgents))
 	}
 	// v4: lo == hi == 0 admits this worker with no shards — it joins the
 	// placement and waits for the coordinator to migrate ranges over.

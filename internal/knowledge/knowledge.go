@@ -262,6 +262,20 @@ type Store struct {
 	// Unshared-mode instrumentation: plain counters, folded into
 	// ReadCount/WriteCount alongside the atomics.
 	readsU, writesU int64
+
+	// Kept export order (see exportOrder), guarded by mu like the
+	// registry. Once the store has been exported or restored, kept is set
+	// and its entries' strictly increasing name order is in order — or,
+	// straight after a restore, in the restored entry block itself; fresh
+	// holds the entries created since, unsorted, and dropped records a
+	// Delete since. A store never exported or restored keeps none of it.
+	// Only model creation and Delete touch these fields between exports,
+	// so they sit after the ones every read and write uses.
+	kept     bool
+	order    []*Entry
+	restored []entryBox
+	fresh    []*Entry
+	dropped  bool
 }
 
 // NewStore returns a store whose entries smooth with factor alpha and keep
@@ -324,32 +338,50 @@ const (
 // Model creation — every first sighting of a peer or stimulus — is the
 // dominant allocation site of a populated run, so entries, their rings and
 // the rings' seed storage are carved from per-store arena chunks: a new
-// model costs a fraction of an allocation amortized.
+// model costs a fraction of an allocation amortized. A store that keeps
+// its export order lists the new entry as fresh (see exportOrder).
 func (s *Store) newEntry(name string, scope Scope) *Entry {
+	var e *Entry
 	if s.histLen <= 0 {
-		return &Entry{Name: name, Scope: scope, alpha: s.alpha, noLock: s.unshared}
-	}
-	if s.nbox == len(s.boxes) {
-		s.boxes = make([]entryBox, boxChunk)
-		s.nbox = 0
-	}
-	box := &s.boxes[s.nbox]
-	s.nbox++
-	box.e = Entry{Name: name, Scope: scope, alpha: s.alpha, noLock: s.unshared}
-	if seed := ringSeed; s.histLen >= seed {
-		// Common case (window at least the seed size): take the seed
-		// arrays from the shared float slab instead of a fresh allocation.
-		if len(s.slab) < 2*seed {
-			s.slab = make([]float64, 2*seed*slabChunk)
-		}
-		b := s.slab[: 2*seed : 2*seed]
-		s.slab = s.slab[2*seed:]
-		box.r = Ring{t: b[:seed:seed], v: b[seed:], max: s.histLen}
+		e = &Entry{Name: name, Scope: scope, alpha: s.alpha, noLock: s.unshared}
 	} else {
-		box.r.init(s.histLen)
+		if s.nbox == len(s.boxes) {
+			s.boxes = make([]entryBox, boxChunk)
+			s.nbox = 0
+		}
+		box := &s.boxes[s.nbox]
+		s.nbox++
+		box.e = Entry{Name: name, Scope: scope, alpha: s.alpha, noLock: s.unshared}
+		if seed := ringSeed; s.histLen >= seed {
+			// Common case (window at least the seed size): take the seed
+			// arrays from the shared float slab instead of a fresh allocation.
+			if len(s.slab) < 2*seed {
+				s.slab = make([]float64, 2*seed*slabChunk)
+			}
+			b := s.slab[: 2*seed : 2*seed]
+			s.slab = s.slab[2*seed:]
+			box.r = Ring{t: b[:seed:seed], v: b[seed:], max: s.histLen}
+		} else {
+			box.r.init(s.histLen)
+		}
+		box.e.hist = &box.r
+		e = &box.e
 	}
-	box.e.hist = &box.r
-	return &box.e
+	if s.kept {
+		s.keepFresh(e)
+	}
+	return e
+}
+
+// keepFresh lists a new entry for the next export to merge into the kept
+// order. Once more entries have been created since the last export than
+// it kept, it drops the kept order instead: sorting them would cost as
+// much as sorting all, and delete-and-recreate churn cannot grow the list
+// without bound.
+func (s *Store) keepFresh(e *Entry) {
+	if s.fresh = append(s.fresh, e); len(s.fresh) > len(s.order)+len(s.restored) {
+		s.forgetOrder()
+	}
 }
 
 // Ensure returns the entry named name, creating it with the given scope on
@@ -586,12 +618,14 @@ func (s *Store) Delete(name string) {
 		delete(s.entries, name)
 		s.bindSlot(name, nil)
 		s.lastGetName, s.lastGet = "", nil
+		s.dropped = true
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.entries, name)
 	s.bindSlot(name, nil)
+	s.dropped = true
 }
 
 // Names returns all entry names, sorted, optionally filtered by scope.

@@ -13,23 +13,20 @@ import (
 const minEntrySize = 29
 
 // AppendState writes the store's complete contents to e: its parameters
-// and counters, then the entries sorted by name, so equal stores write
+// and counters, then the entries in name order, so equal stores write
 // equal bytes, each with its history oldest-first (ring rotation and
-// backing size are not written). It takes the registry lock and every
-// entry lock, so it must not run concurrently with a caller that holds
-// entry locks; population checkpointing calls it only at tick barriers.
+// backing size are not written). It takes the registry write lock — the
+// kept name order changes here (see exportOrder) — and every entry lock,
+// so it must not run concurrently with a caller that holds entry locks;
+// population checkpointing calls it only at tick barriers.
 func (s *Store) AppendState(e *codec.Encoder) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	e.F64(s.alpha)
 	e.Int(s.histLen)
 	e.Varint(s.reads.Load() + s.readsU)
 	e.Varint(s.writes.Load() + s.writesU)
-	sorted := make([]*Entry, 0, len(s.entries))
-	for _, en := range s.entries {
-		sorted = append(sorted, en)
-	}
-	slices.SortFunc(sorted, func(a, b *Entry) int { return strings.Compare(a.Name, b.Name) })
+	sorted := s.exportOrder()
 	e.Uvarint(uint64(len(sorted)))
 	for _, en := range sorted {
 		en.mu.RLock()
@@ -49,6 +46,66 @@ func (s *Store) AppendState(e *codec.Encoder) {
 		en.mu.RUnlock()
 	}
 }
+
+// exportOrder returns the live entries in strictly increasing name order
+// and keeps that order for the next export. A store exported or restored
+// before merges: the entries created since (a few, between two
+// checkpoints) are sorted and merged into the kept order, and entries
+// deleted since are dropped from it. Any other store sorts all its
+// entries, once. Callers hold the registry write lock.
+func (s *Store) exportOrder() []*Entry {
+	if !s.kept {
+		order := make([]*Entry, 0, len(s.entries))
+		for _, en := range s.entries {
+			order = append(order, en)
+		}
+		slices.SortFunc(order, byName)
+		s.kept, s.order, s.dropped = true, order, false
+		return order
+	}
+	if s.restored == nil && len(s.fresh) == 0 && !s.dropped {
+		return s.order
+	}
+	fresh := s.fresh
+	if s.dropped {
+		fresh = slices.DeleteFunc(fresh, s.deleted)
+	}
+	slices.SortFunc(fresh, byName)
+	order := make([]*Entry, 0, len(s.entries))
+	i := 0
+	merge := func(en *Entry) {
+		if s.dropped && s.deleted(en) {
+			return
+		}
+		for ; i < len(fresh) && fresh[i].Name < en.Name; i++ {
+			order = append(order, fresh[i])
+		}
+		order = append(order, en)
+	}
+	if s.restored != nil {
+		for j := range s.restored {
+			merge(&s.restored[j].e)
+		}
+	} else {
+		for _, en := range s.order {
+			merge(en)
+		}
+	}
+	order = append(order, fresh[i:]...)
+	clear(s.fresh)
+	s.order, s.restored, s.fresh, s.dropped = order, nil, s.fresh[:0], false
+	return order
+}
+
+// deleted reports whether en is no longer the store's entry of its name.
+func (s *Store) deleted(en *Entry) bool { return s.entries[en.Name] != en }
+
+// forgetOrder drops the kept export order; the next export sorts.
+func (s *Store) forgetOrder() {
+	s.kept, s.order, s.restored, s.fresh, s.dropped = false, nil, nil, nil, false
+}
+
+func byName(a, b *Entry) int { return strings.Compare(a.Name, b.Name) }
 
 // SkipState steps d over one store's state without allocating, checking
 // every count against the bytes left and every history against its bound.
@@ -92,7 +149,10 @@ func scanState(d *codec.Decoder, s *Store) (floats, names int, err error) {
 // RestoreState replaces the store's contents, smoothing factor and
 // history length with the state AppendState wrote. Interned Keys survive,
 // re-pointed at the restored entry of the same name (or at nothing), and a
-// state that fails to parse or validate leaves the store as it was.
+// state that fails to parse or validate — entry names not in strictly
+// increasing order included — leaves the store as it was. The restored
+// entry block, in that order, is the kept order the next export merges
+// into (see exportOrder).
 //
 // A length-only pre-scan sizes the restore, so the entries and their rings
 // come out of one entryBox block and every history out of one float slab:
@@ -128,8 +188,8 @@ func (s *Store) RestoreState(d *codec.Decoder) error {
 			names.Write(raw)
 			name = names.String()[off:]
 		}
-		if _, dup := entries[name]; dup {
-			return fmt.Errorf("knowledge: duplicate entry %q in store state", name)
+		if i > 0 && name <= boxes[i-1].e.Name {
+			return fmt.Errorf("knowledge: entry %q out of order after %q in store state", name, boxes[i-1].e.Name)
 		}
 		box := &boxes[i]
 		box.e = Entry{
@@ -164,6 +224,7 @@ func (s *Store) RestoreState(d *codec.Decoder) error {
 		s.slots[i].e = entries[s.slots[i].name]
 	}
 	s.lastGetName, s.lastGet = "", nil
+	s.kept, s.order, s.restored, s.fresh, s.dropped = true, nil, boxes, nil, false
 	s.reads.Store(reads)
 	s.writes.Store(writes)
 	s.readsU, s.writesU = 0, 0

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"sacs/internal/codec"
@@ -205,5 +207,97 @@ func TestMinEntrySize(t *testing.T) {
 	s.Ensure("", Private)
 	if got := len(stateBytes(s)) - empty; got != minEntrySize {
 		t.Errorf("an empty entry encodes to %d bytes, minEntrySize says %d", got, minEntrySize)
+	}
+}
+
+// TestRestoreStateRejectsOutOfOrder: a state whose entry names are not
+// strictly increasing is not one AppendState writes, and re-exporting it
+// would give different bytes than were restored. RestoreState rejects it,
+// naming the entry, and leaves the store as it was.
+func TestRestoreStateRejectsOutOfOrder(t *testing.T) {
+	e := codec.NewEncoder()
+	e.F64(0.2)
+	e.Int(4)
+	e.Varint(0)
+	e.Varint(0)
+	e.Uvarint(2)
+	entryBytes(e, "m2", []float64{1}, []float64{2})
+	entryBytes(e, "m1", []float64{1}, []float64{2})
+	s := NewStore(0.2, 4)
+	s.Observe("keep", Private, 1, 1)
+	err := restoreBytes(s, e.Bytes())
+	if err == nil || !strings.Contains(err.Error(), `"m1"`) {
+		t.Fatalf("RestoreState of swapped entries: error %v, want one naming entry \"m1\"", err)
+	}
+	if s.Get("keep") == nil || s.Get("m1") != nil {
+		t.Fatal("a rejected state replaced the store's contents")
+	}
+}
+
+// TestKeptOrderExportsLikeSort drives two stores through the same random
+// creations, deletions, re-creations, exports and restores. One keeps its
+// name order across exports; the other forgets it before every export and
+// so sorts anew. Every export must give the same bytes, in shared
+// and unshared stores alike.
+func TestKeptOrderExportsLikeSort(t *testing.T) {
+	for _, unshared := range []bool{false, true} {
+		t.Run(fmt.Sprintf("unshared=%v", unshared), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			kept, sorted := NewStore(0.2, 4), NewStore(0.2, 4)
+			if unshared {
+				kept.Unshared()
+				sorted.Unshared()
+			}
+			for step := 0; step < 3000; step++ {
+				name := fmt.Sprintf("m%03d", rng.Intn(200))
+				switch op := rng.Intn(100); {
+				case op < 70:
+					for _, s := range []*Store{kept, sorted} {
+						s.Observe(name, Private, float64(step), float64(step))
+					}
+				case op < 85:
+					kept.Delete(name)
+					sorted.Delete(name)
+				case op < 97:
+					sorted.forgetOrder()
+					a, b := stateBytes(kept), stateBytes(sorted)
+					if !bytes.Equal(a, b) {
+						t.Fatalf("step %d: kept-order export differs from a sorted one", step)
+					}
+				default:
+					st := stateBytes(kept)
+					if err := restoreBytes(kept, st); err != nil {
+						t.Fatal(err)
+					}
+					if err := restoreBytes(sorted, st); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestOrderKeptOnlyOnceExported: a store that has never been exported or
+// restored keeps no name list, however many models it creates; once
+// exported it keeps one, and drops it again when more models are created
+// than it held.
+func TestOrderKeptOnlyOnceExported(t *testing.T) {
+	s := NewStore(0.2, 4)
+	for i := 0; i < 50; i++ {
+		s.Observe(fmt.Sprintf("m%02d", i), Private, 1, 1)
+	}
+	if s.kept || s.order != nil || s.fresh != nil {
+		t.Fatal("a store never exported keeps a name list")
+	}
+	stateBytes(s)
+	if !s.kept || len(s.order) != 50 {
+		t.Fatalf("after an export: kept %v with %d names, want 50", s.kept, len(s.order))
+	}
+	for i := 0; i < 51; i++ {
+		s.Observe(fmt.Sprintf("n%02d", i), Private, 1, 1)
+	}
+	if s.kept || s.order != nil || s.fresh != nil {
+		t.Fatal("a store that created more models than it held still keeps its name list")
 	}
 }

@@ -279,7 +279,7 @@ func BenchmarkRunnerSuite(b *testing.B) {
 				batch := p.NewBatch()
 				for _, id := range ids {
 					id := id
-					batch.Add(runner.Key{Experiment: id}, nil, func() (any, error) {
+					batch.Add(runner.Key{Experiment: id}, func() (any, error) {
 						return reg[id].Run(cfg), nil
 					})
 				}

@@ -149,7 +149,7 @@ func run() int {
 	batch := pool.NewBatch()
 	for _, id := range ids {
 		id := id
-		batch.Add(runner.Key{Experiment: id, System: suiteSystem}, nil, func() (any, error) {
+		batch.Add(runner.Key{Experiment: id, System: suiteSystem}, func() (any, error) {
 			return reg[id].Run(cfg), nil
 		})
 	}

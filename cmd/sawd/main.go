@@ -38,10 +38,11 @@
 //	curl -X POST localhost:8077/cluster/rebalance
 //	curl localhost:8077/cluster           # worker list + per-population placement
 //
-// -rebalance-threshold and -rebalance-max-moves tune the rebalance policy
-// (cost smoothing kicks in past the max/min load ratio; batches are
-// capped); the carrier-count control law is the cloud simulation's
-// reactive autoscaler fed with measured per-shard step costs.
+// A rebalance follows one rule over the measured per-shard step costs: a
+// shard-less worker joins the carriers while they hold more than 4 shards
+// each, then single shards move from the most to the least loaded member
+// until none carries 1.5 times another's load (at most 16 moves per
+// request). The rule has no flags.
 //
 // Drive it with curl:
 //
@@ -153,8 +154,6 @@ func run() int {
 		workerAddr    = flag.String("worker", "", "run as a cluster worker on this TCP address (hosts shard ranges; no HTTP API)")
 		clusterList   = flag.String("cluster", "", "comma-separated worker addresses; host populations on that cluster instead of in-process")
 		pprofOn       = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the HTTP address (opt-in: profiling is an operator tool, not part of the public API)")
-		rebalThresh   = flag.Float64("rebalance-threshold", 1.5, "POST /cluster/rebalance: max/min per-worker load ratio tolerated before smoothing migrations")
-		rebalMoves    = flag.Int("rebalance-max-moves", 16, "POST /cluster/rebalance: migration batch cap per request")
 		mailboxBudget = flag.Int("mailbox-budget", 0, "per-population cap on stimuli pending delivery; past it POST .../stimuli sheds with 429 "+
 			"(0 = adaptive from population size and work-proxy quantiles, negative disables shedding)")
 		explainBudget = flag.Int("explain-budget", 0, "byte cap per rendered explanation (0 = 64KiB default, negative = uncapped)")
@@ -194,17 +193,15 @@ func run() int {
 	defer pool.Close()
 	reg := obs.NewRegistry()
 	opts := serve.Options{
-		Pool:               pool,
-		Dir:                *dir,
-		CheckpointEvery:    *every,
-		Keep:               *keep,
-		Workloads:          workloads,
-		Registry:           reg,
-		Logger:             log,
-		RebalanceThreshold: *rebalThresh,
-		RebalanceMaxMoves:  *rebalMoves,
-		MailboxBudget:      *mailboxBudget,
-		ExplainBudget:      *explainBudget,
+		Pool:            pool,
+		Dir:             *dir,
+		CheckpointEvery: *every,
+		Keep:            *keep,
+		Workloads:       workloads,
+		Registry:        reg,
+		Logger:          log,
+		MailboxBudget:   *mailboxBudget,
+		ExplainBudget:   *explainBudget,
 	}
 	if *clusterList != "" {
 		cl, err := cluster.Dial(strings.Split(*clusterList, ","), 10*time.Second)

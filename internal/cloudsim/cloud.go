@@ -130,7 +130,7 @@ type Autoscaler interface {
 type Cloud struct {
 	Cfg        Config
 	Dispatcher Dispatcher
-	Scaler     Autoscaler // nil disables autoscaling (all nodes active)
+	Autoscaler Autoscaler // nil disables autoscaling (all nodes active)
 
 	nodes  []*Node
 	rng    *rand.Rand
@@ -153,7 +153,7 @@ type Cloud struct {
 // autoscaler.
 func New(cfg Config, d Dispatcher, s Autoscaler) *Cloud {
 	cfg.defaults()
-	c := &Cloud{Cfg: cfg, Dispatcher: d, Scaler: s, rng: rand.New(rand.NewSource(cfg.Seed))}
+	c := &Cloud{Cfg: cfg, Dispatcher: d, Autoscaler: s, rng: rand.New(rand.NewSource(cfg.Seed))}
 	for i := 0; i < cfg.Nodes; i++ {
 		c.nodes = append(c.nodes, c.newNode())
 	}
@@ -232,12 +232,12 @@ func (c *Cloud) Step() {
 
 	// Autoscale before dispatching.
 	active := c.activeNodes()
-	if c.Scaler != nil {
+	if c.Autoscaler != nil {
 		queued := len(c.pending)
 		for _, n := range active {
 			queued += len(n.queue)
 		}
-		desired := c.Scaler.Desired(now, rate, queued, len(active))
+		desired := c.Autoscaler.Desired(now, rate, queued, len(active))
 		c.applyScale(desired)
 		active = c.activeNodes()
 	}

@@ -234,7 +234,8 @@ func (cl *Client) Close() error {
 // Shard placement is dynamic: the shard→worker map starts as a contiguous
 // partition over the client's workers and changes through Migrate (live
 // barrier migration), Assign (re-homing a dead worker's shards onto a
-// re-admitted one) and Rebalance (policy-driven batches of migrations).
+// re-admitted one) and Rebalance (a batch of migrations chosen by the
+// cluster's one placement rule).
 // All Transport methods — Step and the placement operations alike — must
 // be called from the engine's barrier discipline: one goroutine, never
 // during a tick. That is exactly the serve layer's per-population lock.
@@ -249,14 +250,14 @@ type Transport struct {
 	outs    []*population.ShardExchange
 
 	// costs is the coordinator's view of every shard's step cost, fed
-	// from the StepNanos in tick replies. It seeds the next attach (see
-	// Spec.Costs), prices migrations' cost priors, and backs the gauges
-	// below when the client is instrumented. Observation-only.
+	// from the StepNanos in tick replies. Rebalance places shards by it,
+	// and it backs the gauges below when the client is instrumented.
+	// Observation-only.
 	costs *population.CostModel
 
-	// Instrumentation (nil when the client is uninstrumented):
-	// per-shard cost gauges labelled by owning worker, per-worker
-	// shard-count and load gauges, and the migration counters.
+	// Instrumentation (nil when the client is uninstrumented): per-shard
+	// cost gauges, per-worker shard-count and load gauges, and the
+	// migration counters.
 	costGauge    []*obs.Gauge
 	workerShards []*obs.Gauge
 	workerCost   []*obs.Gauge
@@ -288,10 +289,6 @@ func (cl *Client) NewTransport(spec Spec) (*Transport, error) {
 		return nil, fmt.Errorf("cluster: %d workers for %d shards; every worker must own at least one shard",
 			len(conns), spec.Shards)
 	}
-	if len(spec.Costs) != 0 && len(spec.Costs) != spec.Shards {
-		return nil, fmt.Errorf("cluster: cost snapshot covers %d shards, population has %d",
-			len(spec.Costs), spec.Shards)
-	}
 	wbounds := population.Partition(spec.Shards, len(conns))
 	t := &Transport{
 		client:  cl,
@@ -306,10 +303,6 @@ func (cl *Client) NewTransport(spec Spec) (*Transport, error) {
 	for i := range t.outs {
 		t.outs[i] = &population.ShardExchange{}
 	}
-	// The attach-time snapshot is also this transport's own starting
-	// view, so a coordinator chaining attaches (restart, rebalance)
-	// carries cost history forward even before its first tick completes.
-	t.costs.Seed(0, spec.Costs)
 	for wi, c := range conns {
 		loS, hiS := wbounds[wi], wbounds[wi+1]
 		for s := loS; s < hiS; s++ {
@@ -320,13 +313,6 @@ func (cl *Client) NewTransport(spec Spec) (*Transport, error) {
 		encodeSpec(e, spec)
 		e.Int(loS)
 		e.Int(hiS)
-		// v3: the worker's slice of the coordinator's cost snapshot
-		// (empty when the coordinator has none).
-		if len(spec.Costs) == 0 {
-			e.F64s(nil)
-		} else {
-			e.F64s(spec.Costs[loS:hiS])
-		}
 		body, err := c.call(msgInit, e.Bytes(), msgOK)
 		if err == nil {
 			d := codec.NewDecoder(body)
@@ -350,13 +336,13 @@ func (cl *Client) NewTransport(spec Spec) (*Transport, error) {
 			"committed live shard-range migrations", p)
 		t.readmissions = cl.reg.Counter("sacs_cluster_readmissions_total",
 			"orphaned shard ranges re-homed onto re-admitted workers", p)
-		// Per-shard cost estimates, labelled with the worker owning each
-		// shard — the placement view a rebalancer reads: which worker is
-		// carrying how much estimated step cost.
+		// Per-shard cost estimates, one series per shard for the
+		// population's lifetime: which worker owns a shard is in
+		// GET /cluster and the per-worker gauges, not in these labels.
 		t.costGauge = make([]*obs.Gauge, spec.Shards)
 		for s := range t.costGauge {
-			t.costGauge[s] = t.registerCostGauge(s)
-			t.costGauge[s].Set(int64(t.costs.Estimate(s)))
+			t.costGauge[s] = cl.reg.ScaledGauge("sacs_cluster_shard_cost_seconds",
+				"per-shard step-cost estimate", obs.Seconds, p, obs.L("shard", strconv.Itoa(s)))
 		}
 		for wi := range t.epochs {
 			t.registerWorkerGauges(wi)
@@ -378,15 +364,6 @@ func (t *Transport) publishEpoch(wi int) {
 		obs.L("pop", t.spec.ID), obs.L("worker", t.client.conn(wi).addr)).Set(int64(t.epochs[wi]))
 }
 
-func (t *Transport) registerCostGauge(s int) *obs.Gauge {
-	return t.client.reg.ScaledGauge("sacs_cluster_shard_cost_seconds",
-		"per-shard step-cost estimate, labelled by the worker hosting the shard",
-		obs.Seconds,
-		obs.L("pop", t.spec.ID),
-		obs.L("worker", t.client.conn(t.owner[s]).addr),
-		obs.L("shard", strconv.Itoa(s)))
-}
-
 // registerWorkerGauges appends the per-worker shard-count and load gauges
 // for worker wi (call in index order only).
 func (t *Transport) registerWorkerGauges(wi int) {
@@ -402,42 +379,20 @@ func (t *Transport) registerWorkerGauges(wi int) {
 		obs.Seconds, p, w))
 }
 
-// updateWorkerGauges recomputes every worker's shard count and summed load
-// from the owner map and the cost model.
+// updateWorkerGauges sets every worker's shard-count and load gauges from
+// the per-worker rollup.
 func (t *Transport) updateWorkerGauges() {
 	if t.workerShards == nil {
 		return
 	}
-	counts := make([]int64, len(t.epochs))
-	load := make([]float64, len(t.epochs))
-	for s, wi := range t.owner {
-		counts[wi]++
-		load[wi] += t.costs.Estimate(s)
-	}
-	for wi := range counts {
-		t.workerShards[wi].Set(counts[wi])
-		t.workerCost[wi].Set(int64(load[wi]))
-	}
-}
-
-// refreshCostGauges re-labels shards [lo, hi)'s cost gauges after an
-// ownership change: the registry has no unregister, so the old worker's
-// series is zeroed (a stale flat-zero series, documented in DESIGN.md) and
-// the estimate continues under the new worker's label.
-func (t *Transport) refreshCostGauges(lo, hi int) {
-	if t.costGauge == nil {
-		return
-	}
-	for s := lo; s < hi; s++ {
-		t.costGauge[s].Set(0)
-		t.costGauge[s] = t.registerCostGauge(s)
-		t.costGauge[s].Set(int64(t.costs.Estimate(s)))
+	for wi, w := range t.rollup() {
+		t.workerShards[wi].Set(int64(w.Shards))
+		t.workerCost[wi].Set(int64(w.CostNanos))
 	}
 }
 
 // ShardCosts appends the coordinator's per-shard cost estimates (nanos,
-// shard index order) to dst — the snapshot to hand the next attach via
-// Spec.Costs.
+// shard index order) to dst.
 func (t *Transport) ShardCosts(dst []float64) []float64 {
 	return t.costs.EstimatesInto(dst, 0, t.spec.Shards)
 }
@@ -699,7 +654,7 @@ func (t *Transport) Explain(id int, now float64) (string, error) {
 //  1. drain: the source exports the subrange (read-only — it stays
 //     authoritative and keeps serving if anything later fails);
 //  2. adopt: the destination builds the range's agents fresh and installs
-//     the drained state, with the coordinator's cost priors;
+//     the drained state;
 //  3. release: the source forgets the range — the commit point;
 //  4. the owner map re-routes, and the next tick fans out accordingly.
 //
@@ -759,7 +714,6 @@ func (t *Transport) Migrate(lo, hi, to int) error {
 
 	e = t.popHeader(to)
 	e.Raw(body)
-	e.F64s(t.costs.EstimatesInto(nil, lo, hi))
 	if _, err := dst.call(msgAdopt, e.Bytes(), msgOK); err != nil {
 		// The adopt may or may not have applied before the failure; try to
 		// roll the destination back so it cannot later claim the range. The
@@ -785,7 +739,6 @@ func (t *Transport) Migrate(lo, hi, to int) error {
 	if t.migrations != nil {
 		t.migrations.Inc()
 	}
-	t.refreshCostGauges(lo, hi)
 	t.updateWorkerGauges()
 	return nil
 }
@@ -835,7 +788,6 @@ func (t *Transport) AdmitWorker(wi int) error {
 	encodeSpec(e, t.spec)
 	e.Int(0)
 	e.Int(0)
-	e.F64s(nil)
 	body, err := c.call(msgInit, e.Bytes(), msgOK)
 	if err != nil {
 		return err
@@ -870,9 +822,7 @@ func (t *Transport) DetachWorker(wi int) error {
 // disk checkpoint) — onto admitted worker `to`. This is the re-admission
 // path: kill a worker at tick T, snapshot at the barrier, Redial +
 // AdmitWorker a replacement, Assign it the orphaned ranges, and the run
-// continues byte-identically. The coordinator's cost history rides along
-// as priors, so the replacement dispatches in LPT order from its first
-// tick.
+// continues byte-identically.
 func (t *Transport) Assign(rs *population.RangeState, to int) error {
 	if rs == nil {
 		return errors.New("cluster: assign nil range state")
@@ -898,7 +848,6 @@ func (t *Transport) Assign(rs *population.RangeState, to int) error {
 	}
 	e := t.popHeader(to)
 	checkpoint.AppendRange(e, rs)
-	e.F64s(t.costs.EstimatesInto(nil, rs.LoShard, rs.HiShard))
 	if _, err := t.client.conn(to).call(msgAdopt, e.Bytes(), msgOK); err != nil {
 		return fmt.Errorf("cluster: assign [%d, %d) to %s: %w",
 			rs.LoShard, rs.HiShard, t.client.conn(to).addr, err)
@@ -909,31 +858,18 @@ func (t *Transport) Assign(rs *population.RangeState, to int) error {
 	if t.readmissions != nil {
 		t.readmissions.Inc()
 	}
-	t.refreshCostGauges(rs.LoShard, rs.HiShard)
 	t.updateWorkerGauges()
 	return nil
 }
 
-// Rebalance asks r for a batch of moves against the current placement and
-// executes them with Migrate, in order, at the caller's tick barrier. It
-// returns the moves that committed; a failed move stops the batch (the
-// failed move's own rollback semantics apply — see Migrate).
-func (t *Transport) Rebalance(r *CostRebalancer) ([]Move, error) {
-	if r == nil {
-		return nil, errors.New("cluster: nil rebalancer")
-	}
-	view := View{
-		Owner:   t.Owner(),
-		Costs:   t.ShardCosts(nil),
-		Dead:    append([]bool(nil), t.dead...),
-		Workers: len(t.epochs),
-	}
-	moves := r.Propose(view)
+// Rebalance runs the cluster's placement rule (see propose) over the
+// current owner map and cost estimates and executes its moves with
+// Migrate, in order, at the caller's tick barrier. It returns the moves
+// that committed; a failed move stops the batch (the failed move's own
+// rollback semantics apply — see Migrate).
+func (t *Transport) Rebalance() ([]Move, error) {
+	moves := propose(view{Owner: t.owner, Costs: t.ShardCosts(nil), Dead: t.dead})
 	for i, m := range moves {
-		if m.Lo < 0 || m.Hi > t.spec.Shards || m.Lo >= m.Hi || m.From != t.owner[m.Lo] {
-			return moves[:i], fmt.Errorf("cluster: rebalancer proposed [%d, %d) from worker %d, owner map disagrees",
-				m.Lo, m.Hi, m.From)
-		}
 		if err := t.Migrate(m.Lo, m.Hi, m.To); err != nil {
 			return moves[:i], err
 		}
@@ -954,8 +890,14 @@ type WorkerPlacement struct {
 // shard count, summed cost estimate and attach epoch — the admin view
 // serve renders at GET /cluster.
 func (t *Transport) Placement() (owner []int, workers []WorkerPlacement) {
-	owner = t.Owner()
-	workers = make([]WorkerPlacement, len(t.epochs))
+	return t.Owner(), t.rollup()
+}
+
+// rollup is the per-worker view of the owner map and the cost model: each
+// worker slot's address, attach epoch, liveness, shard count and summed
+// cost estimate. Placement and the worker gauges both read it.
+func (t *Transport) rollup() []WorkerPlacement {
+	workers := make([]WorkerPlacement, len(t.epochs))
 	for wi := range workers {
 		workers[wi] = WorkerPlacement{
 			Addr:  t.client.conn(wi).addr,
@@ -967,7 +909,7 @@ func (t *Transport) Placement() (owner []int, workers []WorkerPlacement) {
 		workers[wi].Shards++
 		workers[wi].CostNanos += t.costs.Estimate(s)
 	}
-	return owner, workers
+	return workers
 }
 
 // Close drops this attach's population from every worker (best-effort; a

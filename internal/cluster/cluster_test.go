@@ -222,67 +222,6 @@ func TestClusterByteIdenticalToInProcess(t *testing.T) {
 	}
 }
 
-// TestCostSnapshotAttachChaining: a coordinator hands its per-shard cost
-// view to the next attach through Spec.Costs; workers must accept the v3
-// init frame (non-empty cost vector), the new transport must start from the
-// prior rather than zeros, the seeded engine must stay byte-identical to an
-// in-process run, and a mis-sized snapshot must be rejected before any
-// worker is touched.
-func TestCostSnapshotAttachChaining(t *testing.T) {
-	addrs, _ := startWorkers(t, 2)
-	cl := dialAll(t, addrs)
-
-	tr, err := cl.NewTransport(testSpec("p"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := population.NewWithTransport(testBuild(tAgents, tShards, tSeed, nil), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Run(5)
-	costs := tr.ShardCosts(nil)
-	for s, c := range costs {
-		if c <= 0 {
-			t.Fatalf("shard %d cost = %v after 5 ticks, want > 0", s, c)
-		}
-	}
-
-	spec2 := testSpec("chained")
-	spec2.Costs = costs
-	tr2, err := cl.NewTransport(spec2)
-	if err != nil {
-		t.Fatalf("attach with cost snapshot: %v", err)
-	}
-	if got := tr2.ShardCosts(nil); !reflect.DeepEqual(got, costs) {
-		t.Fatalf("chained transport starts from %v, want the prior %v", got, costs)
-	}
-
-	// Cost priors steer dispatch only: the seeded cluster engine must tick
-	// byte-identically to a fresh in-process engine.
-	ref := population.New(testBuild(tAgents, tShards, tSeed, nil))
-	eng2, err := population.NewWithTransport(testBuild(tAgents, tShards, tSeed, nil), tr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		want := ref.Tick()
-		got, err := eng2.TickErr()
-		if err != nil {
-			t.Fatalf("seeded tick %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("tick %d diverges under a cost prior", i)
-		}
-	}
-
-	bad := testSpec("bad")
-	bad.Costs = costs[:3]
-	if _, err := cl.NewTransport(bad); err == nil || !strings.Contains(err.Error(), "cost snapshot") {
-		t.Fatalf("mis-sized cost snapshot accepted: %v", err)
-	}
-}
-
 // TestWorkerFailureMidRunPoisonsEngine: a dead worker must surface as a
 // tick error, and the engine must refuse further ticks (the tick may have
 // half-applied remotely) until rebuilt from a checkpoint.
@@ -558,7 +497,6 @@ func TestInitRejectsOversizedPopulation(t *testing.T) {
 	encodeSpec(e, Spec{ID: "p", Workload: "gossip", Agents: MaxAgents + 1, Shards: 1, Seed: tSeed})
 	e.Int(0)
 	e.Int(1)
-	e.F64s(nil)
 	typ, body := w.handle(msgInit, e.Bytes())
 	if msg := codec.NewDecoder(body).Str(); typ != msgErr || !strings.Contains(msg, "bad init") {
 		t.Fatalf("init of %d agents: reply %d %q, want a bad init error", MaxAgents+1, typ, msg)

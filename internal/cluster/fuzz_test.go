@@ -37,7 +37,6 @@ func fuzzInitBody(lo, hi int) []byte {
 	encodeSpec(e, Spec{ID: "p", Workload: "gossip", Agents: fzAgents, Shards: fzShards, Seed: tSeed})
 	e.Int(lo)
 	e.Int(hi)
-	e.F64s(nil)
 	return e.Bytes()
 }
 
@@ -124,7 +123,6 @@ func FuzzWorkerRequest(f *testing.F) {
 	f.Add(byte(msgMigrate), migrate.Bytes())
 	adopt := fuzzRequest()
 	checkpoint.AppendRange(adopt, state(2, 4))
-	adopt.F64s([]float64{1e5, 2e5})
 	f.Add(byte(msgAdopt), adopt.Bytes())
 	release := fuzzRequest()
 	release.Int(0)

@@ -55,7 +55,11 @@ const maxFrame = 1 << 30
 // barrier. Ownership changes never touch the moving state's bytes, so v4
 // runs — migrations included — stay byte-identical to v3 and to the
 // single-process engine.
-const protocolVersion = 4
+//
+// v5 removed v3's cost snapshot from msgInit and the cost priors from
+// msgAdopt: a worker's cost model learns from its own ticks only. Tick,
+// export and range bodies are unchanged.
+const protocolVersion = 5
 
 type msgType byte
 
@@ -78,7 +82,7 @@ const (
 	msgDrop                   // id, epoch (dropped only if the epoch still owns it)
 	msgPing                   // empty body (readiness probe)
 	msgMigrate                // id, epoch, shard range → msgRange (read-only drain of a hosted subrange)
-	msgAdopt                  // id, epoch, RangeState, cost priors (add a range to the hosted shards)
+	msgAdopt                  // id, epoch, RangeState (add a range to the hosted shards)
 	msgRelease                // id, epoch, shard range (forget it: a migration's source-side commit, or a failed adopt's rollback)
 	msgRanges                 // count-prefixed RangeStates in shard order (export reply)
 )
@@ -131,16 +135,6 @@ type Spec struct {
 	Agents   int
 	Shards   int
 	Seed     int64
-
-	// Costs optionally carries the coordinator's per-shard cost snapshot
-	// (Transport.ShardCosts: estimate nanos, shard index order,
-	// len Shards or empty). Each worker receives its owned slice at init
-	// and seeds its transport's cost model with it, so after a restart or
-	// rebalance the very first tick already dispatches expensive shards
-	// first. Advisory and observation-only: it is not part of the spec's
-	// shape identity and never crosses in encodeSpec — the init message
-	// carries it separately.
-	Costs []float64
 }
 
 func encodeSpec(e *codec.Encoder, s Spec) {

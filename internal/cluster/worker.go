@@ -237,7 +237,6 @@ func (w *Worker) handleInit(body []byte) (msgType, []byte) {
 	}
 	spec := decodeSpec(d)
 	lo, hi := d.Int(), d.Int()
-	costs := d.F64s() // v3: the coordinator's cost snapshot for [lo, hi)
 	if err := d.Finish(); err != nil {
 		return errReply(fmt.Errorf("bad init: %w", err))
 	}
@@ -261,17 +260,9 @@ func (w *Worker) handleInit(body []byte) (msgType, []byte) {
 		return errReply(fmt.Errorf("workload %q built shape (agents=%d shards=%d), coordinator expects (agents=%d shards=%d)",
 			spec.Workload, cfg.Agents, cfg.Shards, spec.Agents, spec.Shards))
 	}
-	transport := population.NewLocalTransport(cfg, lo, hi)
-	if len(costs) > 0 {
-		// Seed the dispatch-order plane with the coordinator's view so the
-		// first tick already issues this range's expensive shards first.
-		if err := transport.SeedCosts(costs); err != nil {
-			return errReply(fmt.Errorf("bad init: %w", err))
-		}
-	}
 	p := &workerPop{
 		bounds: population.Partition(spec.Agents, spec.Shards),
-		t:      transport,
+		t:      population.NewLocalTransport(cfg, lo, hi),
 		mail:   make([][]core.Stimulus, spec.Agents),
 	}
 	p.owned()
@@ -447,13 +438,12 @@ func (w *Worker) handleAdopt(body []byte) (msgType, []byte) {
 		return errReply(err)
 	}
 	rs := checkpoint.DecodeRange(d, p.bounds)
-	costs := d.F64s()
 	if err := d.Finish(); err != nil {
 		return errReply(fmt.Errorf("bad adopt: %w", err))
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.t.Adopt(rs, costs); err != nil {
+	if err := p.t.Adopt(rs); err != nil {
 		return errReply(fmt.Errorf("%w (hosting shards %v)", err, p.runs))
 	}
 	p.owned()

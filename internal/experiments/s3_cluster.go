@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sacs/internal/checkpoint"
-	"sacs/internal/cloudsim"
 	"sacs/internal/cluster"
 	"sacs/internal/core"
 	"sacs/internal/population"
@@ -29,8 +28,8 @@ import (
 // topology-change machinery mid-run: a worker is killed at a tick
 // barrier, a replacement is dialled and admitted, the dead worker's
 // shards are re-homed from live engine state (Transport.Assign — no disk
-// checkpoint involved), the autoscaler-driven rebalance policy migrates
-// load across the survivors, and the run must still end in the
+// checkpoint involved), the cluster's rebalance rule migrates load across
+// the survivors, and the run must still end in the
 // reference's exact bytes — migration changes where shards step, never
 // what they compute.
 //
@@ -145,7 +144,7 @@ func S3ClusterEquivalence(cfg Config) *Result {
 		"(shard-granular Install to every worker) ends in the reference's exact bytes")
 	table.AddNote("elastic-match: 1 when a run that kills a worker at the mid-run barrier, " +
 		"re-admits a replacement from live engine state (Assign, no disk checkpoint) and " +
-		"rebalances via the autoscaler policy still ends in the reference's exact bytes")
+		"rebalances by the cluster's placement rule still ends in the reference's exact bytes")
 	table.AddNote("workers run in-process over real loopback TCP — the identical wire path " +
 		"`sawd -worker` processes speak; CI's cluster-e2e job repeats this across real processes")
 	return resultFor("S3", table)
@@ -155,8 +154,8 @@ func S3ClusterEquivalence(cfg Config) *Result {
 // barrier, kill worker 0 and detach it, dial and admit a replacement
 // worker, re-home the orphaned shard ranges from the barrier snapshot
 // (live engine state — exactly what the workers held, because no tick has
-// run since), rebalance with the cost policy under the reactive autoscaler
-// control law, then finish the run. Returns whether the final snapshot is
+// run since), rebalance by the cluster's placement rule, then finish the
+// run. Returns whether the final snapshot is
 // byte-identical to the reference encoding.
 func s3ElasticLeg(workers int, build func() population.Config,
 	ingest func(*population.Engine, int), ticks int, refEnc []byte) bool {
@@ -237,10 +236,9 @@ func s3ElasticLeg(workers int, build func() population.Config,
 		}
 	}
 
-	// Spread load across the survivors with the autoscaler-driven policy
-	// (the same control law the serve admin endpoint defaults to).
-	policy := &cluster.CostRebalancer{Scaler: &cloudsim.Reactive{Hi: 4, Lo: 0.5, Step: 1}}
-	if _, err := rig.tr.Rebalance(policy); err != nil {
+	// Spread load across the survivors with the cluster's placement rule
+	// (the one the serve admin endpoint runs).
+	if _, err := rig.tr.Rebalance(); err != nil {
 		panic(fmt.Sprintf("S3: elastic rebalance: %v", err))
 	}
 

@@ -9,6 +9,7 @@ import (
 	"sacs/internal/core"
 	"sacs/internal/knowledge"
 	"sacs/internal/runner"
+	"sacs/internal/stats"
 )
 
 // tinyConfig is a minimal checkpoint-friendly population (store-backed
@@ -112,6 +113,28 @@ func TestRestoreMidRingByteIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sa, sb) {
 		t.Fatal("restored engine diverged from uninterrupted run after ring wrap")
+	}
+}
+
+// TestWorkQuantileMatchesStatsQuantile: Run sorts the work window once and
+// WorkQuantile reads it; on a full window of random values, rotated, both
+// quantiles serve publishes must equal stats.Quantile over the
+// oldest-first history.
+func TestWorkQuantileMatchesStatsQuantile(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	e := New(tinyConfig(1))
+	for i := 0; i < WorkWindow; i++ {
+		e.pushWork(rng.Float64() * 1e4)
+	}
+	for i := 0; i < 777; i++ { // wrap the ring
+		e.pushWork(rng.ExpFloat64() * 1e3)
+	}
+	hist := e.workHistory()
+	rs := e.Run(0)
+	for _, q := range []float64{0.50, 0.99} {
+		if got, want := rs.WorkQuantile(q), stats.Quantile(hist, q); got != want {
+			t.Fatalf("WorkQuantile(%v) = %v, stats.Quantile = %v", q, got, want)
+		}
 	}
 }
 

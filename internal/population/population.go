@@ -3,6 +3,7 @@ package population
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 
 	"sacs/internal/core"
@@ -160,13 +161,14 @@ type RunStats struct {
 	// checksum of where the simulation ended up.
 	Observed stats.Online
 
-	work []float64 // recent per-tick Work values (up to WorkWindow ticks, oldest first)
+	work []float64 // recent per-tick Work values (up to WorkWindow ticks), sorted ascending
 }
 
 // WorkQuantile returns the q-quantile of the per-tick work proxy over the
 // retained history (the most recent WorkWindow ticks; the whole run when
 // shorter) — the deterministic stand-in for per-tick latency quantiles.
-func (r RunStats) WorkQuantile(q float64) float64 { return stats.Quantile(r.work, q) }
+// Run sorts the history once, so each call only reads it.
+func (r RunStats) WorkQuantile(q float64) float64 { return stats.SortedQuantile(r.work, q) }
 
 // Engine steps a sharded population: it owns the tick barrier, the
 // double-buffered mailboxes, external ingest and every run counter, and
@@ -434,6 +436,7 @@ func (e *Engine) Run(ticks int) RunStats {
 		e.Tick()
 	}
 	e.workScratch = e.workInto(e.workScratch)
+	sort.Float64s(e.workScratch)
 	return RunStats{
 		Ticks: e.tick, Agents: e.Agents(), Shards: e.Shards(),
 		Steps: e.steps, Messages: e.messages, Delivered: e.delivered, Actions: e.actions,

@@ -52,19 +52,6 @@ func (c *CostModel) EstimatesInto(dst []float64, lo, hi int) []float64 {
 	return append(dst, c.est[lo:hi]...)
 }
 
-// Seed overwrites the estimates of shards [lo, lo+len(costs)) with a prior
-// — the cost snapshot a cluster coordinator hands a worker at attach, so
-// the worker's very first tick already dispatches in the coordinator's
-// LPT order instead of rediscovering the skew. Non-positive entries leave
-// the existing estimate alone.
-func (c *CostModel) Seed(lo int, costs []float64) {
-	for i, v := range costs {
-		if v > 0 {
-			c.est[lo+i] = v
-		}
-	}
-}
-
 // lptPlan writes the tick's dispatch order into order: a permutation of
 // [0, len(order)) by descending cost, where cost[i] is the cost model's
 // estimate (nanoseconds) for the i-th shard of the dispatch set, 0 when

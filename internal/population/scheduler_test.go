@@ -1,9 +1,34 @@
 package population
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
+
+// Seed overwrites the estimates of shards [lo, lo+len(costs)) with a
+// prior. Non-positive entries leave the existing estimate alone.
+func (c *CostModel) Seed(lo int, costs []float64) {
+	for i, v := range costs {
+		if v > 0 {
+			c.est[lo+i] = v
+		}
+	}
+}
+
+// SeedCosts installs a cost-estimate prior for the owned shards — costs
+// holds one value (nanoseconds; non-positive = no prior) per owned shard,
+// in shard order. The skew suite uses it to make LPT dispatch a chosen
+// permutation.
+func (t *LocalTransport) SeedCosts(costs []float64) error {
+	if len(costs) != len(t.owned) {
+		return fmt.Errorf("population: %d cost priors for %d owned shards", len(costs), len(t.owned))
+	}
+	for i, s := range t.owned {
+		t.costs.Seed(s, costs[i:i+1])
+	}
+	return nil
+}
 
 func TestLPTPlanDescendingStable(t *testing.T) {
 	order := make([]int, 5)

@@ -379,21 +379,6 @@ func (t *LocalTransport) stepShard(s int, res *ShardExchange, tick int, now floa
 	return res
 }
 
-// SeedCosts installs a cost-estimate prior for the owned shards — costs
-// holds one value (nanoseconds; non-positive = no prior) per owned shard,
-// in shard order. A cluster worker calls this with the coordinator's cost
-// snapshot at attach, so its first tick dispatches in the established LPT
-// order instead of rediscovering the skew from scratch.
-func (t *LocalTransport) SeedCosts(costs []float64) error {
-	if len(costs) != len(t.owned) {
-		return fmt.Errorf("population: %d cost priors for %d owned shards", len(costs), len(t.owned))
-	}
-	for i, s := range t.owned {
-		t.costs.Seed(s, costs[i:i+1])
-	}
-	return nil
-}
-
 // Costs exposes the transport's cost model (observation-only; see
 // CostModel for its concurrency contract).
 func (t *LocalTransport) Costs() *CostModel { return t.costs }
@@ -524,19 +509,14 @@ func (t *LocalTransport) overlay(rs *RangeState) error {
 }
 
 // Adopt takes ownership of the shards rs covers, none of which may be
-// owned yet: it builds only their agents, installs rs over them and seeds
-// their cost priors (costs: one per adopted shard, non-positive = no
-// prior; or empty). The shards already owned are not touched, so their
-// agents step on as the same objects. A failed Adopt leaves the transport
-// exactly as it was.
-func (t *LocalTransport) Adopt(rs *RangeState, costs []float64) error {
+// owned yet: it builds only their agents and installs rs over them. The
+// shards already owned are not touched, so their agents step on as the
+// same objects. A failed Adopt leaves the transport exactly as it was.
+func (t *LocalTransport) Adopt(rs *RangeState) error {
 	if err := t.checkState("adopt", rs); err != nil {
 		return err
 	}
 	lo, hi := rs.LoShard, rs.HiShard
-	if len(costs) != 0 && len(costs) != hi-lo {
-		return fmt.Errorf("population: adopt: %d cost priors for %d shards", len(costs), hi-lo)
-	}
 	if i := sort.SearchInts(t.owned, lo); i < len(t.owned) && t.owned[i] < hi {
 		return fmt.Errorf("population: adopt: shards [%d, %d) overlap owned shard %d", lo, hi, t.owned[i])
 	}
@@ -551,7 +531,6 @@ func (t *LocalTransport) Adopt(rs *RangeState, costs []float64) error {
 		return err
 	}
 	t.own(lo, hi)
-	t.costs.Seed(lo, costs)
 	committed = true
 	return nil
 }

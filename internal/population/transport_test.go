@@ -123,14 +123,14 @@ func (st *splitTransport) Install(rs *RangeState) error {
 }
 
 // Move migrates shards [lo, hi) from part `from` to part `to` the way a
-// cluster does: drain, adopt with the source's cost estimates, release.
+// cluster does: drain, adopt, release.
 func (st *splitTransport) Move(lo, hi, from, to int) error {
 	src := st.parts[from]
 	rs, err := src.ExportRange(lo, hi)
 	if err != nil {
 		return err
 	}
-	if err := st.parts[to].Adopt(rs, src.Costs().EstimatesInto(nil, lo, hi)); err != nil {
+	if err := st.parts[to].Adopt(rs); err != nil {
 		return err
 	}
 	return src.Release(lo, hi)
@@ -232,10 +232,10 @@ func viewOf(lt *LocalTransport) transportView {
 }
 
 // TestAdoptFailureLeavesTransportUnchanged: every way an Adopt can fail —
-// an overlapping shard, a state whose lengths disagree, a wrong prior
-// count, an agent state RestoreState rejects — leaves the owned list, the
-// agents and the cost estimates exactly as they were, and a valid adopt
-// still succeeds afterwards.
+// an overlapping shard, a state whose lengths disagree, an agent state
+// RestoreState rejects — leaves the owned list, the agents and the cost
+// estimates exactly as they were, and a valid adopt still succeeds
+// afterwards.
 func TestAdoptFailureLeavesTransportUnchanged(t *testing.T) {
 	cfg := tinyConfig(48)
 	cfg.Shards = 6
@@ -265,26 +265,24 @@ func TestAdoptFailureLeavesTransportUnchanged(t *testing.T) {
 	renamed.Runs[last] = RenamedRun(renamed.Runs[last], bounds[5]-bounds[4]-1, "someone else")
 
 	cases := []struct {
-		name  string
-		rs    *RangeState
-		costs []float64
-		want  string
+		name string
+		rs   *RangeState
+		want string
 	}{
-		{"overlap", export(2, 4), nil, "overlap owned shard 2"},
-		{"inconsistent lengths", truncated, nil, "internally inconsistent"},
-		{"wrong prior count", export(3, 5), []float64{1}, "1 cost priors for 2 shards"},
-		{"RestoreState error", renamed, []float64{5, 5}, "applied to agent"},
+		{"overlap", export(2, 4), "overlap owned shard 2"},
+		{"inconsistent lengths", truncated, "internally inconsistent"},
+		{"RestoreState error", renamed, "applied to agent"},
 	}
 	before := viewOf(lt)
 	for _, c := range cases {
-		if err := lt.Adopt(c.rs, c.costs); err == nil || !strings.Contains(err.Error(), c.want) {
+		if err := lt.Adopt(c.rs); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: Adopt = %v, want error containing %q", c.name, err, c.want)
 		}
 		if after := viewOf(lt); !reflect.DeepEqual(before, after) {
 			t.Fatalf("%s: failed Adopt changed the transport:\nbefore %+v\nafter  %+v", c.name, before, after)
 		}
 	}
-	if err := lt.Adopt(export(3, 5), nil); err != nil {
+	if err := lt.Adopt(export(3, 5)); err != nil {
 		t.Fatalf("valid adopt after failures: %v", err)
 	}
 	if got := lt.Owned(); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4}) {

@@ -1,5 +1,5 @@
-// Package runner is the experiment dispatcher: a deterministic,
-// dependency-aware job queue executed by a bounded worker pool.
+// Package runner is the experiment dispatcher: a deterministic job queue
+// executed by a bounded worker pool.
 //
 // The experiments layer submits every individual simulation run — one
 // (experiment, system/variant, seed) triple — as a job; the pool runs as

@@ -22,7 +22,7 @@ func FanOut[T any](p *Pool, key Key, n int, fn func(i int) T) []T {
 		i := i
 		k := key
 		k.Seed = i
-		b.Add(k, nil, func() (any, error) { return fn(i), nil })
+		b.Add(k, func() (any, error) { return fn(i), nil })
 	}
 	rs := b.Wait()
 	if err := Errors(rs); err != nil {
@@ -49,7 +49,7 @@ func Rows(p *Pool, experiment string, systems []string, seeds int, fn func(sys, 
 	for si, name := range systems {
 		for s := 0; s < seeds; s++ {
 			si, s := si, s
-			b.Add(Key{Experiment: experiment, System: name, Seed: s}, nil,
+			b.Add(Key{Experiment: experiment, System: name, Seed: s},
 				func() (any, error) { return fn(si, s), nil })
 		}
 	}

@@ -77,14 +77,11 @@ type Pool struct {
 }
 
 type task struct {
-	batch      *Batch
-	index      int
-	key        Key
-	fn         func() (any, error)
-	waiting    int // unfinished dependencies
-	dependents []*task
-	done       bool
-	result     Result
+	batch  *Batch
+	index  int
+	key    Key
+	fn     func() (any, error)
+	result Result
 }
 
 // New creates a pool that runs at most workers jobs at once; workers <= 0
@@ -121,9 +118,7 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-// Batch is an ordered set of jobs submitted to one pool. Jobs may depend on
-// earlier jobs in the same batch; the dispatcher only starts a job once its
-// dependencies have finished.
+// Batch is an ordered set of jobs submitted to one pool.
 type Batch struct {
 	pool    *Pool
 	tasks   []*task
@@ -133,45 +128,21 @@ type Batch struct {
 // NewBatch starts an empty batch on the pool.
 func (p *Pool) NewBatch() *Batch { return &Batch{pool: p} }
 
-// Add appends a job and returns its index. deps lists indices of
-// previously added jobs in this batch that must finish first; referencing
-// this job or a later one panics, which keeps the dependency graph a DAG
-// by construction (no cycle detection needed, no scheduling deadlock
-// possible). Eligible jobs may start running before Add returns.
-func (b *Batch) Add(key Key, deps []int, fn func() (any, error)) int {
+// Add appends a job; its index in the batch is the number of jobs added
+// before it. The job may start running before Add returns.
+func (b *Batch) Add(key Key, fn func() (any, error)) {
 	p := b.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	idx := len(b.tasks)
-	t := &task{batch: b, index: idx, key: key, fn: fn}
-	for _, d := range deps {
-		if d < 0 || d >= idx {
-			panic(fmt.Sprintf("runner: job %d (%s) depends on job %d; dependencies must name earlier jobs in the batch", idx, key, d))
-		}
-		dt := b.tasks[d]
-		if !dt.done {
-			t.waiting++
-			dt.dependents = append(dt.dependents, t)
-		}
-	}
+	t := &task{batch: b, index: len(b.tasks), key: key, fn: fn}
 	b.tasks = append(b.tasks, t)
 	b.pending++
 	p.total++
 	if p.started.IsZero() {
 		p.started = time.Now()
 	}
-	if t.waiting == 0 {
-		p.ready = append(p.ready, t)
-		p.cond.Broadcast()
-	}
-	return idx
-}
-
-// Len reports how many jobs have been added to the batch.
-func (b *Batch) Len() int {
-	b.pool.mu.Lock()
-	defer b.pool.mu.Unlock()
-	return len(b.tasks)
+	p.ready = append(p.ready, t)
+	p.cond.Broadcast()
 }
 
 // Wait blocks until every job in the batch has finished and returns their
@@ -240,9 +211,8 @@ func (p *Pool) popLocked() *task {
 }
 
 // run executes one job with panic recovery, records its result and timing,
-// reports progress, then releases its dependents and marks the job done.
-// OnProgress is delivered strictly before the job counts as
-// complete, so when Batch.Wait returns every callback for the batch's jobs
+// reports progress, then marks the job done. OnProgress is delivered
+// strictly before the job counts as complete, so when Batch.Wait returns every callback for the batch's jobs
 // has already run — callers may read state the callbacks accumulate.
 func (p *Pool) run(t *task) {
 	start := time.Now()
@@ -265,14 +235,6 @@ func (p *Pool) run(t *task) {
 	}
 
 	p.mu.Lock()
-	t.done = true
-	for _, d := range t.dependents {
-		d.waiting--
-		if d.waiting == 0 {
-			p.ready = append(p.ready, d)
-		}
-	}
-	t.dependents = nil
 	t.batch.pending--
 	p.cond.Broadcast()
 	p.mu.Unlock()

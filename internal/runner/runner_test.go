@@ -91,9 +91,9 @@ func TestPanicRecovery(t *testing.T) {
 	p := New(2)
 	defer p.Close()
 	b := p.NewBatch()
-	b.Add(Key{Experiment: "ok", Seed: 0}, nil, func() (any, error) { return 1, nil })
-	b.Add(Key{Experiment: "boom", Seed: 1}, nil, func() (any, error) { panic("kaboom") })
-	b.Add(Key{Experiment: "ok", Seed: 2}, nil, func() (any, error) { return 3, nil })
+	b.Add(Key{Experiment: "ok", Seed: 0}, func() (any, error) { return 1, nil })
+	b.Add(Key{Experiment: "boom", Seed: 1}, func() (any, error) { panic("kaboom") })
+	b.Add(Key{Experiment: "ok", Seed: 2}, func() (any, error) { return 3, nil })
 	rs := b.Wait()
 	if rs[0].Err != nil || rs[0].Value.(int) != 1 {
 		t.Fatalf("job 0: %+v", rs[0])
@@ -151,56 +151,17 @@ func TestSingleJob(t *testing.T) {
 	}
 }
 
-func TestDependencies(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	var seq atomic.Int64
-	order := make([]int64, 4)
-	b := p.NewBatch()
-	job := func(i int) func() (any, error) {
-		return func() (any, error) {
-			time.Sleep(time.Millisecond) // give the scheduler a chance to misbehave
-			order[i] = seq.Add(1)
-			return nil, nil
-		}
-	}
-	// Diamond: 0 → {1, 2} → 3.
-	b.Add(Key{System: "root"}, nil, job(0))
-	b.Add(Key{System: "left"}, []int{0}, job(1))
-	b.Add(Key{System: "right"}, []int{0}, job(2))
-	b.Add(Key{System: "join"}, []int{1, 2}, job(3))
-	if err := Errors(b.Wait()); err != nil {
-		t.Fatal(err)
-	}
-	if order[0] != 1 {
-		t.Fatalf("root ran at position %d, want first", order[0])
-	}
-	if order[3] != 4 {
-		t.Fatalf("join ran at position %d, want last", order[3])
-	}
-}
-
 func TestDependencyOnFinishedJob(t *testing.T) {
-	// A dep added after its target completed must not wedge the batch.
+	// A job added after an earlier Wait returned must not wedge the batch.
 	p := New(1)
 	b := p.NewBatch()
-	i0 := b.Add(Key{System: "first"}, nil, func() (any, error) { return 1, nil })
+	b.Add(Key{System: "first"}, func() (any, error) { return 1, nil })
 	b.Wait() // job 0 is certainly done now
-	b.Add(Key{System: "second"}, []int{i0}, func() (any, error) { return 2, nil })
+	b.Add(Key{System: "second"}, func() (any, error) { return 2, nil })
 	rs := b.Wait()
 	if len(rs) != 2 || rs[1].Value.(int) != 2 {
 		t.Fatalf("results = %+v", rs)
 	}
-}
-
-func TestForwardDependencyPanics(t *testing.T) {
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("forward dependency accepted; cycles would be possible")
-		}
-	}()
-	p := New(1)
-	p.NewBatch().Add(Key{}, []int{0}, func() (any, error) { return nil, nil })
 }
 
 func TestNestedFanOutNoDeadlock(t *testing.T) {

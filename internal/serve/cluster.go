@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"sacs/internal/cloudsim"
 	"sacs/internal/cluster"
 	"sacs/internal/population"
 )
@@ -197,13 +196,10 @@ func (s *Server) ClusterAdmit(addr string, wait time.Duration) (int, error) {
 	return wi, nil
 }
 
-// ClusterRebalance runs the default cost-aware policy over every hosted
-// population at its tick barrier and executes the proposed migrations
-// live, returning the moves per population. The policy is
-// cluster.CostRebalancer with the cloud simulation's reactive autoscaler
-// as its carrier-count control law (grow past 4 mean-shard units of
-// estimated load per carrier, shrink under 0.5), tuned by
-// Options.RebalanceThreshold and Options.RebalanceMaxMoves.
+// ClusterRebalance runs the cluster's placement rule
+// (cluster.Transport.Rebalance) over every hosted population at its tick
+// barrier and executes the chosen migrations live, returning the moves per
+// population.
 //
 // A failed migration is host-side (ErrHost → 500): the transport keeps
 // the source authoritative, and the committed prefix of moves stands.
@@ -222,13 +218,8 @@ func (s *Server) ClusterRebalance() (map[string][]cluster.Move, error) {
 		if tr == nil {
 			continue
 		}
-		policy := &cluster.CostRebalancer{
-			Scaler:    &cloudsim.Reactive{Hi: 4, Lo: 0.5, Step: 1},
-			Threshold: s.opts.RebalanceThreshold,
-			MaxMoves:  s.opts.RebalanceMaxMoves,
-		}
 		h.mu.Lock()
-		moves, err := tr.Rebalance(policy) //sacslint:allow lockatomic live migration must run at the tick barrier: shard state may not move while a tick is in flight
+		moves, err := tr.Rebalance() //sacslint:allow lockatomic live migration must run at the tick barrier: shard state may not move while a tick is in flight
 		if len(moves) > 0 {
 			s.publishLocked(h) // committed moves must show in /cluster reads
 		}

@@ -12,9 +12,9 @@ import (
 	"time"
 )
 
-// elasticSpec is the admin-endpoint test population: enough shards that
-// the default rebalance control law (reactive autoscaler, high-water mark
-// 4 shards of load per carrier) decides to grow onto an admitted worker.
+// elasticSpec is the admin-endpoint test population: enough shards (more
+// than 4 per carrier) that the rebalance rule grows onto an admitted
+// worker.
 func elasticSpec() Spec {
 	return Spec{ID: "demo", Workload: "gossip", Agents: 64, Shards: 16, Seed: 5}
 }
@@ -138,8 +138,8 @@ func TestClusterAdminEndpoints(t *testing.T) {
 		t.Fatalf("admitted slot = %d, want 2", admitted.Worker)
 	}
 
-	// Rebalance: 16 shards on 2 carriers is 8 per node against a high-water
-	// mark of 4 — the autoscaler grows onto the new worker and the
+	// Rebalance: 16 shards on 2 carriers is 8 per carrier, past the
+	// placement rule's 4 — the new worker joins the carriers and the
 	// smoothing pass migrates shards there, live.
 	var reb struct {
 		Total int `json:"total"`

@@ -72,14 +72,6 @@ type Options struct {
 	// Logger is the server's structured logger (nil: slog.Default()).
 	// Population and shard attributes ride on every record.
 	Logger *slog.Logger
-	// RebalanceThreshold tunes POST /cluster/rebalance's default policy:
-	// the max/min per-worker load ratio tolerated before single-shard
-	// smoothing migrations are proposed (<= 1 means the
-	// cluster.CostRebalancer default, 1.5). Ignored in-process.
-	RebalanceThreshold float64
-	// RebalanceMaxMoves caps one POST /cluster/rebalance batch
-	// (<= 0 means the cluster.CostRebalancer default, 16).
-	RebalanceMaxMoves int
 	// MailboxBudget caps each population's externally ingested stimuli
 	// awaiting delivery at the next tick; a batch that would exceed it is
 	// shed whole with ErrOverloaded (HTTP 429 + Retry-After). 0 means

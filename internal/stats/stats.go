@@ -112,7 +112,16 @@ func (o *Online) Merge(other *Online) {
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
 // interpolation between order statistics. It does not modify xs.
 func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
+	s := make([]float64, len(xs))
+	copy(s, xs)
+	sort.Float64s(s)
+	return SortedQuantile(s, q)
+}
+
+// SortedQuantile is Quantile over s already sorted ascending: reading
+// several quantiles of one sample sorts it once.
+func SortedQuantile(s []float64, q float64) float64 {
+	if len(s) == 0 {
 		return 0
 	}
 	if q < 0 {
@@ -121,9 +130,6 @@ func Quantile(xs []float64, q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
 	pos := q * float64(len(s)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))

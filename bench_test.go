@@ -106,6 +106,39 @@ func BenchmarkPopulationTick(b *testing.B) {
 	}
 }
 
+// BenchmarkPopulationTickGossip is the tick rung of the gossip workload
+// sawd hosts and perfbench drives: experiments.S2Config at 1024 agents and
+// 16 shards on a 2-worker pool, warmed 100 ticks (past the tick-60 switch
+// to the constrained surge goal) before the timer starts. Its allocs/op
+// gates the goal and interaction levels the S1 rung never runs; live-B/agent
+// is the heap the population keeps per agent after a forced GC.
+func BenchmarkPopulationTickGossip(b *testing.B) {
+	const agents = 1024
+	p := runner.New(2)
+	defer p.Close()
+	before := liveHeap()
+	cfg := experiments.S2Config(agents, 16, 1, p)
+	cfg.Metrics = population.NewMetrics(obs.NewRegistry(), "bench")
+	eng := population.New(cfg)
+	eng.Run(100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Tick()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(int64(liveHeap())-int64(before))/agents, "live-B/agent")
+	runtime.KeepAlive(eng)
+}
+
+// liveHeap returns the bytes of heap still reachable after a forced GC.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 // BenchmarkCheckpointRoundTrip measures the full durability path for a
 // running population: Snapshot -> Encode -> Decode -> Restore. bytes/op of
 // encoded state is reported as a custom metric; this is the cost sawd pays

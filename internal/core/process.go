@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"sacs/internal/goals"
@@ -69,30 +70,24 @@ func (p *StimulusProcess) Observe(now float64, batch []Stimulus) {
 	}
 }
 
-// peerStim identifies one (source, stimulus) pair modelled by
-// interaction-awareness; used as a map key so cached store keys need no
-// string concatenation on lookup.
-type peerStim struct {
-	source, name string
-}
-
 // InteractionProcess realises interaction-awareness: it separates stimuli
 // originating from peers (Source set and different from Self) and models
 // per-peer behaviour under "peer/<source>/<name>", plus an interaction
-// count under "interactions". Per (peer, stimulus) pair the store key is
-// resolved once and cached.
+// count under "interactions". The store's symbol table is the only index
+// of the peer models: a (peer, stimulus) pair is spelled into a reused
+// buffer and looked up there, which allocates only for a new model.
 type InteractionProcess struct {
 	Self  string
 	Store *knowledge.Store
 
-	hot      *StepState // running count lives in the agent's hot step state
-	keys     map[peerStim]knowledge.Key
+	hot      *StepState    // running count lives in the agent's hot step state
 	countKey knowledge.Key // interned "interactions"; zero until first use
+	name     []byte        // reused "peer/<source>/<name>" spelling
 	// Last-resolved cache: ring-style gossip delivers a message from the
 	// same peer every tick, with both strings sharing backing storage, so
-	// the repeat case is two pointer compares instead of a struct hash.
-	last    peerStim
-	lastKey knowledge.Key
+	// the repeat case is two pointer compares instead of a lookup.
+	lastSource, lastName string
+	lastKey              knowledge.Key
 }
 
 // Name implements Process.
@@ -110,19 +105,11 @@ func (p *InteractionProcess) Observe(now float64, batch []Stimulus) {
 			continue
 		}
 		hot.Interactions++
-		id := peerStim{source: s.Source, name: s.Name}
 		k := p.lastKey
-		if k == 0 || id != p.last {
-			var ok bool
-			k, ok = p.keys[id]
-			if !ok {
-				k = p.Store.Intern("peer/"+s.Source+"/"+s.Name, knowledge.Public)
-				if p.keys == nil {
-					p.keys = make(map[peerStim]knowledge.Key)
-				}
-				p.keys[id] = k
-			}
-			p.last, p.lastKey = id, k
+		if k == 0 || s.Source != p.lastSource || s.Name != p.lastName {
+			p.name = append(append(append(append(p.name[:0], "peer/"...), s.Source...), '/'), s.Name...)
+			k = p.Store.InternBytes(p.name, knowledge.Public)
+			p.lastSource, p.lastName, p.lastKey = s.Source, s.Name, k
 		}
 		p.Store.ObserveKey(k, s.Value, now)
 	}
@@ -158,8 +145,9 @@ type TimeProcess struct {
 	NewPredict func() learning.Predictor
 
 	models map[string]*timeModel
-	names  []string // sorted keys of models, maintained on insert
-	live   int      // models with a current predictor (pred != nil)
+	names  []string     // sorted keys of models, maintained on insert
+	byName []*timeModel // models[names[i]] at i, so per-step readers skip the map
+	live   int          // models with a current predictor (pred != nil)
 }
 
 // Name implements Process.
@@ -185,7 +173,7 @@ func (p *TimeProcess) Observe(now float64, batch []Stimulus) {
 				trendKey: p.Store.Intern("trend/"+s.Name, s.Scope),
 			}
 			p.models[s.Name] = m
-			p.insertName(s.Name)
+			p.insertName(s.Name, m)
 		}
 		if m.pred == nil {
 			// First observation, or first after a Reset: a fresh forecaster
@@ -227,14 +215,13 @@ func (p *TimeProcess) ForecastError(name string) float64 {
 	return 0
 }
 
-// insertName records a newly predicted stimulus in the process's sorted
-// name index, which exists so per-step readers iterate in a fixed order
-// without allocating.
-func (p *TimeProcess) insertName(name string) {
+// insertName records a newly predicted stimulus and its model in the
+// process's sorted name index, which exists so per-step readers iterate in
+// a fixed order without allocating or hashing.
+func (p *TimeProcess) insertName(name string, m *timeModel) {
 	i := sort.SearchStrings(p.names, name)
-	p.names = append(p.names, "")
-	copy(p.names[i+1:], p.names[i:])
-	p.names[i] = name
+	p.names = slices.Insert(p.names, i, name)
+	p.byName = slices.Insert(p.byName, i, m)
 }
 
 // MeanForecastError averages RMSE over all predicted stimuli. Summation
@@ -247,8 +234,8 @@ func (p *TimeProcess) MeanForecastError() float64 {
 		return 0
 	}
 	s := 0.0
-	for _, n := range p.names {
-		if m := p.models[n]; m.pred != nil {
+	for _, m := range p.byName {
+		if m.pred != nil {
 			s += m.errs.RMSE()
 		}
 	}
@@ -329,6 +316,6 @@ func (p *GoalProcess) Observe(now float64, batch []Stimulus) {
 		m = p.scratch
 	}
 	p.Store.SetKey(p.utilKey, active.Utility(m), now)
-	p.Store.SetKey(p.violKey, float64(len(active.Violations(m))), now)
+	p.Store.SetKey(p.violKey, float64(active.ViolationCount(m)), now)
 	p.Store.SetKey(p.switchKey, p.hot.GoalSwitches, now)
 }

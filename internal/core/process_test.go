@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"sacs/internal/knowledge"
@@ -75,5 +77,75 @@ func TestTrendModelOnHistory(t *testing.T) {
 	// stimulus history ring.
 	if tr := store.Value("trend/x", 0); tr < 1.5 || tr > 2.5 {
 		t.Fatalf("trend = %v, want ≈ 2", tr)
+	}
+}
+
+// TestPeerModelHeapBound pins what a once-seen peer costs: one agent hears
+// from 100k distinct peers once each, and the heap it keeps afterwards,
+// per peer model, stays within 340 bytes. The store's symbol table is the
+// only index of the peer models and a new ring holds two points, so a
+// model is its name, one slot, one table entry, its entry box and a small
+// ring seed.
+func TestPeerModelHeapBound(t *testing.T) {
+	const peers, batchLen = 100_000, 1000
+	sources := make([]string, peers)
+	for i := range sources {
+		sources[i] = fmt.Sprintf("p%06d", i)
+	}
+	batch := make([]Stimulus, batchLen)
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	a := New(Config{Name: "self", Caps: FullStack, ExplainDepth: -1})
+	a.Store().Unshared()
+	for lo := 0; lo < peers; lo += batchLen {
+		for i := range batch {
+			batch[i] = Stimulus{Name: "load", Source: sources[lo+i], Scope: Public, Value: float64(i), Time: float64(lo)}
+		}
+		a.Inject(float64(lo), batch)
+	}
+	after := heap()
+	runtime.KeepAlive(sources)
+	if n := a.Store().Len(); n < peers {
+		t.Fatalf("store holds %d models, want at least %d", n, peers)
+	}
+	per := float64(after-before) / peers
+	t.Logf("%.0f B of heap per once-seen peer model", per)
+	if per > 340 {
+		t.Fatalf("a once-seen peer model keeps %.0f B of heap, want at most 340", per)
+	}
+	runtime.KeepAlive(a)
+}
+
+// TestInteractionObserveKnownPeersAllocFree: once the peer models exist,
+// observing the same peers again — with the last-resolved cache missing on
+// every stimulus — allocates nothing.
+func TestInteractionObserveKnownPeersAllocFree(t *testing.T) {
+	store := knowledge.NewStore(0.3, 64)
+	store.Unshared()
+	ip := &InteractionProcess{Self: "self", Store: store, hot: &StepState{}}
+	batch := []Stimulus{
+		{Name: "load", Source: "p1", Scope: Public, Value: 1},
+		{Name: "load", Source: "p2", Scope: Public, Value: 2},
+		{Name: "temp", Source: "p1", Scope: Public, Value: 3},
+	}
+	now := 0.0
+	for i := 0; i < 100; i++ { // grow every ring to its bound
+		ip.Observe(now, batch)
+		now++
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		ip.Observe(now, batch)
+		now++
+	}); allocs != 0 {
+		t.Fatalf("Observe of known peers allocates %v times per call, want 0", allocs)
+	}
+	if got := store.Value("peer/p2/load", 0); got != 2 {
+		t.Fatalf("peer/p2/load = %v, want 2", got)
 	}
 }

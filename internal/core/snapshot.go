@@ -73,8 +73,8 @@ func (a *Agent) AppendState(e *codec.Encoder) error {
 	e.Bool(tp != nil && tp.live > 0)
 	if tp != nil && tp.live > 0 {
 		e.Uvarint(uint64(tp.live))
-		for _, n := range tp.names {
-			m := tp.models[n]
+		for i, n := range tp.names {
+			m := tp.byName[i]
 			if m.pred == nil { // Reset-discarded models carry no state
 				continue
 			}
@@ -206,7 +206,7 @@ func (a *Agent) restorePredictors(d *codec.Decoder) error {
 	}
 	n := d.Count(minPredictorSize)
 	tp.models = make(map[string]*timeModel, n)
-	tp.names = nil
+	tp.names, tp.byName = nil, nil
 	tp.live = 0
 	for i := 0; i < n; i++ {
 		stim := d.Str()
@@ -239,7 +239,7 @@ func (a *Agent) restorePredictors(d *codec.Decoder) error {
 			return fmt.Errorf("agent %s predictor %q: %w", a.name, stim, err)
 		}
 		tp.models[stim] = m
-		tp.insertName(stim)
+		tp.insertName(stim, m)
 		tp.live++
 	}
 	return nil

@@ -141,6 +141,18 @@ func (s *Set) Violations(metrics map[string]float64) []string {
 	return out
 }
 
+// ViolationCount returns how many constrained objectives the metric vector
+// violates: len(Violations(metrics)) without building the list.
+func (s *Set) ViolationCount(metrics map[string]float64) int {
+	n := 0
+	for _, o := range s.objectives {
+		if v, ok := metrics[o.Name]; ok && !o.Satisfied(v) {
+			n++
+		}
+	}
+	return n
+}
+
 // String renders the goal set compactly.
 func (s *Set) String() string {
 	parts := make([]string, 0, len(s.objectives))

@@ -2,6 +2,7 @@ package knowledge
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -212,5 +213,72 @@ func TestSharedStoreStillLocksUnderRace(t *testing.T) {
 	wg.Wait()
 	if s.GetKey(k) == nil {
 		t.Fatal("hot entry vanished")
+	}
+}
+
+// TestSharedRegistryUnderRace drives the one registry — the symbol table
+// and its slots — of a shared store from many goroutines at once: models
+// created through the string path, Intern, InternBytes and LookupKey,
+// deleted and recreated, counted and exported, while the slot table grows
+// under readers. Run with -race (CI does). Afterwards every name resolves
+// to one key and Len counts exactly the live models.
+func TestSharedRegistryUnderRace(t *testing.T) {
+	s := NewStore(0.3, 16)
+	const workers, names = 8, 200
+	name := func(i int) string { return fmt.Sprintf("m%03d", i) }
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var buf []byte
+			for i := 0; i < names; i++ {
+				n := name((i*7 + g*31) % names)
+				switch g % 4 {
+				case 0:
+					s.Observe(n, Public, float64(i), float64(i))
+				case 1:
+					s.ObserveKey(s.Intern(n, Private), float64(i), float64(i))
+				case 2:
+					buf = append(buf[:0], n...)
+					k := s.InternBytes(buf, Public)
+					_ = s.GetKey(k)
+					if _, e := s.LookupKey(n); e != nil {
+						_, _ = e.Trend()
+					}
+				case 3:
+					if i%10 == 0 {
+						s.Delete(n)
+					}
+					_ = s.Get(n)
+					_ = s.Len()
+					if i%50 == 0 {
+						_ = stateBytes(s)
+						_ = s.Names(Public, true)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	live := 0
+	for i := 0; i < names; i++ {
+		n := name(i)
+		k := s.Intern(n, Private)
+		if k2, _ := s.LookupKey(n); k2 != k {
+			t.Fatalf("%s: LookupKey = %d, Intern = %d", n, k2, k)
+		}
+		if e := s.Get(n); e != nil {
+			live++
+			if e != s.GetKey(k) {
+				t.Fatalf("%s: Get and GetKey disagree", n)
+			}
+		}
+	}
+	if s.Len() != live {
+		t.Fatalf("Len = %d, live models = %d", s.Len(), live)
+	}
+	if got := len(s.Names(Private, false)); got != live {
+		t.Fatalf("Names lists %d models, live models = %d", got, live)
 	}
 }

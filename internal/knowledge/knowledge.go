@@ -3,6 +3,7 @@ package knowledge
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -121,13 +122,8 @@ func (e *Entry) History() *Ring {
 	if e.hist == nil {
 		return nil
 	}
-	c := Ring{
-		t:    append([]float64(nil), e.hist.t...),
-		v:    append([]float64(nil), e.hist.v...),
-		head: e.hist.head,
-		size: e.hist.size,
-		max:  e.hist.max,
-	}
+	c := *e.hist
+	c.b = append([]float64(nil), c.b...)
 	return &c
 }
 
@@ -215,25 +211,31 @@ func (e *Entry) setLocked(x, now float64) {
 // would. Keys are store-local — never use a Key against a different Store.
 type Key int32
 
-// slot is what a Key indexes: the interned identity plus the live entry
-// (nil when the model does not currently exist).
+// slot is what a Key indexes: a model name plus its live entry (nil while
+// the model does not exist). Every name the store has held a model under or
+// interned has a slot, so the symbol table is also the store's registry.
+// interned marks a slot whose Key has been handed out (Intern, LookupKey):
+// only then is scope authoritative, as the scope a key-based write
+// recreates the model with. A slot the string path or a restore made takes
+// its scope when it is first interned.
 type slot struct {
-	name  string
-	scope Scope
-	e     *Entry
+	name     string
+	e        *Entry
+	scope    Scope
+	interned bool
 }
 
 // Store is a threadsafe registry of model entries keyed by name. The store
-// lock guards the registry map and the symbol table only; each Entry
+// lock guards the registry (symbol table and slots) only; each Entry
 // carries its own lock, so concurrent observations of different models
 // never contend and a single Observe acquires the registry lock at most
 // once. Stores with exactly one owning goroutine can elide all of that —
 // see Unshared.
 type Store struct {
 	mu      sync.RWMutex
-	entries map[string]*Entry
-	keys    map[string]Key // symbol table: name -> Key (see Intern)
+	keys    map[string]Key // symbol table: name -> Key, for every slot
 	slots   []slot         // Key k lives at slots[k-1]
+	live    int            // slots holding an entry
 	alpha   float64
 	histLen int
 
@@ -284,7 +286,7 @@ func NewStore(alpha float64, histLen int) *Store {
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.2
 	}
-	return &Store{entries: make(map[string]*Entry), alpha: alpha, histLen: histLen}
+	return &Store{alpha: alpha, histLen: histLen}
 }
 
 // Unshared marks the store single-owner: the registry lock, the per-entry
@@ -298,8 +300,10 @@ func NewStore(alpha float64, histLen int) *Store {
 func (s *Store) Unshared() {
 	s.mu.Lock()
 	s.unshared = true
-	for _, e := range s.entries {
-		e.noLock = true
+	for i := range s.slots {
+		if e := s.slots[i].e; e != nil {
+			e.noLock = true
+		}
 	}
 	s.mu.Unlock()
 }
@@ -330,7 +334,7 @@ type entryBox struct {
 // Arena chunk sizes: entries per box chunk, and ring seeds per float slab.
 const (
 	boxChunk  = 8
-	slabChunk = 16
+	slabChunk = 64
 )
 
 // newEntry builds an entry with the store's parameters; callers must hold
@@ -354,13 +358,12 @@ func (s *Store) newEntry(name string, scope Scope) *Entry {
 		box.e = Entry{Name: name, Scope: scope, alpha: s.alpha, noLock: s.unshared}
 		if seed := ringSeed; s.histLen >= seed {
 			// Common case (window at least the seed size): take the seed
-			// arrays from the shared float slab instead of a fresh allocation.
+			// storage from the shared float slab instead of a fresh allocation.
 			if len(s.slab) < 2*seed {
 				s.slab = make([]float64, 2*seed*slabChunk)
 			}
-			b := s.slab[: 2*seed : 2*seed]
+			box.r = Ring{b: s.slab[: 2*seed : 2*seed], max: s.histLen}
 			s.slab = s.slab[2*seed:]
-			box.r = Ring{t: b[:seed:seed], v: b[seed:], max: s.histLen}
 		} else {
 			box.r.init(s.histLen)
 		}
@@ -371,6 +374,35 @@ func (s *Store) newEntry(name string, scope Scope) *Entry {
 		s.keepFresh(e)
 	}
 	return e
+}
+
+// fill creates the model behind sl with the given scope; callers hold the
+// registry write lock (or own the store).
+func (s *Store) fill(sl *slot, scope Scope) *Entry {
+	sl.e = s.newEntry(sl.name, scope)
+	s.live++
+	return sl.e
+}
+
+// addSlot appends a slot for a name the symbol table does not hold yet and
+// returns its Key; callers hold the registry write lock (or own the store).
+func (s *Store) addSlot(name string, scope Scope, e *Entry, interned bool) Key {
+	if s.keys == nil {
+		s.keys = make(map[string]Key)
+	}
+	s.slots = append(s.slots, slot{name: name, e: e, scope: scope, interned: interned})
+	k := Key(len(s.slots))
+	s.keys[name] = k
+	return k
+}
+
+// get returns the entry named name, or nil; callers hold the registry lock
+// (or own the store).
+func (s *Store) get(name string) *Entry {
+	if k, ok := s.keys[name]; ok {
+		return s.slots[k-1].e
+	}
+	return nil
 }
 
 // keepFresh lists a new entry for the next export to merge into the kept
@@ -388,37 +420,30 @@ func (s *Store) keepFresh(e *Entry) {
 // first use.
 func (s *Store) Ensure(name string, scope Scope) *Entry {
 	if s.unshared {
-		e := s.entries[name]
-		if e == nil {
-			e = s.newEntry(name, scope)
-			s.entries[name] = e
-			s.bindSlot(name, e)
-		}
-		return e
+		return s.ensureLocked(name, scope)
 	}
 	s.mu.RLock()
-	e := s.entries[name]
+	e := s.get(name)
 	s.mu.RUnlock()
 	if e != nil {
 		return e
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[name]
-	if !ok {
-		e = s.newEntry(name, scope)
-		s.entries[name] = e
-		s.bindSlot(name, e)
-	}
-	return e
+	return s.ensureLocked(name, scope)
 }
 
-// bindSlot points an already-interned key's slot at e (no-op when name was
-// never interned). Callers must hold the write lock / own the store.
-func (s *Store) bindSlot(name string, e *Entry) {
-	if k, ok := s.keys[name]; ok {
-		s.slots[k-1].e = e
+func (s *Store) ensureLocked(name string, scope Scope) *Entry {
+	k, ok := s.keys[name]
+	if !ok {
+		k = s.addSlot(name, scope, nil, false)
 	}
+	if sl := &s.slots[k-1]; sl.e == nil {
+		// The string path creates with the caller's scope; an interned
+		// slot keeps its own for key-based recreation.
+		return s.fill(sl, scope)
+	}
+	return s.slots[k-1].e
 }
 
 // Intern returns the permanent Key for name, adding it to the symbol table
@@ -428,13 +453,14 @@ func (s *Store) bindSlot(name string, e *Entry) {
 // the hot loop, then use the Key-based accessors per tick.
 func (s *Store) Intern(name string, scope Scope) Key {
 	if s.unshared {
-		if k, ok := s.keys[name]; ok {
+		if k, ok := s.keys[name]; ok && s.slots[k-1].interned {
 			return k
 		}
 		return s.internLocked(name, scope)
 	}
 	s.mu.RLock()
 	k, ok := s.keys[name]
+	ok = ok && s.slots[k-1].interned
 	s.mu.RUnlock()
 	if ok {
 		return k
@@ -444,25 +470,44 @@ func (s *Store) Intern(name string, scope Scope) Key {
 	return s.internLocked(name, scope)
 }
 
-func (s *Store) internLocked(name string, scope Scope) Key {
-	if k, ok := s.keys[name]; ok {
+// InternBytes is Intern for a name spelled in a caller's reused buffer: a
+// name already interned is found without allocating, so only a new model
+// name costs a string.
+func (s *Store) InternBytes(name []byte, scope Scope) Key {
+	if s.unshared {
+		if k, ok := s.keys[string(name)]; ok && s.slots[k-1].interned {
+			return k
+		}
+		return s.internLocked(string(name), scope)
+	}
+	s.mu.RLock()
+	k, ok := s.keys[string(name)]
+	ok = ok && s.slots[k-1].interned
+	s.mu.RUnlock()
+	if ok {
 		return k
 	}
-	if s.keys == nil {
-		s.keys = make(map[string]Key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.internLocked(string(name), scope)
+}
+
+func (s *Store) internLocked(name string, scope Scope) Key {
+	k, ok := s.keys[name]
+	if !ok {
+		return s.addSlot(name, scope, nil, true)
 	}
-	e := s.entries[name]
-	if e != nil {
-		// The model already exists: its actual scope wins over the
-		// caller's argument, so a later delete-and-recreate through the
-		// key reproduces the model exactly (an agent restored from a
-		// checkpoint interns against restored entries, whose scope is
-		// authoritative).
-		scope = e.Scope
+	if sl := &s.slots[k-1]; !sl.interned {
+		if sl.e != nil {
+			// The model already exists: its actual scope wins over the
+			// caller's argument, so a later delete-and-recreate through
+			// the key reproduces the model exactly (an agent restored from
+			// a checkpoint interns against restored entries, whose scope
+			// is authoritative).
+			scope = sl.e.Scope
+		}
+		sl.scope, sl.interned = scope, true
 	}
-	s.slots = append(s.slots, slot{name: name, scope: scope, e: e})
-	k := Key(len(s.slots))
-	s.keys[name] = k
 	return k
 }
 
@@ -474,28 +519,39 @@ func (s *Store) internLocked(name string, scope Scope) Key {
 func (s *Store) LookupKey(name string) (Key, *Entry) {
 	s.countRead()
 	if s.unshared {
-		if k, ok := s.keys[name]; ok {
-			return k, s.slots[k-1].e
-		}
-		if e := s.entries[name]; e != nil {
-			return s.internLocked(name, e.Scope), e
-		}
-		return 0, nil
+		return s.lookupLocked(name)
 	}
 	s.mu.RLock()
-	if k, ok := s.keys[name]; ok {
-		e := s.slots[k-1].e
-		s.mu.RUnlock()
-		return k, e
+	k, ok := s.keys[name]
+	var sl slot
+	if ok {
+		sl = s.slots[k-1]
 	}
-	e := s.entries[name]
 	s.mu.RUnlock()
-	if e == nil {
+	switch {
+	case !ok || !sl.interned && sl.e == nil:
 		return 0, nil
+	case sl.interned:
+		return k, sl.e
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.internLocked(name, e.Scope), s.entries[name]
+	return s.lookupLocked(name)
+}
+
+func (s *Store) lookupLocked(name string) (Key, *Entry) {
+	k, ok := s.keys[name]
+	if !ok {
+		return 0, nil
+	}
+	sl := &s.slots[k-1]
+	if !sl.interned {
+		if sl.e == nil {
+			return 0, nil
+		}
+		sl.scope, sl.interned = sl.e.Scope, true
+	}
+	return k, sl.e
 }
 
 // entryForKey returns the entry behind k, creating it (with the interned
@@ -507,25 +563,23 @@ func (s *Store) entryForKey(k Key, create bool) *Entry {
 	if s.unshared {
 		sl := &s.slots[k-1]
 		if sl.e == nil && create {
-			sl.e = s.newEntry(sl.name, sl.scope)
-			s.entries[sl.name] = sl.e
+			return s.fill(sl, sl.scope)
 		}
 		return sl.e
 	}
 	s.mu.RLock()
-	sl := s.slots[k-1]
+	e := s.slots[k-1].e
 	s.mu.RUnlock()
-	if sl.e != nil || !create {
-		return sl.e
+	if e != nil || !create {
+		return e
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := &s.slots[k-1]
-	if p.e == nil {
-		p.e = s.newEntry(p.name, p.scope)
-		s.entries[p.name] = p.e
+	sl := &s.slots[k-1]
+	if sl.e == nil {
+		s.fill(sl, sl.scope)
 	}
-	return p.e
+	return sl.e
 }
 
 // ObserveKey records an observation for the interned model k (creating the
@@ -579,14 +633,14 @@ func (s *Store) Get(name string) *Entry {
 		if e := s.lastGet; e != nil && name == s.lastGetName {
 			return e
 		}
-		e := s.entries[name]
+		e := s.get(name)
 		if e != nil {
 			s.lastGetName, s.lastGet = name, e
 		}
 		return e
 	}
 	s.mu.RLock()
-	e := s.entries[name]
+	e := s.get(name)
 	s.mu.RUnlock()
 	return e
 }
@@ -614,18 +668,27 @@ func (s *Store) WriteCount() int { return int(s.writes.Load() + s.writesU) }
 // invalidated. The name's Key, if interned, stays valid and simply points
 // at nothing until the model is recreated.
 func (s *Store) Delete(name string) {
-	if s.unshared {
-		delete(s.entries, name)
-		s.bindSlot(name, nil)
-		s.lastGetName, s.lastGet = "", nil
-		s.dropped = true
-		return
+	if !s.unshared {
+		s.mu.Lock()
+		defer s.mu.Unlock()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.entries, name)
-	s.bindSlot(name, nil)
+	if k, ok := s.keys[name]; ok && s.slots[k-1].e != nil {
+		s.slots[k-1].e = nil
+		s.live--
+	}
+	s.lastGetName, s.lastGet = "", nil
 	s.dropped = true
+}
+
+// liveEntries appends the store's entries, in slot order, to dst; callers
+// hold the registry lock (or own the store).
+func (s *Store) liveEntries(dst []*Entry) []*Entry {
+	for i := range s.slots {
+		if e := s.slots[i].e; e != nil {
+			dst = append(dst, e)
+		}
+	}
+	return dst
 }
 
 // Names returns all entry names, sorted, optionally filtered by scope.
@@ -635,11 +698,10 @@ func (s *Store) Names(scope Scope, filter bool) []string {
 		defer s.mu.RUnlock()
 	}
 	var names []string
-	for n, e := range s.entries {
-		if filter && e.Scope != scope {
-			continue
+	for i := range s.slots {
+		if e := s.slots[i].e; e != nil && (!filter || e.Scope == scope) {
+			names = append(names, e.Name)
 		}
-		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
@@ -648,11 +710,11 @@ func (s *Store) Names(scope Scope, filter bool) []string {
 // Len reports the number of entries.
 func (s *Store) Len() int {
 	if s.unshared {
-		return len(s.entries)
+		return s.live
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.entries)
+	return s.live
 }
 
 // Inventory renders a human-readable snapshot, used by self-explanation.
@@ -661,14 +723,10 @@ func (s *Store) Inventory(now float64) string {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
 	}
-	var names []string
-	for n := range s.entries {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	entries := s.liveEntries(make([]*Entry, 0, s.live))
+	slices.SortFunc(entries, byName)
 	var b strings.Builder
-	for _, n := range names {
-		e := s.entries[n]
+	for _, e := range entries {
 		if !e.noLock {
 			e.mu.RLock()
 		}
@@ -677,7 +735,7 @@ func (s *Store) Inventory(now float64) string {
 			e.mu.RUnlock()
 		}
 		fmt.Fprintf(&b, "%-28s %8.3f  conf=%.2f  scope=%s  n=%d\n",
-			n, v, conf, e.Scope, count)
+			e.Name, v, conf, e.Scope, count)
 	}
 	return b.String()
 }
@@ -685,22 +743,30 @@ func (s *Store) Inventory(now float64) string {
 // Ring is a bounded time-stamped history buffer: the substrate of
 // time-awareness. The zero value is unusable; create with NewRing.
 //
-// Storage grows geometrically from ringSeed points toward the bound rather
-// than being allocated up front: most models never fill their window (heap
-// profiles showed full-capacity rings were the single largest source of
-// object count in a populated run), and the bound only matters once enough
-// observations arrive to reach it. Capacity is an implementation detail —
-// snapshots serialize contents oldest-first (see Store.AppendState), never
-// the backing size — so two rings with equal contents are indistinguishable.
+// Storage grows from ringSeed points toward the bound, ringGrowth-fold at
+// a time, rather than being allocated up front: most models never fill
+// their window — on a gossip population most are peer models seen once or
+// twice — and the bound only matters once enough observations arrive to
+// reach it. One backing slice holds the times in its first half and the
+// values in its second. Capacity is an implementation detail — snapshots
+// serialize contents oldest-first (see Store.AppendState), never the
+// backing size — so two rings with equal contents are indistinguishable.
 type Ring struct {
-	t, v []float64
-	head int
-	size int
-	max  int // the bound: len(t) grows toward it, never past it
+	b    []float64 // times in b[:len(b)/2], values in b[len(b)/2:]
+	head int32     // next write position in either half
+	size int32
+	max  int // the bound: len(b)/2 grows toward it, never past it
 }
 
-// ringSeed is the initial backing size of a new ring (when the bound allows).
-const ringSeed = 8
+// A new ring holds ringSeed points (when the bound allows) and grows
+// ringGrowth-fold, capped at the bound: 2 → 16 → 64 for the default bound
+// of 64. A small seed keeps the many once-seen models small; a large step
+// keeps the models that do fill their window from paying a regrowth every
+// few observations.
+const (
+	ringSeed   = 2
+	ringGrowth = 8
+)
 
 // NewRing returns a ring holding up to capacity points.
 func NewRing(capacity int) *Ring {
@@ -709,86 +775,87 @@ func NewRing(capacity int) *Ring {
 	return r
 }
 
-// init sets up the ring in place: one backing slab serves both the time and
-// value arrays (halving the object count of entry creation, which dominates
-// populated-run heap profiles).
+// init sets up the ring in place with seed-sized backing storage.
 func (r *Ring) init(capacity int) {
 	if capacity <= 0 {
 		panic("knowledge: ring capacity must be > 0")
 	}
-	n := capacity
-	if n > ringSeed {
-		n = ringSeed
-	}
-	b := make([]float64, 2*n)
-	*r = Ring{t: b[:n:n], v: b[n:], max: capacity}
+	*r = Ring{b: make([]float64, 2*min(capacity, ringSeed)), max: capacity}
 }
 
 // ringLen is the backing length of a ring bounded at max after k <= max
-// Pushes into NewRing(max): the seed, doubled (capped at the bound) until
-// it holds k points.
+// Pushes into NewRing(max): the seed, grown ringGrowth-fold (capped at the
+// bound) until it holds k points.
 func ringLen(max, k int) int {
 	n := min(max, ringSeed)
 	for n < k {
-		n = min(2*n, max)
+		n = min(ringGrowth*n, max)
 	}
 	return n
 }
 
+// times and values are the ring's two halves.
+func (r *Ring) times() []float64 {
+	n := len(r.b) / 2
+	return r.b[:n:n]
+}
+
+func (r *Ring) values() []float64 { return r.b[len(r.b)/2:] }
+
 // Push appends a point, evicting the oldest when full at the bound. The wrap
 // is a compare, not a modulo: Push runs once per observation per model and
 // the integer division dominated tick profiles. A ring full below its bound
-// doubles first (amortized O(1); steady state never allocates).
+// grows first (amortized O(1); steady state never allocates).
 //
 //sacs:hotpath
 func (r *Ring) Push(t, v float64) {
-	if r.size == len(r.t) && r.size < r.max {
+	n := int32(len(r.b) / 2)
+	if r.size == n && int(n) < r.max {
 		r.grow()
+		n = int32(len(r.b) / 2)
 	}
-	r.t[r.head] = t
-	r.v[r.head] = v
+	r.b[r.head] = t
+	r.b[n+r.head] = v
 	r.head++
-	if r.head == len(r.t) {
+	if r.head == n {
 		r.head = 0
 	}
-	if r.size < len(r.t) {
+	if r.size < n {
 		r.size++
 	}
 }
 
-// grow doubles the backing arrays (capped at the bound), linearizing the
-// contents oldest-first so index arithmetic stays uniform. Only called when
-// the ring is full, so head is the oldest point.
+// grow enlarges the backing storage ringGrowth-fold (capped at the bound),
+// linearizing the contents oldest-first so index arithmetic stays uniform.
+// Only called when the ring is full, so head is the oldest point.
 func (r *Ring) grow() {
-	n := len(r.t) * 2
-	if n > r.max {
-		n = r.max
-	}
+	old := len(r.b) / 2
+	n := min(ringGrowth*old, r.max)
 	b := make([]float64, 2*n)
-	nt, nv := b[:n:n], b[n:]
-	k := copy(nt, r.t[r.head:])
-	copy(nt[k:], r.t[:r.head])
-	k = copy(nv, r.v[r.head:])
-	copy(nv[k:], r.v[:r.head])
-	r.t, r.v = nt, nv
+	h := int(r.head)
+	k := copy(b, r.b[h:old])
+	copy(b[k:], r.b[:h])
+	k = copy(b[n:], r.b[old+h:])
+	copy(b[n+k:], r.b[old:old+h])
+	r.b = b
 	r.head = r.size
 }
 
 // Len reports how many points are stored.
-func (r *Ring) Len() int { return r.size }
+func (r *Ring) Len() int { return int(r.size) }
 
 // Values returns stored values oldest-first.
-func (r *Ring) Values() []float64 { return r.linear(r.v) }
+func (r *Ring) Values() []float64 { return r.linear(r.values()) }
 
 // Times returns stored timestamps oldest-first.
-func (r *Ring) Times() []float64 { return r.linear(r.t) }
+func (r *Ring) Times() []float64 { return r.linear(r.times()) }
 
-// linear copies the stored window of buf (r.t or r.v) out oldest-first as
-// at most two block copies — the tail half from the oldest point, then the
-// wrapped head half — instead of a modulo per element.
+// linear copies the stored window of buf (r.times() or r.values()) out
+// oldest-first as at most two block copies — the tail half from the oldest
+// point, then the wrapped head half — instead of a modulo per element.
 func (r *Ring) linear(buf []float64) []float64 {
 	out := make([]float64, r.size)
-	start := r.head - r.size
+	start := int(r.head - r.size)
 	if start < 0 {
 		start += len(buf)
 	}
@@ -819,26 +886,28 @@ func (r *Ring) Trend() float64 {
 	if r.size < 2 {
 		return 0
 	}
-	start := r.head - r.size
+	ts, vs := r.times(), r.values()
+	size := int(r.size)
+	start := int(r.head) - size
 	if start < 0 {
-		start += len(r.t)
+		start += len(ts)
 	}
 	var mt, mv float64
-	for i, j := 0, start; i < r.size; i++ {
-		mt += r.t[j]
-		mv += r.v[j]
-		if j++; j == len(r.t) {
+	for i, j := 0, start; i < size; i++ {
+		mt += ts[j]
+		mv += vs[j]
+		if j++; j == len(ts) {
 			j = 0
 		}
 	}
-	n := float64(r.size)
+	n := float64(size)
 	mt /= n
 	mv /= n
 	var num, den float64
-	for i, j := 0, start; i < r.size; i++ {
-		num += (r.t[j] - mt) * (r.v[j] - mv)
-		den += (r.t[j] - mt) * (r.t[j] - mt)
-		if j++; j == len(r.t) {
+	for i, j := 0, start; i < size; i++ {
+		num += (ts[j] - mt) * (vs[j] - mv)
+		den += (ts[j] - mt) * (ts[j] - mt)
+		if j++; j == len(ts) {
 			j = 0
 		}
 	}

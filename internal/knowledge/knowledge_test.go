@@ -145,7 +145,7 @@ func TestRingKeepsLastK(t *testing.T) {
 }
 
 // TestRingGrowsToBound drives rings of various bounds across their growth
-// boundaries (the backing arrays start at ringSeed and double toward the
+// boundaries (the backing arrays start at ringSeed and grow toward the
 // bound) and checks contents against a naive last-k model at every step.
 func TestRingGrowsToBound(t *testing.T) {
 	for _, bound := range []int{1, 3, ringSeed, ringSeed + 1, 20, 64} {
@@ -168,7 +168,7 @@ func TestRingGrowsToBound(t *testing.T) {
 				}
 			}
 		}
-		if got := len(r.t); got > bound {
+		if got := len(r.times()); got > bound {
 			t.Errorf("bound %d: backing grew to %d, past the bound", bound, got)
 		}
 	}
@@ -179,12 +179,12 @@ func TestRingGrowsToBound(t *testing.T) {
 // replaced) on empty, growing, full and wrapped rings.
 func TestRingCopiesMatchReference(t *testing.T) {
 	reference := func(r *Ring, buf []float64) []float64 {
-		out := make([]float64, 0, r.size)
-		start := r.head - r.size
+		out := make([]float64, 0, r.Len())
+		start := int(r.head - r.size)
 		if start < 0 {
 			start += len(buf)
 		}
-		for i := 0; i < r.size; i++ {
+		for i := 0; i < r.Len(); i++ {
 			out = append(out, buf[(start+i)%len(buf)])
 		}
 		return out
@@ -195,8 +195,8 @@ func TestRingCopiesMatchReference(t *testing.T) {
 			name      string
 			got, want []float64
 		}{
-			{"Times", r.Times(), reference(r, r.t)},
-			{"Values", r.Values(), reference(r, r.v)},
+			{"Times", r.Times(), reference(r, r.times())},
+			{"Values", r.Values(), reference(r, r.values())},
 		} {
 			if c.got == nil || len(c.got) != len(c.want) {
 				t.Fatalf("%s: %s = %v, want %v", label, c.name, c.got, c.want)
@@ -216,9 +216,9 @@ func TestRingCopiesMatchReference(t *testing.T) {
 			r.Push(float64(i), -float64(i*7%13))
 			state := "growing"
 			switch {
-			case r.size == r.max && r.head == 0:
+			case r.Len() == r.max && r.head == 0:
 				state = "full"
-			case r.size == r.max:
+			case r.Len() == r.max:
 				state = "wrapped"
 			}
 			seen[state] = true

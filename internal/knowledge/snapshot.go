@@ -2,6 +2,7 @@ package knowledge
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 
@@ -37,8 +38,8 @@ func (s *Store) AppendState(e *codec.Encoder) {
 		e.Int(en.n)
 		e.F64(en.lastUpdate)
 		if en.hist != nil {
-			en.hist.appendWindow(e, en.hist.t)
-			en.hist.appendWindow(e, en.hist.v)
+			en.hist.appendWindow(e, en.hist.times())
+			en.hist.appendWindow(e, en.hist.values())
 		} else {
 			e.Uvarint(0)
 			e.Uvarint(0)
@@ -55,10 +56,7 @@ func (s *Store) AppendState(e *codec.Encoder) {
 // entries, once. Callers hold the registry write lock.
 func (s *Store) exportOrder() []*Entry {
 	if !s.kept {
-		order := make([]*Entry, 0, len(s.entries))
-		for _, en := range s.entries {
-			order = append(order, en)
-		}
+		order := s.liveEntries(make([]*Entry, 0, s.live))
 		slices.SortFunc(order, byName)
 		s.kept, s.order, s.dropped = true, order, false
 		return order
@@ -71,7 +69,7 @@ func (s *Store) exportOrder() []*Entry {
 		fresh = slices.DeleteFunc(fresh, s.deleted)
 	}
 	slices.SortFunc(fresh, byName)
-	order := make([]*Entry, 0, len(s.entries))
+	order := make([]*Entry, 0, s.live)
 	i := 0
 	merge := func(en *Entry) {
 		if s.dropped && s.deleted(en) {
@@ -98,7 +96,7 @@ func (s *Store) exportOrder() []*Entry {
 }
 
 // deleted reports whether en is no longer the store's entry of its name.
-func (s *Store) deleted(en *Entry) bool { return s.entries[en.Name] != en }
+func (s *Store) deleted(en *Entry) bool { return s.get(en.Name) != en }
 
 // forgetOrder drops the kept export order; the next export sorts.
 func (s *Store) forgetOrder() {
@@ -110,15 +108,15 @@ func byName(a, b *Entry) int { return strings.Compare(a.Name, b.Name) }
 // SkipState steps d over one store's state without allocating, checking
 // every count against the bytes left and every history against its bound.
 func SkipState(d *codec.Decoder) {
-	if _, _, err := scanState(d, nil); err != nil {
+	if _, _, _, err := scanState(d, nil); err != nil {
 		d.Fail("%v", err)
 	}
 }
 
 // scanState is SkipState's walk, which also sizes a restore: the floats
-// every history's ring needs and the bytes of the names s (when not nil)
-// does not hold yet.
-func scanState(d *codec.Decoder, s *Store) (floats, names int, err error) {
+// every history's ring needs, and the count and bytes of the names s (when
+// not nil) does not hold yet.
+func scanState(d *codec.Decoder, s *Store) (floats, names, nameBytes int, err error) {
 	d.Skip(8) // alpha
 	histLen := d.Int()
 	d.Varint()
@@ -127,7 +125,8 @@ func scanState(d *codec.Decoder, s *Store) (floats, names int, err error) {
 	for i := 0; i < n && d.Err() == nil; i++ {
 		name := d.StrBytes()
 		if _, ok := s.known(name); !ok {
-			names += len(name)
+			names++
+			nameBytes += len(name)
 		}
 		d.Int()
 		d.Skip(16) // value, variance
@@ -136,14 +135,14 @@ func scanState(d *codec.Decoder, s *Store) (floats, names int, err error) {
 		nt, nv := d.SkipF64s(), d.SkipF64s()
 		switch {
 		case nt != nv:
-			return 0, 0, fmt.Errorf("knowledge: entry %q history length mismatch (%d times, %d values)", name, nt, nv)
+			return 0, 0, 0, fmt.Errorf("knowledge: entry %q history length mismatch (%d times, %d values)", name, nt, nv)
 		case histLen > 0 && nt > histLen:
-			return 0, 0, fmt.Errorf("knowledge: entry %q history %d exceeds ring capacity %d", name, nt, histLen)
+			return 0, 0, 0, fmt.Errorf("knowledge: entry %q history %d exceeds ring capacity %d", name, nt, histLen)
 		case histLen > 0:
 			floats += 2 * ringLen(histLen, nt)
 		}
 	}
-	return floats, names, d.Err()
+	return floats, names, nameBytes, d.Err()
 }
 
 // RestoreState replaces the store's contents, smoothing factor and
@@ -165,7 +164,7 @@ func (s *Store) RestoreState(d *codec.Decoder) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	scan := *d
-	floats, nameBytes, err := scanState(&scan, s)
+	floats, newNames, nameBytes, err := scanState(&scan, s)
 	if err != nil {
 		return err
 	}
@@ -179,7 +178,6 @@ func (s *Store) RestoreState(d *codec.Decoder) error {
 	}
 	var names strings.Builder
 	names.Grow(nameBytes)
-	entries := make(map[string]*Entry, n)
 	for i := range boxes {
 		raw := d.StrBytes()
 		name, ok := s.known(raw)
@@ -212,17 +210,13 @@ func (s *Store) RestoreState(d *codec.Decoder) error {
 			d.SkipF64s()
 			d.SkipF64s()
 		}
-		entries[name] = &box.e
 	}
 	if err := d.Err(); err != nil {
 		return err
 	}
 	s.alpha = alpha
 	s.histLen = histLen
-	s.entries = entries
-	for i := range s.slots {
-		s.slots[i].e = entries[s.slots[i].name]
-	}
+	s.bindRestored(boxes, newNames)
 	s.lastGetName, s.lastGet = "", nil
 	s.kept, s.order, s.restored, s.fresh, s.dropped = true, nil, boxes, nil, false
 	s.reads.Store(reads)
@@ -231,15 +225,39 @@ func (s *Store) RestoreState(d *codec.Decoder) error {
 	return nil
 }
 
-// known returns the store's own copy of name when it holds one already —
-// a live entry's or an interned key's; a nil store holds none. Callers
-// hold the registry lock.
+// bindRestored makes the restored entries the store's models: each takes
+// the slot of its name, adding one (newNames in all) where the symbol
+// table has none, and every other slot is emptied. The table and the slots
+// are sized for the new names up front, so a restore into a fresh store
+// allocates each once.
+func (s *Store) bindRestored(boxes []entryBox, newNames int) {
+	for i := range s.slots {
+		s.slots[i].e = nil
+	}
+	if newNames > len(s.keys) {
+		keys := make(map[string]Key, len(s.keys)+newNames)
+		maps.Copy(keys, s.keys)
+		s.keys = keys
+	}
+	if n := len(s.slots) + newNames; n > cap(s.slots) {
+		s.slots = append(make([]slot, 0, n), s.slots...)
+	}
+	for i := range boxes {
+		e := &boxes[i].e
+		if k, ok := s.keys[e.Name]; ok {
+			s.slots[k-1].e = e
+		} else {
+			s.addSlot(e.Name, e.Scope, e, false)
+		}
+	}
+	s.live = len(boxes)
+}
+
+// known returns the store's own copy of name when its symbol table holds
+// one already; a nil store holds none. Callers hold the registry lock.
 func (s *Store) known(name []byte) (string, bool) {
 	if s == nil {
 		return "", false
-	}
-	if e := s.entries[string(name)]; e != nil {
-		return e.Name, true
 	}
 	if k, ok := s.keys[string(name)]; ok {
 		return s.slots[k-1].name, true
@@ -247,10 +265,11 @@ func (s *Store) known(name []byte) (string, bool) {
 	return "", false
 }
 
-// appendWindow writes buf's stored window (r.t or r.v) oldest-first as a
-// float list, straight from the ring's one or two contiguous halves.
+// appendWindow writes buf's stored window (r.times() or r.values())
+// oldest-first as a float list, straight from the ring's one or two
+// contiguous parts.
 func (r *Ring) appendWindow(e *codec.Encoder, buf []float64) {
-	if start := r.head - r.size; start >= 0 {
+	if start := int(r.head - r.size); start >= 0 {
 		e.F64s(buf[start:r.head])
 	} else {
 		e.F64s(buf[start+len(buf):], buf[:r.head])
@@ -263,11 +282,11 @@ func (r *Ring) appendWindow(e *codec.Encoder, buf []float64) {
 // Pushing them one by one, backing length and head included.
 func (r *Ring) restore(d *codec.Decoder, b []float64, k, max int) {
 	n := len(b) / 2
-	*r = Ring{t: b[:n:n], v: b[n:], head: k, size: k, max: max}
-	d.F64sInto(r.t[:k])
+	*r = Ring{b: b, head: int32(k), size: int32(k), max: max}
+	d.F64sInto(b[:k])
 	d.Count(8)
-	d.F64sInto(r.v[:k])
-	if r.head == n {
+	d.F64sInto(b[n : n+k])
+	if k == n {
 		r.head = 0
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,7 +36,7 @@ func restoreBytes(s *Store, b []byte) error {
 // at a growth step, one past it and full at the bound.
 func TestRestoredStoreContinuesLikeOriginal(t *testing.T) {
 	for _, histLen := range []int{1, 5, 8, 64} {
-		for _, k := range []int{0, 1, 7, 8, 9, 33, histLen} {
+		for _, k := range []int{0, 1, 2, 3, 7, 8, 9, 16, 17, 33, histLen} {
 			t.Run(fmt.Sprintf("hist=%d/k=%d", histLen, k), func(t *testing.T) {
 				orig := NewStore(0.3, histLen)
 				for i := 0; i < k; i++ {
@@ -50,11 +51,9 @@ func TestRestoredStoreContinuesLikeOriginal(t *testing.T) {
 				if err := restoreBytes(cp, stateBytes(orig)); err != nil {
 					t.Fatal(err)
 				}
-				for name, o := range orig.entries {
-					if o != nil {
-						if got, want := len(cp.entries[name].hist.t), len(o.hist.t); got != want {
-							t.Fatalf("%s: restored ring backing length %d, want %d", name, got, want)
-						}
+				for _, o := range orig.liveEntries(nil) {
+					if got, want := len(cp.get(o.Name).hist.b), len(o.hist.b); got != want {
+						t.Fatalf("%s: restored ring backing length %d, want %d", o.Name, got, want)
 					}
 				}
 				for i := k; i < k+100; i++ {
@@ -67,8 +66,8 @@ func TestRestoredStoreContinuesLikeOriginal(t *testing.T) {
 						t.Fatalf("push %d: states diverged:\n%x\n%x", i-k, a, b)
 					}
 					for _, name := range []string{"a", "c"} {
-						to, _ := orig.entries[name].Trend()
-						tc, _ := cp.entries[name].Trend()
+						to, _ := orig.get(name).Trend()
+						tc, _ := cp.get(name).Trend()
 						if math.Float64bits(to) != math.Float64bits(tc) {
 							t.Fatalf("push %d: %s trend %v, want %v", i-k, name, tc, to)
 						}
@@ -80,16 +79,17 @@ func TestRestoredStoreContinuesLikeOriginal(t *testing.T) {
 }
 
 var (
-	mapSink   map[string]*Entry
+	mapSink   map[string]Key
 	storeSink *Store
 )
 
-// TestSetStateAllocatesPerStore pins the restore path's allocation to the
-// registry map plus two blocks per store — the entry block and the history
-// slab — however many entries and points it restores. The measured
-// restores find every name in the store the first one filled, so they
-// reuse its strings; a restore into a fresh store spends one more block on
-// the names, which is bounded here too.
+// TestSetStateAllocatesPerStore pins the restore path's allocation to two
+// blocks per store — the entry block and the history slab — however many
+// entries and points it restores. The measured restores find every name in
+// the registry the first one filled, so they reuse its strings, symbol
+// table and slots; a restore into a fresh store spends one block each on
+// the symbol table, the slot table and the names, which is bounded here
+// too.
 func TestSetStateAllocatesPerStore(t *testing.T) {
 	for _, entries := range []int{8, 256} {
 		src := NewStore(0.2, 64)
@@ -108,14 +108,14 @@ func TestSetStateAllocatesPerStore(t *testing.T) {
 			}
 		})
 		registry := testing.AllocsPerRun(20, func() {
-			mapSink = make(map[string]*Entry, entries)
+			mapSink = make(map[string]Key, entries)
 			for _, n := range names {
-				mapSink[n] = nil
+				mapSink[n] = 0
 			}
 		})
-		if allocs > registry+2 {
-			t.Errorf("RestoreState of %d entries: %v allocations, want at most %v (registry map %v, entry block, slab)",
-				entries, allocs, registry+2, registry)
+		if allocs > 2 {
+			t.Errorf("RestoreState of %d entries: %v allocations, want at most 2 (entry block, slab)",
+				entries, allocs)
 		}
 		fresh := testing.AllocsPerRun(20, func() {
 			storeSink = NewStore(0.2, 64)
@@ -124,10 +124,10 @@ func TestSetStateAllocatesPerStore(t *testing.T) {
 			}
 		})
 		store := testing.AllocsPerRun(20, func() { storeSink = NewStore(0.2, 64) })
-		if fresh > store+registry+3 {
+		if fresh > store+registry+4 {
 			t.Errorf("RestoreState of %d entries into a fresh store: %v allocations, want at most %v "+
-				"(store %v, registry map %v, entry block, slab, names)",
-				entries, fresh, store+registry+3, store, registry)
+				"(store %v, symbol table %v, slot table, entry block, slab, names)",
+				entries, fresh, store+registry+4, store, registry)
 		}
 	}
 }
@@ -299,5 +299,41 @@ func TestOrderKeptOnlyOnceExported(t *testing.T) {
 	}
 	if s.kept || s.order != nil || s.fresh != nil {
 		t.Fatal("a store that created more models than it held still keeps its name list")
+	}
+}
+
+// TestRingRestoreMatchesPushes: restoring k points produces the ring that
+// k Pushes into NewRing produce — backing length, head and contents — for
+// every k up to the bound, across bounds below, at and between the growth
+// steps (2 → 16 → 64).
+func TestRingRestoreMatchesPushes(t *testing.T) {
+	for _, bound := range []int{1, 2, 3, 15, 16, 17, 64} {
+		for k := 0; k <= bound; k++ {
+			pushed := NewRing(bound)
+			for i := 0; i < k; i++ {
+				pushed.Push(float64(i), float64(i*i)-3)
+			}
+			e := codec.NewEncoder()
+			pushed.appendWindow(e, pushed.times())
+			pushed.appendWindow(e, pushed.values())
+			d := codec.NewDecoder(e.Bytes())
+			if n := d.Count(8); n != k {
+				t.Fatalf("bound %d: encoded %d points, want %d", bound, n, k)
+			}
+			size := 2 * ringLen(bound, k)
+			var restored Ring
+			restored.restore(d, make([]float64, size), k, bound)
+			if err := d.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			if len(restored.b) != len(pushed.b) || restored.head != pushed.head ||
+				restored.size != pushed.size || restored.max != pushed.max {
+				t.Fatalf("bound %d, k %d: restored backing %d head %d size %d, pushed backing %d head %d size %d",
+					bound, k, len(restored.b), restored.head, restored.size, len(pushed.b), pushed.head, pushed.size)
+			}
+			if !slices.Equal(restored.b, pushed.b) {
+				t.Fatalf("bound %d, k %d: restored contents %v, pushed %v", bound, k, restored.b, pushed.b)
+			}
+		}
 	}
 }

@@ -1,8 +1,11 @@
 package population
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -138,27 +141,77 @@ func TestWorkQuantileMatchesStatsQuantile(t *testing.T) {
 	}
 }
 
-// TestRunWorkHistoryAllocFree: Run's work-history linearization must reuse
-// the engine-owned scratch buffer. The regression this pins down was a
-// fresh slice per Run call — per-epoch drivers (sawd, experiments) calling
-// Run in a loop paid one garbage history per epoch.
+// TestWorkQuantilesAfterWrapRestoreResume: the sorted copy WorkQuantile
+// reads is maintained per tick, not rebuilt, so both quantiles a publish
+// reads must equal stats.Quantile over the oldest-first history after the
+// ring wraps, after a snapshot is restored into a fresh engine, and at
+// every tick the restored engine runs on. Small integer values repeat, so
+// evictions and inserts land on runs of equal values.
+func TestWorkQuantilesAfterWrapRestoreResume(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	check := func(stage string, e *Engine) {
+		t.Helper()
+		hist := e.workHistory()
+		rs := e.Run(0)
+		for _, q := range []float64{0.50, 0.99} {
+			if got, want := rs.WorkQuantile(q), stats.Quantile(hist, q); got != want {
+				t.Fatalf("%s: WorkQuantile(%v) = %v, stats.Quantile = %v", stage, q, got, want)
+			}
+		}
+		sorted := append([]float64(nil), hist...)
+		sort.Float64s(sorted)
+		if !slices.Equal(e.workSorted, sorted) {
+			t.Fatalf("%s: sorted copy is not the sorted history", stage)
+		}
+	}
+	e := New(tinyConfig(1))
+	for i := 0; i < WorkWindow+777; i++ {
+		e.pushWork(float64(rng.Intn(40)))
+		if i%500 == 0 {
+			check(fmt.Sprintf("filling, push %d", i), e)
+		}
+	}
+	check("wrapped", e)
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Restore(tinyConfig(1), snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("restored", r)
+	for i := 0; i < 300; i++ {
+		v := float64(rng.Intn(40))
+		e.pushWork(v)
+		r.pushWork(v)
+		check(fmt.Sprintf("resumed, push %d", i), r)
+	}
+	r.Run(20) // real ticks on the resumed engine
+	check("resumed ticks", r)
+}
+
+// TestRunWorkHistoryAllocFree: on a full window, recording a tick's work
+// and Run must not allocate. The regression this pins down was a fresh
+// slice per Run call — per-epoch drivers (sawd, experiments) calling Run
+// in a loop paid one garbage history per epoch.
 func TestRunWorkHistoryAllocFree(t *testing.T) {
 	e := New(tinyConfig(1))
-	e.Run(WorkWindow + 10) // fill the ring and size the scratch
+	e.Run(WorkWindow + 10) // fill the ring and its sorted copy
 	if allocs := testing.AllocsPerRun(100, func() {
-		e.workScratch = e.workInto(e.workScratch)
+		e.pushWork(2)
 	}); allocs != 0 {
-		t.Fatalf("workInto allocates %.1f per call with a warm scratch, want 0", allocs)
+		t.Fatalf("pushWork allocates %.1f per call on a full window, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		_ = e.Run(0) // counters + history, no ticks
 	}); allocs != 0 {
 		t.Fatalf("Run(0) allocates %.1f per call, want 0", allocs)
 	}
-	// Snapshots must NOT share the scratch: they outlive it.
+	// Snapshots must NOT share the engine's buffers: they outlive them.
 	hist := e.workHistory()
-	if &hist[0] == &e.workScratch[0] {
-		t.Fatal("workHistory aliases the engine scratch; snapshots would be corrupted by the next Run")
+	if &hist[0] == &e.work[0] || &hist[0] == &e.workSorted[0] {
+		t.Fatal("workHistory aliases the engine's work window; snapshots would be corrupted by the next tick")
 	}
 }
 

@@ -3,6 +3,7 @@ package population
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -167,7 +168,7 @@ type RunStats struct {
 // WorkQuantile returns the q-quantile of the per-tick work proxy over the
 // retained history (the most recent WorkWindow ticks; the whole run when
 // shorter) — the deterministic stand-in for per-tick latency quantiles.
-// Run sorts the history once, so each call only reads it.
+// The engine keeps the history sorted, so each call only reads it.
 func (r RunStats) WorkQuantile(q float64) float64 { return stats.SortedQuantile(r.work, q) }
 
 // Engine steps a sharded population: it owns the tick barrier, the
@@ -195,7 +196,7 @@ type Engine struct {
 	lastObserved                        stats.Online
 	work                                []float64 // work-proxy ring (see WorkWindow)
 	workHead                            int       // oldest element once the ring is full
-	workScratch                         []float64 // Run's linearized history, reused per call
+	workSorted                          []float64 // the ring's values, ascending (what WorkQuantile reads)
 	broken                              error     // first transport failure; poisons further ticks
 }
 
@@ -399,48 +400,65 @@ func (e *Engine) grabBox() []core.Stimulus {
 // pushWork records one tick's work proxy in the bounded ring: appends while
 // filling, then overwrites the oldest in place. The retained set is a pure
 // function of the tick count, so restored runs keep byte-identical
-// quantiles and snapshots.
+// quantiles and snapshots. The sorted copy follows by one binary-search
+// insert (and, once full, one removal of the evicted value), so no reader
+// ever sorts the window.
 func (e *Engine) pushWork(v float64) {
 	if len(e.work) < WorkWindow {
 		e.work = append(e.work, v)
+		e.workSorted = slices.Insert(e.workSorted, sort.SearchFloat64s(e.workSorted, v), v)
 		return
 	}
+	old := e.work[e.workHead]
 	e.work[e.workHead] = v
 	e.workHead = (e.workHead + 1) % WorkWindow
+	replaceSorted(e.workSorted, old, v)
 }
 
-// workInto linearizes the work ring oldest-first into dst[:0] and returns
-// it.
-func (e *Engine) workInto(dst []float64) []float64 {
-	n := len(e.work)
-	dst = dst[:0]
-	for i := 0; i < n; i++ {
-		dst = append(dst, e.work[(e.workHead+i)%n])
+// replaceSorted replaces one occurrence of old in the ascending slice s
+// with v, keeping s ascending: the values between the two positions move
+// over by one.
+func replaceSorted(s []float64, old, v float64) {
+	i := sort.SearchFloat64s(s, old) // s[i] == old
+	j := sort.SearchFloat64s(s, v)
+	if j > i {
+		copy(s[i:j-1], s[i+1:j])
+		s[j-1] = v
+	} else {
+		copy(s[j+1:i+1], s[j:i])
+		s[j] = v
 	}
-	return dst
+}
+
+// setWork replaces the work history with w, oldest-first, and rebuilds the
+// sorted copy from it.
+func (e *Engine) setWork(w []float64) {
+	e.work = append(e.work[:0], w...)
+	e.workHead = 0
+	e.workSorted = append(e.workSorted[:0], w...)
+	sort.Float64s(e.workSorted)
 }
 
 // workHistory linearizes the work ring oldest-first into a fresh slice —
-// for snapshots, which outlive the engine's scratch.
+// for snapshots.
 func (e *Engine) workHistory() []float64 {
-	return e.workInto(make([]float64, 0, len(e.work)))
+	h := make([]float64, 0, len(e.work))
+	return append(append(h, e.work[e.workHead:]...), e.work[:e.workHead]...)
 }
 
 // Run executes ticks ticks and returns the aggregate. It may be called
 // repeatedly; counters continue across calls and the returned stats cover
-// the whole run so far. The work history behind WorkQuantile is a scratch
-// buffer owned by the engine and reused by the next Run call — read the
-// quantiles (or copy) before running further ticks.
+// the whole run so far. The work history behind WorkQuantile is the
+// engine's own sorted copy of the window, which the next tick updates —
+// read the quantiles (or copy) before running further ticks.
 func (e *Engine) Run(ticks int) RunStats {
 	for i := 0; i < ticks; i++ {
 		e.Tick()
 	}
-	e.workScratch = e.workInto(e.workScratch)
-	sort.Float64s(e.workScratch)
 	return RunStats{
 		Ticks: e.tick, Agents: e.Agents(), Shards: e.Shards(),
 		Steps: e.steps, Messages: e.messages, Delivered: e.delivered, Actions: e.actions,
 		Observed: e.lastObserved,
-		work:     e.workScratch,
+		work:     e.workSorted,
 	}
 }

@@ -191,8 +191,7 @@ func (e *Engine) install(s *Snapshot) error {
 	if len(w) > WorkWindow {
 		w = w[len(w)-WorkWindow:]
 	}
-	e.work = append(e.work[:0], w...)
-	e.workHead = 0
+	e.setWork(w)
 	return nil
 }
 

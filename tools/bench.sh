@@ -6,8 +6,8 @@
 # Runs the key hot-path benchmarks at fixed iteration counts (so allocs/op
 # is machine-independent and comparable across runs), converts the output
 # to JSON via cmd/benchjson, and gates against the committed baseline
-# BENCH_PR7.json (±10%): allocs/op for the agent step and the population
-# tick, plus a steps/sec floor on the 10k-agent 4-worker tick (throughput
+# BENCH_PR7.json (±10%): allocs/op for the agent step, the population
+# tick and the gossip population tick, plus a steps/sec floor on the 10k-agent 4-worker tick (throughput
 # must not silently erode, not just allocation count).
 # CI calls this on every PR and uploads the JSON as an artifact; to refresh
 # the committed baseline after an intentional change, merge the "after"
@@ -38,13 +38,13 @@ go test -run '^$' -bench \
 # checkpoint round trip, checkpoint write or read, or S1 table build).
 # CheckpointWrite and CheckpointRead are recorded, not gated.
 go test -run '^$' -bench \
-  '^(BenchmarkPopulationTick|BenchmarkCheckpointRoundTrip|BenchmarkCheckpointWrite|BenchmarkCheckpointRead|BenchmarkS1PopulationScaling)$' \
+  '^(BenchmarkPopulationTick|BenchmarkPopulationTickGossip|BenchmarkCheckpointRoundTrip|BenchmarkCheckpointWrite|BenchmarkCheckpointRead|BenchmarkS1PopulationScaling)$' \
   -benchmem -benchtime=10x -timeout 30m . | tee -a "$raw"
 
 go run ./cmd/benchjson \
   -out "BENCH_${tag}.json" \
   -baseline "$baseline" \
-  -check AgentStepFullStack,PopulationTick \
+  -check AgentStepFullStack,PopulationTick,PopulationTickGossip \
   -floor 'PopulationTick/agents=10000/workers=4:steps/sec' \
   -tolerance 0.10 \
   -note "tools/bench.sh ${tag}" < "$raw"

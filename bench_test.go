@@ -7,7 +7,10 @@ package sacs_bench
 
 import (
 	"fmt"
+	"io"
+	"log/slog"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -16,6 +19,7 @@ import (
 
 	"sacs/internal/camnet"
 	"sacs/internal/checkpoint"
+	"sacs/internal/cluster"
 	"sacs/internal/core"
 	"sacs/internal/cpn"
 	"sacs/internal/experiments"
@@ -129,6 +133,65 @@ func BenchmarkPopulationTickGossip(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(int64(liveHeap())-int64(before))/agents, "live-B/agent")
 	runtime.KeepAlive(eng)
+}
+
+// BenchmarkClusterTick is the cluster tick rung: the gossip population of
+// BenchmarkPopulationTickGossip (S2, 1024 agents, 16 shards) with its
+// shards on in-process workers over loopback TCP, the coordinator and its
+// client instrumented as sawd runs them, warmed 100 ticks before the timer
+// starts. One op is one tick: mail encoded, sent, stepped and answered per
+// worker, replies decoded and routed. Its allocs/op, set against
+// PopulationTickGossip's, is what the wire adds to a tick.
+func BenchmarkClusterTick(b *testing.B) {
+	const agents, shards, workers = 1024, 16, 2
+	b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+		addrs := make([]string, workers)
+		for i := range addrs {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			w, err := cluster.NewWorker(ln, nil, []cluster.Workload{{Name: "gossip", Build: experiments.S2Config}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			w.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+			go w.Serve()
+			defer w.Close()
+			addrs[i] = w.Addr()
+		}
+		cl, err := cluster.Dial(addrs, 10*time.Second)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cl.Close()
+		reg := obs.NewRegistry()
+		cl.Instrument(reg)
+		tr, err := cl.NewTransport(cluster.Spec{ID: "bench", Workload: "gossip", Agents: agents, Shards: shards, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := experiments.S2Config(agents, shards, 1, nil)
+		cfg.Metrics = population.NewMetrics(reg, "bench")
+		eng, err := population.NewWithTransport(cfg, tr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer eng.Close()
+		tick := func() {
+			if _, err := eng.TickErr(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			tick()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tick()
+		}
+	})
 }
 
 // liveHeap returns the bytes of heap still reachable after a forced GC.

@@ -295,7 +295,10 @@ func decodePayload(payload []byte) (*population.Snapshot, map[string]string, err
 			if m > 0 {
 				s.Mail[i] = make([]core.Stimulus, m)
 				for j := 0; j < m && d.Err() == nil; j++ {
-					s.Mail[i][j] = core.DecodeStimulus(d)
+					// Snapshot mail is read once and most of its
+					// sources appear once or twice: an Interner's map
+					// would cost more than the strings it shares.
+					s.Mail[i][j] = core.DecodeStimulus(d, nil)
 				}
 			}
 		}

@@ -55,7 +55,9 @@ func (c *conn) reset(nc net.Conn) {
 	old.Close()
 }
 
-func (c *conn) roundTrip(t msgType, body []byte) (msgType, []byte, error) {
+// roundTrip sends one request and reads its reply; scratch, when set, is
+// the caller's tick-reply buffer (see readFrame).
+func (c *conn) roundTrip(t msgType, body []byte, scratch *[]byte) (msgType, []byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var start time.Time
@@ -74,7 +76,7 @@ func (c *conn) roundTrip(t msgType, body []byte) (msgType, []byte, error) {
 	if err := c.w.Flush(); err != nil {
 		return 0, nil, fmt.Errorf("cluster: worker %s: %w", c.addr, err)
 	}
-	rt, rbody, err := readFrame(c.r)
+	rt, rbody, err := readFrame(c.r, scratch)
 	if err != nil {
 		return 0, nil, fmt.Errorf("cluster: worker %s: %w", c.addr, err)
 	}
@@ -91,7 +93,12 @@ func (c *conn) roundTrip(t msgType, body []byte) (msgType, []byte, error) {
 
 // call is roundTrip with msgErr unwrapped and the reply type checked.
 func (c *conn) call(t msgType, body []byte, want msgType) ([]byte, error) {
-	rt, rbody, err := c.roundTrip(t, body)
+	return c.callInto(nil, t, body, want)
+}
+
+// callInto is call reading a tick reply into *scratch (see readFrame).
+func (c *conn) callInto(scratch *[]byte, t msgType, body []byte, want msgType) ([]byte, error) {
+	rt, rbody, err := c.roundTrip(t, body, scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -243,10 +250,11 @@ type Transport struct {
 	client *Client
 	spec   Spec
 
-	abounds []int    // agent partition across shards (population.Partition)
-	owner   []int    // shard → worker index
-	dead    []bool   // workers detached from this placement (index-stable)
-	epochs  []uint64 // each worker's attach epoch for this population; 0 = never admitted
+	abounds []int       // agent partition across shards (population.Partition)
+	owner   []int       // shard → worker index
+	dead    []bool      // workers detached from this placement (index-stable)
+	epochs  []uint64    // each worker's attach epoch for this population; 0 = never admitted
+	wires   []*tickWire // each worker slot's shards and tick scratch, index-aligned with epochs
 	outs    []*population.ShardExchange
 
 	// costs is the coordinator's view of every shard's step cost, fed
@@ -263,6 +271,22 @@ type Transport struct {
 	workerCost   []*obs.Gauge
 	migrations   *obs.Counter
 	readmissions *obs.Counter
+}
+
+// tickWire is one worker slot of a transport: the shards the owner map
+// gives it, which placed refreshes, and what ticking it reuses from tick to
+// tick — the request encoder, the reply buffer and the names decoded from
+// replies. The buffers belong to the transport, not to the conn: the
+// populations that share a conn tick concurrently, and a conn-owned reply
+// buffer would be overwritten while another population still decodes from
+// it.
+type tickWire struct {
+	shards []int  // owned shards, ascending
+	spans  []span //sacslint:allow snapstate placement, not state: the agent intervals whose mail a tick request carries
+	req    codec.Encoder
+	reply  []byte
+	names  codec.Interner
+	err    error // the last tick's outcome
 }
 
 // popHeader starts a request body with the population id and the attach
@@ -297,17 +321,22 @@ func (cl *Client) NewTransport(spec Spec) (*Transport, error) {
 		owner:   make([]int, spec.Shards),
 		dead:    make([]bool, len(conns)),
 		epochs:  make([]uint64, len(conns)),
+		wires:   make([]*tickWire, len(conns)),
 		outs:    make([]*population.ShardExchange, spec.Shards),
 		costs:   population.NewCostModel(spec.Shards),
 	}
 	for i := range t.outs {
 		t.outs[i] = &population.ShardExchange{}
 	}
-	for wi, c := range conns {
-		loS, hiS := wbounds[wi], wbounds[wi+1]
-		for s := loS; s < hiS; s++ {
+	for wi := range conns {
+		t.wires[wi] = new(tickWire)
+		for s := wbounds[wi]; s < wbounds[wi+1]; s++ {
 			t.owner[s] = wi
 		}
+	}
+	t.placed()
+	for wi, c := range conns {
+		loS, hiS := wbounds[wi], wbounds[wi+1]
 		e := codec.NewEncoder()
 		e.Uvarint(protocolVersion)
 		encodeSpec(e, spec)
@@ -415,14 +444,19 @@ func (t *Transport) drop(n int) {
 	}
 }
 
-// ownedByWorker buckets the shard indices by owning worker, each bucket
-// sorted (the owner map is walked in shard order).
-func (t *Transport) ownedByWorker() [][]int {
-	owned := make([][]int, len(t.epochs))
-	for s, wi := range t.owner {
-		owned[wi] = append(owned[wi], s)
+// placed refreshes every worker slot's shards and mail spans from the owner
+// map (walked in shard order, so each list is sorted). Call it after every
+// change to the map.
+func (t *Transport) placed() {
+	for _, w := range t.wires {
+		w.shards = w.shards[:0]
 	}
-	return owned
+	for s, wi := range t.owner {
+		t.wires[wi].shards = append(t.wires[wi].shards, s)
+	}
+	for _, w := range t.wires {
+		w.spans = agentSpans(t.abounds, shardRuns(w.shards))
+	}
 }
 
 // agentSpans maps shard runs to their agent intervals under the agent
@@ -452,11 +486,11 @@ func shardRuns(shards []int) []span {
 // checkAlive fails when any shard is owned by a detached worker — ticking
 // or exporting would silently skip its state otherwise. The remedy is
 // Assign: re-home the orphaned ranges onto an admitted worker.
-func (t *Transport) checkAlive(owned [][]int) error {
-	for wi, shards := range owned {
-		if len(shards) > 0 && t.dead[wi] {
+func (t *Transport) checkAlive() error {
+	for wi, w := range t.wires {
+		if len(w.shards) > 0 && t.dead[wi] {
 			return fmt.Errorf("cluster: worker %s is detached but still owns %d shards; "+
-				"re-admit a worker and Assign them", t.client.conn(wi).addr, len(shards))
+				"re-admit a worker and Assign them", t.client.conn(wi).addr, len(w.shards))
 		}
 	}
 	return nil
@@ -465,39 +499,25 @@ func (t *Transport) checkAlive(owned [][]int) error {
 // Step fans the tick out to every shard-owning worker in parallel and
 // splices the replies back into shard index order via the owner map.
 func (t *Transport) Step(tick int, mail [][]core.Stimulus) ([]*population.ShardExchange, error) {
-	owned := t.ownedByWorker()
-	if err := t.checkAlive(owned); err != nil {
+	if err := t.checkAlive(); err != nil {
 		return nil, err
 	}
-	errs := make([]error, len(owned))
 	var wg sync.WaitGroup
-	for wi := range owned {
-		if len(owned[wi]) == 0 {
+	for wi, w := range t.wires {
+		w.err = nil
+		if len(w.shards) == 0 {
 			continue
 		}
-		wi := wi
-		c := t.client.conn(wi)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			shards := owned[wi]
-			e := t.popHeader(wi)
-			e.Int(tick)
-			encodeMail(e, mail, agentSpans(t.abounds, shardRuns(shards)))
-			body, err := c.call(msgTick, e.Bytes(), msgTickOK)
-			if err != nil {
-				errs[wi] = err
-				return
-			}
-			if err := decodeTickReply(body, shards, t.outs, t.spec.Agents); err != nil {
-				errs[wi] = fmt.Errorf("cluster: worker %s: %w", c.addr, err)
-			}
+			w.err = t.tickWorker(wi, w, tick, mail)
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	for _, w := range t.wires {
+		if w.err != nil {
+			return nil, w.err
 		}
 	}
 	// Fold the tick's observed step times into the coordinator's cost
@@ -512,23 +532,41 @@ func (t *Transport) Step(tick int, mail [][]core.Stimulus) ([]*population.ShardE
 	return t.outs, nil
 }
 
+// tickWorker runs one worker's share of a tick: its owned agents' mail out,
+// its shards' exchanges back into t.outs.
+func (t *Transport) tickWorker(wi int, w *tickWire, tick int, mail [][]core.Stimulus) error {
+	c := t.client.conn(wi)
+	e := &w.req
+	e.Reset()
+	e.Str(t.spec.ID)
+	e.Uvarint(t.epochs[wi])
+	e.Int(tick)
+	encodeMail(e, mail, w.spans)
+	body, err := c.callInto(&w.reply, msgTick, e.Bytes(), msgTickOK)
+	if err != nil {
+		return err
+	}
+	if err := decodeTickReply(body, w.shards, t.outs, t.spec.Agents, &w.names); err != nil {
+		return fmt.Errorf("cluster: worker %s: %w", c.addr, err)
+	}
+	return nil
+}
+
 // Export gathers every worker's hosted ranges in parallel and stitches the
 // full population state together in shard index order, validating that the
 // ranges tile [0, Shards) exactly as the owner map says. Agent states are
 // never decoded here: each shard's run is a slice of its worker's reply.
 func (t *Transport) Export() (*population.RangeState, error) {
-	owned := t.ownedByWorker()
-	if err := t.checkAlive(owned); err != nil {
+	if err := t.checkAlive(); err != nil {
 		return nil, err
 	}
-	parts := make([][]*population.RangeState, len(owned))
-	errs := make([]error, len(owned))
+	parts := make([][]*population.RangeState, len(t.wires))
+	errs := make([]error, len(t.wires))
 	var wg sync.WaitGroup
-	for wi := range owned {
-		if len(owned[wi]) == 0 {
+	for wi, w := range t.wires {
+		if len(w.shards) == 0 {
 			continue
 		}
-		wi := wi
 		c := t.client.conn(wi)
 		wg.Add(1)
 		go func() {
@@ -595,16 +633,15 @@ func (t *Transport) Install(rs *population.RangeState) error {
 		return fmt.Errorf("cluster: install state covers shards [%d, %d), population has %d",
 			rs.LoShard, rs.HiShard, t.spec.Shards)
 	}
-	owned := t.ownedByWorker()
-	if err := t.checkAlive(owned); err != nil {
+	if err := t.checkAlive(); err != nil {
 		return err
 	}
-	for wi, shards := range owned {
-		if len(shards) == 0 {
+	for wi, w := range t.wires {
+		if len(w.shards) == 0 {
 			continue
 		}
 		c := t.client.conn(wi)
-		for _, run := range shardRuns(shards) {
+		for _, run := range shardRuns(w.shards) {
 			loA, hiA := t.abounds[run.lo], t.abounds[run.hi]
 			part := &population.RangeState{
 				LoShard: run.lo, HiShard: run.hi, LoAgent: loA, HiAgent: hiA,
@@ -736,6 +773,7 @@ func (t *Transport) Migrate(lo, hi, to int) error {
 	for s := lo; s < hi; s++ {
 		t.owner[s] = to
 	}
+	t.placed()
 	if t.migrations != nil {
 		t.migrations.Inc()
 	}
@@ -772,6 +810,7 @@ func (t *Transport) AdmitWorker(wi int) error {
 	for len(t.epochs) <= wi {
 		t.epochs = append(t.epochs, 0)
 		t.dead = append(t.dead, false)
+		t.wires = append(t.wires, new(tickWire))
 		t.registerWorkerGauges(len(t.epochs) - 1)
 	}
 	if !t.dead[wi] && t.epochs[wi] != 0 {
@@ -855,6 +894,7 @@ func (t *Transport) Assign(rs *population.RangeState, to int) error {
 	for s := rs.LoShard; s < rs.HiShard; s++ {
 		t.owner[s] = to
 	}
+	t.placed()
 	if t.readmissions != nil {
 		t.readmissions.Inc()
 	}

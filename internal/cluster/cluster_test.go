@@ -328,18 +328,18 @@ func TestFrameBounds(t *testing.T) {
 	if err := writeFrame(&buf, msgPing, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	typ, body, err := readFrame(&buf)
+	typ, body, err := readFrame(&buf, nil)
 	if err != nil || typ != msgPing || string(body) != "hello" {
 		t.Fatalf("round trip = %d %q %v", typ, body, err)
 	}
 
 	// A forged header declaring a frame beyond maxFrame.
 	forged := []byte{0xff, 0xff, 0xff, 0xff}
-	if _, _, err := readFrame(bytes.NewReader(forged)); err == nil {
+	if _, _, err := readFrame(bytes.NewReader(forged), nil); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 	// A zero-length frame (no type byte) is equally malformed.
-	if _, _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 0})); err == nil {
+	if _, _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 0}), nil); err == nil {
 		t.Fatal("empty frame accepted")
 	}
 }
@@ -367,7 +367,7 @@ func TestWorkerSurvivesMalformedRequests(t *testing.T) {
 	if err := writeFrame(rogue, msgTick, e.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	typ, body, err := readFrame(rogue)
+	typ, body, err := readFrame(rogue, nil)
 	if err != nil || typ != msgErr {
 		t.Fatalf("unhosted tick reply = %d %v", typ, err)
 	}
@@ -378,7 +378,7 @@ func TestWorkerSurvivesMalformedRequests(t *testing.T) {
 	if err := writeFrame(rogue, msgInit, []byte{protocolVersion}); err != nil {
 		t.Fatal(err)
 	}
-	if typ, _, err = readFrame(rogue); err != nil || typ != msgErr {
+	if typ, _, err = readFrame(rogue, nil); err != nil || typ != msgErr {
 		t.Fatalf("truncated init reply = %d %v", typ, err)
 	}
 	// A wrong protocol version is refused by name.
@@ -390,7 +390,7 @@ func TestWorkerSurvivesMalformedRequests(t *testing.T) {
 	if err := writeFrame(rogue, msgInit, e.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	typ, body, err = readFrame(rogue)
+	typ, body, err = readFrame(rogue, nil)
 	if err != nil || typ != msgErr {
 		t.Fatalf("version mismatch reply = %d %v", typ, err)
 	}
@@ -443,7 +443,7 @@ func TestTickReplyOutOfRangeTargetPoisons(t *testing.T) {
 			go func() {
 				defer c.Close()
 				for {
-					typ, _, err := readFrame(c)
+					typ, _, err := readFrame(c, nil)
 					if err != nil {
 						return
 					}
@@ -497,7 +497,7 @@ func TestInitRejectsOversizedPopulation(t *testing.T) {
 	encodeSpec(e, Spec{ID: "p", Workload: "gossip", Agents: MaxAgents + 1, Shards: 1, Seed: tSeed})
 	e.Int(0)
 	e.Int(1)
-	typ, body := w.handle(msgInit, e.Bytes())
+	typ, body := w.handle(msgInit, e.Bytes(), nil)
 	if msg := codec.NewDecoder(body).Str(); typ != msgErr || !strings.Contains(msg, "bad init") {
 		t.Fatalf("init of %d agents: reply %d %q, want a bad init error", MaxAgents+1, typ, msg)
 	}

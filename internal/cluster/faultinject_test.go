@@ -107,7 +107,7 @@ func (p *faultProxy) serve() {
 // pump relays frames from→to, applying matching fault rules.
 func (p *faultProxy) pump(dir string, from, to net.Conn, kill func()) {
 	for {
-		typ, body, err := readFrame(from)
+		typ, body, err := readFrame(from, nil)
 		if err != nil {
 			kill()
 			return

@@ -48,7 +48,7 @@ func fuzzWorker(t testing.TB, ln net.Listener) *Worker {
 		t.Fatal(err)
 	}
 	w.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
-	if rt, body := w.handle(msgInit, fuzzInitBody(0, 2)); rt != msgOK {
+	if rt, body := w.handle(msgInit, fuzzInitBody(0, 2), nil); rt != msgOK {
 		t.Fatalf("fuzz worker init: %s", codec.NewDecoder(body).Str())
 	}
 	return w
@@ -132,7 +132,7 @@ func FuzzWorkerRequest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, typ byte, body []byte) {
 		w := fuzzWorker(t, ln)
-		if rt, rbody := w.handle(msgType(typ), body); rt == msgErr {
+		if rt, rbody := w.handle(msgType(typ), body, new(codec.Encoder)); rt == msgErr {
 			if msg := codec.NewDecoder(rbody).Str(); strings.Contains(msg, "worker panic") {
 				t.Fatalf("%s request: %s", msgName(msgType(typ)), msg)
 			}
@@ -164,7 +164,7 @@ func FuzzTickReply(f *testing.F) {
 		for s := range outs {
 			outs[s] = &population.ShardExchange{}
 		}
-		if err := decodeTickReply(body, shards, outs, fzAgents); err != nil {
+		if err := decodeTickReply(body, shards, outs, fzAgents, new(codec.Interner)); err != nil {
 			return
 		}
 		for _, s := range shards {
@@ -184,26 +184,50 @@ func readFrameAllocLimit(present int) uint64 { return uint64(2*present + 4<<20 +
 
 // TestReadFrameLyingHeaderAllocatesLittle: a 20-byte stream whose header
 // declares a maxFrame-sized frame must fail having allocated one read
-// chunk, not the gigabyte the header claims.
+// chunk, not the gigabyte the header claims — also when the frame is a
+// tick, whose body would go to the scratch buffer, which stays as it was.
 func TestReadFrameLyingHeaderAllocatesLittle(t *testing.T) {
-	stream := make([]byte, 20)
-	binary.LittleEndian.PutUint32(stream, maxFrame)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, _, err := readFrame(bytes.NewReader(stream))
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("a truncated frame was accepted")
-	}
-	if total, limit := after.TotalAlloc-before.TotalAlloc, readFrameAllocLimit(len(stream)); total > limit {
-		t.Fatalf("a %d-byte stream declaring %d bytes allocated %d bytes, want at most %d",
-			len(stream), maxFrame, total, limit)
+	for _, typ := range []msgType{msgRange, msgTick, msgTickOK} {
+		stream := make([]byte, 20)
+		binary.LittleEndian.PutUint32(stream, maxFrame)
+		stream[4] = byte(typ)
+		scratch := make([]byte, 0, 8)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := readFrame(bytes.NewReader(stream), &scratch)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: a truncated frame was accepted", msgName(typ))
+		}
+		if total, limit := after.TotalAlloc-before.TotalAlloc, readFrameAllocLimit(len(stream)); total > limit {
+			t.Fatalf("%s: a %d-byte stream declaring %d bytes allocated %d bytes, want at most %d",
+				msgName(typ), len(stream), maxFrame, total, limit)
+		}
+		if cap(scratch) != 8 {
+			t.Fatalf("%s: a truncated frame changed the scratch buffer's capacity 8 to %d", msgName(typ), cap(scratch))
+		}
 	}
 }
 
-// FuzzReadFrame: any byte stream gives an error or a frame that writeFrame
-// spells exactly as the stream began, and reading it allocates no more than
-// readFrameAllocLimit.
+// frames spells the given (type, body length) frames back to back, each
+// body filled with its frame's index.
+func frames(f testing.TB, spec ...[2]int) []byte {
+	var b bytes.Buffer
+	for i, fr := range spec {
+		if err := writeFrame(&b, msgType(fr[0]), bytes.Repeat([]byte{byte(i)}, fr[1])); err != nil {
+			f.Fatal(err)
+		}
+	}
+	return b.Bytes()
+}
+
+// FuzzReadFrame: any byte stream, read frame by frame through one scratch
+// buffer as a connection reads it, gives frames that writeFrame spells
+// exactly as the stream ran, then an error or the stream's end. Reading a
+// frame allocates no more than readFrameAllocLimit of the bytes left. Only
+// a tick body lands in the scratch buffer; the buffer is replaced only by a
+// tick body too large for it that arrived whole, so neither a failed read
+// nor any other frame changes it.
 func FuzzReadFrame(f *testing.F) {
 	var valid bytes.Buffer
 	if err := writeFrame(&valid, msgTick, fuzzRequest().Bytes()); err != nil {
@@ -216,24 +240,51 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, byte(msgPing)})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{})
+	// A tick larger than the (empty) buffer, then a smaller one into it, a
+	// reply, a range beside them, and a tick header that lies.
+	tk, tok, rng := int(msgTick), int(msgTickOK), int(msgRange)
+	f.Add(frames(f, [2]int{tk, 300}, [2]int{tk, 40}, [2]int{tok, 300}, [2]int{rng, 20}, [2]int{tok, 600}))
+	f.Add(append(frames(f, [2]int{tok, 64}, [2]int{tk, 8}), lying[:4]...))
+	tickLie := append(frames(f, [2]int{tk, 16}), lying...)
+	tickLie[len(tickLie)-len(lying)+4] = byte(msgTick)
+	f.Add(tickLie)
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		typ, body, err := readFrame(bytes.NewReader(stream))
-		runtime.ReadMemStats(&after)
-		if total, limit := after.TotalAlloc-before.TotalAlloc, readFrameAllocLimit(len(stream)); total > limit {
-			t.Fatalf("a %d-byte stream allocated %d bytes, want at most %d", len(stream), total, limit)
-		}
-		if err != nil {
-			return
-		}
-		var again bytes.Buffer
-		if err := writeFrame(&again, typ, body); err != nil {
-			t.Fatalf("writeFrame of a frame readFrame accepted: %v", err)
-		}
-		if !bytes.HasPrefix(stream, again.Bytes()) {
-			t.Fatalf("frame %x re-spelled as %x", stream[:min(len(stream), again.Len())], again.Bytes())
+		var scratch []byte
+		r := bytes.NewReader(stream)
+		for {
+			pos, had := len(stream)-r.Len(), cap(scratch)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			typ, body, err := readFrame(r, &scratch)
+			runtime.ReadMemStats(&after)
+			if total, limit := after.TotalAlloc-before.TotalAlloc, readFrameAllocLimit(len(stream)-pos); total > limit {
+				t.Fatalf("a %d-byte rest of stream allocated %d bytes, want at most %d", len(stream)-pos, total, limit)
+			}
+			if err != nil {
+				if cap(scratch) != had {
+					t.Fatalf("a failed read changed the scratch buffer's capacity %d to %d", had, cap(scratch))
+				}
+				return
+			}
+			var again bytes.Buffer
+			if err := writeFrame(&again, typ, body); err != nil {
+				t.Fatalf("writeFrame of a frame readFrame accepted: %v", err)
+			}
+			if !bytes.HasPrefix(stream[pos:], again.Bytes()) {
+				t.Fatalf("frame %x re-spelled as %x", stream[pos:min(len(stream), pos+again.Len())], again.Bytes())
+			}
+			tick := typ == msgTick || typ == msgTickOK
+			switch {
+			case !tick && cap(scratch) != had:
+				t.Fatalf("a %s frame changed the scratch buffer's capacity %d to %d", msgName(typ), had, cap(scratch))
+			case tick && len(body) <= had && cap(scratch) != had:
+				t.Fatalf("a %d-byte tick body replaced a %d-byte scratch buffer", len(body), had)
+			case tick && len(body) > 0 && &body[0] != &scratch[:1][0]:
+				t.Fatal("a tick body was not read into the scratch buffer")
+			case !tick && len(body) > 0 && cap(scratch) > 0 && &body[0] == &scratch[:1][0]:
+				t.Fatalf("a %s body aliases the scratch buffer", msgName(typ))
+			}
 		}
 	})
 }

@@ -105,24 +105,43 @@ func writeFrame(w io.Writer, t msgType, body []byte) error {
 	return err
 }
 
-// readFrame reads one frame. The length field is a peer's claim, so the
-// buffer grows as the bytes arrive (codec.ReadN's untrusted path): a header
+// readFrame reads one frame. The length field is a peer's claim, so a body
+// grows as its bytes arrive (codec.ReadN's untrusted path): a header
 // declaring maxFrame over a short stream costs one read chunk, not the
 // declared size.
-func readFrame(r io.Reader) (msgType, []byte, error) {
-	var hdr [4]byte
+//
+// With scratch set, a tick body (msgTick or msgTickOK) is read into
+// *scratch instead: its decoder copies every value out before its reader
+// takes the next frame, so one buffer serves every tick. A tick body larger
+// than the buffer takes the untrusted path and, once all of its bytes have
+// arrived, becomes the buffer. Every other body gets an allocation of its
+// own, because what is decoded from it (a range's shard runs) aliases it.
+func readFrame(r io.Reader, scratch *[]byte) (msgType, []byte, error) {
+	var hdr [5]byte // length, then the type byte the length counts
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr[:4])
 	if n < 1 || n > maxFrame {
 		return 0, nil, fmt.Errorf("%w (declared %d bytes)", errFrameTooLarge, n)
 	}
-	buf, err := codec.ReadN(r, uint64(n), false)
+	t, size := msgType(hdr[4]), int(n-1)
+	tick := scratch != nil && (t == msgTick || t == msgTickOK)
+	if tick && size <= cap(*scratch) {
+		body := (*scratch)[:size]
+		if _, err := io.ReadFull(r, body); err != nil {
+			return 0, nil, err
+		}
+		return t, body, nil
+	}
+	body, err := codec.ReadN(r, uint64(size), false)
 	if err != nil {
 		return 0, nil, err
 	}
-	return msgType(buf[0]), buf[1:], nil
+	if tick {
+		*scratch = body
+	}
+	return t, body, nil
 }
 
 // Spec identifies one population a cluster hosts: the shape every process
@@ -174,6 +193,8 @@ func (s span) String() string { return fmt.Sprintf("[%d, %d)", s.lo, s.hi) }
 // encodeMail appends the non-empty mailboxes of the given agent intervals
 // as (agent id, stimuli) pairs. Spans must be sorted and disjoint, so the
 // pairs come out in agent id order regardless of placement.
+//
+//sacs:hotpath
 func encodeMail(e *codec.Encoder, mail [][]core.Stimulus, spans []span) {
 	boxes := 0
 	for _, sp := range spans {
@@ -201,8 +222,11 @@ func encodeMail(e *codec.Encoder, mail [][]core.Stimulus, spans []span) {
 // decodeMailInto fills the non-empty boxes into mail (global-indexed,
 // len agents) and returns the ids it touched so the caller can clear them
 // cheaply after the tick. Every id must fall inside one of the owned
-// agent intervals.
-func decodeMailInto(d *codec.Decoder, mail [][]core.Stimulus, spans []span, touched []int) ([]int, error) {
+// agent intervals. Stimulus names and sources come from names; nothing
+// decoded aliases d's buffer.
+//
+//sacs:hotpath
+func decodeMailInto(d *codec.Decoder, mail [][]core.Stimulus, spans []span, touched []int, names *codec.Interner) ([]int, error) {
 	boxes := d.Count(minMailboxSize)
 	for i := 0; i < boxes; i++ {
 		id := d.Int()
@@ -222,7 +246,7 @@ func decodeMailInto(d *codec.Decoder, mail [][]core.Stimulus, spans []span, touc
 		}
 		box := mail[id][:0]
 		for j := 0; j < n; j++ {
-			box = append(box, core.DecodeStimulus(d))
+			box = append(box, core.DecodeStimulus(d, names))
 		}
 		mail[id] = box
 		touched = append(touched, id)
@@ -231,6 +255,8 @@ func decodeMailInto(d *codec.Decoder, mail [][]core.Stimulus, spans []span, touc
 }
 
 // encodeExchange appends one shard's tick result.
+//
+//sacs:hotpath
 func encodeExchange(e *codec.Encoder, o *population.ShardExchange) {
 	e.Int(o.Delivered)
 	e.Int(o.Actions)
@@ -248,8 +274,9 @@ func encodeExchange(e *codec.Encoder, o *population.ShardExchange) {
 // shard s the coordinator routed to it, in order. Every routed message must
 // target an agent of the population, [0, agents): the engine indexes its
 // mailboxes by target, so a confused worker's out-of-range one must fail the
-// tick (poisoning the engine) instead of crashing the coordinator.
-func decodeTickReply(body []byte, shards []int, outs []*population.ShardExchange, agents int) error {
+// tick (poisoning the engine) instead of crashing the coordinator. Stimulus
+// names and sources come from names; nothing decoded aliases body.
+func decodeTickReply(body []byte, shards []int, outs []*population.ShardExchange, agents int, names *codec.Interner) error {
 	d := codec.NewDecoder(body)
 	n := d.Count(minExchangeSize)
 	if err := d.Err(); err != nil {
@@ -262,7 +289,7 @@ func decodeTickReply(body []byte, shards []int, outs []*population.ShardExchange
 			"(split ownership after a failed migration?)", n, len(shards))
 	}
 	for _, s := range shards {
-		if err := decodeExchange(d, outs[s], agents); err != nil {
+		if err := decodeExchange(d, outs[s], agents, names); err != nil {
 			return err
 		}
 	}
@@ -272,7 +299,9 @@ func decodeTickReply(body []byte, shards []int, outs []*population.ShardExchange
 // decodeExchange decodes one shard's tick result into the pooled o
 // (reusing Msgs capacity between ticks), rejecting a message whose target
 // lies outside [0, agents).
-func decodeExchange(d *codec.Decoder, o *population.ShardExchange, agents int) error {
+//
+//sacs:hotpath
+func decodeExchange(d *codec.Decoder, o *population.ShardExchange, agents int, names *codec.Interner) error {
 	o.Delivered = d.Int()
 	o.Actions = d.Int()
 	o.StepNanos = d.Varint()
@@ -288,7 +317,7 @@ func decodeExchange(d *codec.Decoder, o *population.ShardExchange, agents int) e
 		if to < 0 || to >= agents {
 			return fmt.Errorf("message to agent %d outside population of %d", to, agents)
 		}
-		o.Msgs = append(o.Msgs, population.Routed{To: to, Stim: core.DecodeStimulus(d)})
+		o.Msgs = append(o.Msgs, population.Routed{To: to, Stim: core.DecodeStimulus(d, names)})
 	}
 	return d.Err()
 }

@@ -62,6 +62,7 @@ type workerPop struct {
 	spans   []span            // the runs' agent intervals: the ids tick mail may address
 	mail    [][]core.Stimulus // global-indexed scratch inboxes, owned agents only
 	touched []int             // ids filled this tick, cleared after the step
+	names   codec.Interner    // stimulus names and sources decoded from tick mail
 }
 
 // owned refreshes runs and spans from the transport's owned shards. Callers
@@ -149,12 +150,21 @@ func (w *Worker) handleConn(c net.Conn) {
 	}()
 	r := bufio.NewReaderSize(c, 1<<16)
 	bw := bufio.NewWriterSize(c, 1<<16)
+	// The tick request buffer and reply encoder belong to the connection,
+	// which handles one request at a time and writes each reply before it
+	// reads the next request. They cannot belong to the population: two
+	// connections may tick one population, and its lock is released before
+	// the reply is written.
+	var (
+		tickBuf []byte
+		reply   codec.Encoder
+	)
 	for {
-		t, body, err := readFrame(r)
+		t, body, err := readFrame(r, &tickBuf)
 		if err != nil {
 			return // connection gone or garbage framing: nothing to reply to
 		}
-		rt, rbody := w.handle(t, body)
+		rt, rbody := w.handle(t, body, &reply)
 		if rt == msgErr {
 			d := codec.NewDecoder(rbody)
 			w.log.Warn("cluster: request failed",
@@ -172,8 +182,9 @@ func (w *Worker) handleConn(c net.Conn) {
 // handle dispatches one request and never panics: a handler panic (e.g. a
 // workload builder rejecting its arguments) is converted into an msgErr
 // reply so the coordinator gets a diagnosable error instead of a dead
-// connection.
-func (w *Worker) handle(t msgType, body []byte) (rt msgType, rbody []byte) {
+// connection. A tick reply is encoded into reply, which the caller keeps
+// until the reply is written.
+func (w *Worker) handle(t msgType, body []byte, reply *codec.Encoder) (rt msgType, rbody []byte) {
 	defer func() {
 		if r := recover(); r != nil {
 			rt, rbody = errReply(fmt.Errorf("worker panic: %v", r))
@@ -187,7 +198,7 @@ func (w *Worker) handle(t msgType, body []byte) (rt msgType, rbody []byte) {
 	case msgInstall:
 		return w.handleInstall(body)
 	case msgTick:
-		return w.handleTick(body)
+		return w.handleTick(body, reply)
 	case msgExport:
 		return w.handleExport(body)
 	case msgExplain:
@@ -216,10 +227,10 @@ func errReply(err error) (msgType, []byte) {
 // caller attached: its state is gone, and silently serving it would mean
 // undetected divergence — the one thing the failure model forbids. The
 // stale coordinator gets a loud error instead (serve maps it to 500).
-func (w *Worker) pop(id string, epoch uint64) (*workerPop, error) {
+func (w *Worker) pop(id []byte, epoch uint64) (*workerPop, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	p := w.pops[id]
+	p := w.pops[string(id)]
 	if p == nil {
 		return nil, fmt.Errorf("no population %q hosted here", id)
 	}
@@ -288,7 +299,7 @@ func (w *Worker) handleInit(body []byte) (msgType, []byte) {
 
 func (w *Worker) handleInstall(body []byte) (msgType, []byte) {
 	d := codec.NewDecoder(body)
-	id := d.Str()
+	id := d.StrBytes()
 	epoch := d.Uvarint()
 	if err := d.Err(); err != nil {
 		return errReply(fmt.Errorf("bad install: %w", err))
@@ -309,9 +320,9 @@ func (w *Worker) handleInstall(body []byte) (msgType, []byte) {
 	return msgOK, nil
 }
 
-func (w *Worker) handleTick(body []byte) (msgType, []byte) {
+func (w *Worker) handleTick(body []byte, e *codec.Encoder) (msgType, []byte) {
 	d := codec.NewDecoder(body)
-	id := d.Str()
+	id := d.StrBytes()
 	epoch := d.Uvarint()
 	tick := d.Int()
 	if err := d.Err(); err != nil {
@@ -327,7 +338,7 @@ func (w *Worker) handleTick(body []byte) (msgType, []byte) {
 	// already filled some of them, and leaked mail would be injected
 	// twice if the population is ever ticked again.
 	defer p.clearMail()
-	p.touched, err = decodeMailInto(d, p.mail, p.spans, p.touched[:0])
+	p.touched, err = decodeMailInto(d, p.mail, p.spans, p.touched[:0], &p.names)
 	if err == nil {
 		err = d.Finish()
 	}
@@ -341,7 +352,7 @@ func (w *Worker) handleTick(body []byte) (msgType, []byte) {
 	if err != nil {
 		return errReply(err)
 	}
-	e := codec.NewEncoder()
+	e.Reset()
 	e.Uvarint(uint64(len(outs)))
 	for _, o := range outs {
 		encodeExchange(e, o)
@@ -368,7 +379,7 @@ func (p *workerPop) clearMail() {
 
 func (w *Worker) handleExport(body []byte) (msgType, []byte) {
 	d := codec.NewDecoder(body)
-	id := d.Str()
+	id := d.StrBytes()
 	epoch := d.Uvarint()
 	if err := d.Finish(); err != nil {
 		return errReply(fmt.Errorf("bad export: %w", err))
@@ -399,7 +410,7 @@ func (w *Worker) handleExport(body []byte) (msgType, []byte) {
 // exactly as it was.
 func (w *Worker) handleMigrate(body []byte) (msgType, []byte) {
 	d := codec.NewDecoder(body)
-	id := d.Str()
+	id := d.StrBytes()
 	epoch := d.Uvarint()
 	lo, hi := d.Int(), d.Int()
 	if err := d.Finish(); err != nil {
@@ -428,7 +439,7 @@ func (w *Worker) handleMigrate(body []byte) (msgType, []byte) {
 // authoritative).
 func (w *Worker) handleAdopt(body []byte) (msgType, []byte) {
 	d := codec.NewDecoder(body)
-	id := d.Str()
+	id := d.StrBytes()
 	epoch := d.Uvarint()
 	if err := d.Err(); err != nil {
 		return errReply(fmt.Errorf("bad adopt: %w", err))
@@ -448,7 +459,7 @@ func (w *Worker) handleAdopt(body []byte) (msgType, []byte) {
 	}
 	p.owned()
 	w.log.Info("cluster: adopted range",
-		"pop", id, "shards_lo", rs.LoShard, "shards_hi", rs.HiShard, "hosting", p.runs)
+		"pop", string(id), "shards_lo", rs.LoShard, "shards_hi", rs.HiShard, "hosting", p.runs)
 	return msgOK, nil
 }
 
@@ -458,7 +469,7 @@ func (w *Worker) handleAdopt(body []byte) (msgType, []byte) {
 // migration later failed. Only the released shards' agents are dropped.
 func (w *Worker) handleRelease(body []byte) (msgType, []byte) {
 	d := codec.NewDecoder(body)
-	id := d.Str()
+	id := d.StrBytes()
 	epoch := d.Uvarint()
 	lo, hi := d.Int(), d.Int()
 	if err := d.Finish(); err != nil {
@@ -475,13 +486,13 @@ func (w *Worker) handleRelease(body []byte) (msgType, []byte) {
 	}
 	p.owned()
 	w.log.Info("cluster: released range",
-		"pop", id, "shards_lo", lo, "shards_hi", hi, "hosting", p.runs)
+		"pop", string(id), "shards_lo", lo, "shards_hi", hi, "hosting", p.runs)
 	return msgOK, nil
 }
 
 func (w *Worker) handleExplain(body []byte) (msgType, []byte) {
 	d := codec.NewDecoder(body)
-	id := d.Str()
+	id := d.StrBytes()
 	epoch := d.Uvarint()
 	agent := d.Int()
 	now := d.F64()

@@ -19,6 +19,11 @@ func NewEncoder() *Encoder { return &Encoder{buf: make([]byte, 0, 1<<12)} }
 // past the encoder's next use).
 func (e *Encoder) Bytes() []byte { return e.buf }
 
+// Reset empties the encoder and keeps its buffer's capacity, so an encoder
+// reused for one message after another grows only while messages grow.
+// Bytes returned before the Reset are overwritten by what follows it.
+func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+
 // Len reports how many bytes have been encoded.
 func (e *Encoder) Len() int { return len(e.buf) }
 
@@ -223,6 +228,55 @@ func (d *Decoder) StrBytes() []byte {
 
 // Str reads a length-prefixed string.
 func (d *Decoder) Str() string { return string(d.StrBytes()) }
+
+// StrIn reads a length-prefixed string through in: a spelling in has seen
+// before costs no allocation.
+func (d *Decoder) StrIn(in *Interner) string { return in.Intern(d.StrBytes()) }
+
+// Interner hands out one string per spelling, so a decoder that reads the
+// same few names over and over allocates each once. It holds at most
+// internMaxEntries strings of internMaxBytes in all: past either bound it
+// starts afresh, so a stream of unique names costs what decoding them
+// without an Interner would, and never grows it. The zero value is ready to
+// use; an Interner is not safe for concurrent use.
+type Interner struct {
+	m     map[string]string
+	bytes int
+}
+
+// The Interner's bounds: room for every agent name and stimulus kind of
+// the largest populations the benchmarks run (10k agents), of at most
+// 1 MiB in all.
+const (
+	internMaxEntries = 1 << 14
+	internMaxBytes   = 1 << 20
+)
+
+// Intern returns the string spelled by b, allocating only for a spelling
+// the Interner does not hold. A nil Interner holds nothing: every call
+// allocates, as Decoder.Str does.
+func (in *Interner) Intern(b []byte) string {
+	if in == nil {
+		return string(b)
+	}
+	if s, ok := in.m[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(s) == 0 || len(s) > internMaxBytes {
+		return s
+	}
+	if len(in.m) == internMaxEntries || in.bytes+len(s) > internMaxBytes {
+		clear(in.m)
+		in.bytes = 0
+	}
+	if in.m == nil {
+		in.m = make(map[string]string)
+	}
+	in.m[s] = s
+	in.bytes += len(s)
+	return s
+}
 
 // Count reads a length prefix for elements of at least elemSize bytes and
 // rejects counts the remaining bytes cannot possibly hold, bounding

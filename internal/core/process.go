@@ -132,6 +132,14 @@ type timeModel struct {
 	predKey  knowledge.Key // "pred/<name>"
 	trendKey knowledge.Key // "trend/<name>"
 	stimKey  knowledge.Key // "stim/<name>", resolved lazily
+
+	// The last slope read from the stimulus model, and which entry at how
+	// many updates it was read from: the stimuli of one batch that share a
+	// name all read the same unchanged history, so its regression runs once.
+	trendOf *knowledge.Entry
+	trendAt int
+	trend   float64
+	trendOK bool
 }
 
 // TimeProcess realises time-awareness: for every stimulus name it maintains
@@ -198,8 +206,12 @@ func (p *TimeProcess) Observe(now float64, batch []Stimulus) {
 			e = p.Store.GetKey(m.stimKey)
 		}
 		if e != nil {
-			if tr, ok := e.Trend(); ok {
-				p.Store.SetKey(m.trendKey, tr, now)
+			if n := e.Updates(); e != m.trendOf || n != m.trendAt {
+				m.trend, m.trendOK = e.Trend()
+				m.trendOf, m.trendAt = e, n
+			}
+			if m.trendOK {
+				p.Store.SetKey(m.trendKey, m.trend, now)
 			}
 		}
 	}

@@ -44,11 +44,14 @@ func AppendStimulus(e *codec.Encoder, s Stimulus) {
 	e.F64(s.Time)
 }
 
-// DecodeStimulus reads one stimulus.
-func DecodeStimulus(d *codec.Decoder) Stimulus {
+// DecodeStimulus reads one stimulus, taking its name and source through
+// names: where a stream of stimuli repeats a few spellings, each is then
+// allocated once per Interner, not once per stimulus. A nil names
+// allocates both strings.
+func DecodeStimulus(d *codec.Decoder, names *codec.Interner) Stimulus {
 	return Stimulus{
-		Name:   d.Str(),
-		Source: d.Str(),
+		Name:   d.StrIn(names),
+		Source: d.StrIn(names),
 		Scope:  knowledge.Scope(d.Int()),
 		Value:  d.F64(),
 		Time:   d.F64(),

@@ -850,17 +850,25 @@ func (r *Ring) Values() []float64 { return r.linear(r.values()) }
 // Times returns stored timestamps oldest-first.
 func (r *Ring) Times() []float64 { return r.linear(r.times()) }
 
-// linear copies the stored window of buf (r.times() or r.values()) out
-// oldest-first as at most two block copies — the tail half from the oldest
-// point, then the wrapped head half — instead of a modulo per element.
-func (r *Ring) linear(buf []float64) []float64 {
-	out := make([]float64, r.size)
+// segments returns the stored window of buf (r.times() or r.values())
+// oldest-first as two contiguous runs: from the oldest point on, then the
+// wrapped head part (empty when the window does not wrap). Walking them in
+// turn visits the points in window order with no wrap test or modulo per
+// point.
+func (r *Ring) segments(buf []float64) (older, newer []float64) {
 	start := int(r.head - r.size)
 	if start < 0 {
-		start += len(buf)
+		return buf[start+len(buf):], buf[:r.head]
 	}
-	k := copy(out, buf[start:])
-	copy(out[k:], buf[:r.head])
+	return buf[start:r.head], nil
+}
+
+// linear copies the stored window of buf out oldest-first as two block
+// copies.
+func (r *Ring) linear(buf []float64) []float64 {
+	out := make([]float64, r.size)
+	older, newer := r.segments(buf)
+	copy(out[copy(out, older):], newer)
 	return out
 }
 
@@ -879,37 +887,38 @@ func (r *Ring) Mean() float64 {
 // Trend returns a least-squares slope of value against time over the stored
 // window (0 with fewer than 2 points): a cheap "likely future" signal. It
 // iterates the ring in place — no allocation — because time-awareness calls
-// it once per stimulus per tick.
+// it once per stimulus per tick. Both sums run oldest-first over the
+// window's two segments, so the result is bit-for-bit what a walk wrapping
+// its index per point computes.
 //
 //sacs:hotpath
 func (r *Ring) Trend() float64 {
 	if r.size < 2 {
 		return 0
 	}
-	ts, vs := r.times(), r.values()
-	size := int(r.size)
-	start := int(r.head) - size
-	if start < 0 {
-		start += len(ts)
-	}
+	t1, t2 := r.segments(r.times())
+	v1, v2 := r.segments(r.values())
+	v1, v2 = v1[:len(t1)], v2[:len(t2)]
 	var mt, mv float64
-	for i, j := 0, start; i < size; i++ {
-		mt += ts[j]
-		mv += vs[j]
-		if j++; j == len(ts) {
-			j = 0
-		}
+	for i, t := range t1 {
+		mt += t
+		mv += v1[i]
 	}
-	n := float64(size)
+	for i, t := range t2 {
+		mt += t
+		mv += v2[i]
+	}
+	n := float64(r.size)
 	mt /= n
 	mv /= n
 	var num, den float64
-	for i, j := 0, start; i < size; i++ {
-		num += (ts[j] - mt) * (vs[j] - mv)
-		den += (ts[j] - mt) * (ts[j] - mt)
-		if j++; j == len(ts) {
-			j = 0
-		}
+	for i, t := range t1 {
+		num += (t - mt) * (v1[i] - mv)
+		den += (t - mt) * (t - mt)
+	}
+	for i, t := range t2 {
+		num += (t - mt) * (v2[i] - mv)
+		den += (t - mt) * (t - mt)
 	}
 	if den == 0 {
 		return 0

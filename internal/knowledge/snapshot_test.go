@@ -337,3 +337,67 @@ func TestRingRestoreMatchesPushes(t *testing.T) {
 		}
 	}
 }
+
+// moduloTrend is Trend as a walk wrapping its index per point: the
+// reference the two-segment walk must match bit for bit.
+func moduloTrend(r *Ring) float64 {
+	if r.size < 2 {
+		return 0
+	}
+	ts, vs := r.times(), r.values()
+	size := int(r.size)
+	start := ((int(r.head)-size)%len(ts) + len(ts)) % len(ts)
+	var mt, mv float64
+	for i := 0; i < size; i++ {
+		j := (start + i) % len(ts)
+		mt += ts[j]
+		mv += vs[j]
+	}
+	mt /= float64(size)
+	mv /= float64(size)
+	var num, den float64
+	for i := 0; i < size; i++ {
+		j := (start + i) % len(ts)
+		num += (ts[j] - mt) * (vs[j] - mv)
+		den += (ts[j] - mt) * (ts[j] - mt)
+	}
+	if den == 0 {
+		return 0
+	}
+	return num / den
+}
+
+// TestTrendMatchesModuloWalk: on windows that are growing, full and
+// wrapped at every head position, and restored from their encoding (then
+// pushed on), Trend gives exactly the bits of the per-point modulo walk.
+func TestTrendMatchesModuloWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	check := func(what string, r *Ring) {
+		t.Helper()
+		if got, want := r.Trend(), moduloTrend(r); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: Trend %v (%#x), modulo walk %v (%#x)", what, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, bound := range []int{1, 2, 3, 16, 17, 64} {
+		r := NewRing(bound)
+		for k := 1; k <= 3*bound+2; k++ {
+			r.Push(float64(k)+rng.Float64(), rng.NormFloat64()*1e3)
+			check(fmt.Sprintf("bound %d after %d pushes", bound, k), r)
+
+			e := codec.NewEncoder()
+			r.appendWindow(e, r.times())
+			r.appendWindow(e, r.values())
+			d := codec.NewDecoder(e.Bytes())
+			n := d.Count(8)
+			var restored Ring
+			restored.restore(d, make([]float64, 2*ringLen(bound, n)), n, bound)
+			if err := d.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i <= bound; i++ {
+				check(fmt.Sprintf("bound %d restored at %d pushes, %d more", bound, k, i), &restored)
+				restored.Push(float64(k+i)+0.5, rng.NormFloat64())
+			}
+		}
+	}
+}

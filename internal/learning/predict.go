@@ -142,15 +142,21 @@ func (m *WindowMean) Observe(x float64) {
 
 // Predict implements Predictor. Summation runs oldest-first — the same
 // order the pre-ring implementation used — because float addition is not
-// associative and predictions feed byte-compared checkpoint state.
+// associative and predictions feed byte-compared checkpoint state. The
+// window is walked as its two contiguous segments, from the oldest value
+// (hist[head], head staying 0 until the window fills) to the end, then the
+// wrapped part.
 func (m *WindowMean) Predict() float64 {
 	n := len(m.hist)
 	if n == 0 {
 		return 0
 	}
 	s := 0.0
-	for i := 0; i < n; i++ {
-		s += m.hist[(m.head+i)%n]
+	for _, x := range m.hist[m.head:] {
+		s += x
+	}
+	for _, x := range m.hist[:m.head] {
+		s += x
 	}
 	return s / float64(n)
 }

@@ -156,3 +156,61 @@ func TestPredictorNames(t *testing.T) {
 		}
 	}
 }
+
+// moduloMean is WindowMean.Predict as a walk wrapping its index with a
+// modulo per value: the reference the two-segment walk must match bit for
+// bit.
+func moduloMean(m *WindowMean) float64 {
+	n := len(m.hist)
+	if n == 0 {
+		return 0
+	}
+	s := 0.0
+	for i := 0; i < n; i++ {
+		s += m.hist[(m.head+i)%n]
+	}
+	return s / float64(n)
+}
+
+// TestWindowMeanMatchesModuloWalk: on growing, full, wrapped and restored
+// windows (SetState of every length, then more observations), Predict gives
+// exactly the bits of the per-value modulo walk, and State lists the same
+// values in the same order.
+func TestWindowMeanMatchesModuloWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	check := func(m *WindowMean) {
+		t.Helper()
+		if got, want := m.Predict(), moduloMean(m); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("W=%d len %d head %d: Predict %v, modulo walk %v", m.W, len(m.hist), m.head, got, want)
+		}
+		n := len(m.hist)
+		for i, v := range m.State() {
+			if math.Float64bits(v) != math.Float64bits(m.hist[(m.head+i)%n]) {
+				t.Fatalf("W=%d head %d: State()[%d] = %v, want %v", m.W, m.head, i, v, m.hist[(m.head+i)%n])
+			}
+		}
+	}
+	for _, w := range []int{1, 2, 5, 16} {
+		m := NewWindowMean(w)
+		check(m)
+		for k := 0; k < 3*w+2; k++ {
+			m.Observe(rng.NormFloat64() * 1e6)
+			check(m)
+		}
+		for n := 0; n <= w; n++ {
+			state := make([]float64, n)
+			for i := range state {
+				state[i] = rng.NormFloat64() * 1e6
+			}
+			r := NewWindowMean(w)
+			if err := r.SetState(state); err != nil {
+				t.Fatal(err)
+			}
+			check(r)
+			for k := 0; k < 2*w+1; k++ {
+				r.Observe(rng.NormFloat64() * 1e6)
+				check(r)
+			}
+		}
+	}
+}

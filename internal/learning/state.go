@@ -79,12 +79,8 @@ func (a *AR1) SetState(v []float64) error {
 // rotation is not preserved — every reader is rotation-invariant given the
 // oldest-first order).
 func (m *WindowMean) State() []float64 {
-	n := len(m.hist)
-	out := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, m.hist[(m.head+i)%n])
-	}
-	return out
+	out := make([]float64, 0, len(m.hist))
+	return append(append(out, m.hist[m.head:]...), m.hist[:m.head]...)
 }
 
 // SetState implements Stateful.

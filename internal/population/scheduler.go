@@ -1,6 +1,6 @@
 package population
 
-import "sort"
+import "slices"
 
 // This file is the tick's dispatch-order plane: a per-shard cost model fed
 // by observed StepNanos and the LPT plan that turns those costs into a
@@ -67,7 +67,13 @@ func lptPlan(order []int, cost []float64) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return cost[order[a]] > cost[order[b]]
+	slices.SortStableFunc(order, func(a, b int) int {
+		switch {
+		case cost[a] > cost[b]:
+			return -1
+		case cost[a] < cost[b]:
+			return 1
+		}
+		return 0
 	})
 }

@@ -7,7 +7,7 @@
 # is machine-independent and comparable across runs), converts the output
 # to JSON via cmd/benchjson, and gates against the committed baseline
 # BENCH_PR7.json (±10%): allocs/op for the agent step, the population
-# tick and the gossip population tick, plus a steps/sec floor on the 10k-agent 4-worker tick (throughput
+# tick, the gossip population tick and the cluster tick over loopback, plus a steps/sec floor on the 10k-agent 4-worker tick (throughput
 # must not silently erode, not just allocation count).
 # CI calls this on every PR and uploads the JSON as an artifact; to refresh
 # the committed baseline after an intentional change, merge the "after"
@@ -34,17 +34,18 @@ go test -run '^$' -bench \
   '^(BenchmarkAgentStepFullStack|BenchmarkAgentStepStimulusOnly|BenchmarkKnowledgeStoreObserve)$' \
   -benchmem -benchtime=20000x . | tee "$raw"
 
-# Macro-benchmarks: small fixed iteration counts (each op is a full tick,
-# checkpoint round trip, checkpoint write or read, or S1 table build).
+# Macro-benchmarks: small fixed iteration counts (each op is a full tick —
+# in process or over loopback cluster workers — checkpoint round trip,
+# checkpoint write or read, or S1 table build).
 # CheckpointWrite and CheckpointRead are recorded, not gated.
 go test -run '^$' -bench \
-  '^(BenchmarkPopulationTick|BenchmarkPopulationTickGossip|BenchmarkCheckpointRoundTrip|BenchmarkCheckpointWrite|BenchmarkCheckpointRead|BenchmarkS1PopulationScaling)$' \
+  '^(BenchmarkPopulationTick|BenchmarkPopulationTickGossip|BenchmarkClusterTick|BenchmarkCheckpointRoundTrip|BenchmarkCheckpointWrite|BenchmarkCheckpointRead|BenchmarkS1PopulationScaling)$' \
   -benchmem -benchtime=10x -timeout 30m . | tee -a "$raw"
 
 go run ./cmd/benchjson \
   -out "BENCH_${tag}.json" \
   -baseline "$baseline" \
-  -check AgentStepFullStack,PopulationTick,PopulationTickGossip \
+  -check AgentStepFullStack,PopulationTick,PopulationTickGossip,ClusterTick \
   -floor 'PopulationTick/agents=10000/workers=4:steps/sec' \
   -tolerance 0.10 \
   -note "tools/bench.sh ${tag}" < "$raw"

@@ -23,14 +23,33 @@ func payloadSeeds(f *testing.F) [][]byte {
 		}
 		return s
 	}
+	first := checkpoint.EncodePayload(snapshot(experiments.S2Config(4, 1, 1, nil), 1), nil)
 	return [][]byte{
 		checkpoint.EncodePayload(snapshot(experiments.S2Config(4, 1, 1, nil), 2),
 			map[string]string{"workload": "s2", "id": "golden"}),
+		first,
+		otherPoint(f, first),
 		checkpoint.EncodePayload(snapshot(checkpoint.CodecConfig(2, 1, 11), 9), nil),
 		checkpoint.EncodePayload(checkpoint.Synthetic(3, 2, 4), map[string]string{"id": "multi"}),
 		checkpoint.EncodePayload(&population.Snapshot{}, nil),
 		checkpoint.LyingEntryCount(256),
 	}
+}
+
+// otherPoint returns a copy of payload whose first one-point history — a
+// last update t followed by the lists [t] and [v], which a model updated
+// once holds without a ring — has v's sign flipped, so the point is no
+// longer the model's own and a restore must build its ring.
+func otherPoint(f *testing.F, payload []byte) []byte {
+	p := bytes.Clone(payload)
+	for i := 0; i+26 <= len(p); i++ {
+		if p[i+8] == 1 && p[i+17] == 1 && bytes.Equal(p[i:i+8], p[i+9:i+17]) {
+			p[i+25] ^= 0x80
+			return p
+		}
+	}
+	f.Fatal("no one-point history in the payload")
+	return nil
 }
 
 // FuzzDecodePayload feeds arbitrary bytes to the payload decoder behind

@@ -408,15 +408,21 @@ func (t *Transport) registerWorkerGauges(wi int) {
 		obs.Seconds, p, w))
 }
 
-// updateWorkerGauges sets every worker's shard-count and load gauges from
-// the per-worker rollup.
+// updateWorkerGauges sets every worker's shard-count and load gauges. It
+// runs every tick, so it sums each worker's owned shards (t.wires, in
+// shard order, as rollup sums them) in place instead of building the
+// rollup.
 func (t *Transport) updateWorkerGauges() {
 	if t.workerShards == nil {
 		return
 	}
-	for wi, w := range t.rollup() {
-		t.workerShards[wi].Set(int64(w.Shards))
-		t.workerCost[wi].Set(int64(w.CostNanos))
+	for wi, w := range t.wires {
+		var cost float64
+		for _, s := range w.shards {
+			cost += t.costs.Estimate(s)
+		}
+		t.workerShards[wi].Set(int64(len(w.shards)))
+		t.workerCost[wi].Set(int64(cost))
 	}
 }
 
@@ -935,7 +941,7 @@ func (t *Transport) Placement() (owner []int, workers []WorkerPlacement) {
 
 // rollup is the per-worker view of the owner map and the cost model: each
 // worker slot's address, attach epoch, liveness, shard count and summed
-// cost estimate. Placement and the worker gauges both read it.
+// cost estimate, as Placement reports it.
 func (t *Transport) rollup() []WorkerPlacement {
 	workers := make([]WorkerPlacement, len(t.epochs))
 	for wi := range workers {

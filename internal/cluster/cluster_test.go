@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -325,24 +327,55 @@ func TestTransportValidation(t *testing.T) {
 // fail cleanly, not OOM the worker.
 func TestFrameBounds(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, msgPing, []byte("hello")); err != nil {
+	bw := bufio.NewWriter(&buf)
+	if err := writeFrame(bw, msgPing, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	typ, body, err := readFrame(&buf, nil)
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	typ, body, err := readFrame(bufio.NewReader(&buf), nil)
 	if err != nil || typ != msgPing || string(body) != "hello" {
 		t.Fatalf("round trip = %d %q %v", typ, body, err)
 	}
 
 	// A forged header declaring a frame beyond maxFrame.
-	forged := []byte{0xff, 0xff, 0xff, 0xff}
-	if _, _, err := readFrame(bytes.NewReader(forged), nil); err == nil {
-		t.Fatal("oversized frame accepted")
+	forged := []byte{0xff, 0xff, 0xff, 0xff, byte(msgPing)}
+	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(forged)), nil); !errors.Is(err, errFrameTooLarge) {
+		t.Fatalf("oversized frame = %v, want %v", err, errFrameTooLarge)
 	}
 	// A zero-length frame (no type byte) is equally malformed.
-	if _, _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 0}), nil); err == nil {
-		t.Fatal("empty frame accepted")
+	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader([]byte{0, 0, 0, 0, 0})), nil); !errors.Is(err, errFrameTooLarge) {
+		t.Fatalf("empty frame = %v, want %v", err, errFrameTooLarge)
+	}
+	// A header cut short is an unexpected end, not a clean one.
+	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader([]byte{1, 0, 0})), nil); err != io.ErrUnexpectedEOF {
+		t.Fatalf("torn header = %v, want %v", err, io.ErrUnexpectedEOF)
+	}
+	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(nil)), nil); err != io.EOF {
+		t.Fatalf("empty stream = %v, want %v", err, io.EOF)
 	}
 }
+
+// frameConn reads and writes frames on one connection, flushing each
+// frame it writes.
+type frameConn struct {
+	r *bufio.Reader
+	w *bufio.Writer
+}
+
+func newFrameConn(c net.Conn) frameConn {
+	return frameConn{bufio.NewReader(c), bufio.NewWriter(c)}
+}
+
+func (f frameConn) write(t msgType, body []byte) error {
+	if err := writeFrame(f.w, t, body); err != nil {
+		return err
+	}
+	return f.w.Flush()
+}
+
+func (f frameConn) read() (msgType, []byte, error) { return readFrame(f.r, nil) }
 
 // TestWorkerSurvivesMalformedRequests: a worker fed garbage must answer
 // with errors (or drop the connection), never crash, and must keep serving
@@ -359,15 +392,16 @@ func TestWorkerSurvivesMalformedRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rogue.Close()
+	fc := newFrameConn(rogue)
 	// Tick for an unhosted population id.
 	e := codec.NewEncoder()
 	e.Str("ghost")
 	e.Int(0)
 	e.Uvarint(0)
-	if err := writeFrame(rogue, msgTick, e.Bytes()); err != nil {
+	if err := fc.write(msgTick, e.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	typ, body, err := readFrame(rogue, nil)
+	typ, body, err := fc.read()
 	if err != nil || typ != msgErr {
 		t.Fatalf("unhosted tick reply = %d %v", typ, err)
 	}
@@ -375,10 +409,10 @@ func TestWorkerSurvivesMalformedRequests(t *testing.T) {
 		t.Fatal("error reply does not name the missing population")
 	}
 	// A truncated init body must produce an error, not a panic.
-	if err := writeFrame(rogue, msgInit, []byte{protocolVersion}); err != nil {
+	if err := fc.write(msgInit, []byte{protocolVersion}); err != nil {
 		t.Fatal(err)
 	}
-	if typ, _, err = readFrame(rogue, nil); err != nil || typ != msgErr {
+	if typ, _, err = fc.read(); err != nil || typ != msgErr {
 		t.Fatalf("truncated init reply = %d %v", typ, err)
 	}
 	// A wrong protocol version is refused by name.
@@ -387,10 +421,10 @@ func TestWorkerSurvivesMalformedRequests(t *testing.T) {
 	encodeSpec(e, testSpec("v"))
 	e.Int(0)
 	e.Int(1)
-	if err := writeFrame(rogue, msgInit, e.Bytes()); err != nil {
+	if err := fc.write(msgInit, e.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	typ, body, err = readFrame(rogue, nil)
+	typ, body, err = fc.read()
 	if err != nil || typ != msgErr {
 		t.Fatalf("version mismatch reply = %d %v", typ, err)
 	}
@@ -442,8 +476,9 @@ func TestTickReplyOutOfRangeTargetPoisons(t *testing.T) {
 			}
 			go func() {
 				defer c.Close()
+				fc := newFrameConn(c)
 				for {
-					typ, _, err := readFrame(c, nil)
+					typ, _, err := fc.read()
 					if err != nil {
 						return
 					}
@@ -456,7 +491,7 @@ func TestTickReplyOutOfRangeTargetPoisons(t *testing.T) {
 					case msgTick:
 						rt, body = msgTickOK, reply.Bytes()
 					}
-					if writeFrame(c, rt, body) != nil {
+					if fc.write(rt, body) != nil {
 						return
 					}
 				}

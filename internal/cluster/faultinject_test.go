@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"net"
@@ -106,15 +107,22 @@ func (p *faultProxy) serve() {
 
 // pump relays frames from→to, applying matching fault rules.
 func (p *faultProxy) pump(dir string, from, to net.Conn, kill func()) {
+	br, bw := bufio.NewReader(from), bufio.NewWriter(to)
+	forward := func(typ msgType, body []byte) error {
+		if err := writeFrame(bw, typ, body); err != nil {
+			return err
+		}
+		return bw.Flush()
+	}
 	for {
-		typ, body, err := readFrame(from, nil)
+		typ, body, err := readFrame(br, nil)
 		if err != nil {
 			kill()
 			return
 		}
 		r := p.match(dir, typ)
 		if r == nil {
-			if writeFrame(to, typ, body) != nil {
+			if forward(typ, body) != nil {
 				kill()
 				return
 			}
@@ -125,12 +133,12 @@ func (p *faultProxy) pump(dir string, from, to net.Conn, kill func()) {
 			// swallowed: the receiver waits forever (or to its deadline)
 		case "delay":
 			time.Sleep(r.delay)
-			if writeFrame(to, typ, body) != nil {
+			if forward(typ, body) != nil {
 				kill()
 				return
 			}
 		case "dup":
-			if writeFrame(to, typ, body) != nil || writeFrame(to, typ, body) != nil {
+			if forward(typ, body) != nil || forward(typ, body) != nil {
 				kill()
 				return
 			}

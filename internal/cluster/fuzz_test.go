@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -192,9 +193,10 @@ func TestReadFrameLyingHeaderAllocatesLittle(t *testing.T) {
 		binary.LittleEndian.PutUint32(stream, maxFrame)
 		stream[4] = byte(typ)
 		scratch := make([]byte, 0, 8)
+		br := bufio.NewReader(bytes.NewReader(stream))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, err := readFrame(bytes.NewReader(stream), &scratch)
+		_, _, err := readFrame(br, &scratch)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Fatalf("%s: a truncated frame was accepted", msgName(typ))
@@ -213,12 +215,27 @@ func TestReadFrameLyingHeaderAllocatesLittle(t *testing.T) {
 // body filled with its frame's index.
 func frames(f testing.TB, spec ...[2]int) []byte {
 	var b bytes.Buffer
+	w := bufio.NewWriter(&b)
 	for i, fr := range spec {
-		if err := writeFrame(&b, msgType(fr[0]), bytes.Repeat([]byte{byte(i)}, fr[1])); err != nil {
+		if err := writeFrame(w, msgType(fr[0]), bytes.Repeat([]byte{byte(i)}, fr[1])); err != nil {
 			f.Fatal(err)
 		}
 	}
+	if err := w.Flush(); err != nil {
+		f.Fatal(err)
+	}
 	return b.Bytes()
+}
+
+// frame spells one frame as writeFrame writes it.
+func frame(t msgType, body []byte) ([]byte, error) {
+	var b bytes.Buffer
+	w := bufio.NewWriter(&b)
+	if err := writeFrame(w, t, body); err != nil {
+		return nil, err
+	}
+	err := w.Flush()
+	return b.Bytes(), err
 }
 
 // FuzzReadFrame: any byte stream, read frame by frame through one scratch
@@ -229,13 +246,13 @@ func frames(f testing.TB, spec ...[2]int) []byte {
 // tick body too large for it that arrived whole, so neither a failed read
 // nor any other frame changes it.
 func FuzzReadFrame(f *testing.F) {
-	var valid bytes.Buffer
-	if err := writeFrame(&valid, msgTick, fuzzRequest().Bytes()); err != nil {
+	valid, err := frame(msgTick, fuzzRequest().Bytes())
+	if err != nil {
 		f.Fatal(err)
 	}
 	lying := make([]byte, 20)
 	binary.LittleEndian.PutUint32(lying, maxFrame)
-	f.Add(valid.Bytes())
+	f.Add(valid)
 	f.Add(lying)
 	f.Add([]byte{1, 0, 0, 0, byte(msgPing)})
 	f.Add([]byte{0, 0, 0, 0})
@@ -252,11 +269,12 @@ func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		var scratch []byte
 		r := bytes.NewReader(stream)
+		br := bufio.NewReader(r) // as a connection reads: the production header path
 		for {
-			pos, had := len(stream)-r.Len(), cap(scratch)
+			pos, had := len(stream)-r.Len()-br.Buffered(), cap(scratch)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			typ, body, err := readFrame(r, &scratch)
+			typ, body, err := readFrame(br, &scratch)
 			runtime.ReadMemStats(&after)
 			if total, limit := after.TotalAlloc-before.TotalAlloc, readFrameAllocLimit(len(stream)-pos); total > limit {
 				t.Fatalf("a %d-byte rest of stream allocated %d bytes, want at most %d", len(stream)-pos, total, limit)
@@ -267,12 +285,12 @@ func FuzzReadFrame(f *testing.F) {
 				}
 				return
 			}
-			var again bytes.Buffer
-			if err := writeFrame(&again, typ, body); err != nil {
+			again, err := frame(typ, body)
+			if err != nil {
 				t.Fatalf("writeFrame of a frame readFrame accepted: %v", err)
 			}
-			if !bytes.HasPrefix(stream[pos:], again.Bytes()) {
-				t.Fatalf("frame %x re-spelled as %x", stream[pos:min(len(stream), pos+again.Len())], again.Bytes())
+			if !bytes.HasPrefix(stream[pos:], again) {
+				t.Fatalf("frame %x re-spelled as %x", stream[pos:min(len(stream), pos+len(again))], again)
 			}
 			tick := typ == msgTick || typ == msgTickOK
 			switch {

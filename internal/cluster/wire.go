@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -89,16 +90,16 @@ const (
 
 var errFrameTooLarge = errors.New("cluster: frame exceeds size limit")
 
-// writeFrame writes one frame. The caller flushes.
-func writeFrame(w io.Writer, t msgType, body []byte) error {
+// writeFrame writes one frame. The caller flushes. The header is spelled
+// in the writer's own buffer: a header array handed to an io.Writer would
+// be allocated per frame.
+func writeFrame(w *bufio.Writer, t msgType, body []byte) error {
 	n := len(body) + 1
 	if n > maxFrame {
 		return fmt.Errorf("%w (%d bytes)", errFrameTooLarge, n)
 	}
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(n))
-	hdr[4] = byte(t)
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := append(binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(n)), byte(t))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(body)
@@ -116,9 +117,9 @@ func writeFrame(w io.Writer, t msgType, body []byte) error {
 // than the buffer takes the untrusted path and, once all of its bytes have
 // arrived, becomes the buffer. Every other body gets an allocation of its
 // own, because what is decoded from it (a range's shard runs) aliases it.
-func readFrame(r io.Reader, scratch *[]byte) (msgType, []byte, error) {
-	var hdr [5]byte // length, then the type byte the length counts
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func readFrame(r *bufio.Reader, scratch *[]byte) (msgType, []byte, error) {
+	hdr, err := readHeader(r) // length, then the type byte the length counts
+	if err != nil {
 		return 0, nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:4])
@@ -142,6 +143,22 @@ func readFrame(r io.Reader, scratch *[]byte) (msgType, []byte, error) {
 		*scratch = body
 	}
 	return t, body, nil
+}
+
+// readHeader reads a frame's 5-byte header, copied out of the reader's
+// buffer: a header array handed to an io.Reader would be allocated per
+// frame. A header cut short reads as io.ErrUnexpectedEOF, as io.ReadFull
+// reports it.
+func readHeader(r *bufio.Reader) ([5]byte, error) {
+	var hdr [5]byte
+	b, err := r.Peek(len(hdr))
+	if err == nil {
+		copy(hdr[:], b)
+		_, err = r.Discard(len(hdr))
+	} else if err == io.EOF && len(b) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return hdr, err
 }
 
 // Spec identifies one population a cluster hosts: the shape every process

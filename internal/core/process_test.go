@@ -82,10 +82,10 @@ func TestTrendModelOnHistory(t *testing.T) {
 
 // TestPeerModelHeapBound pins what a once-seen peer costs: one agent hears
 // from 100k distinct peers once each, and the heap it keeps afterwards,
-// per peer model, stays within 340 bytes. The store's symbol table is the
-// only index of the peer models and a new ring holds two points, so a
-// model is its name, one slot, one table entry, its entry box and a small
-// ring seed.
+// per peer model, stays within 200 bytes. The store's symbol table is the
+// only index of the peer models, a model updated once has no ring and an
+// unshared store's entries no lock, so a model is its name, one 32 B slot,
+// one table entry and its 80 B entry.
 func TestPeerModelHeapBound(t *testing.T) {
 	const peers, batchLen = 100_000, 1000
 	sources := make([]string, peers)
@@ -116,8 +116,8 @@ func TestPeerModelHeapBound(t *testing.T) {
 	}
 	per := float64(after-before) / peers
 	t.Logf("%.0f B of heap per once-seen peer model", per)
-	if per > 340 {
-		t.Fatalf("a once-seen peer model keeps %.0f B of heap, want at most 340", per)
+	if per > 200 {
+		t.Fatalf("a once-seen peer model keeps %.0f B of heap, want at most 200", per)
 	}
 	runtime.KeepAlive(a)
 }

@@ -47,15 +47,19 @@ func AppendStimulus(e *codec.Encoder, s Stimulus) {
 // DecodeStimulus reads one stimulus, taking its name and source through
 // names: where a stream of stimuli repeats a few spellings, each is then
 // allocated once per Interner, not once per stimulus. A nil names
-// allocates both strings.
+// allocates both strings. A scope a store cannot keep fails d with
+// knowledge.ErrScope.
 func DecodeStimulus(d *codec.Decoder, names *codec.Interner) Stimulus {
-	return Stimulus{
+	s := Stimulus{
 		Name:   d.StrIn(names),
 		Source: d.StrIn(names),
 		Scope:  knowledge.Scope(d.Int()),
-		Value:  d.F64(),
-		Time:   d.F64(),
 	}
+	if !s.Scope.Storable() {
+		d.Fail("%w: stimulus scope %d", knowledge.ErrScope, s.Scope)
+	}
+	s.Value, s.Time = d.F64(), d.F64()
+	return s
 }
 
 // AppendState writes the agent's mutable state to e. It fails when the

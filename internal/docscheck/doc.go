@@ -4,4 +4,6 @@
 // that every exported identifier of the public selfaware facade carries a
 // doc comment (the stdlib-flavoured equivalent of revive's "exported"
 // rule). It ships no library code — the checks live in the test binary.
+//
+//sacslint:allow orphan the checks are its own tests; nothing is meant to import it
 package docscheck

@@ -166,8 +166,8 @@ func TestUnsharedSurvivesSetState(t *testing.T) {
 	if e == nil || e.Value() != 5 {
 		t.Fatalf("restored entry not reachable through pre-restore key: %+v", e)
 	}
-	if !e.noLock {
-		t.Fatal("restored entry on an unshared store is not lock-elided")
+	if e.mu != nil {
+		t.Fatal("restored entry on an unshared store carries a lock")
 	}
 	r.ObserveKey(kr, 7, 2)
 	if r.WriteCount() != writes+1 {
@@ -194,7 +194,10 @@ func TestSharedStoreStillLocksUnderRace(t *testing.T) {
 					s.Observe("cold", Public, float64(i), float64(i))
 				case 1:
 					_ = s.ValueKey(k, 0)
-					_, _ = s.LookupKey("cold")
+					if _, e := s.LookupKey("cold"); e != nil {
+						_, _ = e.Trend() // races the ring a second update builds
+						_ = e.History()
+					}
 				case 2:
 					if e := s.GetKey(k); e != nil {
 						_, _ = e.Trend()
@@ -213,6 +216,11 @@ func TestSharedStoreStillLocksUnderRace(t *testing.T) {
 	wg.Wait()
 	if s.GetKey(k) == nil {
 		t.Fatal("hot entry vanished")
+	}
+	for _, e := range s.liveEntries(nil) {
+		if e.mu == nil {
+			t.Fatalf("%s: an entry of a shared store carries no lock", e.Name)
+		}
 	}
 }
 
@@ -280,5 +288,10 @@ func TestSharedRegistryUnderRace(t *testing.T) {
 	}
 	if got := len(s.Names(Private, false)); got != live {
 		t.Fatalf("Names lists %d models, live models = %d", got, live)
+	}
+	for _, e := range s.liveEntries(nil) {
+		if e.mu == nil {
+			t.Fatalf("%s: an entry of a shared store carries no lock", e.Name)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package knowledge
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -34,23 +35,75 @@ func (s Scope) String() string {
 // bounded history, and bookkeeping for explanation. All methods are safe
 // for concurrent use unless the owning store has been marked Unshared;
 // Name and Scope are immutable after creation.
+//
+// An entry costs only what it holds. Its lock exists only in a shared
+// store, and its history ring only from its second update: until then the
+// history is what the entry's own fields spell, empty at n == 0 and the
+// one point (lastUpdate, value) at n == 1 — the point Observe and Set both
+// record first.
 type Entry struct {
 	Name  string
 	Scope Scope
 
-	mu         sync.RWMutex
-	noLock     bool // single-owner store: locking elided (see Store.Unshared)
+	mu         *sync.RWMutex // nil in an unshared store (see Store.Unshared)
+	kin        *kin          // the store's parameters and ring arena; immutable
 	value      float64
 	variance   float64
-	alpha      float64 // EWMA factor for value/variance tracking; immutable
 	n          int
 	lastUpdate float64 // virtual time of last update
-	hist       *Ring   // guarded by mu; the pointer itself is immutable
+	hist       *Ring   // nil while n <= 1 (see above); guarded by mu
+}
+
+// kin is what the entries of one store share: the smoothing factor and
+// history bound they were created with, and the arena their rings are
+// carved from. A restore under other parameters gives the store a new kin,
+// so an entry's parameters never change under it.
+type kin struct {
+	alpha   float64 // EWMA factor for value/variance tracking
+	histLen int     // history bound; 0 keeps no history
+
+	// Ring arena: the second update of a model carves its ring and seed
+	// storage from these chunks instead of allocating. The entries of a
+	// shared store push under their own locks, so there mu guards it; an
+	// unshared store's entries take no lock.
+	mu    sync.Mutex
+	rings []Ring
+	slab  []float64
+}
+
+// Arena chunk sizes: entries (and a shared store's entry locks) per entry
+// chunk (8 × 80 B is a 640 B size class, 8 × 24 B a 192 B one), rings per
+// ring chunk (16 × 40 B, 640 B again), and ring seeds per float slab.
+const (
+	entryChunk = 8
+	ringChunk  = 16
+	slabChunk  = 64
+)
+
+// newRing returns an empty ring at the kin's bound with seed-sized
+// storage carved from the arena, locking it unless unshared.
+func (k *kin) newRing(unshared bool) *Ring {
+	if !unshared {
+		k.mu.Lock()
+		defer k.mu.Unlock()
+	}
+	if len(k.rings) == 0 {
+		k.rings = make([]Ring, ringChunk)
+	}
+	r := &k.rings[0]
+	k.rings = k.rings[1:]
+	size := 2 * min(k.histLen, ringSeed)
+	if len(k.slab) < size {
+		k.slab = make([]float64, 2*ringSeed*slabChunk)
+	}
+	*r = Ring{b: k.slab[:size:size], max: k.histLen}
+	k.slab = k.slab[size:]
+	return r
 }
 
 // Value returns the current estimate.
 func (e *Entry) Value() float64 {
-	if e.noLock {
+	if e.mu == nil {
 		return e.value
 	}
 	e.mu.RLock()
@@ -61,7 +114,7 @@ func (e *Entry) Value() float64 {
 // Variance returns the EWMA-tracked variance of observations around the
 // estimate, a cheap volatility signal used by attention and meta levels.
 func (e *Entry) Variance() float64 {
-	if e.noLock {
+	if e.mu == nil {
 		return e.variance
 	}
 	e.mu.RLock()
@@ -71,7 +124,7 @@ func (e *Entry) Variance() float64 {
 
 // Updates returns how many observations the entry has absorbed.
 func (e *Entry) Updates() int {
-	if e.noLock {
+	if e.mu == nil {
 		return e.n
 	}
 	e.mu.RLock()
@@ -81,7 +134,7 @@ func (e *Entry) Updates() int {
 
 // LastUpdate returns the virtual time of the last observation.
 func (e *Entry) LastUpdate() float64 {
-	if e.noLock {
+	if e.mu == nil {
 		return e.lastUpdate
 	}
 	e.mu.RLock()
@@ -92,7 +145,7 @@ func (e *Entry) LastUpdate() float64 {
 // Confidence maps freshness and sample count to [0, 1]: zero observations
 // give 0; confidence grows with n and is discounted by staleness.
 func (e *Entry) Confidence(now float64) float64 {
-	if e.noLock {
+	if e.mu == nil {
 		return e.confidenceLocked(now)
 	}
 	e.mu.RLock()
@@ -115,35 +168,47 @@ func (e *Entry) confidenceLocked(now float64) float64 {
 // caller, so it stays consistent under concurrent Observe/Set; hot paths
 // that only need the slope should call Trend, which allocates nothing.
 func (e *Entry) History() *Ring {
-	if !e.noLock {
+	if e.mu != nil {
 		e.mu.RLock()
 		defer e.mu.RUnlock()
 	}
-	if e.hist == nil {
+	switch {
+	case e.hist != nil:
+		c := *e.hist
+		c.b = append([]float64(nil), c.b...)
+		return &c
+	case e.kin.histLen <= 0:
 		return nil
 	}
-	c := *e.hist
-	c.b = append([]float64(nil), c.b...)
-	return &c
+	r := NewRing(e.kin.histLen)
+	if e.n != 0 {
+		r.Push(e.lastUpdate, e.value)
+	}
+	return r
 }
 
 // Trend returns the least-squares slope over the entry's history window
 // without copying it; ok is false when the store keeps no history.
 func (e *Entry) Trend() (slope float64, ok bool) {
-	if e.hist == nil {
-		return 0, false
-	}
-	if e.noLock {
-		return e.hist.Trend(), true
+	if e.mu == nil {
+		return e.trendLocked()
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	return e.trendLocked()
+}
+
+func (e *Entry) trendLocked() (float64, bool) {
+	if e.hist == nil {
+		// At most one point: no slope.
+		return 0, e.kin.histLen > 0
+	}
 	return e.hist.Trend(), true
 }
 
 // Observe folds a new observation in at virtual time now.
 func (e *Entry) Observe(x, now float64) {
-	if e.noLock {
+	if e.mu == nil {
 		e.observeLocked(x, now)
 		return
 	}
@@ -153,16 +218,28 @@ func (e *Entry) Observe(x, now float64) {
 }
 
 func (e *Entry) observeLocked(x, now float64) {
+	e.push(now, x)
 	if e.n == 0 {
 		e.value = x
 	} else {
 		d := x - e.value
-		e.value += e.alpha * d
-		e.variance += e.alpha * (d*d - e.variance)
+		e.value += e.kin.alpha * d
+		e.variance += e.kin.alpha * (d*d - e.variance)
 	}
 	e.n++
 	e.lastUpdate = now
-	if e.hist != nil {
+}
+
+// push records the point (now, x) in the history; callers hold the entry
+// lock and call it before the update changes n, value and lastUpdate. The
+// first point needs no ring; the second builds one holding both.
+func (e *Entry) push(now, x float64) {
+	switch {
+	case e.hist != nil:
+		e.hist.Push(now, x)
+	case e.n != 0 && e.kin.histLen > 0:
+		e.hist = e.kin.newRing(e.mu == nil)
+		e.hist.Push(e.lastUpdate, e.value)
 		e.hist.Push(now, x)
 	}
 }
@@ -170,7 +247,7 @@ func (e *Entry) observeLocked(x, now float64) {
 // valueOr returns the entry's estimate, or def when it has never been
 // updated: the shared core of Store.Value and Store.ValueKey.
 func (e *Entry) valueOr(def float64) float64 {
-	if !e.noLock {
+	if e.mu != nil {
 		e.mu.RLock()
 		defer e.mu.RUnlock()
 	}
@@ -183,7 +260,7 @@ func (e *Entry) valueOr(def float64) float64 {
 // Set overwrites the estimate without EWMA smoothing (for derived
 // quantities computed by reasoning rather than sensed).
 func (e *Entry) Set(x, now float64) {
-	if e.noLock {
+	if e.mu == nil {
 		e.setLocked(x, now)
 		return
 	}
@@ -193,12 +270,10 @@ func (e *Entry) Set(x, now float64) {
 }
 
 func (e *Entry) setLocked(x, now float64) {
+	e.push(now, x)
 	e.value = x
 	e.n++
 	e.lastUpdate = now
-	if e.hist != nil {
-		e.hist.Push(now, x)
-	}
 }
 
 // Key is a dense handle for a model name interned in one Store's symbol
@@ -217,31 +292,45 @@ type Key int32
 // interned marks a slot whose Key has been handed out (Intern, LookupKey):
 // only then is scope authoritative, as the scope a key-based write
 // recreates the model with. A slot the string path or a restore made takes
-// its scope when it is first interned.
+// its scope when it is first interned. The scope is kept in 32 bits so a
+// slot is 32 B (see Scope.Storable).
 type slot struct {
 	name     string
 	e        *Entry
-	scope    Scope
+	scope    int32
 	interned bool
 }
 
+// ErrScope is the error a decoder wraps when a scope does not fit the 32
+// bits a symbol-table slot keeps of it.
+var ErrScope = errors.New("knowledge: scope out of range")
+
+// Storable reports whether s survives the 32 bits a store's symbol table
+// keeps of a scope. A restore rejects an entry whose scope does not
+// (ErrScope), and so does a stimulus decoder, so no store is handed one.
+func (s Scope) Storable() bool { return Scope(int32(s)) == s }
+
 // Store is a threadsafe registry of model entries keyed by name. The store
-// lock guards the registry (symbol table and slots) only; each Entry
-// carries its own lock, so concurrent observations of different models
-// never contend and a single Observe acquires the registry lock at most
-// once. Stores with exactly one owning goroutine can elide all of that —
-// see Unshared.
+// lock guards the registry (symbol table and slots) only; each Entry of a
+// shared store carries its own lock, so concurrent observations of
+// different models never contend and a single Observe acquires the
+// registry lock at most once. Stores with exactly one owning goroutine can
+// elide all of that — see Unshared.
 type Store struct {
-	mu      sync.RWMutex
-	keys    map[string]Key // symbol table: name -> Key, for every slot
-	slots   []slot         // Key k lives at slots[k-1]
-	live    int            // slots holding an entry
-	alpha   float64
-	histLen int
+	mu    sync.RWMutex
+	keys  map[string]Key // symbol table: name -> Key, for every slot
+	slots []slot         // Key k lives at slots[k-1]
+	live  int            // slots holding an entry
+	kin   *kin           // parameters (and ring arena) of new entries: &own unless a restore changed them
 
 	// unshared elides the registry lock, per-entry locks and atomic
 	// counters; set only through Unshared, only while single-owner.
 	unshared bool
+
+	// own is the kin the store starts with, kept inside the store so an
+	// entry's parameters share a cache line with the fields every keyed
+	// access reads, and cost no allocation of their own.
+	own kin
 
 	// Last-Get cache, used only when unshared (no lock protects it): hot
 	// loops read the same model by the same constant string every tick, so
@@ -249,15 +338,14 @@ type Store struct {
 	lastGetName string
 	lastGet     *Entry
 
-	// Entry arena: entries and their ring seed storage are carved from
-	// per-store chunks (guarded by mu like the registry), so creating a
-	// model — the dominant allocation of a populated run — costs a
-	// fraction of an allocation instead of several. Chunks are never
-	// reclaimed while the store lives; entries are permanent by design
-	// (Delete unlinks, the Key machinery assumes slots persist).
-	boxes []entryBox
-	nbox  int
-	slab  []float64
+	// Entry arena: entries, and a shared store's entry locks, are carved
+	// from per-store chunks (guarded by mu like the registry), so creating
+	// a model — the dominant allocation of a populated run — costs a
+	// fraction of an allocation. Chunks are never reclaimed while the
+	// store lives; entries are permanent by design (Delete unlinks, the
+	// Key machinery assumes slots persist).
+	boxes []Entry
+	locks []sync.RWMutex
 
 	reads  atomic.Int64 // instrumentation: model consultations (for E9 overhead)
 	writes atomic.Int64
@@ -275,7 +363,7 @@ type Store struct {
 	// so they sit after the ones every read and write uses.
 	kept     bool
 	order    []*Entry
-	restored []entryBox
+	restored []Entry
 	fresh    []*Entry
 	dropped  bool
 }
@@ -286,23 +374,26 @@ func NewStore(alpha float64, histLen int) *Store {
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.2
 	}
-	return &Store{alpha: alpha, histLen: histLen}
+	s := &Store{own: kin{alpha: alpha, histLen: histLen}}
+	s.kin = &s.own
+	return s
 }
 
 // Unshared marks the store single-owner: the registry lock, the per-entry
 // locks and the atomic instrumentation counters are elided from every
-// subsequent operation. The population engine sets this on each agent's
-// private store (never on a store shared between agents), which removes
-// all synchronization from the tick hot path. It must be called while no
-// other goroutine can touch the store, and is irreversible; concurrent use
-// of an unshared store is a data race by contract (the -race tests assert
-// that shared stores keep today's locked behavior).
+// subsequent operation, and its entries drop their locks. The population
+// engine sets this on each agent's private store (never on a store shared
+// between agents), which removes all synchronization from the tick hot
+// path. It must be called while no other goroutine can touch the store,
+// and is irreversible; concurrent use of an unshared store is a data race
+// by contract (the -race tests assert that shared stores keep today's
+// locked behavior).
 func (s *Store) Unshared() {
 	s.mu.Lock()
 	s.unshared = true
 	for i := range s.slots {
 		if e := s.slots[i].e; e != nil {
-			e.noLock = true
+			e.mu = nil
 		}
 	}
 	s.mu.Unlock()
@@ -324,51 +415,26 @@ func (s *Store) countWrite() {
 	}
 }
 
-// entryBox bundles an entry with its history ring so both come out of one
-// arena chunk; see Store.newEntry.
-type entryBox struct {
-	e Entry
-	r Ring
-}
-
-// Arena chunk sizes: entries per box chunk, and ring seeds per float slab.
-const (
-	boxChunk  = 8
-	slabChunk = 64
-)
-
 // newEntry builds an entry with the store's parameters; callers must hold
 // the registry write lock (or own the store exclusively when unshared).
 // Model creation — every first sighting of a peer or stimulus — is the
-// dominant allocation site of a populated run, so entries, their rings and
-// the rings' seed storage are carved from per-store arena chunks: a new
-// model costs a fraction of an allocation amortized. A store that keeps
-// its export order lists the new entry as fresh (see exportOrder).
+// dominant allocation site of a populated run, so entries are carved from
+// per-store chunks, and only a shared store's entries get a lock, carved
+// from chunks too. A store that keeps its export order lists the new entry
+// as fresh (see exportOrder).
 func (s *Store) newEntry(name string, scope Scope) *Entry {
-	var e *Entry
-	if s.histLen <= 0 {
-		e = &Entry{Name: name, Scope: scope, alpha: s.alpha, noLock: s.unshared}
-	} else {
-		if s.nbox == len(s.boxes) {
-			s.boxes = make([]entryBox, boxChunk)
-			s.nbox = 0
+	if len(s.boxes) == 0 {
+		s.boxes = make([]Entry, entryChunk)
+	}
+	e := &s.boxes[0]
+	s.boxes = s.boxes[1:]
+	*e = Entry{Name: name, Scope: scope, kin: s.kin}
+	if !s.unshared {
+		if len(s.locks) == 0 {
+			s.locks = make([]sync.RWMutex, entryChunk)
 		}
-		box := &s.boxes[s.nbox]
-		s.nbox++
-		box.e = Entry{Name: name, Scope: scope, alpha: s.alpha, noLock: s.unshared}
-		if seed := ringSeed; s.histLen >= seed {
-			// Common case (window at least the seed size): take the seed
-			// storage from the shared float slab instead of a fresh allocation.
-			if len(s.slab) < 2*seed {
-				s.slab = make([]float64, 2*seed*slabChunk)
-			}
-			box.r = Ring{b: s.slab[: 2*seed : 2*seed], max: s.histLen}
-			s.slab = s.slab[2*seed:]
-		} else {
-			box.r.init(s.histLen)
-		}
-		box.e.hist = &box.r
-		e = &box.e
+		e.mu = &s.locks[0]
+		s.locks = s.locks[1:]
 	}
 	if s.kept {
 		s.keepFresh(e)
@@ -386,11 +452,16 @@ func (s *Store) fill(sl *slot, scope Scope) *Entry {
 
 // addSlot appends a slot for a name the symbol table does not hold yet and
 // returns its Key; callers hold the registry write lock (or own the store).
+// The slot table grows by about a quarter at a time, not append's doubling:
+// it is the largest table a store keeps, one slot per model.
 func (s *Store) addSlot(name string, scope Scope, e *Entry, interned bool) Key {
 	if s.keys == nil {
 		s.keys = make(map[string]Key)
 	}
-	s.slots = append(s.slots, slot{name: name, e: e, scope: scope, interned: interned})
+	if n := len(s.slots); n == cap(s.slots) {
+		s.slots = append(make([]slot, 0, n+n/4+8), s.slots...)
+	}
+	s.slots = append(s.slots, slot{name: name, e: e, scope: int32(scope), interned: interned})
 	k := Key(len(s.slots))
 	s.keys[name] = k
 	return k
@@ -506,7 +577,7 @@ func (s *Store) internLocked(name string, scope Scope) Key {
 			// is authoritative).
 			scope = sl.e.Scope
 		}
-		sl.scope, sl.interned = scope, true
+		sl.scope, sl.interned = int32(scope), true
 	}
 	return k
 }
@@ -549,7 +620,7 @@ func (s *Store) lookupLocked(name string) (Key, *Entry) {
 		if sl.e == nil {
 			return 0, nil
 		}
-		sl.scope, sl.interned = sl.e.Scope, true
+		sl.scope, sl.interned = int32(sl.e.Scope), true
 	}
 	return k, sl.e
 }
@@ -563,7 +634,7 @@ func (s *Store) entryForKey(k Key, create bool) *Entry {
 	if s.unshared {
 		sl := &s.slots[k-1]
 		if sl.e == nil && create {
-			return s.fill(sl, sl.scope)
+			return s.fill(sl, Scope(sl.scope))
 		}
 		return sl.e
 	}
@@ -577,7 +648,7 @@ func (s *Store) entryForKey(k Key, create bool) *Entry {
 	defer s.mu.Unlock()
 	sl := &s.slots[k-1]
 	if sl.e == nil {
-		s.fill(sl, sl.scope)
+		s.fill(sl, Scope(sl.scope))
 	}
 	return sl.e
 }
@@ -727,11 +798,11 @@ func (s *Store) Inventory(now float64) string {
 	slices.SortFunc(entries, byName)
 	var b strings.Builder
 	for _, e := range entries {
-		if !e.noLock {
+		if e.mu != nil {
 			e.mu.RLock()
 		}
 		v, count, conf := e.value, e.n, e.confidenceLocked(now)
-		if !e.noLock {
+		if e.mu != nil {
 			e.mu.RUnlock()
 		}
 		fmt.Fprintf(&b, "%-28s %8.3f  conf=%.2f  scope=%s  n=%d\n",
@@ -745,9 +816,10 @@ func (s *Store) Inventory(now float64) string {
 //
 // Storage grows from ringSeed points toward the bound, ringGrowth-fold at
 // a time, rather than being allocated up front: most models never fill
-// their window — on a gossip population most are peer models seen once or
-// twice — and the bound only matters once enough observations arrive to
-// reach it. One backing slice holds the times in its first half and the
+// their window (on a gossip population most are peer models seen once or
+// twice), and the bound only matters once enough observations arrive to
+// reach it. A store's model builds its ring only at its second update (see
+// Entry). One backing slice holds the times in its first half and the
 // values in its second. Capacity is an implementation detail — snapshots
 // serialize contents oldest-first (see Store.AppendState), never the
 // backing size — so two rings with equal contents are indistinguishable.

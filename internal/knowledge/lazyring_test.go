@@ -1,0 +1,361 @@
+package knowledge
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"sacs/internal/codec"
+)
+
+// eager is the reference model: an entry whose history ring exists from
+// its creation and takes every update's point, as every model's did before
+// a ring was deferred to the second update.
+type eager struct {
+	value, variance, last float64
+	n                     int
+	ring                  *Ring // nil when the store keeps no history
+}
+
+func newEager(histLen int) *eager {
+	r := &eager{}
+	if histLen > 0 {
+		r.ring = NewRing(histLen)
+	}
+	return r
+}
+
+func (r *eager) observe(alpha, x, now float64) {
+	if r.n == 0 {
+		r.value = x
+	} else {
+		d := x - r.value
+		r.value += alpha * d
+		r.variance += alpha * (d*d - r.variance)
+	}
+	r.n++
+	r.last = now
+	if r.ring != nil {
+		r.ring.Push(now, x)
+	}
+}
+
+func (r *eager) set(x, now float64) {
+	r.value = x
+	r.n++
+	r.last = now
+	if r.ring != nil {
+		r.ring.Push(now, x)
+	}
+}
+
+// state spells a one-entry store holding the reference model as
+// AppendState writes it.
+func (r *eager) state(alpha float64, histLen int, name string) []byte {
+	e := codec.NewEncoder()
+	e.F64(alpha)
+	e.Int(histLen)
+	e.Varint(0)
+	e.Varint(0)
+	e.Uvarint(1)
+	e.Str(name)
+	e.Int(int(Private))
+	e.F64(r.value)
+	e.F64(r.variance)
+	e.Int(r.n)
+	e.F64(r.last)
+	if r.ring != nil {
+		e.F64s(r.ring.Times())
+		e.F64s(r.ring.Values())
+	} else {
+		e.Uvarint(0)
+		e.Uvarint(0)
+	}
+	return e.Bytes()
+}
+
+// lazyOp is one update: an Observe or a Set of x at virtual time now.
+type lazyOp struct {
+	set    bool
+	x, now float64
+}
+
+// lazyOps returns n updates mixing Observe and Set, with -0, +0 and NaN
+// values among them.
+func lazyOps(n int) []lazyOp {
+	specials := []float64{math.Copysign(0, -1), 0, math.NaN(), 3.5}
+	ops := make([]lazyOp, n)
+	for i := range ops {
+		x := math.Sin(float64(i)*1.7) * 10
+		if i%5 == 0 {
+			x = specials[(i/5)%len(specials)]
+		}
+		ops[i] = lazyOp{set: i%3 == 1, x: x, now: float64(i) + 0.25}
+	}
+	return ops
+}
+
+func applyOp(e *Entry, r *eager, alpha float64, op lazyOp) {
+	if op.set {
+		e.Set(op.x, op.now)
+		r.set(op.x, op.now)
+	} else {
+		e.Observe(op.x, op.now)
+		r.observe(alpha, op.x, op.now)
+	}
+}
+
+// sameBits reports whether two float lists are equal bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkLikeEager compares everything a reader sees of e with the reference.
+func checkLikeEager(t *testing.T, what string, s *Store, e *Entry, r *eager, alpha float64, histLen int) {
+	t.Helper()
+	slope, ok := e.Trend()
+	if ok != (r.ring != nil) {
+		t.Fatalf("%s: Trend ok = %v, want %v", what, ok, r.ring != nil)
+	}
+	if r.ring != nil && math.Float64bits(slope) != math.Float64bits(r.ring.Trend()) {
+		t.Fatalf("%s: Trend %v, want %v", what, slope, r.ring.Trend())
+	}
+	h := e.History()
+	switch {
+	case (h == nil) != (r.ring == nil):
+		t.Fatalf("%s: History %v, reference ring %v", what, h, r.ring)
+	case h != nil && (!sameBits(h.Times(), r.ring.Times()) || !sameBits(h.Values(), r.ring.Values())):
+		t.Fatalf("%s: History %v at %v, want %v at %v", what, h.Values(), h.Times(), r.ring.Values(), r.ring.Times())
+	}
+	if e.Updates() != r.n {
+		t.Fatalf("%s: Updates %d, want %d", what, e.Updates(), r.n)
+	}
+	if got, want := stateBytes(s), r.state(alpha, histLen, e.Name); !bytes.Equal(got, want) {
+		t.Fatalf("%s: state\n%x\nwant\n%x", what, got, want)
+	}
+}
+
+// TestLazyRingMatchesEager: a model updated 1, 2, 3, 17 and 65 times —
+// Observe and Set mixed, -0 and NaN values among them — reads exactly like
+// one whose ring existed from creation: Trend (ok included), History,
+// Updates and AppendState bytes, after every update, in shared and
+// unshared stores and at history bounds 0, 1, 3 and 64. A restore of its
+// state then continues like the reference for 70 more updates.
+func TestLazyRingMatchesEager(t *testing.T) {
+	const alpha = 0.3
+	for _, histLen := range []int{0, 1, 3, 64} {
+		for _, k := range []int{1, 2, 3, 17, 65} {
+			for _, shared := range []bool{true, false} {
+				name := fmt.Sprintf("hist=%d/k=%d/shared=%v", histLen, k, shared)
+				t.Run(name, func(t *testing.T) {
+					newStore := func() *Store {
+						s := NewStore(alpha, histLen)
+						if !shared {
+							s.Unshared()
+						}
+						return s
+					}
+					s := newStore()
+					e := s.Ensure("m", Private)
+					r := newEager(histLen)
+					checkLikeEager(t, "created", s, e, r, alpha, histLen)
+					ops := lazyOps(k + 70)
+					for i, op := range ops[:k] {
+						applyOp(e, r, alpha, op)
+						checkLikeEager(t, fmt.Sprintf("update %d", i+1), s, e, r, alpha, histLen)
+					}
+					if got := e.hist != nil; got != (histLen > 0 && k >= 2) {
+						t.Fatalf("after %d updates the entry has a ring: %v", k, got)
+					}
+
+					cp := newStore()
+					if err := restoreBytes(cp, stateBytes(s)); err != nil {
+						t.Fatal(err)
+					}
+					ce := cp.get("m")
+					if got, want := ce.hist != nil, e.hist != nil; got != want {
+						t.Fatalf("restored entry has a ring: %v, original: %v", got, want)
+					}
+					for i, op := range ops[k:] {
+						applyOp(ce, r, alpha, op)
+						checkLikeEager(t, fmt.Sprintf("restored, update %d", k+i+1), cp, ce, r, alpha, histLen)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRestoreBuildsRingUnlessBitEqual: a one-point history restores
+// without a ring only when it is the entry's own (lastUpdate, value) at
+// n == 1, compared bit for bit; any other history — a point that differs
+// by sign of zero or NaN payload, or n != 1 — gets a ring, so the restored
+// model exports the file's bytes and continues like the reference.
+func TestRestoreBuildsRingUnlessBitEqual(t *testing.T) {
+	const alpha = 0.3
+	negZero := math.Copysign(0, -1)
+	otherNaN := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
+	cases := []struct {
+		name     string
+		histLen  int
+		n        int
+		value    float64
+		last     float64
+		times    []float64
+		values   []float64
+		wantRing bool
+	}{
+		{"own point", 64, 1, 2.5, 7, []float64{7}, []float64{2.5}, false},
+		{"own -0", 64, 1, negZero, 7, []float64{7}, []float64{negZero}, false},
+		{"own NaN", 64, 1, math.NaN(), 7, []float64{7}, []float64{math.NaN()}, false},
+		{"empty at n=0", 64, 0, 0, 0, nil, nil, false},
+		{"+0 under -0", 64, 1, negZero, 7, []float64{7}, []float64{0}, true},
+		{"-0 time", 64, 1, 2.5, 0, []float64{negZero}, []float64{2.5}, true},
+		{"other NaN", 64, 1, math.NaN(), 7, []float64{7}, []float64{otherNaN}, true},
+		{"other point", 64, 1, 2.5, 7, []float64{6}, []float64{2.5}, true},
+		{"own point at n=2", 64, 2, 2.5, 7, []float64{7}, []float64{2.5}, true},
+		{"one point of bound 1 at n=5", 1, 5, 2.5, 7, []float64{7}, []float64{3}, true},
+		{"own point of bound 1", 1, 1, 2.5, 7, []float64{7}, []float64{2.5}, false},
+		{"empty at n=1", 64, 1, 2.5, 7, nil, nil, true},
+		{"point at n=0", 64, 0, 2.5, 7, []float64{7}, []float64{2.5}, true},
+		{"no history kept", 0, 1, 2.5, 7, nil, nil, false},
+	}
+	for _, c := range cases {
+		for _, shared := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/shared=%v", c.name, shared), func(t *testing.T) {
+				r := &eager{value: c.value, last: c.last, n: c.n}
+				if c.histLen > 0 {
+					r.ring = NewRing(c.histLen)
+					for i := range c.times {
+						r.ring.Push(c.times[i], c.values[i])
+					}
+				}
+				st := r.state(alpha, c.histLen, "m")
+				s := NewStore(alpha, 8)
+				if !shared {
+					s.Unshared()
+				}
+				if err := restoreBytes(s, st); err != nil {
+					t.Fatal(err)
+				}
+				e := s.get("m")
+				if got := e.hist != nil; got != c.wantRing {
+					t.Fatalf("restored with a ring: %v, want %v", got, c.wantRing)
+				}
+				checkLikeEager(t, "restored", s, e, r, alpha, c.histLen)
+				for i, op := range lazyOps(20) {
+					op.now += 10
+					applyOp(e, r, alpha, op)
+					checkLikeEager(t, fmt.Sprintf("update %d", i+1), s, e, r, alpha, c.histLen)
+				}
+			})
+		}
+	}
+}
+
+// TestRestoreRejectsUnstorableScope: an entry whose scope does not fit a
+// symbol-table slot fails the restore with ErrScope and leaves the store
+// as it was; SkipState rejects the same bytes.
+func TestRestoreRejectsUnstorableScope(t *testing.T) {
+	for _, scope := range []int{math.MaxInt32 + 1, math.MinInt32 - 1, 1 << 40} {
+		e := codec.NewEncoder()
+		e.F64(0.3)
+		e.Int(8)
+		e.Varint(0)
+		e.Varint(0)
+		e.Uvarint(1)
+		e.Str("m")
+		e.Int(scope)
+		e.F64(1)
+		e.F64(0)
+		e.Int(1)
+		e.F64(1)
+		e.F64s([]float64{1})
+		e.F64s([]float64{1})
+		s := NewStore(0.3, 8)
+		s.Observe("kept", Public, 1, 0)
+		before := stateBytes(s)
+		if err := restoreBytes(s, e.Bytes()); !errors.Is(err, ErrScope) {
+			t.Fatalf("scope %d: restore error %v, want ErrScope", scope, err)
+		}
+		if !bytes.Equal(stateBytes(s), before) {
+			t.Fatalf("scope %d: a failed restore changed the store", scope)
+		}
+		d := codec.NewDecoder(e.Bytes())
+		if SkipState(d); d.Err() == nil {
+			t.Fatalf("scope %d: SkipState accepted it", scope)
+		}
+	}
+	for _, scope := range []Scope{Private, Public, math.MaxInt32, math.MinInt32} {
+		if !scope.Storable() {
+			t.Fatalf("scope %d is not storable", scope)
+		}
+	}
+}
+
+// TestModelSizes pins the sizes the arena chunks are chosen for: an 80 B
+// entry (8 to a 640 B size class), a 40 B ring (16 to the same class) and
+// a 32 B symbol-table slot.
+func TestModelSizes(t *testing.T) {
+	for _, c := range []struct {
+		what       string
+		size, want uintptr
+	}{
+		{"Entry", unsafe.Sizeof(Entry{}), 80},
+		{"Ring", unsafe.Sizeof(Ring{}), 40},
+		{"slot", unsafe.Sizeof(slot{}), 32},
+	} {
+		if c.size != c.want {
+			t.Errorf("%s is %d B, want %d", c.what, c.size, c.want)
+		}
+	}
+}
+
+// TestSharedRingArenaUnderRace: in a shared store, models updated for the
+// second time at once on different goroutines each take their own ring
+// from the store's arena. Under -race this catches an arena taken without
+// its lock; every model must end with exactly its own two points.
+func TestSharedRingArenaUnderRace(t *testing.T) {
+	s := NewStore(0.3, 16)
+	const workers, models = 4, 64
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		es := make([]*Entry, models)
+		for i := range es {
+			es[i] = s.Ensure(fmt.Sprintf("g%d/m%02d", g, i), Public)
+			es[i].Observe(float64(g), 1)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i, e := range es {
+				e.Observe(float64(i), 2)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g := 0; g < workers; g++ {
+		for i := 0; i < models; i++ {
+			h := s.Get(fmt.Sprintf("g%d/m%02d", g, i)).History()
+			ts, vs := h.Times(), h.Values()
+			if len(ts) != 2 || ts[0] != 1 || ts[1] != 2 || vs[0] != float64(g) || vs[1] != float64(i) {
+				t.Fatalf("g%d/m%02d: history %v at %v, want %d then %d at 1 and 2", g, i, vs, ts, g, i)
+			}
+		}
+	}
+}

@@ -3,8 +3,10 @@ package knowledge
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"strings"
+	"sync"
 
 	"sacs/internal/codec"
 )
@@ -23,28 +25,39 @@ const minEntrySize = 29
 func (s *Store) AppendState(e *codec.Encoder) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e.F64(s.alpha)
-	e.Int(s.histLen)
+	e.F64(s.kin.alpha)
+	e.Int(s.kin.histLen)
 	e.Varint(s.reads.Load() + s.readsU)
 	e.Varint(s.writes.Load() + s.writesU)
 	sorted := s.exportOrder()
 	e.Uvarint(uint64(len(sorted)))
 	for _, en := range sorted {
-		en.mu.RLock()
+		if en.mu != nil {
+			en.mu.RLock()
+		}
 		e.Str(en.Name)
 		e.Int(int(en.Scope))
 		e.F64(en.value)
 		e.F64(en.variance)
 		e.Int(en.n)
 		e.F64(en.lastUpdate)
-		if en.hist != nil {
+		switch {
+		case en.hist != nil:
 			en.hist.appendWindow(e, en.hist.times())
 			en.hist.appendWindow(e, en.hist.values())
-		} else {
+		case en.n != 0 && en.kin.histLen > 0:
+			// The one point a model holds before its ring exists.
+			e.Uvarint(1)
+			e.F64(en.lastUpdate)
+			e.Uvarint(1)
+			e.F64(en.value)
+		default:
 			e.Uvarint(0)
 			e.Uvarint(0)
 		}
-		en.mu.RUnlock()
+		if en.mu != nil {
+			en.mu.RUnlock()
+		}
 	}
 }
 
@@ -82,7 +95,7 @@ func (s *Store) exportOrder() []*Entry {
 	}
 	if s.restored != nil {
 		for j := range s.restored {
-			merge(&s.restored[j].e)
+			merge(&s.restored[j])
 		}
 	} else {
 		for _, en := range s.order {
@@ -106,17 +119,18 @@ func (s *Store) forgetOrder() {
 func byName(a, b *Entry) int { return strings.Compare(a.Name, b.Name) }
 
 // SkipState steps d over one store's state without allocating, checking
-// every count against the bytes left and every history against its bound.
+// every count against the bytes left, every history against its bound and
+// every scope against a slot.
 func SkipState(d *codec.Decoder) {
-	if _, _, _, err := scanState(d, nil); err != nil {
+	if _, _, _, _, err := scanState(d, nil); err != nil {
 		d.Fail("%v", err)
 	}
 }
 
-// scanState is SkipState's walk, which also sizes a restore: the floats
-// every history's ring needs, and the count and bytes of the names s (when
-// not nil) does not hold yet.
-func scanState(d *codec.Decoder, s *Store) (floats, names, nameBytes int, err error) {
+// scanState is SkipState's walk, which also sizes a restore: the rings the
+// histories need (see ringless), the floats those rings hold, and the count
+// and bytes of the names s (when not nil) does not hold yet.
+func scanState(d *codec.Decoder, s *Store) (rings, floats, names, nameBytes int, err error) {
 	d.Skip(8) // alpha
 	histLen := d.Int()
 	d.Varint()
@@ -128,57 +142,102 @@ func scanState(d *codec.Decoder, s *Store) (floats, names, nameBytes int, err er
 			names++
 			nameBytes += len(name)
 		}
-		d.Int()
-		d.Skip(16) // value, variance
-		d.Int()
-		d.Skip(8) // last update
-		nt, nv := d.SkipF64s(), d.SkipF64s()
+		if sc := Scope(d.Int()); !sc.Storable() {
+			return 0, 0, 0, 0, fmt.Errorf("%w: entry %q has scope %d", ErrScope, name, sc)
+		}
+		value := d.F64()
+		d.Skip(8) // variance
+		updates := d.Int()
+		last := d.F64()
+		nt, nv, t, v := skipHistory(d)
 		switch {
 		case nt != nv:
-			return 0, 0, 0, fmt.Errorf("knowledge: entry %q history length mismatch (%d times, %d values)", name, nt, nv)
+			return 0, 0, 0, 0, fmt.Errorf("knowledge: entry %q history length mismatch (%d times, %d values)", name, nt, nv)
 		case histLen > 0 && nt > histLen:
-			return 0, 0, 0, fmt.Errorf("knowledge: entry %q history %d exceeds ring capacity %d", name, nt, histLen)
-		case histLen > 0:
+			return 0, 0, 0, 0, fmt.Errorf("knowledge: entry %q history %d exceeds ring capacity %d", name, nt, histLen)
+		case histLen > 0 && !ringless(updates, nt, value, last, t, v):
+			rings++
 			floats += 2 * ringLen(histLen, nt)
 		}
 	}
-	return floats, names, nameBytes, d.Err()
+	return rings, floats, names, nameBytes, d.Err()
+}
+
+// skipHistory steps d over an entry's two float lists, returning their
+// counts and, from lists of one float, that float.
+func skipHistory(d *codec.Decoder) (nt, nv int, t, v float64) {
+	if nt = d.Count(8); nt == 1 {
+		t = d.F64()
+	} else {
+		d.Skip(8 * nt)
+	}
+	if nv = d.Count(8); nv == 1 {
+		v = d.F64()
+	} else {
+		d.Skip(8 * nv)
+	}
+	return nt, nv, t, v
+}
+
+// ringless reports whether a restored history of k points, (t, v) when
+// k == 1, is exactly what an entry of n updates at value and last spells
+// without a ring: nothing at n == 0, the point (last, value) bit for bit at
+// n == 1. Any other history is restored into a ring.
+func ringless(n, k int, value, last, t, v float64) bool {
+	switch n {
+	case 0:
+		return k == 0
+	case 1:
+		return k == 1 && math.Float64bits(t) == math.Float64bits(last) &&
+			math.Float64bits(v) == math.Float64bits(value)
+	}
+	return false
 }
 
 // RestoreState replaces the store's contents, smoothing factor and
 // history length with the state AppendState wrote. Interned Keys survive,
 // re-pointed at the restored entry of the same name (or at nothing), and a
 // state that fails to parse or validate — entry names not in strictly
-// increasing order included — leaves the store as it was. The restored
-// entry block, in that order, is the kept order the next export merges
-// into (see exportOrder).
+// increasing order, or a scope a slot cannot keep (ErrScope), included —
+// leaves the store as it was. The restored entry block, in that order, is
+// the kept order the next export merges into (see exportOrder).
 //
-// A length-only pre-scan sizes the restore, so the entries and their rings
-// come out of one entryBox block and every history out of one float slab:
-// a few allocations per store, not several per entry. Names the store
-// already holds are reused; the rest share one string block. Each history
-// is read straight into a ring of the backing length NewRing plus its
-// Pushes would have grown to, so later growth, Trend and AppendState are
-// exactly the writer's.
+// A length-only pre-scan sizes the restore, so the entries come out of one
+// block, their rings out of another and every history out of one float
+// slab (a shared store adds one block of entry locks): a few allocations
+// per store, not several per entry. Names the store already holds are
+// reused; the rest share one string block. A history an entry's own fields
+// spell gets no ring (see ringless); every other one is read straight into
+// a ring of the backing length NewRing plus its Pushes would have grown
+// to, so later growth, Trend and AppendState are exactly the writer's.
 func (s *Store) RestoreState(d *codec.Decoder) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	scan := *d
-	floats, newNames, nameBytes, err := scanState(&scan, s)
+	nrings, floats, newNames, nameBytes, err := scanState(&scan, s)
 	if err != nil {
 		return err
 	}
 	alpha, histLen := d.F64(), d.Int()
 	reads, writes := d.Varint(), d.Varint()
 	n := d.Count(minEntrySize)
-	boxes := make([]entryBox, n)
+	k := s.kin
+	if math.Float64bits(k.alpha) != math.Float64bits(alpha) || k.histLen != histLen {
+		k = &kin{alpha: alpha, histLen: histLen}
+	}
+	entries := make([]Entry, n)
+	var locks []sync.RWMutex
+	if !s.unshared {
+		locks = make([]sync.RWMutex, n)
+	}
+	rings := make([]Ring, nrings)
 	var slab []float64
 	if floats > 0 {
 		slab = make([]float64, floats)
 	}
 	var names strings.Builder
 	names.Grow(nameBytes)
-	for i := range boxes {
+	for i := range entries {
 		raw := d.StrBytes()
 		name, ok := s.known(raw)
 		if !ok {
@@ -186,39 +245,39 @@ func (s *Store) RestoreState(d *codec.Decoder) error {
 			names.Write(raw)
 			name = names.String()[off:]
 		}
-		if i > 0 && name <= boxes[i-1].e.Name {
-			return fmt.Errorf("knowledge: entry %q out of order after %q in store state", name, boxes[i-1].e.Name)
+		if i > 0 && name <= entries[i-1].Name {
+			return fmt.Errorf("knowledge: entry %q out of order after %q in store state", name, entries[i-1].Name)
 		}
-		box := &boxes[i]
-		box.e = Entry{
+		en := &entries[i]
+		*en = Entry{
 			Name:       name,
 			Scope:      Scope(d.Int()),
-			alpha:      alpha,
-			noLock:     s.unshared,
+			kin:        k,
 			value:      d.F64(),
 			variance:   d.F64(),
 			n:          d.Int(),
 			lastUpdate: d.F64(),
 		}
-		if histLen > 0 {
-			k := d.Count(8)
-			size := 2 * ringLen(histLen, k)
-			box.r.restore(d, slab[:size:size], k, histLen)
-			slab = slab[size:]
-			box.e.hist = &box.r
-		} else {
-			d.SkipF64s()
-			d.SkipF64s()
+		if locks != nil {
+			en.mu = &locks[i]
+		}
+		h := *d // the histories again, for a ring to read
+		pts, _, t, v := skipHistory(d)
+		if histLen > 0 && !ringless(en.n, pts, en.value, en.lastUpdate, t, v) {
+			size := 2 * ringLen(histLen, pts)
+			h.Count(8)
+			en.hist = &rings[0]
+			en.hist.restore(&h, slab[:size:size], pts, histLen)
+			rings, slab = rings[1:], slab[size:]
 		}
 	}
 	if err := d.Err(); err != nil {
 		return err
 	}
-	s.alpha = alpha
-	s.histLen = histLen
-	s.bindRestored(boxes, newNames)
+	s.kin = k
+	s.bindRestored(entries, newNames)
 	s.lastGetName, s.lastGet = "", nil
-	s.kept, s.order, s.restored, s.fresh, s.dropped = true, nil, boxes, nil, false
+	s.kept, s.order, s.restored, s.fresh, s.dropped = true, nil, entries, nil, false
 	s.reads.Store(reads)
 	s.writes.Store(writes)
 	s.readsU, s.writesU = 0, 0
@@ -230,7 +289,7 @@ func (s *Store) RestoreState(d *codec.Decoder) error {
 // table has none, and every other slot is emptied. The table and the slots
 // are sized for the new names up front, so a restore into a fresh store
 // allocates each once.
-func (s *Store) bindRestored(boxes []entryBox, newNames int) {
+func (s *Store) bindRestored(entries []Entry, newNames int) {
 	for i := range s.slots {
 		s.slots[i].e = nil
 	}
@@ -242,15 +301,15 @@ func (s *Store) bindRestored(boxes []entryBox, newNames int) {
 	if n := len(s.slots) + newNames; n > cap(s.slots) {
 		s.slots = append(make([]slot, 0, n), s.slots...)
 	}
-	for i := range boxes {
-		e := &boxes[i].e
+	for i := range entries {
+		e := &entries[i]
 		if k, ok := s.keys[e.Name]; ok {
 			s.slots[k-1].e = e
 		} else {
 			s.addSlot(e.Name, e.Scope, e, false)
 		}
 	}
-	s.live = len(boxes)
+	s.live = len(entries)
 }
 
 // known returns the store's own copy of name when its symbol table holds

@@ -52,7 +52,7 @@ func TestRestoredStoreContinuesLikeOriginal(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, o := range orig.liveEntries(nil) {
-					if got, want := len(cp.get(o.Name).hist.b), len(o.hist.b); got != want {
+					if got, want := backing(cp.get(o.Name)), backing(o); got != want {
 						t.Fatalf("%s: restored ring backing length %d, want %d", o.Name, got, want)
 					}
 				}
@@ -78,18 +78,27 @@ func TestRestoredStoreContinuesLikeOriginal(t *testing.T) {
 	}
 }
 
+// backing is the length of e's ring storage, -1 while it has no ring.
+func backing(e *Entry) int {
+	if e.hist == nil {
+		return -1
+	}
+	return len(e.hist.b)
+}
+
 var (
 	mapSink   map[string]Key
 	storeSink *Store
 )
 
-// TestSetStateAllocatesPerStore pins the restore path's allocation to two
-// blocks per store — the entry block and the history slab — however many
-// entries and points it restores. The measured restores find every name in
-// the registry the first one filled, so they reuse its strings, symbol
-// table and slots; a restore into a fresh store spends one block each on
-// the symbol table, the slot table and the names, which is bounded here
-// too.
+// TestSetStateAllocatesPerStore pins the restore path's allocation to
+// three blocks per unshared store — the entry block, the ring block and the
+// history slab — and four per shared store, whose entries add one block of
+// locks, however many entries and points it restores. The measured restores
+// find every name in the registry the first one filled, so they reuse its
+// strings, symbol table and slots; a restore into a fresh store spends one
+// block each on the symbol table, the slot table and the names, which is
+// bounded here too.
 func TestSetStateAllocatesPerStore(t *testing.T) {
 	for _, entries := range []int{8, 256} {
 		src := NewStore(0.2, 64)
@@ -101,33 +110,46 @@ func TestSetStateAllocatesPerStore(t *testing.T) {
 			}
 		}
 		st := stateBytes(src)
-		dst := NewStore(0.2, 64)
-		allocs := testing.AllocsPerRun(20, func() {
-			if err := dst.RestoreState(codec.NewDecoder(st)); err != nil {
-				t.Fatal(err)
-			}
-		})
 		registry := testing.AllocsPerRun(20, func() {
 			mapSink = make(map[string]Key, entries)
 			for _, n := range names {
 				mapSink[n] = 0
 			}
 		})
-		if allocs > 2 {
-			t.Errorf("RestoreState of %d entries: %v allocations, want at most 2 (entry block, slab)",
-				entries, allocs)
-		}
-		fresh := testing.AllocsPerRun(20, func() {
-			storeSink = NewStore(0.2, 64)
-			if err := storeSink.RestoreState(codec.NewDecoder(st)); err != nil {
-				t.Fatal(err)
+		for _, shared := range []bool{false, true} {
+			blocks, what := 3.0, "entry block, ring block, slab"
+			if shared {
+				blocks, what = 4, what+", locks"
 			}
-		})
-		store := testing.AllocsPerRun(20, func() { storeSink = NewStore(0.2, 64) })
-		if fresh > store+registry+4 {
-			t.Errorf("RestoreState of %d entries into a fresh store: %v allocations, want at most %v "+
-				"(store %v, symbol table %v, slot table, entry block, slab, names)",
-				entries, fresh, store+registry+4, store, registry)
+			newStore := func() *Store {
+				s := NewStore(0.2, 64)
+				if !shared {
+					s.Unshared()
+				}
+				return s
+			}
+			dst := newStore()
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := dst.RestoreState(codec.NewDecoder(st)); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > blocks {
+				t.Errorf("RestoreState of %d entries (shared %v): %v allocations, want at most %v (%s)",
+					entries, shared, allocs, blocks, what)
+			}
+			fresh := testing.AllocsPerRun(20, func() {
+				storeSink = newStore()
+				if err := storeSink.RestoreState(codec.NewDecoder(st)); err != nil {
+					t.Fatal(err)
+				}
+			})
+			store := testing.AllocsPerRun(20, func() { storeSink = newStore() })
+			if want := store + registry + blocks + 2; fresh > want {
+				t.Errorf("RestoreState of %d entries into a fresh store (shared %v): %v allocations, want at most %v "+
+					"(store %v, symbol table %v, slot table, %s, names)",
+					entries, shared, fresh, want, store, registry, what)
+			}
 		}
 	}
 }

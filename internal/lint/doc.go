@@ -16,7 +16,9 @@
 //   - hotalloc: allocation-prone constructs inside //sacs:hotpath
 //     functions;
 //   - lockatomic: mixed atomic/plain field access, and Transport calls or
-//     channel operations inside mutex critical sections.
+//     channel operations inside mutex critical sections;
+//   - orphan: internal packages that no non-test package of the module
+//     imports.
 //
 // Deliberate exceptions are annotated in the source and verified by the
 // suite itself: `//sacslint:allow <analyzer> <reason>` suppresses exactly

@@ -221,5 +221,5 @@ func collectAllows(pkgs []*Package) (map[annKey][]*allowAnn, []Diagnostic) {
 
 // All returns the full analyzer suite in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{DetMap, DetSource, SnapState, HotAlloc, LockAtomic}
+	return []*Analyzer{DetMap, DetSource, SnapState, HotAlloc, LockAtomic, Orphan}
 }

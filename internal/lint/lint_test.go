@@ -16,6 +16,7 @@ func TestDetSource(t *testing.T)  { linttest.Run(t, "testdata/detsource", lint.D
 func TestSnapState(t *testing.T)  { linttest.Run(t, "testdata/snapstate", lint.SnapState) }
 func TestHotAlloc(t *testing.T)   { linttest.Run(t, "testdata/hotalloc", lint.HotAlloc) }
 func TestLockAtomic(t *testing.T) { linttest.Run(t, "testdata/lockatomic", lint.LockAtomic) }
+func TestOrphan(t *testing.T)     { linttest.Run(t, "testdata/orphan", lint.Orphan) }
 
 // TestTreeClean is the golden test: the full suite over the real module
 // must produce zero findings. Every deliberate exception in the tree is

@@ -104,12 +104,6 @@ func (c Config) Normalized() Config {
 	if c.Shards > c.Agents {
 		c.Shards = c.Agents
 	}
-	if c.Pool == nil {
-		// A one-worker pool runs every job inline in Batch.Wait and spawns
-		// no goroutines; creating it once here keeps nil-pool Ticks from
-		// building a fresh dispatcher each tick.
-		c.Pool = runner.New(1)
-	}
 	return c
 }
 

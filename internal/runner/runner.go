@@ -101,8 +101,14 @@ func New(workers int) *Pool {
 	return p
 }
 
-// Workers reports the pool's concurrency bound.
-func (p *Pool) Workers() int { return p.workers }
+// Workers reports the pool's concurrency bound; a nil pool, which runs
+// every job inline, has one.
+func (p *Pool) Workers() int {
+	if p == nil {
+		return 1
+	}
+	return p.workers
+}
 
 // Close drains the queue and stops the background workers. It is
 // idempotent. Call it only after every batch has been waited on.
@@ -245,8 +251,14 @@ func (p *Pool) run(t *task) {
 func protect(key Key, fn func() (any, error)) (v any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("runner: job %s panicked: %v\n%s", key, r, debug.Stack())
+			err = panicError(key, r)
 		}
 	}()
 	return fn()
+}
+
+// panicError is the error a job's recovered panic r becomes: the job key,
+// the panic value and the stack. Call it from the deferred recover.
+func panicError(key Key, r any) error {
+	return fmt.Errorf("runner: job %s panicked: %v\n%s", key, r, debug.Stack())
 }

@@ -278,3 +278,67 @@ func TestKeyString(t *testing.T) {
 		t.Fatalf("zero Key.String() = %q", got)
 	}
 }
+
+var fanOutSink []int
+
+// TestFanOutNilPoolInline: on a nil pool FanOut runs the jobs in index
+// order on the calling goroutine and allocates only its result slice — no
+// pool, batch, task or closure per job.
+func TestFanOutNilPoolInline(t *testing.T) {
+	var order []int
+	out := FanOut(nil, Key{Experiment: "inline"}, 5, func(i int) int {
+		order = append(order, i)
+		return 10 * i
+	})
+	for i := range out {
+		if out[i] != 10*i || order[i] != i {
+			t.Fatalf("job %d: value %d, ran %dth; want %d, in order", i, out[i], order[i], 10*i)
+		}
+	}
+	square := func(i int) int { return i * i }
+	if allocs := testing.AllocsPerRun(100, func() {
+		fanOutSink = FanOut(nil, Key{Experiment: "inline"}, 8, square)
+	}); allocs != 1 {
+		t.Fatalf("FanOut on a nil pool: %v allocations, want 1 (the result slice)", allocs)
+	}
+}
+
+// TestFanOutNilPoolPanicMatchesPool: a panicking job on a nil pool stops
+// neither its siblings nor the fan-out's error from naming it: FanOut
+// re-panics with what a one-worker pool reports, the job key, the panic
+// value and the stack included.
+func TestFanOutNilPoolPanicMatchesPool(t *testing.T) {
+	catch := func(p *Pool) (ran []int, msg string) {
+		defer func() {
+			r := recover()
+			err, ok := r.(error)
+			if !ok {
+				t.Fatalf("FanOut re-panicked with %v, want an error", r)
+			}
+			msg = err.Error()
+		}()
+		FanOut(p, Key{Experiment: "boom", System: "sys"}, 4, func(i int) int {
+			ran = append(ran, i)
+			if i == 1 || i == 2 {
+				panic(fmt.Sprintf("failure %d", i))
+			}
+			return i
+		})
+		return ran, ""
+	}
+	p := New(1)
+	defer p.Close()
+	_, pooled := catch(p)
+	ran, inline := catch(nil)
+	if len(ran) != 4 {
+		t.Fatalf("inline fan-out ran jobs %v, want all 4", ran)
+	}
+	for _, want := range []string{"boom/sys#1: runner: job boom/sys#1 panicked: failure 1", "boom/sys#2: runner: job boom/sys#2 panicked: failure 2", "goroutine "} {
+		if !strings.Contains(inline, want) || !strings.Contains(pooled, want) {
+			t.Fatalf("panic errors lack %q:\ninline: %s\npooled: %s", want, inline, pooled)
+		}
+	}
+	if strings.Index(inline, "#1") > strings.Index(inline, "#2") {
+		t.Fatalf("inline errors out of job order: %s", inline)
+	}
+}

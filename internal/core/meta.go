@@ -26,8 +26,9 @@ type MetaMonitor struct {
 	Adaptations int
 	lastErr     float64
 
-	// Interned store keys for the monitor's three models, resolved once at
-	// construction so the per-step write path never hashes a name.
+	// Interned store keys for the monitor's three models, resolved on the
+	// first Observe (zero until then), so the per-step write path never
+	// hashes a name and building an agent interns nothing.
 	rmseKey, stratKey, adaptKey knowledge.Key
 }
 
@@ -42,9 +43,6 @@ func NewMetaMonitor(a *Agent) *MetaMonitor {
 	return &MetaMonitor{
 		agent:    a,
 		detector: learning.NewPageHinkley(0.005, 0.5),
-		rmseKey:  a.store.Intern("meta/forecast-rmse", Private),
-		stratKey: a.store.Intern("meta/strategy", Private),
-		adaptKey: a.store.Intern("meta/adaptations", Private),
 		pool: []namedPredictorFactory{
 			{"ewma", func() learning.Predictor { return learning.NewEWMA(0.3) }},
 			{"holt", func() learning.Predictor { return learning.NewHolt(0.4, 0.2) }},
@@ -67,6 +65,11 @@ func (m *MetaMonitor) Observe(now float64) {
 	err := tp.MeanForecastError()
 	m.lastErr = err
 	store := m.agent.Store()
+	if m.rmseKey == 0 {
+		m.rmseKey = store.Intern("meta/forecast-rmse", Private)
+		m.stratKey = store.Intern("meta/strategy", Private)
+		m.adaptKey = store.Intern("meta/adaptations", Private)
+	}
 	store.SetKey(m.rmseKey, err, now)
 	store.SetKey(m.stratKey, float64(m.poolIdx), now)
 	store.SetKey(m.adaptKey, float64(m.Adaptations), now)

@@ -11,4 +11,10 @@
 // single owning goroutine can be marked Unshared to elide the registry
 // lock, the per-entry locks and the atomic instrumentation counters that
 // shared (collective) stores keep.
+//
+// A store's one registry is its symbol table: a 16 B slot per name, which
+// Key k indexes at k-1, and an open-addressed index of Keys hashed with a
+// per-process seed. A name is stored once, as the Name of the entry its
+// slot holds; a slot with no live model keeps the entry it last held, or a
+// name-only entry that its first write turns into the model.
 package knowledge

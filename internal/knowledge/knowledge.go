@@ -3,6 +3,7 @@ package knowledge
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"slices"
 	"sort"
@@ -279,26 +280,41 @@ func (e *Entry) setLocked(x, now float64) {
 // Key is a dense handle for a model name interned in one Store's symbol
 // table: the per-tick loop resolves each name to a Key once (Intern or
 // LookupKey) and thereafter reads and writes the model by slice index —
-// no string concatenation, no map hashing. The zero Key is "not interned";
-// valid keys are positive. Keys are permanent for the life of the store:
-// deleting the model (Store.Delete) clears the entry behind the key, and a
-// later ObserveKey/EnsureKey recreates it fresh, exactly as the string path
-// would. Keys are store-local — never use a Key against a different Store.
+// no string concatenation, no hashing. The zero Key is "not interned";
+// valid keys are positive and assigned in interning order. Keys are
+// permanent for the life of the store: deleting the model (Store.Delete)
+// clears the entry behind the key, and a later ObserveKey/EnsureKey
+// recreates it fresh, exactly as the string path would. Keys are
+// store-local — never use a Key against a different Store.
 type Key int32
 
-// slot is what a Key indexes: a model name plus its live entry (nil while
-// the model does not exist). Every name the store has held a model under or
-// interned has a slot, so the symbol table is also the store's registry.
-// interned marks a slot whose Key has been handed out (Intern, LookupKey):
-// only then is scope authoritative, as the scope a key-based write
-// recreates the model with. A slot the string path or a restore made takes
-// its scope when it is first interned. The scope is kept in 32 bits so a
-// slot is 32 B (see Scope.Storable).
+// slot is what a Key indexes: the entry of a name, which is the live model
+// when live is set. Every name the store has held a model under or
+// interned has a slot, so the symbol table is also the store's registry,
+// and the slot's name is its entry's Name — stored once. A slot without a
+// live model keeps the entry it last held (the deleted model, left as it
+// was for whoever still holds it) or, when it never held one, a name-only
+// entry (kin == nil) that its first write turns into the model. interned
+// marks a slot whose Key has been handed out (Intern, LookupKey): only then
+// is scope authoritative, as the scope a key-based write recreates the
+// model with. A slot the string path or a restore made takes its scope
+// when it is first interned. tag is the top of the name's hash, so a probe
+// passing another name's slot rarely reads that name. The scope is kept in
+// 32 bits so a slot is 16 B (see Scope.Storable).
 type slot struct {
-	name     string
 	e        *Entry
 	scope    int32
+	tag      uint16
 	interned bool
+	live     bool
+}
+
+// model returns the slot's live model, or nil.
+func (sl *slot) model() *Entry {
+	if sl.live {
+		return sl.e
+	}
+	return nil
 }
 
 // ErrScope is the error a decoder wraps when a scope does not fit the 32
@@ -310,6 +326,11 @@ var ErrScope = errors.New("knowledge: scope out of range")
 // (ErrScope), and so does a stimulus decoder, so no store is handed one.
 func (s Scope) Storable() bool { return Scope(int32(s)) == s }
 
+// hashSeed seeds every store's name hash. It is drawn per process, so
+// names that arrive from outside cannot be chosen to collide; nothing the
+// store returns or writes depends on it (see Store.index).
+var hashSeed = maphash.MakeSeed()
+
 // Store is a threadsafe registry of model entries keyed by name. The store
 // lock guards the registry (symbol table and slots) only; each Entry of a
 // shared store carries its own lock, so concurrent observations of
@@ -317,11 +338,17 @@ func (s Scope) Storable() bool { return Scope(int32(s)) == s }
 // registry lock at most once. Stores with exactly one owning goroutine can
 // elide all of that — see Unshared.
 type Store struct {
-	mu    sync.RWMutex
-	keys  map[string]Key // symbol table: name -> Key, for every slot
-	slots []slot         // Key k lives at slots[k-1]
-	live  int            // slots holding an entry
-	kin   *kin           // parameters (and ring arena) of new entries: &own unless a restore changed them
+	mu sync.RWMutex
+	// The symbol table: slots[k-1] is Key k's slot, and index is an
+	// open-addressed hash table of the Keys (0 marks an empty cell), a
+	// power of two in length and at most three quarters full, probed
+	// quadratically from the name's hash and compared by slot name. It is
+	// only ever probed or rebuilt, never walked, so no order depends on
+	// the hash seed.
+	slots []slot
+	index []int32
+	live  int  // slots holding a live model
+	kin   *kin // parameters (and ring arena) of new entries: &own unless a restore changed them
 
 	// unshared elides the registry lock, per-entry locks and atomic
 	// counters; set only through Unshared, only while single-owner.
@@ -334,16 +361,16 @@ type Store struct {
 
 	// Last-Get cache, used only when unshared (no lock protects it): hot
 	// loops read the same model by the same constant string every tick, so
-	// the repeat case is a pointer compare instead of a map hash.
+	// the repeat case is a pointer compare instead of a hash.
 	lastGetName string
 	lastGet     *Entry
 
-	// Entry arena: entries, and a shared store's entry locks, are carved
-	// from per-store chunks (guarded by mu like the registry), so creating
-	// a model — the dominant allocation of a populated run — costs a
-	// fraction of an allocation. Chunks are never reclaimed while the
-	// store lives; entries are permanent by design (Delete unlinks, the
-	// Key machinery assumes slots persist).
+	// Entry arena: entries (name-only ones included), and a shared store's
+	// entry locks, are carved from per-store chunks (guarded by mu like the
+	// registry), so creating a model — the dominant allocation of a
+	// populated run — costs a fraction of an allocation. Chunks are never
+	// reclaimed while the store lives; entries are permanent by design
+	// (Delete unlinks, the Key machinery assumes slots persist).
 	boxes []Entry
 	locks []sync.RWMutex
 
@@ -392,7 +419,7 @@ func (s *Store) Unshared() {
 	s.mu.Lock()
 	s.unshared = true
 	for i := range s.slots {
-		if e := s.slots[i].e; e != nil {
+		if e := s.slots[i].model(); e != nil {
 			e.mu = nil
 		}
 	}
@@ -415,19 +442,24 @@ func (s *Store) countWrite() {
 	}
 }
 
-// newEntry builds an entry with the store's parameters; callers must hold
-// the registry write lock (or own the store exclusively when unshared).
-// Model creation — every first sighting of a peer or stimulus — is the
-// dominant allocation site of a populated run, so entries are carved from
-// per-store chunks, and only a shared store's entries get a lock, carved
-// from chunks too. A store that keeps its export order lists the new entry
-// as fresh (see exportOrder).
-func (s *Store) newEntry(name string, scope Scope) *Entry {
+// box carves an entry from the store's chunk; callers hold the registry
+// write lock (or own the store exclusively when unshared).
+func (s *Store) box() *Entry {
 	if len(s.boxes) == 0 {
 		s.boxes = make([]Entry, entryChunk)
 	}
 	e := &s.boxes[0]
 	s.boxes = s.boxes[1:]
+	return e
+}
+
+// newEntry makes e a fresh model with the store's parameters; callers
+// hold the registry write lock (or own the store). Model creation — every
+// first sighting of a peer or stimulus — is the dominant allocation site of
+// a populated run, so entries are carved from per-store chunks, and only a
+// shared store's entries get a lock, carved from chunks too. A store that
+// keeps its export order lists the new entry as fresh (see exportOrder).
+func (s *Store) newEntry(e *Entry, name string, scope Scope) *Entry {
 	*e = Entry{Name: name, Scope: scope, kin: s.kin}
 	if !s.unshared {
 		if len(s.locks) == 0 {
@@ -443,35 +475,94 @@ func (s *Store) newEntry(name string, scope Scope) *Entry {
 }
 
 // fill creates the model behind sl with the given scope; callers hold the
-// registry write lock (or own the store).
+// registry write lock (or own the store). A name-only entry becomes the
+// model; a deleted model stays as it was, and a fresh entry of its name
+// takes its place.
 func (s *Store) fill(sl *slot, scope Scope) *Entry {
-	sl.e = s.newEntry(sl.name, scope)
+	e := sl.e
+	if e.kin != nil {
+		e = s.box()
+	}
+	sl.e, sl.live = s.newEntry(e, sl.e.Name, scope), true
 	s.live++
 	return sl.e
 }
 
-// addSlot appends a slot for a name the symbol table does not hold yet and
-// returns its Key; callers hold the registry write lock (or own the store).
-// The slot table grows by about a quarter at a time, not append's doubling:
-// it is the largest table a store keeps, one slot per model.
-func (s *Store) addSlot(name string, scope Scope, e *Entry, interned bool) Key {
-	if s.keys == nil {
-		s.keys = make(map[string]Key)
-	}
+// addSlot appends a slot for e, a name the symbol table does not hold yet
+// whose hash is h, and returns its Key; callers hold the registry write
+// lock (or own the store). The slot table grows by about a quarter at a
+// time, not append's doubling: it is the largest table a store keeps, one
+// slot per model (EXPERIMENTS.md compares doubling up to 256 slots).
+func (s *Store) addSlot(e *Entry, h uint64, scope Scope, interned, live bool) Key {
 	if n := len(s.slots); n == cap(s.slots) {
 		s.slots = append(make([]slot, 0, n+n/4+8), s.slots...)
 	}
-	s.slots = append(s.slots, slot{name: name, e: e, scope: int32(scope), interned: interned})
+	s.slots = append(s.slots, slot{e: e, scope: int32(scope), tag: uint16(h >> 48), interned: interned, live: live})
 	k := Key(len(s.slots))
-	s.keys[name] = k
+	if 4*len(s.slots) > 3*len(s.index) {
+		s.reindex(len(s.slots))
+	} else {
+		s.place(k, h)
+	}
 	return k
 }
 
-// get returns the entry named name, or nil; callers hold the registry lock
-// (or own the store).
+// reindex rebuilds the index at the least power-of-two length that holds n
+// slots at most three quarters full, placing every slot there is.
+func (s *Store) reindex(n int) {
+	size := 8
+	for 3*size < 4*n {
+		size *= 2
+	}
+	s.index = make([]int32, size)
+	for i := range s.slots {
+		s.place(Key(i+1), maphash.String(hashSeed, s.slots[i].e.Name))
+	}
+}
+
+// place puts k, whose name hashes to h, in the first empty cell of its
+// probe sequence.
+func (s *Store) place(k Key, h uint64) {
+	mask := uint64(len(s.index) - 1)
+	for i, step := h&mask, uint64(1); ; i, step = (i+step)&mask, step+1 {
+		if s.index[i] == 0 {
+			s.index[i] = int32(k)
+			return
+		}
+	}
+}
+
+// probe returns the Key of name, whose hash is h, or 0 when the symbol
+// table does not hold it; callers hold the registry lock (or own the
+// store). The triangular probe sequence visits every cell of a
+// power-of-two table, and the index always has an empty one.
+func probe[T string | []byte](s *Store, name T, h uint64) Key {
+	if len(s.index) == 0 {
+		return 0
+	}
+	mask, tag := uint64(len(s.index)-1), uint16(h>>48)
+	for i, step := h&mask, uint64(1); ; i, step = (i+step)&mask, step+1 {
+		k := s.index[i]
+		if k == 0 {
+			return 0
+		}
+		if sl := &s.slots[k-1]; sl.tag == tag && sl.e.Name == string(name) {
+			return Key(k)
+		}
+	}
+}
+
+// key returns the Key of name, or 0; callers hold the registry lock (or
+// own the store).
+func (s *Store) key(name string) Key {
+	return probe(s, name, maphash.String(hashSeed, name))
+}
+
+// get returns the live model named name, or nil; callers hold the
+// registry lock (or own the store).
 func (s *Store) get(name string) *Entry {
-	if k, ok := s.keys[name]; ok {
-		return s.slots[k-1].e
+	if k := s.key(name); k != 0 {
+		return s.slots[k-1].model()
 	}
 	return nil
 }
@@ -490,26 +581,27 @@ func (s *Store) keepFresh(e *Entry) {
 // Ensure returns the entry named name, creating it with the given scope on
 // first use.
 func (s *Store) Ensure(name string, scope Scope) *Entry {
-	if s.unshared {
-		return s.ensureLocked(name, scope)
+	h := maphash.String(hashSeed, name)
+	if !s.unshared {
+		s.mu.RLock()
+		var e *Entry
+		if k := probe(s, name, h); k != 0 {
+			e = s.slots[k-1].model()
+		}
+		s.mu.RUnlock()
+		if e != nil {
+			return e
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
 	}
-	s.mu.RLock()
-	e := s.get(name)
-	s.mu.RUnlock()
-	if e != nil {
-		return e
+	k := probe(s, name, h)
+	if k == 0 {
+		e := s.box()
+		e.Name = name
+		k = s.addSlot(e, h, scope, false, false)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ensureLocked(name, scope)
-}
-
-func (s *Store) ensureLocked(name string, scope Scope) *Entry {
-	k, ok := s.keys[name]
-	if !ok {
-		k = s.addSlot(name, scope, nil, false)
-	}
-	if sl := &s.slots[k-1]; sl.e == nil {
+	if sl := &s.slots[k-1]; !sl.live {
 		// The string path creates with the caller's scope; an interned
 		// slot keeps its own for key-based recreation.
 		return s.fill(sl, scope)
@@ -523,53 +615,38 @@ func (s *Store) ensureLocked(name string, scope Scope) *Entry {
 // string path), with the scope recorded here. Call once per name outside
 // the hot loop, then use the Key-based accessors per tick.
 func (s *Store) Intern(name string, scope Scope) Key {
-	if s.unshared {
-		if k, ok := s.keys[name]; ok && s.slots[k-1].interned {
-			return k
-		}
-		return s.internLocked(name, scope)
-	}
-	s.mu.RLock()
-	k, ok := s.keys[name]
-	ok = ok && s.slots[k-1].interned
-	s.mu.RUnlock()
-	if ok {
-		return k
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.internLocked(name, scope)
+	return intern(s, name, maphash.String(hashSeed, name), scope)
 }
 
 // InternBytes is Intern for a name spelled in a caller's reused buffer: a
 // name already interned is found without allocating, so only a new model
 // name costs a string.
 func (s *Store) InternBytes(name []byte, scope Scope) Key {
-	if s.unshared {
-		if k, ok := s.keys[string(name)]; ok && s.slots[k-1].interned {
-			return k
-		}
-		return s.internLocked(string(name), scope)
-	}
-	s.mu.RLock()
-	k, ok := s.keys[string(name)]
-	ok = ok && s.slots[k-1].interned
-	s.mu.RUnlock()
-	if ok {
-		return k
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.internLocked(string(name), scope)
+	return intern(s, name, maphash.Bytes(hashSeed, name), scope)
 }
 
-func (s *Store) internLocked(name string, scope Scope) Key {
-	k, ok := s.keys[name]
-	if !ok {
-		return s.addSlot(name, scope, nil, true)
+// intern is Intern and InternBytes for a name whose hash is h. A new name
+// gets a name-only entry, which its first write makes the model.
+func intern[T string | []byte](s *Store, name T, h uint64, scope Scope) Key {
+	if !s.unshared {
+		s.mu.RLock()
+		k := probe(s, name, h)
+		ok := k != 0 && s.slots[k-1].interned
+		s.mu.RUnlock()
+		if ok {
+			return k
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+	}
+	k := probe(s, name, h)
+	if k == 0 {
+		e := s.box()
+		e.Name = string(name)
+		return s.addSlot(e, h, scope, true, false)
 	}
 	if sl := &s.slots[k-1]; !sl.interned {
-		if sl.e != nil {
+		if sl.live {
 			// The model already exists: its actual scope wins over the
 			// caller's argument, so a later delete-and-recreate through
 			// the key reproduces the model exactly (an agent restored from
@@ -589,40 +666,36 @@ func (s *Store) internLocked(name string, scope Scope) Key {
 // model consultation, exactly like Get.
 func (s *Store) LookupKey(name string) (Key, *Entry) {
 	s.countRead()
-	if s.unshared {
-		return s.lookupLocked(name)
+	h := maphash.String(hashSeed, name)
+	if !s.unshared {
+		s.mu.RLock()
+		k := probe(s, name, h)
+		var sl slot
+		if k != 0 {
+			sl = s.slots[k-1]
+		}
+		s.mu.RUnlock()
+		switch {
+		case k == 0 || !sl.interned && !sl.live:
+			return 0, nil
+		case sl.interned:
+			return k, sl.model()
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
 	}
-	s.mu.RLock()
-	k, ok := s.keys[name]
-	var sl slot
-	if ok {
-		sl = s.slots[k-1]
-	}
-	s.mu.RUnlock()
-	switch {
-	case !ok || !sl.interned && sl.e == nil:
-		return 0, nil
-	case sl.interned:
-		return k, sl.e
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lookupLocked(name)
-}
-
-func (s *Store) lookupLocked(name string) (Key, *Entry) {
-	k, ok := s.keys[name]
-	if !ok {
+	k := probe(s, name, h)
+	if k == 0 {
 		return 0, nil
 	}
 	sl := &s.slots[k-1]
 	if !sl.interned {
-		if sl.e == nil {
+		if !sl.live {
 			return 0, nil
 		}
 		sl.scope, sl.interned = int32(sl.e.Scope), true
 	}
-	return k, sl.e
+	return k, sl.model()
 }
 
 // entryForKey returns the entry behind k, creating it (with the interned
@@ -633,13 +706,13 @@ func (s *Store) entryForKey(k Key, create bool) *Entry {
 	}
 	if s.unshared {
 		sl := &s.slots[k-1]
-		if sl.e == nil && create {
+		if !sl.live && create {
 			return s.fill(sl, Scope(sl.scope))
 		}
-		return sl.e
+		return sl.model()
 	}
 	s.mu.RLock()
-	e := s.slots[k-1].e
+	e := s.slots[k-1].model()
 	s.mu.RUnlock()
 	if e != nil || !create {
 		return e
@@ -647,7 +720,7 @@ func (s *Store) entryForKey(k Key, create bool) *Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sl := &s.slots[k-1]
-	if sl.e == nil {
+	if !sl.live {
 		s.fill(sl, Scope(sl.scope))
 	}
 	return sl.e
@@ -743,8 +816,8 @@ func (s *Store) Delete(name string) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 	}
-	if k, ok := s.keys[name]; ok && s.slots[k-1].e != nil {
-		s.slots[k-1].e = nil
+	if k := s.key(name); k != 0 && s.slots[k-1].live {
+		s.slots[k-1].live = false
 		s.live--
 	}
 	s.lastGetName, s.lastGet = "", nil
@@ -755,7 +828,7 @@ func (s *Store) Delete(name string) {
 // hold the registry lock (or own the store).
 func (s *Store) liveEntries(dst []*Entry) []*Entry {
 	for i := range s.slots {
-		if e := s.slots[i].e; e != nil {
+		if e := s.slots[i].model(); e != nil {
 			dst = append(dst, e)
 		}
 	}
@@ -770,7 +843,7 @@ func (s *Store) Names(scope Scope, filter bool) []string {
 	}
 	var names []string
 	for i := range s.slots {
-		if e := s.slots[i].e; e != nil && (!filter || e.Scope == scope) {
+		if e := s.slots[i].model(); e != nil && (!filter || e.Scope == scope) {
 			names = append(names, e.Name)
 		}
 	}

@@ -307,7 +307,7 @@ func TestRestoreRejectsUnstorableScope(t *testing.T) {
 
 // TestModelSizes pins the sizes the arena chunks are chosen for: an 80 B
 // entry (8 to a 640 B size class), a 40 B ring (16 to the same class) and
-// a 32 B symbol-table slot.
+// a 16 B symbol-table slot, which holds no name of its own.
 func TestModelSizes(t *testing.T) {
 	for _, c := range []struct {
 		what       string
@@ -315,7 +315,7 @@ func TestModelSizes(t *testing.T) {
 	}{
 		{"Entry", unsafe.Sizeof(Entry{}), 80},
 		{"Ring", unsafe.Sizeof(Ring{}), 40},
-		{"slot", unsafe.Sizeof(slot{}), 32},
+		{"slot", unsafe.Sizeof(slot{}), 16},
 	} {
 		if c.size != c.want {
 			t.Errorf("%s is %d B, want %d", c.what, c.size, c.want)

@@ -2,7 +2,7 @@ package knowledge
 
 import (
 	"fmt"
-	"maps"
+	"hash/maphash"
 	"math"
 	"slices"
 	"strings"
@@ -286,27 +286,27 @@ func (s *Store) RestoreState(d *codec.Decoder) error {
 
 // bindRestored makes the restored entries the store's models: each takes
 // the slot of its name, adding one (newNames in all) where the symbol
-// table has none, and every other slot is emptied. The table and the slots
-// are sized for the new names up front, so a restore into a fresh store
-// allocates each once.
+// table has none, and every other slot is emptied, keeping the entry it
+// held for its name. The index and the slots are sized for the new names
+// up front, so a restore into a fresh store allocates each once.
 func (s *Store) bindRestored(entries []Entry, newNames int) {
 	for i := range s.slots {
-		s.slots[i].e = nil
+		s.slots[i].live = false
 	}
-	if newNames > len(s.keys) {
-		keys := make(map[string]Key, len(s.keys)+newNames)
-		maps.Copy(keys, s.keys)
-		s.keys = keys
-	}
-	if n := len(s.slots) + newNames; n > cap(s.slots) {
+	n := len(s.slots) + newNames
+	if n > cap(s.slots) {
 		s.slots = append(make([]slot, 0, n), s.slots...)
+	}
+	if 4*n > 3*len(s.index) {
+		s.reindex(n)
 	}
 	for i := range entries {
 		e := &entries[i]
-		if k, ok := s.keys[e.Name]; ok {
-			s.slots[k-1].e = e
+		h := maphash.String(hashSeed, e.Name)
+		if k := probe(s, e.Name, h); k != 0 {
+			s.slots[k-1].e, s.slots[k-1].live = e, true
 		} else {
-			s.addSlot(e.Name, e.Scope, e, false)
+			s.addSlot(e, h, e.Scope, false, true)
 		}
 	}
 	s.live = len(entries)
@@ -318,8 +318,8 @@ func (s *Store) known(name []byte) (string, bool) {
 	if s == nil {
 		return "", false
 	}
-	if k, ok := s.keys[string(name)]; ok {
-		return s.slots[k-1].name, true
+	if k := probe(s, name, maphash.Bytes(hashSeed, name)); k != 0 {
+		return s.slots[k-1].e.Name, true
 	}
 	return "", false
 }

@@ -86,19 +86,16 @@ func backing(e *Entry) int {
 	return len(e.hist.b)
 }
 
-var (
-	mapSink   map[string]Key
-	storeSink *Store
-)
+var storeSink *Store
 
 // TestSetStateAllocatesPerStore pins the restore path's allocation to
 // three blocks per unshared store — the entry block, the ring block and the
 // history slab — and four per shared store, whose entries add one block of
 // locks, however many entries and points it restores. The measured restores
 // find every name in the registry the first one filled, so they reuse its
-// strings, symbol table and slots; a restore into a fresh store spends one
-// block each on the symbol table, the slot table and the names, which is
-// bounded here too.
+// strings, index and slots; a restore into a fresh store spends exactly
+// one block more each on the symbol table's index, its slot table and the
+// names.
 func TestSetStateAllocatesPerStore(t *testing.T) {
 	for _, entries := range []int{8, 256} {
 		src := NewStore(0.2, 64)
@@ -110,12 +107,6 @@ func TestSetStateAllocatesPerStore(t *testing.T) {
 			}
 		}
 		st := stateBytes(src)
-		registry := testing.AllocsPerRun(20, func() {
-			mapSink = make(map[string]Key, entries)
-			for _, n := range names {
-				mapSink[n] = 0
-			}
-		})
 		for _, shared := range []bool{false, true} {
 			blocks, what := 3.0, "entry block, ring block, slab"
 			if shared {
@@ -145,10 +136,10 @@ func TestSetStateAllocatesPerStore(t *testing.T) {
 				}
 			})
 			store := testing.AllocsPerRun(20, func() { storeSink = newStore() })
-			if want := store + registry + blocks + 2; fresh > want {
+			if want := store + blocks + 3; fresh > want {
 				t.Errorf("RestoreState of %d entries into a fresh store (shared %v): %v allocations, want at most %v "+
-					"(store %v, symbol table %v, slot table, %s, names)",
-					entries, shared, fresh, want, store, registry, what)
+					"(store %v, index, slot table, %s, names)",
+					entries, shared, fresh, want, store, what)
 			}
 		}
 	}

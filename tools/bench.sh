@@ -7,8 +7,11 @@
 # is machine-independent and comparable across runs), converts the output
 # to JSON via cmd/benchjson, and gates against the committed baseline
 # BENCH_PR7.json (±10%): allocs/op for the agent step, the population
-# tick, the gossip population tick and the cluster tick over loopback, plus a steps/sec floor on the 10k-agent 4-worker tick (throughput
-# must not silently erode, not just allocation count).
+# tick, the gossip population tick, the cluster tick over loopback and the
+# E9 experiment (its agents create their models in shared stores, the
+# path no population runs), plus a steps/sec floor on the 10k-agent
+# 4-worker tick (throughput must not silently erode, not just allocation
+# count).
 # CI calls this on every PR and uploads the JSON as an artifact; to refresh
 # the committed baseline after an intentional change, merge the "after"
 # numbers from the generated file into BENCH_PR7.json (keeping "before"
@@ -36,16 +39,16 @@ go test -run '^$' -bench \
 
 # Macro-benchmarks: small fixed iteration counts (each op is a full tick —
 # in process or over loopback cluster workers — checkpoint round trip,
-# checkpoint write or read, or S1 table build).
+# checkpoint write or read, or an S1 or E9 table build).
 # CheckpointWrite and CheckpointRead are recorded, not gated.
 go test -run '^$' -bench \
-  '^(BenchmarkPopulationTick|BenchmarkPopulationTickGossip|BenchmarkClusterTick|BenchmarkCheckpointRoundTrip|BenchmarkCheckpointWrite|BenchmarkCheckpointRead|BenchmarkS1PopulationScaling)$' \
+  '^(BenchmarkPopulationTick|BenchmarkPopulationTickGossip|BenchmarkClusterTick|BenchmarkCheckpointRoundTrip|BenchmarkCheckpointWrite|BenchmarkCheckpointRead|BenchmarkS1PopulationScaling|BenchmarkE9Explanation)$' \
   -benchmem -benchtime=10x -timeout 30m . | tee -a "$raw"
 
 go run ./cmd/benchjson \
   -out "BENCH_${tag}.json" \
   -baseline "$baseline" \
-  -check AgentStepFullStack,PopulationTick,PopulationTickGossip,ClusterTick \
+  -check AgentStepFullStack,PopulationTick,PopulationTickGossip,ClusterTick,E9Explanation \
   -floor 'PopulationTick/agents=10000/workers=4:steps/sec' \
   -tolerance 0.10 \
   -note "tools/bench.sh ${tag}" < "$raw"

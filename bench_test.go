@@ -239,13 +239,16 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 }
 
 // BenchmarkCheckpointWrite is the write half of the durability path alone,
-// the one a checkpoint holds the population lock for: Snapshot (state
-// export, on a 2-worker pool) then checkpoint.Write (encode, file write,
-// fsync, rename), timed apart as export-ms and write-ms per op so the rung
-// shows which half moved. The population does not tick between ops, so
-// every export after the first finds each store's kept name order
-// unchanged. alloc-x is bytes allocated per op over the file's size; 1
-// would be a writer that allocates nothing beyond one copy of the state.
+// the one a checkpoint holds the population lock for, on a 2-worker pool.
+// Each op writes the file twice. First materialised: Snapshot (state
+// export) then checkpoint.Write (encode, file write, fsync, rename), timed
+// apart as export-ms and write-ms so the rung shows which half moved. Then
+// streamed, as serve writes it: checkpoint.WriteStream over
+// Engine.StreamSnapshot, whose encoding and file writes overlap, timed as
+// stream-ms. alloc-x is the bytes the streamed write allocates per op over
+// the file's size; 1 would be one copy of the state. The population does
+// not tick between ops, so every export after the first finds each
+// store's kept name order unchanged.
 func BenchmarkCheckpointWrite(b *testing.B) {
 	for _, agents := range []int{2048} {
 		b.Run(fmt.Sprintf("agents=%d", agents), func(b *testing.B) {
@@ -255,9 +258,9 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 			eng.Run(20)
 			path := filepath.Join(b.TempDir(), checkpoint.FileName("bench", 20))
 			b.ReportAllocs()
+			var export, write, stream time.Duration
+			var streamAlloc uint64
 			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			var export, write time.Duration
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
@@ -271,18 +274,27 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 				}
 				export += mid.Sub(start)
 				write += time.Since(mid)
+
+				runtime.ReadMemStats(&before)
+				start = time.Now()
+				if err := checkpoint.WriteStream(path, eng.StreamSnapshot, nil); err != nil {
+					b.Fatal(err)
+				}
+				stream += time.Since(start)
+				runtime.ReadMemStats(&after)
+				streamAlloc += after.TotalAlloc - before.TotalAlloc
 			}
 			b.StopTimer()
-			runtime.ReadMemStats(&after)
 			fi, err := os.Stat(path)
 			if err != nil {
 				b.Fatal(err)
 			}
-			perOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N)
-			b.ReportMetric(float64(export.Microseconds())/1e3/float64(b.N), "export-ms")
-			b.ReportMetric(float64(write.Microseconds())/1e3/float64(b.N), "write-ms")
+			perOp := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
+			b.ReportMetric(perOp(export), "export-ms")
+			b.ReportMetric(perOp(write), "write-ms")
+			b.ReportMetric(perOp(stream), "stream-ms")
 			b.ReportMetric(float64(fi.Size()), "snapshot-bytes")
-			b.ReportMetric(perOp/float64(fi.Size()), "alloc-x")
+			b.ReportMetric(float64(streamAlloc)/float64(b.N)/float64(fi.Size()), "alloc-x")
 		})
 	}
 }

@@ -21,55 +21,106 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // the versioned wire format. Equal snapshots and metadata encode to equal
 // bytes.
 func Encode(w io.Writer, s *population.Snapshot, meta map[string]string) error {
-	segs, n, err := encodePayload(s, meta)
-	if err != nil {
-		return err
-	}
-	return writeFramed(w, segs, n)
+	_, err := writeFramed(w, s.Stream, meta)
+	return err
 }
 
 // EncodeBytes is Encode into a fresh byte slice, allocated once at the
 // exact encoded size.
 func EncodeBytes(s *population.Snapshot, meta map[string]string) ([]byte, error) {
-	segs, n, err := encodePayload(s, meta)
-	if err != nil {
+	var b sizedBuffer
+	if _, err := writeFramed(&b, s.Stream, meta); err != nil {
 		return nil, err
 	}
-	buf := bytes.NewBuffer(make([]byte, 0, headerLen+n+trailerLen))
-	if err := writeFramed(buf, segs, n); err != nil {
-		return nil, err
+	return b.buf, nil
+}
+
+// sizedBuffer collects one frame, allocated at the frame's size when its
+// header, the first write, arrives: the header of a materialised snapshot
+// carries the payload's exact length.
+type sizedBuffer struct{ buf []byte }
+
+func (b *sizedBuffer) Write(p []byte) (int, error) {
+	if b.buf == nil && len(p) == headerLen {
+		b.buf = make([]byte, 0, headerLen+int(binary.LittleEndian.Uint64(p[lenOffset:]))+trailerLen)
 	}
-	return buf.Bytes(), nil
+	b.buf = append(b.buf, p...)
+	return len(p), nil
 }
 
 // headerLen and trailerLen are the fixed frame around the payload: magic,
-// version and payload length before it, the payload's CRC-32C after it.
+// version and payload length (at lenOffset) before it, the payload's
+// CRC-32C after it.
 const (
 	headerLen  = 20
+	lenOffset  = 12
 	trailerLen = 4
 )
 
-// writeFramed writes the header for an n-byte payload, the payload
-// segments in order, and the trailer. The checksum runs over the segments
+// writeFramed writes the snapshot that stream hands over to w, framed,
+// and returns the payload's length: the header, the head segment, each
+// run as it arrives, and the trailer. The checksum runs over the segments
 // as they are written, so the payload is never joined into one buffer.
-func writeFramed(w io.Writer, segs [][]byte, n int) error {
+// The header's length is what is known when the head arrives: the head
+// segment plus the runs the head snapshot already holds. For a
+// materialised snapshot that is the payload; a streamed head holds no
+// runs, and WriteStream patches the length once the payload is written.
+func writeFramed(w io.Writer, stream func(population.Sink) error, meta map[string]string) (int, error) {
+	f := framer{w: w}
+	err := stream(population.Sink{
+		Head: func(s *population.Snapshot) error {
+			e := codec.NewEncoder()
+			appendHead(e, s, meta)
+			n := e.Len()
+			for _, run := range s.Runs {
+				n += len(run)
+			}
+			if err := f.header(n); err != nil {
+				return err
+			}
+			return f.write(e.Bytes())
+		},
+		Run: f.write,
+	})
+	if err == nil {
+		err = f.trailer()
+	}
+	return f.n, err
+}
+
+// framer writes one frame to w: the header, the payload in segments, each
+// folded into the checksum as it passes, and the trailer.
+type framer struct {
+	w   io.Writer
+	n   int // payload bytes written
+	crc uint32
+}
+
+// header writes the header of an n-byte payload.
+func (f *framer) header(n int) error {
 	var header [headerLen]byte
 	copy(header[:8], magic[:])
-	binary.LittleEndian.PutUint32(header[8:12], Version)
-	binary.LittleEndian.PutUint64(header[12:20], uint64(n))
-	if _, err := w.Write(header[:]); err != nil {
+	binary.LittleEndian.PutUint32(header[8:lenOffset], Version)
+	binary.LittleEndian.PutUint64(header[lenOffset:], uint64(n))
+	_, err := f.w.Write(header[:])
+	return err
+}
+
+// write writes the payload's next segment.
+func (f *framer) write(seg []byte) error {
+	if _, err := f.w.Write(seg); err != nil {
 		return err
 	}
-	var crc uint32
-	for _, seg := range segs {
-		if _, err := w.Write(seg); err != nil {
-			return err
-		}
-		crc = crc32.Update(crc, castagnoli, seg)
-	}
+	f.n += len(seg)
+	f.crc = crc32.Update(f.crc, castagnoli, seg)
+	return nil
+}
+
+// trailer writes the checksum of the segments written.
+func (f *framer) trailer() error {
 	var sum [trailerLen]byte
-	binary.LittleEndian.PutUint32(sum[:], crc)
-	_, err := w.Write(sum[:])
+	binary.LittleEndian.PutUint32(sum[:], f.crc)
+	_, err := f.w.Write(sum[:])
 	return err
 }
 
@@ -139,15 +190,11 @@ const (
 	minMetaSize       = 2 // an empty key and value
 )
 
-// encodePayload spells the snapshot payload as ordered segments whose
-// concatenation is the payload, plus its total length: the metadata,
-// header fields, RNG positions and mail, encoded here, then every shard's
-// run of agent states as the transport wrote it — spliced, never copied.
-func encodePayload(s *population.Snapshot, meta map[string]string) ([][]byte, int, error) {
-	if s.Agents > 0 && len(s.Runs) != s.Shards {
-		return nil, 0, fmt.Errorf("checkpoint: snapshot has %d agent runs for %d shards", len(s.Runs), s.Shards)
-	}
-	e := codec.NewEncoder()
+// appendHead writes the payload's head segment: the metadata, header
+// fields, RNG positions and mail, and the agent count that opens the
+// agents' states. The shards' runs follow it in the payload as the
+// transport wrote them — spliced, never copied.
+func appendHead(e *codec.Encoder, s *population.Snapshot, meta map[string]string) {
 	keys := make([]string, 0, len(meta))
 	for k := range meta {
 		keys = append(keys, k)
@@ -180,13 +227,6 @@ func encodePayload(s *population.Snapshot, meta map[string]string) ([][]byte, in
 		}
 	}
 	e.Uvarint(uint64(s.Agents))
-	segs := append(make([][]byte, 0, 1+len(s.Runs)), e.Bytes())
-	n := e.Len()
-	for _, run := range s.Runs {
-		segs = append(segs, run)
-		n += len(run)
-	}
-	return segs, n, nil
 }
 
 // AppendRange writes a population shard-range state — the state-transfer

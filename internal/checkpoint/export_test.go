@@ -1,8 +1,6 @@
 package checkpoint
 
 import (
-	"bytes"
-
 	"sacs/internal/population"
 )
 
@@ -19,9 +17,9 @@ var (
 // EncodePayload is the snapshot payload the framed encoding carries, or
 // nil when the snapshot cannot be encoded.
 func EncodePayload(s *population.Snapshot, meta map[string]string) []byte {
-	segs, _, err := encodePayload(s, meta)
+	b, err := EncodeBytes(s, meta)
 	if err != nil {
 		return nil
 	}
-	return bytes.Join(segs, nil)
+	return b[headerLen : len(b)-trailerLen]
 }

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,7 +15,16 @@ import (
 // invariant that makes "resume from Latest" safe without a recovery scan.
 // Writeback of each segment's whole pages starts as soon as it is written
 // (see writeback), so the fsync waits for the tail rather than the file.
-func Write(path string, s *population.Snapshot, meta map[string]string) (err error) {
+func Write(path string, s *population.Snapshot, meta map[string]string) error {
+	return WriteStream(path, s.Stream, meta)
+}
+
+// WriteStream is Write for a snapshot handed over as a stream, such as
+// population.Engine.StreamSnapshot: each run is written, and its
+// writeback started, as it arrives, so a streamed snapshot is never held
+// whole. Once the payload is written, its length is patched into the
+// header in place, before the fsync. The file's bytes are Encode's.
+func WriteStream(path string, stream func(population.Sink) error, meta map[string]string) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -26,9 +36,11 @@ func Write(path string, s *population.Snapshot, meta map[string]string) (err err
 			os.Remove(tmp.Name())
 		}
 	}()
-	segs, n, err := encodePayload(s, meta)
+	n, err := writeFramed(&writeback{f: tmp}, stream, meta)
 	if err == nil {
-		err = writeFramed(&writeback{f: tmp}, segs, n)
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], uint64(n))
+		_, err = tmp.WriteAt(b[:], lenOffset)
 	}
 	if err != nil {
 		return fmt.Errorf("checkpoint: encode %s: %w", path, err)

@@ -76,9 +76,12 @@ func syntheticSnapshot(agents, shards, hist int) *population.Snapshot {
 func multiSegment(t *testing.T) (*population.Snapshot, []byte, [][]byte) {
 	t.Helper()
 	snap := syntheticSnapshot(256, 4, 1024) // ~16 KiB per agent, ~4 MiB in all
-	segs, n, err := encodePayload(snap, map[string]string{"id": "multi"})
-	if err != nil {
-		t.Fatal(err)
+	head := codec.NewEncoder()
+	appendHead(head, snap, map[string]string{"id": "multi"})
+	segs := append([][]byte{head.Bytes()}, snap.Runs...)
+	n := 0
+	for _, seg := range segs {
+		n += len(seg)
 	}
 	if len(segs) < 3 {
 		t.Fatalf("payload of %d bytes spans %d segments, want at least 3", n, len(segs))
@@ -175,7 +178,14 @@ func TestDecodeLyingHeaderAllocatesLittle(t *testing.T) {
 // frame wraps a payload in a valid header and checksum.
 func frame(payload []byte) []byte {
 	var buf bytes.Buffer
-	if err := writeFramed(&buf, [][]byte{payload}, len(payload)); err != nil {
+	f := framer{w: &buf}
+	if err := f.header(len(payload)); err != nil {
+		panic(err)
+	}
+	if err := f.write(payload); err != nil {
+		panic(err)
+	}
+	if err := f.trailer(); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()

@@ -31,11 +31,7 @@ func TestWritebackIgnoresErrors(t *testing.T) {
 		b, _ := io.ReadAll(r)
 		got <- b
 	}()
-	segs, n, err := encodePayload(snap, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	werr := writeFramed(&writeback{f: w}, segs, n)
+	_, werr := writeFramed(&writeback{f: w}, snap.Stream, meta)
 	w.Close()
 	if werr != nil {
 		t.Fatalf("writing through the writeback writer into a pipe: %v", werr)

@@ -45,27 +45,33 @@ func (p *opaquePredictor) Observe(x float64) { p.last = x }
 func (p *opaquePredictor) Predict() float64  { return p.last }
 func (p *opaquePredictor) Name() string      { return "opaque" }
 
+// opaqueConfig is a population of agents whose bad ones cannot export
+// their state.
+func opaqueConfig(agents, shards int, bad map[int]bool, pool *runner.Pool) population.Config {
+	return population.Config{
+		Name: "opaque", Agents: agents, Shards: shards, Seed: 3, Pool: pool,
+		New: func(id int, rng *rand.Rand) *core.Agent {
+			a := core.New(core.Config{
+				Name: fmt.Sprintf("a%02d", id),
+				Caps: core.Caps(core.LevelStimulus, core.LevelTime),
+				Sensors: []core.Sensor{core.ScalarSensor("load", core.Private,
+					func(float64) float64 { return rng.Float64() })},
+				ExplainDepth: -1,
+			})
+			if bad[id] {
+				a.TimeProcess().NewPredict = func() learning.Predictor { return &opaquePredictor{} }
+			}
+			return a
+		},
+	}
+}
+
 func TestParallelExportReportsLowestFailingAgent(t *testing.T) {
 	const agents, shards = 64, 8
 	bad := map[int]bool{13: true, 50: true} // shards 1 and 6
 	for _, workers := range exportWorkers {
 		pool := runner.New(workers)
-		eng := population.New(population.Config{
-			Name: "opaque", Agents: agents, Shards: shards, Seed: 3, Pool: pool,
-			New: func(id int, rng *rand.Rand) *core.Agent {
-				a := core.New(core.Config{
-					Name: fmt.Sprintf("a%02d", id),
-					Caps: core.Caps(core.LevelStimulus, core.LevelTime),
-					Sensors: []core.Sensor{core.ScalarSensor("load", core.Private,
-						func(float64) float64 { return rng.Float64() })},
-					ExplainDepth: -1,
-				})
-				if bad[id] {
-					a.TimeProcess().NewPredict = func() learning.Predictor { return &opaquePredictor{} }
-				}
-				return a
-			},
-		})
+		eng := population.New(opaqueConfig(agents, shards, bad, pool))
 		eng.Run(3)
 		_, err := eng.Snapshot()
 		pool.Close()

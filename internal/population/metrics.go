@@ -2,6 +2,7 @@ package population
 
 import (
 	"strconv"
+	"time"
 
 	"sacs/internal/obs"
 )
@@ -28,8 +29,13 @@ import (
 //	          number that explains a flat workers=1→4 scaling curve.
 //	route   — the engine's single-threaded barrier work: merging exchanges,
 //	          routing messages into next-tick mailboxes, recycling
-//	snapshot — Engine.Snapshot export+copy time (counted per call, not per
-//	          tick)
+//	snapshot — export time, counted per call, not per tick: Engine.Snapshot
+//	          (the transport's Export plus the copy of the pending mail),
+//	          or Engine.StreamSnapshot over the in-process transport, where
+//	          export and the sink's writes interleave and the counter
+//	          times the whole stream, the sink's Head and Run calls
+//	          included. StreamSnapshot over any other transport counts its
+//	          Snapshot call alone.
 type Metrics struct {
 	reg *obs.Registry // retained for the lazily sized per-shard gauges
 	pop string
@@ -88,6 +94,11 @@ func NewMetrics(reg *obs.Registry, pop string) *Metrics {
 	m.phaseRoute = phase("route")
 	m.phaseSnap = phase("snapshot")
 	return m
+}
+
+// observeSnapshot adds the time since start to the snapshot phase.
+func (m *Metrics) observeSnapshot(start time.Time) {
+	m.phaseSnap.Add(time.Since(start).Nanoseconds()) //sacslint:allow detsource observation-only: snapshot-phase timing, never read by agent logic
 }
 
 // observeCosts publishes the per-shard estimates of the cost model that

@@ -72,16 +72,11 @@ func (s *Snapshot) Range(lo, hi int) (*RangeState, error) {
 // state the checkpoint layer cannot serialise (see core.Agent.AppendState) or, on
 // a cluster transport, when a worker cannot be reached.
 func (e *Engine) Snapshot() (*Snapshot, error) {
-	if e.broken != nil {
-		// A failed tick may have half-applied on remote executors; a
-		// snapshot taken now could mix this engine's tick counter with
-		// later agent state and resume into silent divergence.
-		return nil, fmt.Errorf("population: snapshot: engine poisoned by earlier transport failure: %w", e.broken)
+	if err := e.snapshotable(); err != nil {
+		return nil, err
 	}
 	if m := e.cfg.Metrics; m != nil {
-		defer func(start time.Time) {
-			m.phaseSnap.Add(time.Since(start).Nanoseconds()) //sacslint:allow detsource observation-only: snapshot-phase timing, never read by agent logic
-		}(time.Now()) //sacslint:allow detsource observation-only: snapshot-phase timing, never read by agent logic
+		defer m.observeSnapshot(time.Now()) //sacslint:allow detsource observation-only: snapshot-phase timing, never read by agent logic
 	}
 	rs, err := e.transport.Export()
 	if err != nil {
@@ -92,7 +87,100 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 			"%d shard streams, %d agent streams, %d agent runs for shards=%d agents=%d",
 			e.tick, len(rs.ShardRNG), len(rs.AgentRNG), len(rs.Runs), e.cfg.Shards, e.cfg.Agents)
 	}
-	s := &Snapshot{
+	s := e.head()
+	s.ShardRNG, s.AgentRNG, s.Runs = rs.ShardRNG, rs.AgentRNG, rs.Runs
+	s.Mail = make([][]core.Stimulus, e.cfg.Agents)
+	for i, inbox := range e.cur {
+		if len(inbox) > 0 {
+			s.Mail[i] = append([]core.Stimulus(nil), inbox...)
+		}
+	}
+	return s, nil
+}
+
+// Sink receives a snapshot as a stream: Head gets the snapshot, then Run
+// gets each shard's run, in shard order. The snapshot Head gets holds its
+// Runs only when it was materialised before the stream began (see
+// Snapshot.Stream); a streamed one holds none. Neither the snapshot nor a
+// run may be kept past the call that hands it over: a stream shares the
+// engine's pending mail and reuses the runs' buffers.
+type Sink struct {
+	Head func(*Snapshot) error
+	Run  func([]byte) error
+}
+
+// Stream hands the snapshot to k: the snapshot, then each of its runs.
+func (s *Snapshot) Stream(k Sink) error {
+	if s.Agents > 0 && len(s.Runs) != s.Shards {
+		return fmt.Errorf("population: snapshot has %d agent runs for %d shards", len(s.Runs), s.Shards)
+	}
+	if err := k.Head(s); err != nil {
+		return err
+	}
+	for _, run := range s.Runs {
+		if err := k.Run(run); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// StreamSnapshot hands the engine's snapshot to k as a stream, with the
+// bytes Snapshot's would encode to. When the engine's transport is the
+// in-process LocalTransport itself, the agents' state is never held
+// whole: the RNG positions and the pending mail are read at the barrier
+// and handed to Head, then the engine's pool encodes the shards' runs
+// while Run takes each in shard order, with at most Pool.Workers()+2
+// runs in flight. Any other transport — a cluster, or a decorator around
+// a LocalTransport — exports through Snapshot, and the snapshot it
+// returns is streamed. The snapshot-phase metric times the whole streamed
+// export, Run's calls included, on the first path, and Snapshot alone on
+// the second. Like Snapshot, it must be called between ticks.
+func (e *Engine) StreamSnapshot(k Sink) error {
+	lt, ok := e.transport.(*LocalTransport)
+	if !ok {
+		s, err := e.Snapshot()
+		if err != nil {
+			return err
+		}
+		return s.Stream(k)
+	}
+	if err := e.snapshotable(); err != nil {
+		return err
+	}
+	if !lt.owns(0, e.cfg.Shards) {
+		return fmt.Errorf("population: snapshot at tick %d: transport owns %d of %d shards", e.tick, len(lt.owned), e.cfg.Shards)
+	}
+	if m := e.cfg.Metrics; m != nil {
+		defer m.observeSnapshot(time.Now()) //sacslint:allow detsource observation-only: snapshot-phase timing, never read by agent logic
+	}
+	s := e.head()
+	s.ShardRNG, s.AgentRNG = lt.positions(0, e.cfg.Shards)
+	if err := k.Head(s); err != nil {
+		return err
+	}
+	if err := lt.streamRuns(k.Run); err != nil {
+		return fmt.Errorf("population: snapshot at tick %d: %w", e.tick, err)
+	}
+	return nil
+}
+
+// snapshotable refuses a snapshot of a poisoned engine: a failed tick may
+// have half-applied on remote executors, so a snapshot taken now could
+// mix this engine's tick counter with later agent state and resume into
+// silent divergence.
+func (e *Engine) snapshotable() error {
+	if e.broken != nil {
+		return fmt.Errorf("population: snapshot: engine poisoned by earlier transport failure: %w", e.broken)
+	}
+	return nil
+}
+
+// head is the part of a snapshot the engine itself holds: the shape, the
+// counters and work history, and the pending mail, shared with the engine
+// rather than copied.
+func (e *Engine) head() *Snapshot {
+	return &Snapshot{
 		Name:      e.cfg.Name,
 		Agents:    e.cfg.Agents,
 		Shards:    e.cfg.Shards,
@@ -104,17 +192,8 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		Actions:   e.actions,
 		Observed:  e.lastObserved,
 		Work:      e.workHistory(),
-		ShardRNG:  rs.ShardRNG,
-		AgentRNG:  rs.AgentRNG,
-		Mail:      make([][]core.Stimulus, e.cfg.Agents),
-		Runs:      rs.Runs,
+		Mail:      e.cur,
 	}
-	for i, inbox := range e.cur {
-		if len(inbox) > 0 {
-			s.Mail[i] = append([]core.Stimulus(nil), inbox...)
-		}
-	}
-	return s, nil
 }
 
 // Restore builds an engine from cfg exactly as New does, then reinstalls

@@ -1,6 +1,7 @@
 package population
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -135,6 +136,22 @@ func TestSnapshotIsDetached(t *testing.T) {
 	e.Run(5)
 	if !reflect.DeepEqual(s1, ref) {
 		t.Fatal("snapshot mutated by subsequent ticks")
+	}
+}
+
+// TestStreamSnapshotRefusesPoisonedEngine: like Snapshot, a streamed
+// snapshot of a poisoned engine fails before anything reaches the sink.
+func TestStreamSnapshotRefusesPoisonedEngine(t *testing.T) {
+	eng := New(ckptConfig(16, 4, 1, nil))
+	eng.Run(2)
+	eng.broken = errors.New("worker lost")
+	reached := false
+	err := eng.StreamSnapshot(Sink{
+		Head: func(*Snapshot) error { reached = true; return nil },
+		Run:  func([]byte) error { reached = true; return nil },
+	})
+	if !errors.Is(err, eng.broken) || reached {
+		t.Fatalf("poisoned engine: error %v, sink reached %v", err, reached)
 	}
 }
 

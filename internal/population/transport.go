@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -398,11 +399,10 @@ func (t *LocalTransport) Export() (*RangeState, error) {
 // just the moving subrange, without materialising the whole transport's
 // state.
 //
-// The copy runs as one job per shard on the engine's pool, which is idle
-// at the barrier. Each job fills only its own shard's slots and writes its
-// agents' states into its own run, so the result is byte-for-byte the
-// serial loop's; when several agents fail to export, the error names the
-// lowest agent id.
+// The runs are encoded as one job per shard on the engine's pool, which is
+// idle at the barrier. Each job writes its agents' states into its own
+// run, so the result is byte-for-byte the serial loop's; when several
+// agents fail to export, the error names the lowest agent id.
 func (t *LocalTransport) ExportRange(lo, hi int) (*RangeState, error) {
 	if err := ValidateShardRange(lo, hi, t.cfg.Shards); err != nil {
 		return nil, err
@@ -410,29 +410,16 @@ func (t *LocalTransport) ExportRange(lo, hi int) (*RangeState, error) {
 	if !t.owns(lo, hi) {
 		return nil, fmt.Errorf("population: export range [%d, %d) outside owned shards", lo, hi)
 	}
-	loA, hiA := t.bounds[lo], t.bounds[hi]
 	rs := &RangeState{
-		LoShard: lo, HiShard: hi, LoAgent: loA, HiAgent: hiA,
-		ShardRNG: make([]uint64, hi-lo),
-		AgentRNG: make([]uint64, hiA-loA),
-		Runs:     make([][]byte, hi-lo),
+		LoShard: lo, HiShard: hi, LoAgent: t.bounds[lo], HiAgent: t.bounds[hi],
+		Runs: make([][]byte, hi-lo),
 	}
+	rs.ShardRNG, rs.AgentRNG = t.positions(lo, hi)
 	key := runner.Key{Experiment: t.cfg.Name, System: "export"}
 	errs := runner.FanOut(t.cfg.Pool, key, hi-lo, func(i int) error {
-		s := lo + i
-		rs.ShardRNG[i] = t.shardSrcs[s].State()
 		var e codec.Encoder
-		first, end := t.bounds[s], t.bounds[s+1]
-		for id := first; id < end; id++ {
-			if id == first+1 {
-				// Room for the rest at the first agent's size plus an
-				// eighth: the run grows about once, not in many steps.
-				e.Reserve(e.Len() * (end - id) * 9 / 8)
-			}
-			rs.AgentRNG[id-loA] = t.agentSrcs[id].State()
-			if err := t.agents[id].AppendState(&e); err != nil {
-				return fmt.Errorf("agent %d state: %w", id, err)
-			}
+		if err := t.encodeRun(&e, lo+i, true); err != nil {
+			return err
 		}
 		rs.Runs[i] = e.Bytes()
 		return nil
@@ -443,6 +430,158 @@ func (t *LocalTransport) ExportRange(lo, hi int) (*RangeState, error) {
 		}
 	}
 	return rs, nil
+}
+
+// positions reads the RNG stream positions of the owned shards [lo, hi)
+// and of their agents.
+func (t *LocalTransport) positions(lo, hi int) (shardRNG, agentRNG []uint64) {
+	shardRNG = make([]uint64, hi-lo)
+	for s := lo; s < hi; s++ {
+		shardRNG[s-lo] = t.shardSrcs[s].State()
+	}
+	loA, hiA := t.bounds[lo], t.bounds[hi]
+	agentRNG = make([]uint64, hiA-loA)
+	for id := loA; id < hiA; id++ {
+		agentRNG[id-loA] = t.agentSrcs[id].State()
+	}
+	return shardRNG, agentRNG
+}
+
+// encodeRun appends shard s's run to e: the states of its agents, in id
+// order. It is the one run encoder behind ExportRange and streamRuns.
+// reserve asks for room for the whole run once the first agent's size is
+// known; a reused buffer already holds about a run's worth.
+func (t *LocalTransport) encodeRun(e *codec.Encoder, s int, reserve bool) error {
+	first, end := t.bounds[s], t.bounds[s+1]
+	for id := first; id < end; id++ {
+		if reserve && id == first+1 {
+			// Room for the rest at the first agent's size plus an
+			// eighth: the run grows about once, not in many steps.
+			e.Reserve(e.Len() * (end - id) * 9 / 8)
+		}
+		if err := t.agents[id].AppendState(e); err != nil {
+			return fmt.Errorf("agent %d state: %w", id, err)
+		}
+	}
+	return nil
+}
+
+// streamRuns encodes the run of every shard of the population, which the
+// transport must own, and hands each to run in shard order as soon as it
+// and every run before it are ready: the streamed half of
+// Engine.StreamSnapshot, which never holds all the runs at once.
+//
+// The pool's background workers encode ahead while the calling goroutine
+// hands runs over; whenever the next run is not ready and a buffer is
+// free, the caller encodes one too, so the stream never waits on a pool
+// busy elsewhere. At most Pool.Workers()+2 runs are in flight, each in one
+// of as many buffers reused within the call. A pool with no background
+// worker (nil, or one worker) encodes and hands over shard by shard
+// through one buffer. A run is valid only during the call that hands it
+// over. The first error in shard order — an agent that cannot export, or
+// run's own — ends the stream, and streamRuns returns it once no job of
+// the call is left running.
+func (t *LocalTransport) streamRuns(run func([]byte) error) error {
+	n := t.cfg.Shards
+	execs := t.cfg.Pool.Workers() - 1 // background encoders; the caller is the last worker
+	slots := 1
+	if execs > 0 {
+		slots = execs + 3
+	}
+	// Shard s is encoded into slot s%slots, which is free once shard
+	// s-slots has been handed over. mu guards everything but the buffers,
+	// which belong to a shard's encoder until it marks the slot ready, and
+	// then to the caller until it counts the run handed over.
+	var (
+		mu      sync.Mutex
+		cond    = sync.NewCond(&mu)
+		bufs    = make([]codec.Encoder, slots)
+		ready   = make([]bool, slots)
+		errs    = make([]error, slots)
+		next    int  // the next shard to claim
+		handed  int  // runs handed over
+		stopped bool // the caller has stopped handing runs over
+	)
+	// claim, called with mu held, encodes the next shard when its slot is
+	// free and reports whether it did.
+	claim := func() bool {
+		s := next
+		if stopped || s >= n || s-handed >= slots {
+			return false
+		}
+		next++
+		mu.Unlock()
+		err := t.encodeShard(&bufs[s%slots], s, s < slots)
+		mu.Lock()
+		ready[s%slots], errs[s%slots] = true, err
+		cond.Broadcast()
+		return true
+	}
+	var b *runner.Batch
+	if execs > 0 {
+		b = t.cfg.Pool.NewBatch()
+		key := runner.Key{Experiment: t.cfg.Name, System: "export"}
+		for i := 0; i < execs; i++ {
+			k := key
+			k.Seed = i
+			b.Add(k, func() (any, error) {
+				mu.Lock()
+				for !stopped && next < n {
+					if !claim() {
+						cond.Wait()
+					}
+				}
+				mu.Unlock()
+				return nil, nil
+			})
+		}
+	}
+	defer func() { // also when run panics
+		mu.Lock()
+		stopped = true
+		cond.Broadcast()
+		mu.Unlock()
+		if b != nil {
+			b.Wait() // an encoder stops after the shard it is on
+		}
+	}()
+	var err error
+	mu.Lock()
+	for handed < n && err == nil {
+		slot := handed % slots
+		if !ready[slot] {
+			// Encode meanwhile; when no shard can be claimed, the
+			// next run is already being encoded.
+			if !claim() {
+				cond.Wait()
+			}
+			continue
+		}
+		ready[slot] = false
+		mu.Unlock()
+		if err = errs[slot]; err == nil {
+			err = run(bufs[slot].Bytes())
+		}
+		mu.Lock()
+		handed++
+		cond.Broadcast()
+	}
+	mu.Unlock()
+	return err
+}
+
+// encodeShard encodes shard s's run into e, emptied first; fresh says e
+// has held no run yet. A panic in an agent's export is reported as the
+// shard's error: streamRuns waits for every run it has claimed, so one
+// must always arrive.
+func (t *LocalTransport) encodeShard(e *codec.Encoder, s int, fresh bool) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("shard %d export panicked: %v", s, r)
+		}
+	}()
+	e.Reset()
+	return t.encodeRun(e, s, fresh)
 }
 
 // checkState verifies that rs is a well-formed range of this population:

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"sacs/internal/obs"
 )
 
 // TestMetricsEndpointsAgreeWithStatus drives the HTTP surface end to end:
@@ -133,5 +135,42 @@ func TestHTTPErrorClassCounted(t *testing.T) {
 	snap := s.Registry().Snapshot()
 	if v := snap[`sacs_http_requests_total{class="4xx",route="GET /populations/{id}"}`]; v != 1.0 {
 		t.Fatalf("4xx counter = %v, want 1", v)
+	}
+}
+
+// TestStreamedCheckpointMetrics: an in-process population's checkpoint
+// streams its runs into the file, and the engine's snapshot phase times
+// that stream; each checkpoint counts once in the serve plane's
+// checkpoint histogram.
+func TestStreamedCheckpointMetrics(t *testing.T) {
+	s := newTestServer(t, t.TempDir(), 0)
+	if err := s.Add(demoSpec()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Advance("demo", 3); err != nil {
+		t.Fatal(err)
+	}
+	const phase = `sacs_population_phase_seconds_total{phase="snapshot",pop="demo"}`
+	read := func() (snapSecs, count float64) {
+		t.Helper()
+		m := s.Registry().Snapshot()
+		snapSecs, ok := m[phase].(float64)
+		if !ok {
+			t.Fatalf("%s missing from the registry", phase)
+		}
+		h, _ := m[`sacs_serve_checkpoint_seconds{pop="demo"}`].(obs.HistogramValue)
+		return snapSecs, float64(h.Count)
+	}
+	snap0, count0 := read()
+	for i := 1; i <= 2; i++ {
+		if _, err := s.Checkpoint("demo"); err != nil {
+			t.Fatal(err)
+		}
+		snap, count := read()
+		if snap <= snap0 || count != count0+1 {
+			t.Fatalf("checkpoint %d: snapshot phase %v -> %v s, checkpoint count %v -> %v; want the phase to advance and the count to rise by one",
+				i, snap0, snap, count0, count)
+		}
+		snap0, count0 = snap, count
 	}
 }

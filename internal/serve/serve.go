@@ -622,23 +622,22 @@ func (s *Server) checkpointLocked(h *hosted) (string, error) {
 		return "", errors.New("serve: no checkpoint directory configured")
 	}
 	start := time.Now()
-	snap, err := h.eng.Snapshot()
-	if err != nil {
-		return "", fmt.Errorf("serve: checkpoint %q (%w): %w", h.spec.ID, ErrHost, err)
-	}
-	path := filepath.Join(s.opts.Dir, checkpoint.FileName(h.spec.ID, snap.Tick))
+	tick := h.eng.Ticks()
+	path := filepath.Join(s.opts.Dir, checkpoint.FileName(h.spec.ID, tick))
 	meta := map[string]string{
 		"workload": h.spec.Workload,
 		"id":       h.spec.ID,
 		"ingested": strconv.FormatInt(h.ingested.Load(), 10),
 	}
-	if err := checkpoint.Write(path, snap, meta); err != nil {
+	// An in-process population streams its runs into the file as they
+	// encode; any other exports first (see Engine.StreamSnapshot).
+	if err := checkpoint.WriteStream(path, h.eng.StreamSnapshot, meta); err != nil {
 		return "", fmt.Errorf("serve: checkpoint %q (%w): %w", h.spec.ID, ErrHost, err)
 	}
-	h.lastCkpt = snap.Tick
+	h.lastCkpt = tick
 	h.lastPath = path
 	h.pm.ckptSecs.ObserveDuration(time.Since(start))
-	s.log.Debug("serve: checkpoint written", "pop", h.spec.ID, "tick", snap.Tick, "path", path)
+	s.log.Debug("serve: checkpoint written", "pop", h.spec.ID, "tick", tick, "path", path)
 	if _, err := s.prune(s.opts.Dir, h.spec.ID, s.opts.Keep); err != nil {
 		// One code path records the failure in all three places — Status
 		// fields, structured log, metric — so they can never disagree.

@@ -1,10 +1,10 @@
 // Package checkpoint serialises population snapshots into a versioned,
 // checksummed binary format and manages snapshot files on disk. It is the
 // durability layer under cmd/sawd: a long-lived population is periodically
-// encoded with Encode/Write, and after a crash or restart the latest intact
-// file is decoded and handed to population.Restore, which continues the
-// simulation byte-identically (the resume-determinism contract in
-// DESIGN.md).
+// streamed to a file with WriteStream (Encode and Write take a materialised
+// snapshot), and after a crash or restart the latest intact file is decoded
+// and handed to population.Restore, which continues the simulation
+// byte-identically (the resume-determinism contract in DESIGN.md).
 //
 // The wire format (documented in full in DESIGN.md, "Snapshot wire
 // format") is deliberately boring: a fixed header — 8-byte magic

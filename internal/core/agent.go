@@ -38,7 +38,8 @@ type Config struct {
 	Name string
 	// Caps selects the self-awareness levels; default FullStack.
 	Caps Capabilities
-	// Store is the knowledge base; a fresh one is created when nil.
+	// Store is the knowledge base; a fresh one is created when nil. A
+	// store has one owner, so give each agent its own.
 	Store *knowledge.Store
 	// Goals is the (switchable) goal set; may be nil for goal-free agents.
 	Goals *goals.Switcher

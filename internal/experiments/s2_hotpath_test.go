@@ -5,14 +5,13 @@ import (
 	"testing"
 )
 
-// TestS2AgentStepAllocFree: an S2 agent on its private (unshared) store,
+// TestS2AgentStepAllocFree: an S2 agent on its private store,
 // stepped past the tick-60 switch to the constrained surge goal, allocates
 // nothing per Step. The surge goal's load constraint is violated at almost
 // every step, so the goal level must count violations without building
 // the list of their names.
 func TestS2AgentStepAllocFree(t *testing.T) {
 	a := S2Config(1, 1, 1, nil).New(0, rand.New(rand.NewSource(1)))
-	a.Store().Unshared()
 	now := 0.0
 	for ; now < 201; now++ {
 		a.Step(now, nil)

@@ -5,12 +5,12 @@
 // store, which the reasoner reads, the learners write, and the explainer
 // cites.
 //
-// Two hot-path facilities keep per-tick model access cheap (see DESIGN.md
-// "Hot-path performance"): names can be interned into dense Key handles so
-// steady-state loops never hash or concatenate strings, and a store with a
-// single owning goroutine can be marked Unshared to elide the registry
-// lock, the per-entry locks and the atomic instrumentation counters that
-// shared (collective) stores keep.
+// A store is one system's private self-knowledge and has one owner at a
+// time: nothing in it is synchronized, so it is used by one goroutine at a
+// time, and whatever hands it to another goroutine (a population's tick
+// barrier) orders the two (see DESIGN.md "Knowledge-store concurrency").
+// Names can be interned into dense Key handles so steady-state loops never
+// hash or concatenate strings (DESIGN.md "Hot-path performance").
 //
 // A store's one registry is its symbol table: a 16 B slot per name, which
 // Key k indexes at k-1, and an open-addressed index of Keys hashed with a

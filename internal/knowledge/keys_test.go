@@ -3,7 +3,6 @@ package knowledge
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -112,52 +111,16 @@ func TestInternAdoptsExistingScope(t *testing.T) {
 	}
 }
 
-// TestUnsharedMatchesShared runs one op sequence through a shared store and
-// an unshared one: every observable — values, counters, exported state —
-// must be identical. Unshared is an optimization, not a semantic.
-func TestUnsharedMatchesShared(t *testing.T) {
-	shared := NewStore(0.3, 8)
-	solo := NewStore(0.3, 8)
-	solo.Unshared()
-	drive := func(s *Store) {
-		k := s.Intern("stim/a", Private)
-		for i := 0; i < 30; i++ {
-			s.ObserveKey(k, float64(i%5), float64(i))
-			s.Observe("stim/b", Public, float64(i), float64(i))
-			s.Ensure("derived", Private).Set(float64(i)*2, float64(i))
-			_ = s.Value("stim/b", 0)
-			_ = s.GetKey(k)
-		}
-		s.Delete("stim/b")
-		s.ObserveKey(k, 1, 31)
-	}
-	drive(shared)
-	drive(solo)
-	if shared.ReadCount() != solo.ReadCount() || shared.WriteCount() != solo.WriteCount() {
-		t.Fatalf("counters diverged: reads %d/%d writes %d/%d",
-			shared.ReadCount(), solo.ReadCount(), shared.WriteCount(), solo.WriteCount())
-	}
-	if a, b := stateBytes(shared), stateBytes(solo); !bytes.Equal(a, b) {
-		t.Fatalf("states diverged:\n%x\n%x", a, b)
-	}
-	if shared.Inventory(31) != solo.Inventory(31) {
-		t.Fatal("inventories diverged")
-	}
-}
-
-// TestUnsharedSurvivesSetState: entries rebuilt by RestoreState on an
-// unshared store must stay lock-elided, and interned keys must be rebound
-// to the restored entries.
-func TestUnsharedSurvivesSetState(t *testing.T) {
+// TestKeysSurviveRestoreState: interned keys are rebound to the entries
+// RestoreState rebuilds, and the counters continue from the restored ones.
+func TestKeysSurviveRestoreState(t *testing.T) {
 	s := NewStore(0.3, 4)
-	s.Unshared()
 	k := s.Intern("m", Private)
 	s.ObserveKey(k, 5, 1)
 	writes := s.WriteCount()
 	st := stateBytes(s)
 
 	r := NewStore(0.3, 4)
-	r.Unshared()
 	kr := r.Intern("m", Private)
 	if err := restoreBytes(r, st); err != nil {
 		t.Fatal(err)
@@ -166,109 +129,51 @@ func TestUnsharedSurvivesSetState(t *testing.T) {
 	if e == nil || e.Value() != 5 {
 		t.Fatalf("restored entry not reachable through pre-restore key: %+v", e)
 	}
-	if e.mu != nil {
-		t.Fatal("restored entry on an unshared store carries a lock")
-	}
 	r.ObserveKey(kr, 7, 2)
 	if r.WriteCount() != writes+1 {
 		t.Fatalf("write counter after restore = %d, want %d", r.WriteCount(), writes+1)
 	}
 }
 
-// TestSharedStoreStillLocksUnderRace is the contract's other half: a store
-// NOT marked Unshared keeps full locking, so concurrent mixed access —
-// string and key paths, reads, writes, deletes, state exports — must be
-// race-free. Run with -race (CI does).
-func TestSharedStoreStillLocksUnderRace(t *testing.T) {
+// TestRegistryAcrossPaths drives the one registry — the symbol table and
+// its slots — through every path that reaches it, interleaved: models
+// created through the string path, Intern, InternBytes and LookupKey,
+// deleted and recreated, counted and exported, while the slot table grows.
+// Afterwards every name resolves to one key and Len counts exactly the
+// live models.
+func TestRegistryAcrossPaths(t *testing.T) {
 	s := NewStore(0.3, 16)
-	k := s.Intern("hot", Private)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				switch g % 4 {
-				case 0:
-					s.ObserveKey(k, float64(i), float64(i))
-					s.Observe("cold", Public, float64(i), float64(i))
-				case 1:
-					_ = s.ValueKey(k, 0)
-					if _, e := s.LookupKey("cold"); e != nil {
-						_, _ = e.Trend() // races the ring a second update builds
-						_ = e.History()
-					}
-				case 2:
-					if e := s.GetKey(k); e != nil {
-						_, _ = e.Trend()
-						_ = e.Confidence(float64(i))
-					}
-					if i%100 == 0 {
-						s.Delete("cold")
-					}
-				case 3:
+	const paths, names = 8, 200
+	name := func(i int) string { return fmt.Sprintf("m%03d", i) }
+	var buf []byte
+	for i := 0; i < names; i++ {
+		for g := 0; g < paths; g++ {
+			n := name((i*7 + g*31) % names)
+			switch g % 4 {
+			case 0:
+				s.Observe(n, Public, float64(i), float64(i))
+			case 1:
+				s.ObserveKey(s.Intern(n, Private), float64(i), float64(i))
+			case 2:
+				buf = append(buf[:0], n...)
+				k := s.InternBytes(buf, Public)
+				_ = s.GetKey(k)
+				if _, e := s.LookupKey(n); e != nil {
+					_, _ = e.Trend()
+				}
+			case 3:
+				if i%10 == 0 {
+					s.Delete(n)
+				}
+				_ = s.Get(n)
+				_ = s.Len()
+				if i%50 == 0 {
 					_ = stateBytes(s)
-					_ = s.Names(Private, false)
+					_ = s.Names(Public, true)
 				}
 			}
-		}(g)
-	}
-	wg.Wait()
-	if s.GetKey(k) == nil {
-		t.Fatal("hot entry vanished")
-	}
-	for _, e := range s.liveEntries(nil) {
-		if e.mu == nil {
-			t.Fatalf("%s: an entry of a shared store carries no lock", e.Name)
 		}
 	}
-}
-
-// TestSharedRegistryUnderRace drives the one registry — the symbol table
-// and its slots — of a shared store from many goroutines at once: models
-// created through the string path, Intern, InternBytes and LookupKey,
-// deleted and recreated, counted and exported, while the slot table grows
-// under readers. Run with -race (CI does). Afterwards every name resolves
-// to one key and Len counts exactly the live models.
-func TestSharedRegistryUnderRace(t *testing.T) {
-	s := NewStore(0.3, 16)
-	const workers, names = 8, 200
-	name := func(i int) string { return fmt.Sprintf("m%03d", i) }
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			var buf []byte
-			for i := 0; i < names; i++ {
-				n := name((i*7 + g*31) % names)
-				switch g % 4 {
-				case 0:
-					s.Observe(n, Public, float64(i), float64(i))
-				case 1:
-					s.ObserveKey(s.Intern(n, Private), float64(i), float64(i))
-				case 2:
-					buf = append(buf[:0], n...)
-					k := s.InternBytes(buf, Public)
-					_ = s.GetKey(k)
-					if _, e := s.LookupKey(n); e != nil {
-						_, _ = e.Trend()
-					}
-				case 3:
-					if i%10 == 0 {
-						s.Delete(n)
-					}
-					_ = s.Get(n)
-					_ = s.Len()
-					if i%50 == 0 {
-						_ = stateBytes(s)
-						_ = s.Names(Public, true)
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 	live := 0
 	for i := 0; i < names; i++ {
 		n := name(i)
@@ -288,10 +193,5 @@ func TestSharedRegistryUnderRace(t *testing.T) {
 	}
 	if got := len(s.Names(Private, false)); got != live {
 		t.Fatalf("Names lists %d models, live models = %d", got, live)
-	}
-	for _, e := range s.liveEntries(nil) {
-		if e.mu == nil {
-			t.Fatalf("%s: an entry of a shared store carries no lock", e.Name)
-		}
 	}
 }

@@ -8,8 +8,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Scope distinguishes private self-knowledge (internal phenomena: own load,
@@ -33,26 +31,24 @@ func (s Scope) String() string {
 }
 
 // Entry is one model in the store: a scalar estimate with uncertainty,
-// bounded history, and bookkeeping for explanation. All methods are safe
-// for concurrent use unless the owning store has been marked Unshared;
-// Name and Scope are immutable after creation.
+// bounded history, and bookkeeping for explanation. Like its store, an
+// entry has one owner at a time (see Store); Name and Scope are immutable
+// after creation.
 //
-// An entry costs only what it holds. Its lock exists only in a shared
-// store, and its history ring only from its second update: until then the
-// history is what the entry's own fields spell, empty at n == 0 and the
-// one point (lastUpdate, value) at n == 1 — the point Observe and Set both
-// record first.
+// An entry costs only what it holds. Its history ring exists only from its
+// second update: until then the history is what the entry's own fields
+// spell, empty at n == 0 and the one point (lastUpdate, value) at n == 1 —
+// the point Observe and Set both record first.
 type Entry struct {
 	Name  string
 	Scope Scope
 
-	mu         *sync.RWMutex // nil in an unshared store (see Store.Unshared)
-	kin        *kin          // the store's parameters and ring arena; immutable
+	kin        *kin // the store's parameters and ring arena; immutable
 	value      float64
 	variance   float64
 	n          int
 	lastUpdate float64 // virtual time of last update
-	hist       *Ring   // nil while n <= 1 (see above); guarded by mu
+	hist       *Ring   // nil while n <= 1 (see above)
 }
 
 // kin is what the entries of one store share: the smoothing factor and
@@ -64,17 +60,14 @@ type kin struct {
 	histLen int     // history bound; 0 keeps no history
 
 	// Ring arena: the second update of a model carves its ring and seed
-	// storage from these chunks instead of allocating. The entries of a
-	// shared store push under their own locks, so there mu guards it; an
-	// unshared store's entries take no lock.
-	mu    sync.Mutex
+	// storage from these chunks instead of allocating.
 	rings []Ring
 	slab  []float64
 }
 
-// Arena chunk sizes: entries (and a shared store's entry locks) per entry
-// chunk (8 × 80 B is a 640 B size class, 8 × 24 B a 192 B one), rings per
-// ring chunk (16 × 40 B, 640 B again), and ring seeds per float slab.
+// Arena chunk sizes: entries per entry chunk (8 × 72 B is a 576 B size
+// class), rings per ring chunk (16 × 40 B, a 640 B one), and ring seeds per
+// float slab.
 const (
 	entryChunk = 8
 	ringChunk  = 16
@@ -82,12 +75,8 @@ const (
 )
 
 // newRing returns an empty ring at the kin's bound with seed-sized
-// storage carved from the arena, locking it unless unshared.
-func (k *kin) newRing(unshared bool) *Ring {
-	if !unshared {
-		k.mu.Lock()
-		defer k.mu.Unlock()
-	}
+// storage carved from the arena.
+func (k *kin) newRing() *Ring {
 	if len(k.rings) == 0 {
 		k.rings = make([]Ring, ringChunk)
 	}
@@ -103,58 +92,21 @@ func (k *kin) newRing(unshared bool) *Ring {
 }
 
 // Value returns the current estimate.
-func (e *Entry) Value() float64 {
-	if e.mu == nil {
-		return e.value
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.value
-}
+func (e *Entry) Value() float64 { return e.value }
 
 // Variance returns the EWMA-tracked variance of observations around the
 // estimate, a cheap volatility signal used by attention and meta levels.
-func (e *Entry) Variance() float64 {
-	if e.mu == nil {
-		return e.variance
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.variance
-}
+func (e *Entry) Variance() float64 { return e.variance }
 
 // Updates returns how many observations the entry has absorbed.
-func (e *Entry) Updates() int {
-	if e.mu == nil {
-		return e.n
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.n
-}
+func (e *Entry) Updates() int { return e.n }
 
 // LastUpdate returns the virtual time of the last observation.
-func (e *Entry) LastUpdate() float64 {
-	if e.mu == nil {
-		return e.lastUpdate
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.lastUpdate
-}
+func (e *Entry) LastUpdate() float64 { return e.lastUpdate }
 
 // Confidence maps freshness and sample count to [0, 1]: zero observations
 // give 0; confidence grows with n and is discounted by staleness.
 func (e *Entry) Confidence(now float64) float64 {
-	if e.mu == nil {
-		return e.confidenceLocked(now)
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.confidenceLocked(now)
-}
-
-func (e *Entry) confidenceLocked(now float64) float64 {
 	if e.n == 0 {
 		return 0
 	}
@@ -166,13 +118,9 @@ func (e *Entry) confidenceLocked(now float64) float64 {
 
 // History returns a point-in-time copy of the entry's bounded history, or
 // nil if the store was created without history. The copy is private to the
-// caller, so it stays consistent under concurrent Observe/Set; hot paths
-// that only need the slope should call Trend, which allocates nothing.
+// caller, so later Observe/Set calls do not change it; hot paths that only
+// need the slope should call Trend, which allocates nothing.
 func (e *Entry) History() *Ring {
-	if e.mu != nil {
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-	}
 	switch {
 	case e.hist != nil:
 		c := *e.hist
@@ -191,15 +139,6 @@ func (e *Entry) History() *Ring {
 // Trend returns the least-squares slope over the entry's history window
 // without copying it; ok is false when the store keeps no history.
 func (e *Entry) Trend() (slope float64, ok bool) {
-	if e.mu == nil {
-		return e.trendLocked()
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.trendLocked()
-}
-
-func (e *Entry) trendLocked() (float64, bool) {
 	if e.hist == nil {
 		// At most one point: no slope.
 		return 0, e.kin.histLen > 0
@@ -209,16 +148,6 @@ func (e *Entry) trendLocked() (float64, bool) {
 
 // Observe folds a new observation in at virtual time now.
 func (e *Entry) Observe(x, now float64) {
-	if e.mu == nil {
-		e.observeLocked(x, now)
-		return
-	}
-	e.mu.Lock()
-	e.observeLocked(x, now)
-	e.mu.Unlock()
-}
-
-func (e *Entry) observeLocked(x, now float64) {
 	e.push(now, x)
 	if e.n == 0 {
 		e.value = x
@@ -231,15 +160,15 @@ func (e *Entry) observeLocked(x, now float64) {
 	e.lastUpdate = now
 }
 
-// push records the point (now, x) in the history; callers hold the entry
-// lock and call it before the update changes n, value and lastUpdate. The
-// first point needs no ring; the second builds one holding both.
+// push records the point (now, x) in the history, before the update
+// changes n, value and lastUpdate. The first point needs no ring; the
+// second builds one holding both.
 func (e *Entry) push(now, x float64) {
 	switch {
 	case e.hist != nil:
 		e.hist.Push(now, x)
 	case e.n != 0 && e.kin.histLen > 0:
-		e.hist = e.kin.newRing(e.mu == nil)
+		e.hist = e.kin.newRing()
 		e.hist.Push(e.lastUpdate, e.value)
 		e.hist.Push(now, x)
 	}
@@ -248,10 +177,6 @@ func (e *Entry) push(now, x float64) {
 // valueOr returns the entry's estimate, or def when it has never been
 // updated: the shared core of Store.Value and Store.ValueKey.
 func (e *Entry) valueOr(def float64) float64 {
-	if e.mu != nil {
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-	}
 	if e.n == 0 {
 		return def
 	}
@@ -261,16 +186,6 @@ func (e *Entry) valueOr(def float64) float64 {
 // Set overwrites the estimate without EWMA smoothing (for derived
 // quantities computed by reasoning rather than sensed).
 func (e *Entry) Set(x, now float64) {
-	if e.mu == nil {
-		e.setLocked(x, now)
-		return
-	}
-	e.mu.Lock()
-	e.setLocked(x, now)
-	e.mu.Unlock()
-}
-
-func (e *Entry) setLocked(x, now float64) {
 	e.push(now, x)
 	e.value = x
 	e.n++
@@ -331,14 +246,14 @@ func (s Scope) Storable() bool { return Scope(int32(s)) == s }
 // store returns or writes depends on it (see Store.index).
 var hashSeed = maphash.MakeSeed()
 
-// Store is a threadsafe registry of model entries keyed by name. The store
-// lock guards the registry (symbol table and slots) only; each Entry of a
-// shared store carries its own lock, so concurrent observations of
-// different models never contend and a single Observe acquires the
-// registry lock at most once. Stores with exactly one owning goroutine can
-// elide all of that — see Unshared.
+// Store is a registry of model entries keyed by name: one system's private
+// self-knowledge. A store has one owner at a time. Nothing in it is
+// synchronized, so the store, its entries and the Keys into it are used by
+// one goroutine at a time, and a hand-over between goroutines (a population
+// barrier, a pool job's start and end) must order the accesses; concurrent
+// use is a data race. A population panics at construction when two of its
+// agents would share a store.
 type Store struct {
-	mu sync.RWMutex
 	// The symbol table: slots[k-1] is Key k's slot, and index is an
 	// open-addressed hash table of the Keys (0 marks an empty cell), a
 	// power of two in length and at most three quarters full, probed
@@ -350,44 +265,36 @@ type Store struct {
 	live  int  // slots holding a live model
 	kin   *kin // parameters (and ring arena) of new entries: &own unless a restore changed them
 
-	// unshared elides the registry lock, per-entry locks and atomic
-	// counters; set only through Unshared, only while single-owner.
-	unshared bool
-
 	// own is the kin the store starts with, kept inside the store so an
 	// entry's parameters share a cache line with the fields every keyed
 	// access reads, and cost no allocation of their own.
 	own kin
 
-	// Last-Get cache, used only when unshared (no lock protects it): hot
-	// loops read the same model by the same constant string every tick, so
-	// the repeat case is a pointer compare instead of a hash.
+	// Last-Get cache: hot loops read the same model by the same constant
+	// string every tick, so the repeat case is a pointer compare instead of
+	// a hash.
 	lastGetName string
 	lastGet     *Entry
 
-	// Entry arena: entries (name-only ones included), and a shared store's
-	// entry locks, are carved from per-store chunks (guarded by mu like the
-	// registry), so creating a model — the dominant allocation of a
+	// Entry arena: entries (name-only ones included) are carved from
+	// per-store chunks, so creating a model — the dominant allocation of a
 	// populated run — costs a fraction of an allocation. Chunks are never
 	// reclaimed while the store lives; entries are permanent by design
 	// (Delete unlinks, the Key machinery assumes slots persist).
 	boxes []Entry
-	locks []sync.RWMutex
 
-	reads  atomic.Int64 // instrumentation: model consultations (for E9 overhead)
-	writes atomic.Int64
-	// Unshared-mode instrumentation: plain counters, folded into
-	// ReadCount/WriteCount alongside the atomics.
-	readsU, writesU int64
+	// Instrumentation: model consultations (for E9 overhead) and
+	// observations.
+	reads, writes int64
 
-	// Kept export order (see exportOrder), guarded by mu like the
-	// registry. Once the store has been exported or restored, kept is set
-	// and its entries' strictly increasing name order is in order — or,
-	// straight after a restore, in the restored entry block itself; fresh
-	// holds the entries created since, unsorted, and dropped records a
-	// Delete since. A store never exported or restored keeps none of it.
-	// Only model creation and Delete touch these fields between exports,
-	// so they sit after the ones every read and write uses.
+	// Kept export order (see exportOrder). Once the store has been
+	// exported or restored, kept is set and its entries' strictly
+	// increasing name order is in order — or, straight after a restore, in
+	// the restored entry block itself; fresh holds the entries created
+	// since, unsorted, and dropped records a Delete since. A store never
+	// exported or restored keeps none of it. Only model creation and
+	// Delete touch these fields between exports, so they sit after the
+	// ones every read and write uses.
 	kept     bool
 	order    []*Entry
 	restored []Entry
@@ -406,44 +313,7 @@ func NewStore(alpha float64, histLen int) *Store {
 	return s
 }
 
-// Unshared marks the store single-owner: the registry lock, the per-entry
-// locks and the atomic instrumentation counters are elided from every
-// subsequent operation, and its entries drop their locks. The population
-// engine sets this on each agent's private store (never on a store shared
-// between agents), which removes all synchronization from the tick hot
-// path. It must be called while no other goroutine can touch the store,
-// and is irreversible; concurrent use of an unshared store is a data race
-// by contract (the -race tests assert that shared stores keep today's
-// locked behavior).
-func (s *Store) Unshared() {
-	s.mu.Lock()
-	s.unshared = true
-	for i := range s.slots {
-		if e := s.slots[i].model(); e != nil {
-			e.mu = nil
-		}
-	}
-	s.mu.Unlock()
-}
-
-func (s *Store) countRead() {
-	if s.unshared {
-		s.readsU++
-	} else {
-		s.reads.Add(1)
-	}
-}
-
-func (s *Store) countWrite() {
-	if s.unshared {
-		s.writesU++
-	} else {
-		s.writes.Add(1)
-	}
-}
-
-// box carves an entry from the store's chunk; callers hold the registry
-// write lock (or own the store exclusively when unshared).
+// box carves an entry from the store's chunk.
 func (s *Store) box() *Entry {
 	if len(s.boxes) == 0 {
 		s.boxes = make([]Entry, entryChunk)
@@ -453,31 +323,22 @@ func (s *Store) box() *Entry {
 	return e
 }
 
-// newEntry makes e a fresh model with the store's parameters; callers
-// hold the registry write lock (or own the store). Model creation — every
-// first sighting of a peer or stimulus — is the dominant allocation site of
-// a populated run, so entries are carved from per-store chunks, and only a
-// shared store's entries get a lock, carved from chunks too. A store that
-// keeps its export order lists the new entry as fresh (see exportOrder).
+// newEntry makes e a fresh model with the store's parameters. Model
+// creation — every first sighting of a peer or stimulus — is the dominant
+// allocation site of a populated run, so entries are carved from per-store
+// chunks. A store that keeps its export order lists the new entry as fresh
+// (see exportOrder).
 func (s *Store) newEntry(e *Entry, name string, scope Scope) *Entry {
 	*e = Entry{Name: name, Scope: scope, kin: s.kin}
-	if !s.unshared {
-		if len(s.locks) == 0 {
-			s.locks = make([]sync.RWMutex, entryChunk)
-		}
-		e.mu = &s.locks[0]
-		s.locks = s.locks[1:]
-	}
 	if s.kept {
 		s.keepFresh(e)
 	}
 	return e
 }
 
-// fill creates the model behind sl with the given scope; callers hold the
-// registry write lock (or own the store). A name-only entry becomes the
-// model; a deleted model stays as it was, and a fresh entry of its name
-// takes its place.
+// fill creates the model behind sl with the given scope. A name-only entry
+// becomes the model; a deleted model stays as it was, and a fresh entry of
+// its name takes its place.
 func (s *Store) fill(sl *slot, scope Scope) *Entry {
 	e := sl.e
 	if e.kin != nil {
@@ -489,10 +350,10 @@ func (s *Store) fill(sl *slot, scope Scope) *Entry {
 }
 
 // addSlot appends a slot for e, a name the symbol table does not hold yet
-// whose hash is h, and returns its Key; callers hold the registry write
-// lock (or own the store). The slot table grows by about a quarter at a
-// time, not append's doubling: it is the largest table a store keeps, one
-// slot per model (EXPERIMENTS.md compares doubling up to 256 slots).
+// whose hash is h, and returns its Key. The slot table grows by about a
+// quarter at a time, not append's doubling: it is the largest table a
+// store keeps, one slot per model (EXPERIMENTS.md compares doubling up to
+// 256 slots).
 func (s *Store) addSlot(e *Entry, h uint64, scope Scope, interned, live bool) Key {
 	if n := len(s.slots); n == cap(s.slots) {
 		s.slots = append(make([]slot, 0, n+n/4+8), s.slots...)
@@ -533,9 +394,8 @@ func (s *Store) place(k Key, h uint64) {
 }
 
 // probe returns the Key of name, whose hash is h, or 0 when the symbol
-// table does not hold it; callers hold the registry lock (or own the
-// store). The triangular probe sequence visits every cell of a
-// power-of-two table, and the index always has an empty one.
+// table does not hold it. The triangular probe sequence visits every cell
+// of a power-of-two table, and the index always has an empty one.
 func probe[T string | []byte](s *Store, name T, h uint64) Key {
 	if len(s.index) == 0 {
 		return 0
@@ -552,14 +412,12 @@ func probe[T string | []byte](s *Store, name T, h uint64) Key {
 	}
 }
 
-// key returns the Key of name, or 0; callers hold the registry lock (or
-// own the store).
+// key returns the Key of name, or 0.
 func (s *Store) key(name string) Key {
 	return probe(s, name, maphash.String(hashSeed, name))
 }
 
-// get returns the live model named name, or nil; callers hold the
-// registry lock (or own the store).
+// get returns the live model named name, or nil.
 func (s *Store) get(name string) *Entry {
 	if k := s.key(name); k != 0 {
 		return s.slots[k-1].model()
@@ -582,19 +440,6 @@ func (s *Store) keepFresh(e *Entry) {
 // first use.
 func (s *Store) Ensure(name string, scope Scope) *Entry {
 	h := maphash.String(hashSeed, name)
-	if !s.unshared {
-		s.mu.RLock()
-		var e *Entry
-		if k := probe(s, name, h); k != 0 {
-			e = s.slots[k-1].model()
-		}
-		s.mu.RUnlock()
-		if e != nil {
-			return e
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
 	k := probe(s, name, h)
 	if k == 0 {
 		e := s.box()
@@ -628,17 +473,6 @@ func (s *Store) InternBytes(name []byte, scope Scope) Key {
 // intern is Intern and InternBytes for a name whose hash is h. A new name
 // gets a name-only entry, which its first write makes the model.
 func intern[T string | []byte](s *Store, name T, h uint64, scope Scope) Key {
-	if !s.unshared {
-		s.mu.RLock()
-		k := probe(s, name, h)
-		ok := k != 0 && s.slots[k-1].interned
-		s.mu.RUnlock()
-		if ok {
-			return k
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
 	k := probe(s, name, h)
 	if k == 0 {
 		e := s.box()
@@ -665,26 +499,8 @@ func intern[T string | []byte](s *Store, name T, h uint64, scope Scope) Key {
 // so the caller can switch to the Key-based accessors. It counts as one
 // model consultation, exactly like Get.
 func (s *Store) LookupKey(name string) (Key, *Entry) {
-	s.countRead()
-	h := maphash.String(hashSeed, name)
-	if !s.unshared {
-		s.mu.RLock()
-		k := probe(s, name, h)
-		var sl slot
-		if k != 0 {
-			sl = s.slots[k-1]
-		}
-		s.mu.RUnlock()
-		switch {
-		case k == 0 || !sl.interned && !sl.live:
-			return 0, nil
-		case sl.interned:
-			return k, sl.model()
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
-	k := probe(s, name, h)
+	s.reads++
+	k := s.key(name)
 	if k == 0 {
 		return 0, nil
 	}
@@ -704,32 +520,17 @@ func (s *Store) entryForKey(k Key, create bool) *Entry {
 	if k <= 0 {
 		panic(fmt.Sprintf("knowledge: invalid key %d", k))
 	}
-	if s.unshared {
-		sl := &s.slots[k-1]
-		if !sl.live && create {
-			return s.fill(sl, Scope(sl.scope))
-		}
-		return sl.model()
-	}
-	s.mu.RLock()
-	e := s.slots[k-1].model()
-	s.mu.RUnlock()
-	if e != nil || !create {
-		return e
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sl := &s.slots[k-1]
-	if !sl.live {
-		s.fill(sl, Scope(sl.scope))
+	if !sl.live && create {
+		return s.fill(sl, Scope(sl.scope))
 	}
-	return sl.e
+	return sl.model()
 }
 
 // ObserveKey records an observation for the interned model k (creating the
 // entry if needed): the hash-free equivalent of Observe.
 func (s *Store) ObserveKey(k Key, x, now float64) {
-	s.countWrite()
+	s.writes++
 	s.entryForKey(k, true).Observe(x, now)
 }
 
@@ -749,7 +550,7 @@ func (s *Store) EnsureKey(k Key) *Entry {
 // absent (never interned into existence or deleted). Like Get, it counts
 // as a model consultation.
 func (s *Store) GetKey(k Key) *Entry {
-	s.countRead()
+	s.reads++
 	return s.entryForKey(k, false)
 }
 
@@ -765,27 +566,21 @@ func (s *Store) ValueKey(k Key, def float64) float64 {
 
 // Observe records an observation for name (creating the entry if needed).
 func (s *Store) Observe(name string, scope Scope, x, now float64) {
-	s.countWrite()
+	s.writes++
 	s.Ensure(name, scope).Observe(x, now)
 }
 
 // Get returns the entry for name, or nil if absent. It counts as a model
 // consultation.
 func (s *Store) Get(name string) *Entry {
-	s.countRead()
-	if s.unshared {
-		if e := s.lastGet; e != nil && name == s.lastGetName {
-			return e
-		}
-		e := s.get(name)
-		if e != nil {
-			s.lastGetName, s.lastGet = name, e
-		}
+	s.reads++
+	if e := s.lastGet; e != nil && name == s.lastGetName {
 		return e
 	}
-	s.mu.RLock()
 	e := s.get(name)
-	s.mu.RUnlock()
+	if e != nil {
+		s.lastGetName, s.lastGet = name, e
+	}
 	return e
 }
 
@@ -800,10 +595,10 @@ func (s *Store) Value(name string, def float64) float64 {
 }
 
 // ReadCount reports how many model consultations the store has served.
-func (s *Store) ReadCount() int { return int(s.reads.Load() + s.readsU) }
+func (s *Store) ReadCount() int { return int(s.reads) }
 
 // WriteCount reports how many observations the store has absorbed.
-func (s *Store) WriteCount() int { return int(s.writes.Load() + s.writesU) }
+func (s *Store) WriteCount() int { return int(s.writes) }
 
 // Delete removes the named entry; a later Ensure/Observe (or key-based
 // write through an interned Key) recreates it fresh (first observation
@@ -812,10 +607,6 @@ func (s *Store) WriteCount() int { return int(s.writes.Load() + s.writesU) }
 // invalidated. The name's Key, if interned, stays valid and simply points
 // at nothing until the model is recreated.
 func (s *Store) Delete(name string) {
-	if !s.unshared {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
 	if k := s.key(name); k != 0 && s.slots[k-1].live {
 		s.slots[k-1].live = false
 		s.live--
@@ -824,8 +615,7 @@ func (s *Store) Delete(name string) {
 	s.dropped = true
 }
 
-// liveEntries appends the store's entries, in slot order, to dst; callers
-// hold the registry lock (or own the store).
+// liveEntries appends the store's entries, in slot order, to dst.
 func (s *Store) liveEntries(dst []*Entry) []*Entry {
 	for i := range s.slots {
 		if e := s.slots[i].model(); e != nil {
@@ -837,10 +627,6 @@ func (s *Store) liveEntries(dst []*Entry) []*Entry {
 
 // Names returns all entry names, sorted, optionally filtered by scope.
 func (s *Store) Names(scope Scope, filter bool) []string {
-	if !s.unshared {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-	}
 	var names []string
 	for i := range s.slots {
 		if e := s.slots[i].model(); e != nil && (!filter || e.Scope == scope) {
@@ -852,34 +638,16 @@ func (s *Store) Names(scope Scope, filter bool) []string {
 }
 
 // Len reports the number of entries.
-func (s *Store) Len() int {
-	if s.unshared {
-		return s.live
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.live
-}
+func (s *Store) Len() int { return s.live }
 
 // Inventory renders a human-readable snapshot, used by self-explanation.
 func (s *Store) Inventory(now float64) string {
-	if !s.unshared {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-	}
 	entries := s.liveEntries(make([]*Entry, 0, s.live))
 	slices.SortFunc(entries, byName)
 	var b strings.Builder
 	for _, e := range entries {
-		if e.mu != nil {
-			e.mu.RLock()
-		}
-		v, count, conf := e.value, e.n, e.confidenceLocked(now)
-		if e.mu != nil {
-			e.mu.RUnlock()
-		}
 		fmt.Fprintf(&b, "%-28s %8.3f  conf=%.2f  scope=%s  n=%d\n",
-			e.Name, v, conf, e.Scope, count)
+			e.Name, e.value, e.Confidence(now), e.Scope, e.n)
 	}
 	return b.String()
 }

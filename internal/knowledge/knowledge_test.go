@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -284,103 +283,6 @@ func TestStoreReadWriteInstrumentation(t *testing.T) {
 	s.Get("a")
 	if s.WriteCount() != 1 || s.ReadCount() != 2 {
 		t.Fatalf("instrumentation reads=%d writes=%d", s.ReadCount(), s.WriteCount())
-	}
-}
-
-// TestStoreConcurrentReadWrite hammers one store from concurrent writers,
-// readers and a deleter. It exists to run under -race: the store's contract
-// is that every public method is safe without external locking, including
-// entry accessors and history snapshots taken while another goroutine
-// observes the same entry.
-func TestStoreConcurrentReadWrite(t *testing.T) {
-	s := NewStore(0.3, 16)
-	names := []string{"load", "temp", "rate", "queue"}
-	const iters = 2000
-	var wg sync.WaitGroup
-
-	for w := 0; w < 4; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				name := names[(i+w)%len(names)]
-				s.Observe(name, Private, float64(i), float64(i))
-				if i%501 == 500 {
-					s.Delete(name)
-				}
-			}
-		}()
-	}
-	for r := 0; r < 4; r++ {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				name := names[(i+r)%len(names)]
-				s.Value(name, -1)
-				if e := s.Get(name); e != nil {
-					e.Confidence(float64(i))
-					e.Variance()
-					e.Updates()
-					e.LastUpdate()
-					if _, ok := e.Trend(); !ok {
-						t.Error("history unexpectedly disabled")
-						return
-					}
-					if h := e.History(); h != nil {
-						h.Mean()
-						h.Values()
-					}
-				}
-				if i%250 == 0 {
-					s.Inventory(float64(i))
-					s.Names(Private, false)
-					s.Len()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if s.WriteCount() != 4*iters {
-		t.Fatalf("writes = %d, want %d", s.WriteCount(), 4*iters)
-	}
-}
-
-// TestEntryConcurrentSingleModel focuses every goroutine on one entry, the
-// worst case for the per-entry lock: concurrent Observe/Set against every
-// read accessor.
-func TestEntryConcurrentSingleModel(t *testing.T) {
-	s := NewStore(0.3, 8)
-	e := s.Ensure("hot", Private)
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				e.Observe(float64(i), float64(i))
-				e.Set(float64(i), float64(i))
-			}
-		}()
-	}
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				e.Value()
-				e.Variance()
-				e.Confidence(float64(i))
-				e.Trend()
-				e.History()
-			}
-		}()
-	}
-	wg.Wait()
-	if e.Updates() != 2*2*2000 {
-		t.Fatalf("updates = %d", e.Updates())
 	}
 }
 

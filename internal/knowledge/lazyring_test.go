@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 	"unsafe"
 
@@ -150,50 +149,42 @@ func checkLikeEager(t *testing.T, what string, s *Store, e *Entry, r *eager, alp
 // TestLazyRingMatchesEager: a model updated 1, 2, 3, 17 and 65 times —
 // Observe and Set mixed, -0 and NaN values among them — reads exactly like
 // one whose ring existed from creation: Trend (ok included), History,
-// Updates and AppendState bytes, after every update, in shared and
-// unshared stores and at history bounds 0, 1, 3 and 64. A restore of its
-// state then continues like the reference for 70 more updates.
+// Updates and AppendState bytes, after every update, at history bounds 0,
+// 1, 3 and 64. A restore of its state then continues like the reference
+// for 70 more updates. The subtests are named shared=false: the store is
+// its model's own, as every store is.
 func TestLazyRingMatchesEager(t *testing.T) {
 	const alpha = 0.3
 	for _, histLen := range []int{0, 1, 3, 64} {
 		for _, k := range []int{1, 2, 3, 17, 65} {
-			for _, shared := range []bool{true, false} {
-				name := fmt.Sprintf("hist=%d/k=%d/shared=%v", histLen, k, shared)
-				t.Run(name, func(t *testing.T) {
-					newStore := func() *Store {
-						s := NewStore(alpha, histLen)
-						if !shared {
-							s.Unshared()
-						}
-						return s
-					}
-					s := newStore()
-					e := s.Ensure("m", Private)
-					r := newEager(histLen)
-					checkLikeEager(t, "created", s, e, r, alpha, histLen)
-					ops := lazyOps(k + 70)
-					for i, op := range ops[:k] {
-						applyOp(e, r, alpha, op)
-						checkLikeEager(t, fmt.Sprintf("update %d", i+1), s, e, r, alpha, histLen)
-					}
-					if got := e.hist != nil; got != (histLen > 0 && k >= 2) {
-						t.Fatalf("after %d updates the entry has a ring: %v", k, got)
-					}
+			name := fmt.Sprintf("hist=%d/k=%d/shared=false", histLen, k)
+			t.Run(name, func(t *testing.T) {
+				s := NewStore(alpha, histLen)
+				e := s.Ensure("m", Private)
+				r := newEager(histLen)
+				checkLikeEager(t, "created", s, e, r, alpha, histLen)
+				ops := lazyOps(k + 70)
+				for i, op := range ops[:k] {
+					applyOp(e, r, alpha, op)
+					checkLikeEager(t, fmt.Sprintf("update %d", i+1), s, e, r, alpha, histLen)
+				}
+				if got := e.hist != nil; got != (histLen > 0 && k >= 2) {
+					t.Fatalf("after %d updates the entry has a ring: %v", k, got)
+				}
 
-					cp := newStore()
-					if err := restoreBytes(cp, stateBytes(s)); err != nil {
-						t.Fatal(err)
-					}
-					ce := cp.get("m")
-					if got, want := ce.hist != nil, e.hist != nil; got != want {
-						t.Fatalf("restored entry has a ring: %v, original: %v", got, want)
-					}
-					for i, op := range ops[k:] {
-						applyOp(ce, r, alpha, op)
-						checkLikeEager(t, fmt.Sprintf("restored, update %d", k+i+1), cp, ce, r, alpha, histLen)
-					}
-				})
-			}
+				cp := NewStore(alpha, histLen)
+				if err := restoreBytes(cp, stateBytes(s)); err != nil {
+					t.Fatal(err)
+				}
+				ce := cp.get("m")
+				if got, want := ce.hist != nil, e.hist != nil; got != want {
+					t.Fatalf("restored entry has a ring: %v, original: %v", got, want)
+				}
+				for i, op := range ops[k:] {
+					applyOp(ce, r, alpha, op)
+					checkLikeEager(t, fmt.Sprintf("restored, update %d", k+i+1), cp, ce, r, alpha, histLen)
+				}
+			})
 		}
 	}
 }
@@ -202,7 +193,8 @@ func TestLazyRingMatchesEager(t *testing.T) {
 // without a ring only when it is the entry's own (lastUpdate, value) at
 // n == 1, compared bit for bit; any other history — a point that differs
 // by sign of zero or NaN payload, or n != 1 — gets a ring, so the restored
-// model exports the file's bytes and continues like the reference.
+// model exports the file's bytes and continues like the reference. The
+// subtests are named shared=false, as TestLazyRingMatchesEager's are.
 func TestRestoreBuildsRingUnlessBitEqual(t *testing.T) {
 	const alpha = 0.3
 	negZero := math.Copysign(0, -1)
@@ -233,35 +225,30 @@ func TestRestoreBuildsRingUnlessBitEqual(t *testing.T) {
 		{"no history kept", 0, 1, 2.5, 7, nil, nil, false},
 	}
 	for _, c := range cases {
-		for _, shared := range []bool{true, false} {
-			t.Run(fmt.Sprintf("%s/shared=%v", c.name, shared), func(t *testing.T) {
-				r := &eager{value: c.value, last: c.last, n: c.n}
-				if c.histLen > 0 {
-					r.ring = NewRing(c.histLen)
-					for i := range c.times {
-						r.ring.Push(c.times[i], c.values[i])
-					}
+		t.Run(c.name+"/shared=false", func(t *testing.T) {
+			r := &eager{value: c.value, last: c.last, n: c.n}
+			if c.histLen > 0 {
+				r.ring = NewRing(c.histLen)
+				for i := range c.times {
+					r.ring.Push(c.times[i], c.values[i])
 				}
-				st := r.state(alpha, c.histLen, "m")
-				s := NewStore(alpha, 8)
-				if !shared {
-					s.Unshared()
-				}
-				if err := restoreBytes(s, st); err != nil {
-					t.Fatal(err)
-				}
-				e := s.get("m")
-				if got := e.hist != nil; got != c.wantRing {
-					t.Fatalf("restored with a ring: %v, want %v", got, c.wantRing)
-				}
-				checkLikeEager(t, "restored", s, e, r, alpha, c.histLen)
-				for i, op := range lazyOps(20) {
-					op.now += 10
-					applyOp(e, r, alpha, op)
-					checkLikeEager(t, fmt.Sprintf("update %d", i+1), s, e, r, alpha, c.histLen)
-				}
-			})
-		}
+			}
+			st := r.state(alpha, c.histLen, "m")
+			s := NewStore(alpha, 8)
+			if err := restoreBytes(s, st); err != nil {
+				t.Fatal(err)
+			}
+			e := s.get("m")
+			if got := e.hist != nil; got != c.wantRing {
+				t.Fatalf("restored with a ring: %v, want %v", got, c.wantRing)
+			}
+			checkLikeEager(t, "restored", s, e, r, alpha, c.histLen)
+			for i, op := range lazyOps(20) {
+				op.now += 10
+				applyOp(e, r, alpha, op)
+				checkLikeEager(t, fmt.Sprintf("update %d", i+1), s, e, r, alpha, c.histLen)
+			}
+		})
 	}
 }
 
@@ -305,57 +292,20 @@ func TestRestoreRejectsUnstorableScope(t *testing.T) {
 	}
 }
 
-// TestModelSizes pins the sizes the arena chunks are chosen for: an 80 B
-// entry (8 to a 640 B size class), a 40 B ring (16 to the same class) and
-// a 16 B symbol-table slot, which holds no name of its own.
+// TestModelSizes pins the sizes the arena chunks are chosen for: a 72 B
+// entry (8 to a 576 B size class), a 40 B ring (16 to a 640 B one) and a
+// 16 B symbol-table slot, which holds no name of its own.
 func TestModelSizes(t *testing.T) {
 	for _, c := range []struct {
 		what       string
 		size, want uintptr
 	}{
-		{"Entry", unsafe.Sizeof(Entry{}), 80},
+		{"Entry", unsafe.Sizeof(Entry{}), 72},
 		{"Ring", unsafe.Sizeof(Ring{}), 40},
 		{"slot", unsafe.Sizeof(slot{}), 16},
 	} {
 		if c.size != c.want {
 			t.Errorf("%s is %d B, want %d", c.what, c.size, c.want)
-		}
-	}
-}
-
-// TestSharedRingArenaUnderRace: in a shared store, models updated for the
-// second time at once on different goroutines each take their own ring
-// from the store's arena. Under -race this catches an arena taken without
-// its lock; every model must end with exactly its own two points.
-func TestSharedRingArenaUnderRace(t *testing.T) {
-	s := NewStore(0.3, 16)
-	const workers, models = 4, 64
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		es := make([]*Entry, models)
-		for i := range es {
-			es[i] = s.Ensure(fmt.Sprintf("g%d/m%02d", g, i), Public)
-			es[i].Observe(float64(g), 1)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			for i, e := range es {
-				e.Observe(float64(i), 2)
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	for g := 0; g < workers; g++ {
-		for i := 0; i < models; i++ {
-			h := s.Get(fmt.Sprintf("g%d/m%02d", g, i)).History()
-			ts, vs := h.Times(), h.Values()
-			if len(ts) != 2 || ts[0] != 1 || ts[1] != 2 || vs[0] != float64(g) || vs[1] != float64(i) {
-				t.Fatalf("g%d/m%02d: history %v at %v, want %d then %d at 1 and 2", g, i, vs, ts, g, i)
-			}
 		}
 	}
 }

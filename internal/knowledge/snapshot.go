@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 
 	"sacs/internal/codec"
 )
@@ -18,23 +17,19 @@ const minEntrySize = 29
 // AppendState writes the store's complete contents to e: its parameters
 // and counters, then the entries in name order, so equal stores write
 // equal bytes, each with its history oldest-first (ring rotation and
-// backing size are not written). It takes the registry write lock — the
-// kept name order changes here (see exportOrder) — and every entry lock,
-// so it must not run concurrently with a caller that holds entry locks;
-// population checkpointing calls it only at tick barriers.
+// backing size are not written). It writes to the store too — the kept
+// name order changes here (see exportOrder) — so, like every other use of
+// the store, it needs the store's one owner: population checkpointing
+// calls it only at tick barriers, from the job that encodes the agent's
+// shard.
 func (s *Store) AppendState(e *codec.Encoder) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	e.F64(s.kin.alpha)
 	e.Int(s.kin.histLen)
-	e.Varint(s.reads.Load() + s.readsU)
-	e.Varint(s.writes.Load() + s.writesU)
+	e.Varint(s.reads)
+	e.Varint(s.writes)
 	sorted := s.exportOrder()
 	e.Uvarint(uint64(len(sorted)))
 	for _, en := range sorted {
-		if en.mu != nil {
-			en.mu.RLock()
-		}
 		e.Str(en.Name)
 		e.Int(int(en.Scope))
 		e.F64(en.value)
@@ -55,9 +50,6 @@ func (s *Store) AppendState(e *codec.Encoder) {
 			e.Uvarint(0)
 			e.Uvarint(0)
 		}
-		if en.mu != nil {
-			en.mu.RUnlock()
-		}
 	}
 }
 
@@ -66,7 +58,7 @@ func (s *Store) AppendState(e *codec.Encoder) {
 // before merges: the entries created since (a few, between two
 // checkpoints) are sorted and merged into the kept order, and entries
 // deleted since are dropped from it. Any other store sorts all its
-// entries, once. Callers hold the registry write lock.
+// entries, once.
 func (s *Store) exportOrder() []*Entry {
 	if !s.kept {
 		order := s.liveEntries(make([]*Entry, 0, s.live))
@@ -204,15 +196,13 @@ func ringless(n, k int, value, last, t, v float64) bool {
 //
 // A length-only pre-scan sizes the restore, so the entries come out of one
 // block, their rings out of another and every history out of one float
-// slab (a shared store adds one block of entry locks): a few allocations
-// per store, not several per entry. Names the store already holds are
-// reused; the rest share one string block. A history an entry's own fields
-// spell gets no ring (see ringless); every other one is read straight into
-// a ring of the backing length NewRing plus its Pushes would have grown
-// to, so later growth, Trend and AppendState are exactly the writer's.
+// slab: a few allocations per store, not several per entry. Names the
+// store already holds are reused; the rest share one string block. A
+// history an entry's own fields spell gets no ring (see ringless); every
+// other one is read straight into a ring of the backing length NewRing
+// plus its Pushes would have grown to, so later growth, Trend and
+// AppendState are exactly the writer's.
 func (s *Store) RestoreState(d *codec.Decoder) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	scan := *d
 	nrings, floats, newNames, nameBytes, err := scanState(&scan, s)
 	if err != nil {
@@ -226,10 +216,6 @@ func (s *Store) RestoreState(d *codec.Decoder) error {
 		k = &kin{alpha: alpha, histLen: histLen}
 	}
 	entries := make([]Entry, n)
-	var locks []sync.RWMutex
-	if !s.unshared {
-		locks = make([]sync.RWMutex, n)
-	}
 	rings := make([]Ring, nrings)
 	var slab []float64
 	if floats > 0 {
@@ -258,9 +244,6 @@ func (s *Store) RestoreState(d *codec.Decoder) error {
 			n:          d.Int(),
 			lastUpdate: d.F64(),
 		}
-		if locks != nil {
-			en.mu = &locks[i]
-		}
 		h := *d // the histories again, for a ring to read
 		pts, _, t, v := skipHistory(d)
 		if histLen > 0 && !ringless(en.n, pts, en.value, en.lastUpdate, t, v) {
@@ -278,9 +261,7 @@ func (s *Store) RestoreState(d *codec.Decoder) error {
 	s.bindRestored(entries, newNames)
 	s.lastGetName, s.lastGet = "", nil
 	s.kept, s.order, s.restored, s.fresh, s.dropped = true, nil, entries, nil, false
-	s.reads.Store(reads)
-	s.writes.Store(writes)
-	s.readsU, s.writesU = 0, 0
+	s.reads, s.writes = reads, writes
 	return nil
 }
 
@@ -313,7 +294,7 @@ func (s *Store) bindRestored(entries []Entry, newNames int) {
 }
 
 // known returns the store's own copy of name when its symbol table holds
-// one already; a nil store holds none. Callers hold the registry lock.
+// one already; a nil store holds none.
 func (s *Store) known(name []byte) (string, bool) {
 	if s == nil {
 		return "", false

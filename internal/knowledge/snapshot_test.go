@@ -89,9 +89,8 @@ func backing(e *Entry) int {
 var storeSink *Store
 
 // TestSetStateAllocatesPerStore pins the restore path's allocation to
-// three blocks per unshared store — the entry block, the ring block and the
-// history slab — and four per shared store, whose entries add one block of
-// locks, however many entries and points it restores. The measured restores
+// three blocks per store — the entry block, the ring block and the history
+// slab — however many entries and points it restores. The measured restores
 // find every name in the registry the first one filled, so they reuse its
 // strings, index and slots; a restore into a fresh store spends exactly
 // one block more each on the symbol table's index, its slot table and the
@@ -107,40 +106,28 @@ func TestSetStateAllocatesPerStore(t *testing.T) {
 			}
 		}
 		st := stateBytes(src)
-		for _, shared := range []bool{false, true} {
-			blocks, what := 3.0, "entry block, ring block, slab"
-			if shared {
-				blocks, what = 4, what+", locks"
+		const blocks, what = 3.0, "entry block, ring block, slab"
+		dst := NewStore(0.2, 64)
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := dst.RestoreState(codec.NewDecoder(st)); err != nil {
+				t.Fatal(err)
 			}
-			newStore := func() *Store {
-				s := NewStore(0.2, 64)
-				if !shared {
-					s.Unshared()
-				}
-				return s
+		})
+		if allocs > blocks {
+			t.Errorf("RestoreState of %d entries: %v allocations, want at most %v (%s)",
+				entries, allocs, blocks, what)
+		}
+		fresh := testing.AllocsPerRun(20, func() {
+			storeSink = NewStore(0.2, 64)
+			if err := storeSink.RestoreState(codec.NewDecoder(st)); err != nil {
+				t.Fatal(err)
 			}
-			dst := newStore()
-			allocs := testing.AllocsPerRun(20, func() {
-				if err := dst.RestoreState(codec.NewDecoder(st)); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs > blocks {
-				t.Errorf("RestoreState of %d entries (shared %v): %v allocations, want at most %v (%s)",
-					entries, shared, allocs, blocks, what)
-			}
-			fresh := testing.AllocsPerRun(20, func() {
-				storeSink = newStore()
-				if err := storeSink.RestoreState(codec.NewDecoder(st)); err != nil {
-					t.Fatal(err)
-				}
-			})
-			store := testing.AllocsPerRun(20, func() { storeSink = newStore() })
-			if want := store + blocks + 3; fresh > want {
-				t.Errorf("RestoreState of %d entries into a fresh store (shared %v): %v allocations, want at most %v "+
-					"(store %v, index, slot table, %s, names)",
-					entries, shared, fresh, want, store, what)
-			}
+		})
+		store := testing.AllocsPerRun(20, func() { storeSink = NewStore(0.2, 64) })
+		if want := store + blocks + 3; fresh > want {
+			t.Errorf("RestoreState of %d entries into a fresh store: %v allocations, want at most %v "+
+				"(store %v, index, slot table, %s, names)",
+				entries, fresh, want, store, what)
 		}
 	}
 }
@@ -250,45 +237,39 @@ func TestRestoreStateRejectsOutOfOrder(t *testing.T) {
 // TestKeptOrderExportsLikeSort drives two stores through the same random
 // creations, deletions, re-creations, exports and restores. One keeps its
 // name order across exports; the other forgets it before every export and
-// so sorts anew. Every export must give the same bytes, in shared
-// and unshared stores alike.
+// so sorts anew. Every export must give the same bytes. The subtest is
+// named unshared=true: each store has one owner, as every store does.
 func TestKeptOrderExportsLikeSort(t *testing.T) {
-	for _, unshared := range []bool{false, true} {
-		t.Run(fmt.Sprintf("unshared=%v", unshared), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			kept, sorted := NewStore(0.2, 4), NewStore(0.2, 4)
-			if unshared {
-				kept.Unshared()
-				sorted.Unshared()
-			}
-			for step := 0; step < 3000; step++ {
-				name := fmt.Sprintf("m%03d", rng.Intn(200))
-				switch op := rng.Intn(100); {
-				case op < 70:
-					for _, s := range []*Store{kept, sorted} {
-						s.Observe(name, Private, float64(step), float64(step))
-					}
-				case op < 85:
-					kept.Delete(name)
-					sorted.Delete(name)
-				case op < 97:
-					sorted.forgetOrder()
-					a, b := stateBytes(kept), stateBytes(sorted)
-					if !bytes.Equal(a, b) {
-						t.Fatalf("step %d: kept-order export differs from a sorted one", step)
-					}
-				default:
-					st := stateBytes(kept)
-					if err := restoreBytes(kept, st); err != nil {
-						t.Fatal(err)
-					}
-					if err := restoreBytes(sorted, st); err != nil {
-						t.Fatal(err)
-					}
+	t.Run("unshared=true", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		kept, sorted := NewStore(0.2, 4), NewStore(0.2, 4)
+		for step := 0; step < 3000; step++ {
+			name := fmt.Sprintf("m%03d", rng.Intn(200))
+			switch op := rng.Intn(100); {
+			case op < 70:
+				for _, s := range []*Store{kept, sorted} {
+					s.Observe(name, Private, float64(step), float64(step))
+				}
+			case op < 85:
+				kept.Delete(name)
+				sorted.Delete(name)
+			case op < 97:
+				sorted.forgetOrder()
+				a, b := stateBytes(kept), stateBytes(sorted)
+				if !bytes.Equal(a, b) {
+					t.Fatalf("step %d: kept-order export differs from a sorted one", step)
+				}
+			default:
+				st := stateBytes(kept)
+				if err := restoreBytes(kept, st); err != nil {
+					t.Fatal(err)
+				}
+				if err := restoreBytes(sorted, st); err != nil {
+					t.Fatal(err)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestOrderKeptOnlyOnceExported: a store that has never been exported or

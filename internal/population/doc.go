@@ -14,11 +14,13 @@
 // byte-identical results whether the pool runs one worker or thirty-two;
 // only the wall time changes. See DESIGN.md for the full contract.
 //
-// The tick loop is engineered to be allocation-free at steady state:
-// single-owner knowledge stores are marked knowledge.Store.Unshared (no
-// locks, no atomics), shard results are pooled, mailbox slices recycle
-// through a coordinator free list, and the work-proxy history is a
-// fixed-size ring (DESIGN.md "Hot-path performance").
+// Every agent owns its knowledge store, which takes no lock: a shard job
+// owns its agents' stores for the tick, and the barriers hand them over.
+// A population whose agents would share a store panics at construction.
+// The tick loop is engineered to be allocation-free at steady state: shard
+// results are pooled, mailbox slices recycle through a coordinator free
+// list, and the work-proxy history is a fixed-size ring (DESIGN.md
+// "Hot-path performance").
 //
 // External stimuli enter through Enqueue, exactly as if a peer had sent
 // them at the previous barrier. Admission control (how much outside

@@ -70,8 +70,8 @@ type Config struct {
 	// factory may capture for use inside sensors or reasoners. Agents in
 	// different shards are stepped concurrently, so they must not share
 	// mutable state — in particular, never share one knowledge.Store
-	// across agents (safe now, but the interleaving would be
-	// nondeterministic).
+	// across agents: a store has one owner, and construction panics when
+	// two agents share one.
 	New func(id int, rng *rand.Rand) *core.Agent
 	// Emit, when non-nil, runs after each agent's step to publish stimuli
 	// to other agents via EmitContext.Send.

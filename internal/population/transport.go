@@ -220,22 +220,17 @@ func (t *LocalTransport) build(lo, hi int) {
 		t.shardSrcs[s] = xrand.NewSource(mix(t.cfg.Seed, 0xBF58476D1CE4E5B9, int64(s)))
 		t.rngs[s] = rand.New(t.shardSrcs[s])
 	}
-	// Knowledge stores owned by exactly one agent never see concurrent
-	// access (a shard steps its agents sequentially; barriers order the
-	// ticks), so their locking and atomic counters are pure overhead:
-	// mark them unshared. Owners are counted over every hosted agent, so
-	// a store given to several agents — a shared collective blackboard —
-	// keeps full locking.
-	owners := make(map[*knowledge.Store]int, hiA-loA)
-	for _, a := range t.agents {
-		if a != nil {
-			owners[a.Store()]++
+	// A knowledge store has one owner (see knowledge.Store): two agents
+	// sharing one would be stepped concurrently by different shard jobs.
+	owner := make(map[*knowledge.Store]int, hiA-loA)
+	for id, a := range t.agents {
+		if a == nil {
+			continue
 		}
-	}
-	for id := loA; id < hiA; id++ {
-		if st := t.agents[id].Store(); owners[st] == 1 {
-			st.Unshared()
+		if prev, ok := owner[a.Store()]; ok {
+			panic(fmt.Sprintf("population: agents %d and %d share a knowledge store", prev, id))
 		}
+		owner[a.Store()] = id
 	}
 }
 

@@ -261,7 +261,8 @@ var NewMAPEK = core.NewMAPEK
 
 // Knowledge store types.
 type (
-	// Store is the agent's self-model registry.
+	// Store is the agent's self-model registry. It has one owner at a
+	// time and no locks; see DESIGN.md "Knowledge-store concurrency".
 	Store = knowledge.Store
 	// Entry is one model in the store.
 	Entry = knowledge.Entry

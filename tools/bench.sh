@@ -8,8 +8,8 @@
 # to JSON via cmd/benchjson, and gates against the committed baseline
 # BENCH_PR7.json (±10%): allocs/op for the agent step, the population
 # tick, the gossip population tick, the cluster tick over loopback and the
-# E9 experiment (its agents create their models in shared stores, the
-# path no population runs), plus a steps/sec floor on the 10k-agent
+# E9 experiment (its agents create their models in stores built outside
+# any population), plus a steps/sec floor on the 10k-agent
 # 4-worker tick (throughput must not silently erode, not just allocation
 # count).
 # CI calls this on every PR and uploads the JSON as an artifact; to refresh

@@ -10,6 +10,7 @@ import (
 
 	"sacs/internal/core"
 	"sacs/internal/knowledge"
+	"sacs/internal/runner"
 	"sacs/internal/stats"
 )
 
@@ -213,16 +214,55 @@ func TestRunWorkHistoryAllocFree(t *testing.T) {
 	}
 }
 
-// TestSharedStoreRejected: a knowledge store has one owner, so a
-// population whose agents share one panics at construction, naming the
-// first two agents that hold it — here agents 1 and 6, in different
-// shards.
-func TestSharedStoreRejected(t *testing.T) {
+// TestSingleOwnerStoresUnshared: every agent owns its store, whether the
+// agent built it or Config.Store handed it one, so a population stepped by
+// several workers touches each store from one goroutine at a time (under
+// -race a store reached by two shards in one tick would be reported).
+func TestSingleOwnerStoresUnshared(t *testing.T) {
+	given := []*knowledge.Store{knowledge.NewStore(0.3, 8), knowledge.NewStore(0.3, 8)}
+	pool := runner.New(4)
+	defer pool.Close()
+	e := New(Config{
+		Name:   "private",
+		Agents: 32,
+		Shards: 8,
+		Seed:   3,
+		Pool:   pool,
+		New: func(id int, rng *rand.Rand) *core.Agent {
+			cfg := core.Config{
+				Name: "p",
+				Caps: core.Caps(core.LevelStimulus),
+				Sensors: []core.Sensor{core.ScalarSensor("x", core.Private,
+					func(now float64) float64 { return float64(id) })},
+				ExplainDepth: -1,
+			}
+			if id < len(given) {
+				cfg.Store = given[id]
+			}
+			return core.New(cfg)
+		},
+	})
+	e.Run(20)
+	for i, s := range given {
+		if s.WriteCount() == 0 {
+			t.Fatalf("store given to agent %d saw no writes", i)
+		}
+	}
+}
+
+// TestSharedStorePopulationStaysRaceFree: a knowledge store has one owner,
+// so a population whose agents share one panics at construction, before
+// any worker can step it, naming the first two agents that hold it — here
+// agents 1 and 6, in different shards.
+func TestSharedStorePopulationStaysRaceFree(t *testing.T) {
 	shared := knowledge.NewStore(0.3, 8)
 	defer func() {
 		msg, _ := recover().(string)
 		if want := "population: agents 1 and 6 share a knowledge store"; msg != want {
 			t.Fatalf("panic %q, want %q", msg, want)
+		}
+		if n := shared.WriteCount(); n != 0 {
+			t.Fatalf("the shared store saw %d writes before the panic", n)
 		}
 	}()
 	New(Config{

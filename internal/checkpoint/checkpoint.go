@@ -15,8 +15,11 @@ import (
 var ErrCorrupt = errors.New("corrupt snapshot")
 
 // Version is the current wire-format version. Decode accepts exactly the
-// versions it knows how to interpret (currently only this one).
-const Version = 1
+// versions it knows how to interpret (currently only this one). Version 2
+// frames the head and every shard run with its own length and CRC-32C, in
+// place of version 1's unframed runs under one trailing CRC, and spells a
+// model's one-point history only when a ring holds it.
+const Version = 2
 
 // magic opens every snapshot file: "SACSNAP" plus a format byte, so a
 // future incompatible rework can change the magic rather than the version.

@@ -2,12 +2,14 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sacs/internal/core"
@@ -157,6 +159,14 @@ func TestDecodeCorruption(t *testing.T) {
 	badVersion := append([]byte(nil), good...)
 	badVersion[8] = 0xFF
 	check("unknown version", badVersion)
+
+	// A version-1 file (unframed runs under one trailing checksum) is
+	// refused by its header, before a byte of its payload is read.
+	v1 := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(v1[8:12], 1)
+	if _, _, err := DecodeBytes(v1); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Errorf("version 1: want ErrCorrupt for an unsupported version, got %v", err)
+	}
 
 	trailing := append(append([]byte(nil), good...), 0xAA)
 	if _, _, err := DecodeBytes(trailing); err != nil {

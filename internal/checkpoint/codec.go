@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -35,98 +36,123 @@ func EncodeBytes(s *population.Snapshot, meta map[string]string) ([]byte, error)
 	return b.buf, nil
 }
 
-// sizedBuffer collects one frame, allocated at the frame's size when its
+// sizedBuffer collects one file, allocated at the file's size when its
 // header, the first write, arrives: the header of a materialised snapshot
 // carries the payload's exact length.
 type sizedBuffer struct{ buf []byte }
 
 func (b *sizedBuffer) Write(p []byte) (int, error) {
 	if b.buf == nil && len(p) == headerLen {
-		b.buf = make([]byte, 0, headerLen+int(binary.LittleEndian.Uint64(p[lenOffset:]))+trailerLen)
+		b.buf = make([]byte, 0, headerLen+int(binary.LittleEndian.Uint64(p[lenOffset:])))
 	}
 	b.buf = append(b.buf, p...)
 	return len(p), nil
 }
 
-// headerLen and trailerLen are the fixed frame around the payload: magic,
-// version and payload length (at lenOffset) before it, the payload's
-// CRC-32C after it.
+// headerLen is the fixed header before the payload: magic, version and
+// payload length (at lenOffset).
 const (
-	headerLen  = 20
-	lenOffset  = 12
-	trailerLen = 4
+	headerLen = 20
+	lenOffset = 12
 )
 
-// writeFramed writes the snapshot that stream hands over to w, framed,
-// and returns the payload's length: the header, the head segment, each
-// run as it arrives, and the trailer. The checksum runs over the segments
-// as they are written, so the payload is never joined into one buffer.
-// The header's length is what is known when the head arrives: the head
-// segment plus the runs the head snapshot already holds. For a
-// materialised snapshot that is the payload; a streamed head holds no
-// runs, and WriteStream patches the length once the payload is written.
+// writeFramed writes the snapshot that stream hands over to w — the
+// header, then the head and each run, as it arrives, in a frame of its
+// own — and returns the payload's length. The header's length is what is
+// known when the head arrives: the head's frame plus the frames of the
+// runs the head snapshot already holds. For a materialised snapshot that
+// is the payload; a streamed head holds no runs, and WriteStream patches
+// the length once the payload is written.
 func writeFramed(w io.Writer, stream func(population.Sink) error, meta map[string]string) (int, error) {
 	f := framer{w: w}
 	err := stream(population.Sink{
 		Head: func(s *population.Snapshot) error {
 			e := codec.NewEncoder()
 			appendHead(e, s, meta)
-			n := e.Len()
+			n := frameLen(e.Bytes())
 			for _, run := range s.Runs {
-				n += len(run)
+				n += frameLen(run)
 			}
-			if err := f.header(n); err != nil {
+			var header [headerLen]byte
+			copy(header[:8], magic[:])
+			binary.LittleEndian.PutUint32(header[8:lenOffset], Version)
+			binary.LittleEndian.PutUint64(header[lenOffset:], uint64(n))
+			if _, err := w.Write(header[:]); err != nil {
 				return err
 			}
-			return f.write(e.Bytes())
+			return f.frame(e.Bytes())
 		},
-		Run: f.write,
+		Run: f.frame,
 	})
-	if err == nil {
-		err = f.trailer()
-	}
 	return f.n, err
 }
 
-// framer writes one frame to w: the header, the payload in segments, each
-// folded into the checksum as it passes, and the trailer.
+// A frame is one self-checking unit of a payload: a uvarint length, that
+// many bytes, and their CRC-32C (little-endian uint32). A file's payload
+// is the head's frame and then one frame per shard run; a range state's
+// runs are frames too. The frame is the only checksum, so each byte is
+// checked once, and a damaged one is traced to its frame.
+const (
+	crcLen      = 4
+	minFrameLen = 1 + crcLen // an empty frame
+)
+
+// frameLen is the encoded size of b's frame.
+func frameLen(b []byte) int {
+	var v [binary.MaxVarintLen64]byte
+	return len(binary.AppendUvarint(v[:0], uint64(len(b)))) + len(b) + crcLen
+}
+
+// framer writes frames to w and counts the bytes written.
 type framer struct {
 	w   io.Writer
-	n   int // payload bytes written
-	crc uint32
+	n   int
+	buf [binary.MaxVarintLen64]byte
 }
 
-// header writes the header of an n-byte payload.
-func (f *framer) header(n int) error {
-	var header [headerLen]byte
-	copy(header[:8], magic[:])
-	binary.LittleEndian.PutUint32(header[8:lenOffset], Version)
-	binary.LittleEndian.PutUint64(header[lenOffset:], uint64(n))
-	_, err := f.w.Write(header[:])
-	return err
-}
-
-// write writes the payload's next segment.
-func (f *framer) write(seg []byte) error {
-	if _, err := f.w.Write(seg); err != nil {
+// frame writes b as one frame: its length, b, and b's checksum.
+func (f *framer) frame(b []byte) error {
+	if err := f.write(binary.AppendUvarint(f.buf[:0], uint64(len(b)))); err != nil {
 		return err
 	}
-	f.n += len(seg)
-	f.crc = crc32.Update(f.crc, castagnoli, seg)
-	return nil
+	if err := f.write(b); err != nil {
+		return err
+	}
+	return f.write(binary.LittleEndian.AppendUint32(f.buf[:0], crc32.Checksum(b, castagnoli)))
 }
 
-// trailer writes the checksum of the segments written.
-func (f *framer) trailer() error {
-	var sum [trailerLen]byte
-	binary.LittleEndian.PutUint32(sum[:], f.crc)
-	_, err := f.w.Write(sum[:])
+func (f *framer) write(p []byte) error {
+	_, err := f.w.Write(p)
+	f.n += len(p)
 	return err
 }
 
-// Decode reads one snapshot from r, verifying magic, version, length and
-// checksum before interpreting the payload. Damage is reported as an error
-// wrapping ErrCorrupt.
+// readFrame reads one frame from d and returns its bytes, which share d's
+// buffer, once their checksum matches. A frame cut short or failing its
+// check fails d with ErrCorrupt, naming shard's run (the head's frame when
+// shard is negative).
+func readFrame(d *codec.Decoder, shard int) []byte {
+	f := *d
+	b, sum := f.StrBytes(), f.U32()
+	err := f.Err()
+	if got := crc32.Checksum(b, castagnoli); err == nil && got != sum {
+		err = fmt.Errorf("checksum mismatch (bytes %08x, frame %08x)", got, sum)
+	}
+	if err != nil {
+		what := "head"
+		if shard >= 0 {
+			what = fmt.Sprintf("shard %d run", shard)
+		}
+		d.Fail("%w: %s: %v", ErrCorrupt, what, err)
+		return nil
+	}
+	*d = f
+	return b
+}
+
+// Decode reads one snapshot from r, verifying magic, version and length,
+// and each frame's checksum before interpreting its bytes. Damage is
+// reported as an error wrapping ErrCorrupt.
 func Decode(r io.Reader) (*population.Snapshot, map[string]string, error) {
 	return decode(r, -1)
 }
@@ -157,25 +183,14 @@ func decode(r io.Reader, size int64) (*population.Snapshot, map[string]string, e
 	if n > maxPayload {
 		return nil, nil, fmt.Errorf("%w: payload length %d exceeds limit", ErrCorrupt, n)
 	}
-	if size >= 0 && n > uint64(max(size-headerLen-trailerLen, 0)) {
+	if size >= 0 && n > uint64(max(size-headerLen, 0)) {
 		return nil, nil, fmt.Errorf("%w: payload length %d does not fit in %d bytes", ErrCorrupt, n, size)
 	}
 	payload, err := codec.ReadN(r, n, size >= 0)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: payload: %v", ErrCorrupt, err)
 	}
-	var sum [trailerLen]byte
-	if _, err := io.ReadFull(r, sum[:]); err != nil {
-		return nil, nil, fmt.Errorf("%w: checksum: %v", ErrCorrupt, err)
-	}
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(sum[:]); got != want {
-		return nil, nil, fmt.Errorf("%w: checksum mismatch (payload %08x, trailer %08x)", ErrCorrupt, got, want)
-	}
-	s, meta, err := decodePayload(payload)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return s, meta, nil
+	return decodePayload(payload)
 }
 
 // ---- payload encoding ----
@@ -185,15 +200,14 @@ func decode(r io.Reader, size int64) (*population.Snapshot, map[string]string, e
 // codec.Decoder.Count keeps a lying count from allocating more than a
 // small multiple of the bytes that are actually there.
 const (
-	MinRangeStateSize = 7 // four bounds, three empty lists
+	MinRangeStateSize = 6 // four bounds, two empty lists, no runs
 	minInboxSize      = 1 // an empty mailbox's count
 	minMetaSize       = 2 // an empty key and value
 )
 
-// appendHead writes the payload's head segment: the metadata, header
-// fields, RNG positions and mail, and the agent count that opens the
-// agents' states. The shards' runs follow it in the payload as the
-// transport wrote them — spliced, never copied.
+// appendHead writes the payload's head: the metadata, header fields, RNG
+// positions and mail. The shards' runs follow it in the payload, each in
+// its own frame, as the transport wrote them — never copied.
 func appendHead(e *codec.Encoder, s *population.Snapshot, meta map[string]string) {
 	keys := make([]string, 0, len(meta))
 	for k := range meta {
@@ -226,13 +240,12 @@ func appendHead(e *codec.Encoder, s *population.Snapshot, meta map[string]string
 			core.AppendStimulus(e, st)
 		}
 	}
-	e.Uvarint(uint64(s.Agents))
 }
 
 // AppendRange writes a population shard-range state — the state-transfer
-// payload that initialises, migrates or rebalances a cluster worker,
-// spelled like the snapshot payload: bounds, RNG positions, the agent
-// count, then the shards' runs spliced verbatim.
+// payload that initialises, migrates or rebalances a cluster worker: its
+// bounds and RNG positions, then one frame per shard run, as a file
+// spells its runs.
 func AppendRange(e *codec.Encoder, rs *population.RangeState) {
 	e.Int(rs.LoShard)
 	e.Int(rs.HiShard)
@@ -240,23 +253,24 @@ func AppendRange(e *codec.Encoder, rs *population.RangeState) {
 	e.Int(rs.HiAgent)
 	e.U64s(rs.ShardRNG)
 	e.U64s(rs.AgentRNG)
-	e.Uvarint(uint64(rs.HiAgent - rs.LoAgent))
 	n := 0
 	for _, run := range rs.Runs {
-		n += len(run)
+		n += frameLen(run)
 	}
 	e.Reserve(n)
+	f := framer{w: e}
 	for _, run := range rs.Runs {
-		e.Raw(run)
+		_ = f.frame(run) // an Encoder never fails a write
 	}
 }
 
 // ---- payload decoding ----
 
 // DecodeRange reads a shard-range state of a population whose agent
-// partition is bounds (population.Partition). The agent states are cut
-// into one run per shard that shares d's buffer; a range the partition
-// does not have, or whose lists disagree with it, fails the decoder.
+// partition is bounds (population.Partition). Each shard's run is read
+// from its frame and shares d's buffer; a range the partition does not
+// have, lists that disagree with it, or a frame that is cut short or fails
+// its checksum (ErrCorrupt, naming the shard) fail the decoder.
 func DecodeRange(d *codec.Decoder, bounds []int) *population.RangeState {
 	rs := &population.RangeState{
 		LoShard:  d.Int(),
@@ -266,7 +280,6 @@ func DecodeRange(d *codec.Decoder, bounds []int) *population.RangeState {
 		ShardRNG: d.U64s(),
 		AgentRNG: d.U64s(),
 	}
-	n := d.Count(core.MinStateSize)
 	if d.Err() != nil {
 		return rs
 	}
@@ -275,86 +288,80 @@ func DecodeRange(d *codec.Decoder, bounds []int) *population.RangeState {
 		return rs
 	}
 	lo, hi := bounds[rs.LoShard], bounds[rs.HiShard]
-	if rs.LoAgent != lo || rs.HiAgent != hi || n != hi-lo ||
+	if rs.LoAgent != lo || rs.HiAgent != hi ||
 		len(rs.ShardRNG) != rs.HiShard-rs.LoShard || len(rs.AgentRNG) != hi-lo {
-		d.Fail("range state: shards [%d, %d) carry agents [%d, %d), %d shard streams, %d agent streams "+
-			"and %d agent states; partition says agents [%d, %d)",
-			rs.LoShard, rs.HiShard, rs.LoAgent, rs.HiAgent, len(rs.ShardRNG), len(rs.AgentRNG), n, lo, hi)
+		d.Fail("range state: shards [%d, %d) carry agents [%d, %d), %d shard streams and %d agent streams; "+
+			"partition says agents [%d, %d)",
+			rs.LoShard, rs.HiShard, rs.LoAgent, rs.HiAgent, len(rs.ShardRNG), len(rs.AgentRNG), lo, hi)
 		return rs
 	}
-	rs.Runs = splitRuns(d, bounds, rs.LoShard, rs.HiShard)
+	rs.Runs = make([][]byte, rs.HiShard-rs.LoShard)
+	for i := range rs.Runs {
+		rs.Runs[i] = readFrame(d, rs.LoShard+i)
+	}
 	return rs
 }
 
-// splitRuns cuts the agent states of shards [lo, hi) out of d as one run
-// per shard, sharing d's buffer. The walk reads lengths only — every count
-// through Count, so a lying one fails — and allocates nothing but the run
-// list.
-func splitRuns(d *codec.Decoder, bounds []int, lo, hi int) [][]byte {
-	runs := make([][]byte, hi-lo)
-	for s := lo; s < hi && d.Err() == nil; s++ {
-		start := d.Pos()
-		for id := bounds[s]; id < bounds[s+1]; id++ {
-			core.SkipState(d)
-		}
-		runs[s-lo] = d.Since(start)
-	}
-	return runs
-}
-
-// decodePayload interprets a payload whose checksum has been verified: a
-// snapshot and its metadata, or the first malformed field. The agent
-// states are split into one run per shard by the partition the header
-// names. The payload must be consumed exactly.
+// decodePayload interprets a payload: a snapshot and its metadata, or an
+// error wrapping ErrCorrupt that names the first malformed field or the
+// first frame that fails its checksum. The head is read from its frame,
+// then one run per shard from the frames after it. The payload must be
+// consumed exactly.
 func decodePayload(payload []byte) (*population.Snapshot, map[string]string, error) {
 	d := codec.NewDecoder(payload)
-	nm := d.Count(minMetaSize)
+	h := codec.NewDecoder(readFrame(d, -1))
+	nm := h.Count(minMetaSize)
 	meta := make(map[string]string, nm)
-	for i := 0; i < nm && d.Err() == nil; i++ {
-		k := d.Str()
-		meta[k] = d.Str()
+	for i := 0; i < nm && h.Err() == nil; i++ {
+		k := h.Str()
+		meta[k] = h.Str()
 	}
 
 	s := &population.Snapshot{
-		Name:      d.Str(),
-		Agents:    d.Int(),
-		Shards:    d.Int(),
-		Seed:      d.Varint(),
-		Tick:      d.Int(),
-		Steps:     d.Varint(),
-		Messages:  d.Varint(),
-		Delivered: d.Varint(),
-		Actions:   d.Varint(),
+		Name:      h.Str(),
+		Agents:    h.Int(),
+		Shards:    h.Int(),
+		Seed:      h.Varint(),
+		Tick:      h.Int(),
+		Steps:     h.Varint(),
+		Messages:  h.Varint(),
+		Delivered: h.Varint(),
+		Actions:   h.Varint(),
 	}
-	s.Observed.RestoreState(d)
-	s.Work, s.ShardRNG, s.AgentRNG = d.F64s(), d.U64s(), d.U64s()
-	if n := d.Count(minInboxSize); n > 0 {
+	s.Observed.RestoreState(h)
+	s.Work, s.ShardRNG, s.AgentRNG = h.F64s(), h.U64s(), h.U64s()
+	if n := h.Count(minInboxSize); n > 0 {
 		s.Mail = make([][]core.Stimulus, n)
-		for i := 0; i < n && d.Err() == nil; i++ {
-			m := d.Count(core.MinStimulusSize)
+		for i := 0; i < n && h.Err() == nil; i++ {
+			m := h.Count(core.MinStimulusSize)
 			if m > 0 {
 				s.Mail[i] = make([]core.Stimulus, m)
-				for j := 0; j < m && d.Err() == nil; j++ {
+				for j := 0; j < m && h.Err() == nil; j++ {
 					// Snapshot mail is read once and most of its
 					// sources appear once or twice: an Interner's map
 					// would cost more than the strings it shares.
-					s.Mail[i][j] = core.DecodeStimulus(d, nil)
+					s.Mail[i][j] = core.DecodeStimulus(h, nil)
 				}
 			}
 		}
 	}
-	n := d.Count(core.MinStateSize)
+	if err := h.Finish(); err != nil {
+		d.Fail("head: %v", err)
+	}
 	switch {
-	case d.Err() != nil:
-	case n != s.Agents:
-		d.Fail("%d agent states for agents=%d", n, s.Agents)
-	case n == 0:
-	case s.Shards < 1 || s.Shards > n:
-		d.Fail("%d shards for %d agents", s.Shards, n)
+	case d.Err() != nil, s.Agents == 0:
+	case s.Shards < 1 || s.Shards > s.Agents || s.Shards > len(payload)/minFrameLen:
+		d.Fail("%d shards for %d agents in a %d-byte payload", s.Shards, s.Agents, len(payload))
 	default:
-		s.Runs = splitRuns(d, population.Partition(n, s.Shards), 0, s.Shards)
+		s.Runs = make([][]byte, s.Shards)
+		for i := range s.Runs {
+			s.Runs[i] = readFrame(d, i)
+		}
 	}
 	if err := d.Finish(); err != nil {
+		if !errors.Is(err, ErrCorrupt) {
+			err = fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
 		return nil, nil, err
 	}
 	return s, meta, nil

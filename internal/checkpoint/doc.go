@@ -9,14 +9,16 @@
 // The wire format (documented in full in DESIGN.md, "Snapshot wire
 // format") is deliberately boring: a fixed header — 8-byte magic
 // "SACSNAP\x01", little-endian uint32 version, little-endian uint64 payload
-// length — followed by the payload and a CRC-32C of the payload. The
-// payload is a fixed field order of varints, length-prefixed strings and
-// IEEE-754 bits; map-shaped data (snapshot metadata, store entries) is
+// length — followed by the payload: the head's frame, then one frame per
+// shard run, each a uvarint length, the bytes and their CRC-32C. Inside a
+// frame the fields are a fixed order of varints, length-prefixed strings
+// and IEEE-754 bits; map-shaped data (snapshot metadata, store entries) is
 // sorted before encoding, so equal states always encode to equal bytes.
 // That byte-determinism is load-bearing: experiment S2 proves resume
 // correctness by comparing encoded snapshots with bytes.Equal.
 //
-// Decode verifies magic, version, length and checksum before interpreting
-// anything, so truncated or bit-flipped files fail with ErrCorrupt rather
-// than yielding a silently wrong population.
+// Decode verifies magic, version, length and each frame's checksum before
+// interpreting its bytes, so truncated or bit-flipped files fail with
+// ErrCorrupt, naming the damaged shard, rather than yielding a silently
+// wrong population.
 package checkpoint

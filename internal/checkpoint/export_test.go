@@ -8,7 +8,7 @@ import (
 // populations that themselves import this package.
 var (
 	DecodePayload   = decodePayload
-	Frame           = frame
+	WithHeader      = withHeader
 	LyingEntryCount = lyingEntryCount
 	Synthetic       = syntheticSnapshot
 	CodecConfig     = testConfig
@@ -21,5 +21,5 @@ func EncodePayload(s *population.Snapshot, meta map[string]string) []byte {
 	if err != nil {
 		return nil
 	}
-	return b[headerLen : len(b)-trailerLen]
+	return b[headerLen:]
 }

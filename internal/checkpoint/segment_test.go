@@ -9,12 +9,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"sacs/internal/codec"
 	"sacs/internal/core"
 	"sacs/internal/population"
-	"sacs/internal/stats"
 )
 
 // syntheticAgent spells one agent's state — one store entry with
@@ -70,36 +70,45 @@ func syntheticSnapshot(agents, shards, hist int) *population.Snapshot {
 	return s
 }
 
+// framed spells segs as consecutive frames.
+func framed(segs ...[]byte) []byte {
+	var b bytes.Buffer
+	f := framer{w: &b}
+	for _, seg := range segs {
+		if err := f.frame(seg); err != nil {
+			panic(err)
+		}
+	}
+	return b.Bytes()
+}
+
 // multiSegment returns a synthetic snapshot whose payload spans at least
-// three segments — the encoded head and one run per shard — with its
-// encoding and segment boundaries.
+// three frames — the encoded head and one run per shard — with its
+// encoding and the frames' contents.
 func multiSegment(t *testing.T) (*population.Snapshot, []byte, [][]byte) {
 	t.Helper()
 	snap := syntheticSnapshot(256, 4, 1024) // ~16 KiB per agent, ~4 MiB in all
 	head := codec.NewEncoder()
 	appendHead(head, snap, map[string]string{"id": "multi"})
 	segs := append([][]byte{head.Bytes()}, snap.Runs...)
-	n := 0
-	for _, seg := range segs {
-		n += len(seg)
-	}
+	n := len(framed(segs...))
 	if len(segs) < 3 {
-		t.Fatalf("payload of %d bytes spans %d segments, want at least 3", n, len(segs))
+		t.Fatalf("payload of %d bytes spans %d frames, want at least 3", n, len(segs))
 	}
 	b, err := EncodeBytes(snap, map[string]string{"id": "multi"})
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	if len(b) != headerLen+n+trailerLen || cap(b) != len(b) {
-		t.Fatalf("EncodeBytes: len %d cap %d, want exactly %d", len(b), cap(b), headerLen+n+trailerLen)
+	if len(b) != headerLen+n || cap(b) != len(b) {
+		t.Fatalf("EncodeBytes: len %d cap %d, want exactly %d", len(b), cap(b), headerLen+n)
 	}
 	return snap, b, segs
 }
 
 func TestMultiSegmentRoundTrip(t *testing.T) {
 	snap, b, segs := multiSegment(t)
-	if !bytes.Equal(b[headerLen:len(b)-trailerLen], bytes.Join(segs, nil)) {
-		t.Fatal("encoded payload is not the concatenation of its segments")
+	if !bytes.Equal(b[headerLen:], framed(segs...)) {
+		t.Fatal("encoded payload is not its segments' frames")
 	}
 	var streamed bytes.Buffer
 	if err := Encode(&streamed, snap, map[string]string{"id": "multi"}); err != nil {
@@ -127,9 +136,56 @@ func TestMultiSegmentRoundTrip(t *testing.T) {
 func TestDecodeCorruptSecondSegment(t *testing.T) {
 	_, b, segs := multiSegment(t)
 	flip := append([]byte(nil), b...)
-	flip[headerLen+len(segs[0])+len(segs[1])/2] ^= 0x08
-	if _, _, err := DecodeBytes(flip); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("byte flipped in the second segment: want ErrCorrupt, got %v", err)
+	flip[headerLen+len(framed(segs[0]))+len(segs[1])/2] ^= 0x08
+	if _, _, err := DecodeBytes(flip); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "shard 0 run") {
+		t.Fatalf("byte flipped in the second segment, shard 0's run: want ErrCorrupt naming shard 0, got %v", err)
+	}
+}
+
+// TestFlippedRunNamesShard: one byte flipped inside shard k's run fails
+// with ErrCorrupt naming shard k, in a file read through Read and in a
+// wire range state read through DecodeRange, whose shards are numbered
+// in the population, not in the range.
+func TestFlippedRunNamesShard(t *testing.T) {
+	snap, b, _ := multiSegment(t)
+	dir := t.TempDir()
+	flipped := func(enc, run []byte) []byte {
+		i := bytes.Index(enc, run)
+		if i < 0 {
+			t.Fatal("run not found in its encoding")
+		}
+		c := bytes.Clone(enc)
+		c[i+len(run)/2] ^= 0x01
+		return c
+	}
+	for k, run := range snap.Runs {
+		want := fmt.Sprintf("shard %d run", k)
+		path := filepath.Join(dir, FileName("flip", k))
+		if err := os.WriteFile(path, flipped(b, run), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Read(path); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Errorf("file with shard %d's run flipped: want ErrCorrupt naming it, got %v", k, err)
+		}
+	}
+	rs, err := snap.Range(1, snap.Shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e codec.Encoder
+	AppendRange(&e, rs)
+	bounds := population.Partition(snap.Agents, snap.Shards)
+	d := codec.NewDecoder(e.Bytes())
+	if DecodeRange(d, bounds); d.Finish() != nil {
+		t.Fatalf("intact range state: %v", d.Finish())
+	}
+	for i, run := range rs.Runs {
+		k := rs.LoShard + i
+		d = codec.NewDecoder(flipped(e.Bytes(), run))
+		DecodeRange(d, bounds)
+		if err := d.Err(); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("shard %d run", k)) {
+			t.Errorf("range state with shard %d's run flipped: want ErrCorrupt naming it, got %v", k, err)
+		}
 	}
 }
 
@@ -175,62 +231,55 @@ func TestDecodeLyingHeaderAllocatesLittle(t *testing.T) {
 	}
 }
 
-// frame wraps a payload in a valid header and checksum.
-func frame(payload []byte) []byte {
-	var buf bytes.Buffer
-	f := framer{w: &buf}
-	if err := f.header(len(payload)); err != nil {
-		panic(err)
-	}
-	if err := f.write(payload); err != nil {
-		panic(err)
-	}
-	if err := f.trailer(); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
+// withHeader puts a payload behind a valid header.
+func withHeader(payload []byte) []byte {
+	var header [headerLen]byte
+	copy(header[:8], magic[:])
+	binary.LittleEndian.PutUint32(header[8:lenOffset], Version)
+	binary.LittleEndian.PutUint64(header[lenOffset:], uint64(len(payload)))
+	return append(header[:], payload...)
 }
 
-// lyingEntryCount returns a size-byte payload, checksum-valid once framed,
-// whose one agent's store claims an entry for nearly every byte left: zero
-// padding, which decodes as zero-valued entries until it runs out.
+// lyingEntryCount returns a payload of about size bytes, of testConfig's
+// shape for one agent and with every frame checksum-valid, whose agent's
+// store claims an entry for nearly every byte left: zero padding, which
+// reads as zero-valued entries until it runs out.
 func lyingEntryCount(size int) []byte {
-	e := codec.NewEncoder()
-	e.Uvarint(0) // no metadata
-	e.Str("lying")
-	for range 4 { // agents, shards, seed, tick
-		e.Int(1)
+	var run codec.Encoder
+	run.Str("a0000")
+	run.Int(0)
+	run.F64(0.2)
+	run.Int(8)
+	run.Varint(0)
+	run.Varint(0)
+	run.Uvarint(uint64(size - 128)) // entries
+	s := &population.Snapshot{
+		Name: "codec", Agents: 1, Shards: 1, Seed: 1, Tick: 1,
+		ShardRNG: []uint64{0}, AgentRNG: []uint64{0}, Mail: make([][]core.Stimulus, 1),
 	}
-	for range 4 { // steps, messages, delivered, actions
-		e.Varint(0)
-	}
-	new(stats.Online).AppendState(e)
-	e.F64s(nil)  // work
-	e.Uvarint(0) // shard streams
-	e.Uvarint(0) // agent streams
-	e.Uvarint(0) // mailboxes
-	e.Uvarint(1) // one agent state, whose store lies:
-	e.Str("a0")
-	e.Int(0)
-	e.F64(0.2)
-	e.Int(8)
-	e.Varint(0)
-	e.Varint(0)
-	e.Uvarint(uint64(size - 128)) // entries
-	return append(e.Bytes(), make([]byte, size-len(e.Bytes()))...)
+	head := codec.NewEncoder()
+	appendHead(head, s, nil)
+	pad := size - len(framed(head.Bytes(), run.Bytes()))
+	return framed(head.Bytes(), append(run.Bytes(), make([]byte, pad)...))
 }
 
-// TestDecodeLyingCountAllocatesLittle: a checksum-valid payload whose one
-// store claims an entry for nearly every payload byte must fail having
-// allocated a small multiple of the payload, not an entry slice sized by
-// the claim (about 100 bytes per claimed entry).
+// TestDecodeLyingCountAllocatesLittle: a payload whose one agent's store
+// claims an entry for nearly every payload byte decodes — a run's bytes
+// are read when it is restored — and its restore fails having allocated a
+// small multiple of the payload, not an entry slice sized by the claim
+// (about 100 bytes per claimed entry).
 func TestDecodeLyingCountAllocatesLittle(t *testing.T) {
 	const size = 1 << 20
-	file := frame(lyingEntryCount(size))
+	file := withHeader(lyingEntryCount(size))
 	var err error
-	total := allocated(func() { _, _, err = DecodeBytes(file) })
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("lying entry count: want ErrCorrupt, got %v", err)
+	total := allocated(func() {
+		var s *population.Snapshot
+		if s, _, err = DecodeBytes(file); err == nil {
+			_, err = population.Restore(testConfig(1, 1, 1), s)
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "count") {
+		t.Fatalf("lying entry count: want a count error from the restore, got %v", err)
 	}
 	if limit := uint64(8 * size); total > limit {
 		t.Fatalf("a %d-byte payload claiming %d entries allocated %d bytes, want at most %d",
@@ -274,7 +323,7 @@ func TestReadAllocatesPayloadOnce(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, snap) {
 		t.Fatalf("Read: err %v, equal %v", err, reflect.DeepEqual(got, snap))
 	}
-	payload := b[headerLen : len(b)-trailerLen]
+	payload := b[headerLen:]
 	decodeOnly := allocated(func() { _, _, err = decodePayload(payload) })
 	if extra := withRead - decodeOnly; extra > uint64(len(payload))+64<<10 {
 		t.Fatalf("Read allocated %d bytes beyond decoding a %d-byte payload, want one payload buffer", extra, len(payload))

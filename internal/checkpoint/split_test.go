@@ -2,12 +2,11 @@ package checkpoint_test
 
 import (
 	"bytes"
-	"errors"
+	"strings"
 	"testing"
 
 	"sacs/internal/checkpoint"
 	"sacs/internal/codec"
-	"sacs/internal/core"
 	"sacs/internal/experiments"
 	"sacs/internal/population"
 )
@@ -24,11 +23,20 @@ func s2Snapshot(t *testing.T) (*population.Engine, *population.Snapshot) {
 	return eng, snap
 }
 
-// TestSplitLandsOnAgentBoundaries: decoding cuts the payload's agent
-// states into per-shard runs with a walk that reads lengths only. On a
-// real S2 population every cut must land where the exporting shard's run
-// ended, and every agent boundary the walk steps over must be where that
-// agent's own state ends.
+// agentState is agent id's state as AppendState writes it.
+func agentState(t *testing.T, eng *population.Engine, id int) []byte {
+	t.Helper()
+	var e codec.Encoder
+	if err := eng.Agent(id).AppendState(&e); err != nil {
+		t.Fatal(err)
+	}
+	return e.Bytes()
+}
+
+// TestSplitLandsOnAgentBoundaries: decoding cuts the payload into one run
+// per shard at the frame boundaries. On a real S2 population every run
+// must be the exporting shard's run: its agents' states, as AppendState
+// writes each, back to back.
 func TestSplitLandsOnAgentBoundaries(t *testing.T) {
 	eng, snap := s2Snapshot(t)
 	b, err := checkpoint.EncodeBytes(snap, nil)
@@ -47,56 +55,60 @@ func TestSplitLandsOnAgentBoundaries(t *testing.T) {
 		if !bytes.Equal(run, snap.Runs[s]) {
 			t.Fatalf("shard %d: decoded run differs from the exported one", s)
 		}
-		d := codec.NewDecoder(run)
+		var states []byte
 		for id := bounds[s]; id < bounds[s+1]; id++ {
-			var e codec.Encoder
-			if err := eng.Agent(id).AppendState(&e); err != nil {
-				t.Fatal(err)
-			}
-			start := d.Pos()
-			core.SkipState(d)
-			if !bytes.Equal(d.Since(start), e.Bytes()) {
-				t.Fatalf("agent %d: the walk stepped over %d bytes, its state is %d", id, d.Pos()-start, e.Len())
-			}
+			states = append(states, agentState(t, eng, id)...)
 		}
-		if err := d.Finish(); err != nil {
-			t.Fatalf("shard %d: %v", s, err)
+		if !bytes.Equal(run, states) {
+			t.Fatalf("shard %d: run of %d bytes is not its agents' %d bytes of state", s, len(run), len(states))
 		}
 	}
 }
 
 // TestSplitRejectsLyingStoreCount: a store entry count inside one agent's
-// state that claims more entries than the payload can hold fails the
-// decode with ErrCorrupt, though the checksum is valid.
+// state that claims more entries than the run can hold decodes — the run's
+// checksum is valid, and its bytes are read when it is restored — but
+// Restore fails, naming the agent.
 func TestSplitRejectsLyingStoreCount(t *testing.T) {
-	_, snap := s2Snapshot(t)
-	const shard, k = 5, 3 // the fourth agent of shard 5
-	run := snap.Runs[shard]
-	d := codec.NewDecoder(run)
-	for i := 0; i < k; i++ {
-		core.SkipState(d)
-	}
-	d.StrBytes()  // name
-	d.Int()       // steps
-	d.Skip(8)     // store: alpha
-	d.Int()       // history bound
-	d.Varint()    // reads
-	d.Varint()    // writes
-	at := d.Pos() // the entry count
-	d.Uvarint()
-	if err := d.Err(); err != nil {
-		t.Fatal(err)
-	}
+	eng, snap := s2Snapshot(t)
+	const shard, id = 5, 43 // the fourth agent of shard 5
+	bounds := population.Partition(snap.Agents, snap.Shards)
 	var lying codec.Encoder
-	lying.Raw(run[:at])
-	lying.Uvarint(1 << 40)
-	lying.Raw(run[d.Pos():])
+	for a := bounds[shard]; a < bounds[shard+1]; a++ {
+		st := agentState(t, eng, a)
+		if a != id {
+			lying.Raw(st)
+			continue
+		}
+		// Re-spell the fields before the entry count to find where it is.
+		d := codec.NewDecoder(st)
+		var pre codec.Encoder
+		pre.Str(d.Str())       // name
+		pre.Int(d.Int())       // steps
+		pre.F64(d.F64())       // store: alpha
+		pre.Int(d.Int())       // history bound
+		pre.Varint(d.Varint()) // reads
+		pre.Varint(d.Varint()) // writes
+		var count codec.Encoder
+		count.Uvarint(d.Uvarint())
+		if err := d.Err(); err != nil {
+			t.Fatal(err)
+		}
+		lying.Raw(pre.Bytes())
+		lying.Uvarint(1 << 40)
+		lying.Raw(st[pre.Len()+count.Len():])
+	}
 	snap.Runs[shard] = lying.Bytes()
 	b, err := checkpoint.EncodeBytes(snap, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := checkpoint.DecodeBytes(b); !errors.Is(err, checkpoint.ErrCorrupt) {
-		t.Fatalf("lying store entry count: want ErrCorrupt, got %v", err)
+	decoded, _, err := checkpoint.DecodeBytes(b)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	_, err = population.Restore(experiments.S2Config(64, 8, 3, nil), decoded)
+	if err == nil || !strings.Contains(err.Error(), "agent 43:") || !strings.Contains(err.Error(), "count") {
+		t.Fatalf("lying store entry count: Restore error %v, want a count error naming agent 43", err)
 	}
 }

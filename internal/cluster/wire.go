@@ -24,10 +24,13 @@ import (
 // lock-step per population, so there is no pipelining to manage; one
 // in-flight request per connection, guarded by the caller.
 //
-// Integrity: TCP already guarantees ordered, checksummed delivery, so
-// frames carry no CRC (unlike snapshot files, which must survive disks).
-// Length and per-field bounds are still validated — a confused peer fails
-// with an error, never an OOM or a panic.
+// Integrity: TCP already guarantees ordered, checksummed delivery, so a
+// message frame carries no CRC of its own. The agent state inside one
+// does: a range state's shard runs travel in the checkpoint codec's run
+// frames, each with its length and CRC-32C, exactly as a snapshot file
+// holds them, so a worker checks every run it installs or adopts end to
+// end. Length and per-field bounds are validated throughout — a confused
+// peer fails with an error, never an OOM or a panic.
 
 // maxFrame bounds one frame (1 GiB): far above any real tick exchange or
 // range state, far below a length-field attack.
@@ -60,7 +63,12 @@ const maxFrame = 1 << 30
 // v5 removed v3's cost snapshot from msgInit and the cost priors from
 // msgAdopt: a worker's cost model learns from its own ticks only. Tick,
 // export and range bodies are unchanged.
-const protocolVersion = 5
+//
+// v6 spells a range state's shard runs as checkpoint run frames (length,
+// bytes, CRC-32C) in place of an agent count and the runs back to back,
+// and a model's one-point history only when a ring holds it (checkpoint
+// format version 2). Tick bodies are unchanged.
+const protocolVersion = 6
 
 type msgType byte
 

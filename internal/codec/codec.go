@@ -35,6 +35,13 @@ func (e *Encoder) Reserve(n int) { e.buf = slices.Grow(e.buf, n) }
 // Raw appends b verbatim: bytes already spelled with these primitives.
 func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
 
+// Write is Raw as an io.Writer, which never fails: a writer of a byte
+// format can spell into a file and into an Encoder alike.
+func (e *Encoder) Write(p []byte) (int, error) {
+	e.Raw(p)
+	return len(p), nil
+}
+
 // Uvarint appends an unsigned varint.
 func (e *Encoder) Uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
@@ -130,13 +137,6 @@ func (d *Decoder) Fail(format string, args ...any) {
 	}
 }
 
-// Pos reports the offset of the next unread byte.
-func (d *Decoder) Pos() int { return d.pos }
-
-// Since returns the bytes read since offset from (a Pos result), sharing
-// the decoder's buffer.
-func (d *Decoder) Since(from int) []byte { return d.buf[from:d.pos:d.pos] }
-
 // Skip steps over n bytes.
 func (d *Decoder) Skip(n int) {
 	if d.fits(n) {
@@ -174,6 +174,16 @@ func (d *Decoder) Varint() int64 {
 
 // Int reads a signed varint as an int.
 func (d *Decoder) Int() int { return int(d.Varint()) }
+
+// U32 reads a fixed-width little-endian uint32.
+func (d *Decoder) U32() uint32 {
+	if !d.fits(4) {
+		return 0
+	}
+	v := binary.LittleEndian.Uint32(d.buf[d.pos:])
+	d.pos += 4
+	return v
+}
 
 // U64 reads a fixed-width little-endian uint64.
 func (d *Decoder) U64() uint64 {

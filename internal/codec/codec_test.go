@@ -24,6 +24,8 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 		{"varint -1", func(e *Encoder) { e.Varint(-1) }, func(d *Decoder) any { return d.Varint() }, int64(-1)},
 		{"int", func(e *Encoder) { e.Int(-123456) }, func(d *Decoder) any { return d.Int() }, -123456},
 		{"u64", func(e *Encoder) { e.U64(0xdeadbeefcafef00d) }, func(d *Decoder) any { return d.U64() }, uint64(0xdeadbeefcafef00d)},
+		{"u32 written raw", func(e *Encoder) { e.Write([]byte{0x0d, 0xf0, 0xfe, 0xca}) },
+			func(d *Decoder) any { return d.U32() }, uint32(0xcafef00d)},
 		{"f64", func(e *Encoder) { e.F64(-math.Pi) }, func(d *Decoder) any { return d.F64() }, -math.Pi},
 		{"f64 inf", func(e *Encoder) { e.F64(math.Inf(-1)) }, func(d *Decoder) any { return d.F64() }, math.Inf(-1)},
 		{"bool true", func(e *Encoder) { e.Bool(true) }, func(d *Decoder) any { return d.Bool() }, true},

@@ -99,8 +99,8 @@ func TestF64sOnTruncatedInput(t *testing.T) {
 		d := NewDecoder(whole[:cut])
 		dst := []float64{9, 9, 9}
 		d.F64sInto(dst)
-		if d.Err() == nil || d.Pos() != 0 || dst[0] != 9 || dst[2] != 9 {
-			t.Fatalf("%d of %d bytes: F64sInto error %v, pos %d, dst %v", cut, len(whole), d.Err(), d.Pos(), dst)
+		if d.Err() == nil || d.pos != 0 || dst[0] != 9 || dst[2] != 9 {
+			t.Fatalf("%d of %d bytes: F64sInto error %v, pos %d, dst %v", cut, len(whole), d.Err(), d.pos, dst)
 		}
 		first := d.Err()
 		if d.F64() != 0 || d.Uvarint() != 0 || d.StrBytes() != nil || d.Err() != first {
@@ -153,8 +153,8 @@ func FuzzDecoder(f *testing.F) {
 		var limit uint64 = 64 << 10
 		var first error
 		check := func(zero bool) {
-			if d.Pos() < 0 || d.Pos() > len(data) {
-				t.Fatalf("decoder at %d of %d bytes", d.Pos(), len(data))
+			if d.pos < 0 || d.pos > len(data) {
+				t.Fatalf("decoder at %d of %d bytes", d.pos, len(data))
 			}
 			if first != nil && (d.Err() != first || !zero) {
 				t.Fatalf("a read after the failure %v returned a value or replaced it with %v", first, d.Err())
@@ -163,8 +163,8 @@ func FuzzDecoder(f *testing.F) {
 		}
 		total := allocated(func() {
 			for _, op := range ops {
-				limit += uint64(2*(len(data)-d.Pos())) + 512
-				switch op % 14 {
+				limit += uint64(2*(len(data)-d.pos)) + 512
+				switch op % 15 {
 				case 0:
 					check(d.Uvarint() == 0)
 				case 1:
@@ -198,12 +198,14 @@ func FuzzDecoder(f *testing.F) {
 					if d.Err() != nil {
 						continue
 					}
-					rest := data[d.Pos():]
+					rest := data[d.pos:]
 					limit += min(n, readNChunk) + uint64(4*len(rest))
 					b, err := ReadN(bytes.NewReader(rest), n, false)
 					if err == nil && uint64(len(b)) != n {
 						t.Fatalf("ReadN(%d) returned %d bytes", n, len(b))
 					}
+				case 14:
+					check(d.U32() == 0)
 				}
 			}
 		})

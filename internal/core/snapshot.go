@@ -25,12 +25,9 @@ import (
 //     of which ARE captured.
 
 // The fewest bytes each element can be spelled in, for
-// codec.Decoder.Count: an agent state (an empty name, a step count, an
-// empty store, two floats, three absent flags), a predictor (two empty
-// strings, two empty lists) and a stimulus (two empty strings, a scope,
-// two floats).
+// codec.Decoder.Count: a predictor (two empty strings, two empty lists)
+// and a stimulus (two empty strings, a scope, two floats).
 const (
-	MinStateSize     = 33
 	minPredictorSize = 4
 	MinStimulusSize  = 19
 )
@@ -106,29 +103,8 @@ func (a *Agent) AppendState(e *codec.Encoder) error {
 	return nil
 }
 
-// SkipState steps d over one agent's state without allocating, checking
-// every count against the bytes left: the walk that finds agent boundaries
-// in bytes that carry none.
-func SkipState(d *codec.Decoder) {
-	d.StrBytes()
-	d.Int()
-	knowledge.SkipState(d)
-	if d.Bool() {
-		d.Int()
-		d.Int()
-	}
-	d.Skip(16)
-	if d.Bool() {
-		skipPredictors(d)
-	}
-	if d.Bool() {
-		d.Int()
-		d.Int()
-		d.Skip(8)
-		d.SkipF64s()
-	}
-}
-
+// skipPredictors steps d over the time-awareness models' states, which
+// RestoreState reads only once the meta state after them is known.
 func skipPredictors(d *codec.Decoder) {
 	n := d.Count(minPredictorSize)
 	for i := 0; i < n && d.Err() == nil; i++ {

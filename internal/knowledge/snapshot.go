@@ -36,17 +36,11 @@ func (s *Store) AppendState(e *codec.Encoder) {
 		e.F64(en.variance)
 		e.Int(en.n)
 		e.F64(en.lastUpdate)
-		switch {
-		case en.hist != nil:
+		if en.hist != nil {
 			en.hist.appendWindow(e, en.hist.times())
 			en.hist.appendWindow(e, en.hist.values())
-		case en.n != 0 && en.kin.histLen > 0:
-			// The one point a model holds before its ring exists.
-			e.Uvarint(1)
-			e.F64(en.lastUpdate)
-			e.Uvarint(1)
-			e.F64(en.value)
-		default:
+		} else {
+			// No ring: the history is the entry's own (see ringless).
 			e.Uvarint(0)
 			e.Uvarint(0)
 		}
@@ -110,18 +104,11 @@ func (s *Store) forgetOrder() {
 
 func byName(a, b *Entry) int { return strings.Compare(a.Name, b.Name) }
 
-// SkipState steps d over one store's state without allocating, checking
-// every count against the bytes left, every history against its bound and
-// every scope against a slot.
-func SkipState(d *codec.Decoder) {
-	if _, _, _, _, err := scanState(d, nil); err != nil {
-		d.Fail("%v", err)
-	}
-}
-
-// scanState is SkipState's walk, which also sizes a restore: the rings the
-// histories need (see ringless), the floats those rings hold, and the count
-// and bytes of the names s (when not nil) does not hold yet.
+// scanState walks a store's state for lengths only, checking every count
+// against the bytes left, every history against its bound and every scope
+// against a slot, and sizes its restore into s: the rings the histories
+// need (see ringless), the floats those rings hold, and the count and bytes
+// of the names s does not hold yet.
 func scanState(d *codec.Decoder, s *Store) (rings, floats, names, nameBytes int, err error) {
 	d.Skip(8) // alpha
 	histLen := d.Int()
@@ -137,17 +124,16 @@ func scanState(d *codec.Decoder, s *Store) (rings, floats, names, nameBytes int,
 		if sc := Scope(d.Int()); !sc.Storable() {
 			return 0, 0, 0, 0, fmt.Errorf("%w: entry %q has scope %d", ErrScope, name, sc)
 		}
-		value := d.F64()
-		d.Skip(8) // variance
+		d.Skip(16) // value, variance
 		updates := d.Int()
-		last := d.F64()
-		nt, nv, t, v := skipHistory(d)
+		d.Skip(8) // last update
+		nt, nv := d.SkipF64s(), d.SkipF64s()
 		switch {
 		case nt != nv:
 			return 0, 0, 0, 0, fmt.Errorf("knowledge: entry %q history length mismatch (%d times, %d values)", name, nt, nv)
 		case histLen > 0 && nt > histLen:
 			return 0, 0, 0, 0, fmt.Errorf("knowledge: entry %q history %d exceeds ring capacity %d", name, nt, histLen)
-		case histLen > 0 && !ringless(updates, nt, value, last, t, v):
+		case histLen > 0 && !ringless(updates, nt):
 			rings++
 			floats += 2 * ringLen(histLen, nt)
 		}
@@ -155,36 +141,13 @@ func scanState(d *codec.Decoder, s *Store) (rings, floats, names, nameBytes int,
 	return rings, floats, names, nameBytes, d.Err()
 }
 
-// skipHistory steps d over an entry's two float lists, returning their
-// counts and, from lists of one float, that float.
-func skipHistory(d *codec.Decoder) (nt, nv int, t, v float64) {
-	if nt = d.Count(8); nt == 1 {
-		t = d.F64()
-	} else {
-		d.Skip(8 * nt)
-	}
-	if nv = d.Count(8); nv == 1 {
-		v = d.F64()
-	} else {
-		d.Skip(8 * nv)
-	}
-	return nt, nv, t, v
-}
-
-// ringless reports whether a restored history of k points, (t, v) when
-// k == 1, is exactly what an entry of n updates at value and last spells
-// without a ring: nothing at n == 0, the point (last, value) bit for bit at
-// n == 1. Any other history is restored into a ring.
-func ringless(n, k int, value, last, t, v float64) bool {
-	switch n {
-	case 0:
-		return k == 0
-	case 1:
-		return k == 1 && math.Float64bits(t) == math.Float64bits(last) &&
-			math.Float64bits(v) == math.Float64bits(value)
-	}
-	return false
-}
+// ringless reports whether a restored history of k points is the one an
+// entry of n updates holds without a ring: an empty list at n <= 1, where
+// the history is the entry's own — nothing at n == 0, the point
+// (lastUpdate, value) at n == 1 — and is not spelled. Any other history,
+// a one-point list at n == 1 included, is restored into a ring, which
+// spells it again.
+func ringless(n, k int) bool { return k == 0 && n <= 1 }
 
 // RestoreState replaces the store's contents, smoothing factor and
 // history length with the state AppendState wrote. Interned Keys survive,
@@ -197,9 +160,9 @@ func ringless(n, k int, value, last, t, v float64) bool {
 // A length-only pre-scan sizes the restore, so the entries come out of one
 // block, their rings out of another and every history out of one float
 // slab: a few allocations per store, not several per entry. Names the
-// store already holds are reused; the rest share one string block. A
-// history an entry's own fields spell gets no ring (see ringless); every
-// other one is read straight into a ring of the backing length NewRing
+// store already holds are reused; the rest share one string block. An
+// entry whose history is its own gets no ring (see ringless); every other
+// history is read straight into a ring of the backing length NewRing
 // plus its Pushes would have grown to, so later growth, Trend and
 // AppendState are exactly the writer's.
 func (s *Store) RestoreState(d *codec.Decoder) error {
@@ -245,8 +208,9 @@ func (s *Store) RestoreState(d *codec.Decoder) error {
 			lastUpdate: d.F64(),
 		}
 		h := *d // the histories again, for a ring to read
-		pts, _, t, v := skipHistory(d)
-		if histLen > 0 && !ringless(en.n, pts, en.value, en.lastUpdate, t, v) {
+		pts := d.SkipF64s()
+		d.SkipF64s()
+		if histLen > 0 && !ringless(en.n, pts) {
 			size := 2 * ringLen(histLen, pts)
 			h.Count(8)
 			en.hist = &rings[0]
@@ -294,11 +258,8 @@ func (s *Store) bindRestored(entries []Entry, newNames int) {
 }
 
 // known returns the store's own copy of name when its symbol table holds
-// one already; a nil store holds none.
+// one already.
 func (s *Store) known(name []byte) (string, bool) {
-	if s == nil {
-		return "", false
-	}
 	if k := probe(s, name, maphash.Bytes(hashSeed, name)); k != 0 {
 		return s.slots[k-1].e.Name, true
 	}

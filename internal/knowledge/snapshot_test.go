@@ -145,8 +145,7 @@ func entryBytes(e *codec.Encoder, name string, histT, histV []float64) {
 }
 
 // TestSetStateRejectsMalformed: malformed states are rejected without
-// touching the store. SkipState, which walks lengths only, rejects all but
-// a duplicate name.
+// touching the store.
 func TestSetStateRejectsMalformed(t *testing.T) {
 	store := func(histLen int, entries func(e *codec.Encoder)) []byte {
 		e := codec.NewEncoder()
@@ -158,31 +157,30 @@ func TestSetStateRejectsMalformed(t *testing.T) {
 		return e.Bytes()
 	}
 	for _, c := range []struct {
-		name   string
-		st     []byte
-		parses bool // SkipState accepts it
+		name string
+		st   []byte
 	}{
 		{"mismatched history", store(4, func(e *codec.Encoder) {
 			e.Uvarint(1)
 			entryBytes(e, "m", []float64{1}, nil)
-		}), false},
+		})},
 		{"history over bound", store(1, func(e *codec.Encoder) {
 			e.Uvarint(1)
 			entryBytes(e, "m", []float64{1, 2}, []float64{1, 2})
-		}), false},
+		})},
 		{"duplicate entry", store(4, func(e *codec.Encoder) {
 			e.Uvarint(2)
 			entryBytes(e, "m", []float64{1}, []float64{2})
 			entryBytes(e, "m", []float64{1}, []float64{2})
-		}), true},
+		})},
 		{"lying entry count", store(4, func(e *codec.Encoder) {
 			e.Uvarint(3)
 			entryBytes(e, "m", []float64{1}, []float64{2})
-		}), false},
+		})},
 		{"truncated history", store(4, func(e *codec.Encoder) {
 			e.Uvarint(1)
 			entryBytes(e, "m", []float64{1}, []float64{2})
-		})[:40], false},
+		})[:40]},
 	} {
 		s := NewStore(0.2, 4)
 		s.Observe("keep", Private, 1, 1)
@@ -192,15 +190,11 @@ func TestSetStateRejectsMalformed(t *testing.T) {
 		if s.Get("keep") == nil {
 			t.Errorf("%s: a rejected state replaced the store's contents", c.name)
 		}
-		d := codec.NewDecoder(c.st)
-		if SkipState(d); (d.Finish() == nil) != c.parses {
-			t.Errorf("%s: SkipState error %v, want parses=%v", c.name, d.Finish(), c.parses)
-		}
 	}
 }
 
-// TestMinEntrySize: the bound RestoreState and SkipState give the entry
-// count must be what AppendState writes for the emptiest entry.
+// TestMinEntrySize: the bound RestoreState gives the entry count must be
+// what AppendState writes for the emptiest entry.
 func TestMinEntrySize(t *testing.T) {
 	s := NewStore(0.2, 0)
 	empty := len(stateBytes(s))

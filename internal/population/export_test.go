@@ -122,7 +122,7 @@ func TestParallelInstallReportsLowestFailingAgent(t *testing.T) {
 	bounds := population.Partition(agents, shards)
 	for _, id := range []int{13, 50} { // shards 1 and 6
 		s := id / (agents / shards)
-		snap.Runs[s] = population.RenamedRun(snap.Runs[s], id-bounds[s], "impostor")
+		snap.Runs[s] = population.RenamedRun(eng.Agent, bounds[s], bounds[s+1], id, "impostor")
 	}
 	for _, workers := range exportWorkers {
 		pool := runner.New(workers)

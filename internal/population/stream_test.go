@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"sacs/internal/checkpoint"
 	"sacs/internal/core"
@@ -78,8 +79,34 @@ func TestStreamSnapshotBytesEqualSnapshot(t *testing.T) {
 	}
 }
 
+// poolWorkers counts the goroutines in a runner pool's worker loop.
+func poolWorkers() int {
+	buf := make([]byte, 64<<10)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return bytes.Count(buf[:n], []byte("sacs/internal/runner.(*Pool).worker("))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// settle polls count, for up to ten seconds, until it gives want, and
+// returns the last count.
+func settle(count func() int, want int) int {
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if n := count(); n == want || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestStreamSnapshotFailsWhole fails a stream after some runs were
-// written, once by an agent that cannot export and once by the sink.
+// written, once by an agent that cannot export and once by the sink. The
+// goroutine baseline is taken once only the pool's own workers are left:
+// when Close returns, a closed pool's workers have called Done but may not
+// have exited yet. After a failed stream the count must return to it.
 func TestStreamSnapshotFailsWhole(t *testing.T) {
 	const agents, shards = 64, 8
 	errSink := errors.New("disk full")
@@ -87,6 +114,9 @@ func TestStreamSnapshotFailsWhole(t *testing.T) {
 		pool, closePool := newPool(workers)
 		eng := population.New(opaqueConfig(agents, shards, map[int]bool{45: true}, pool)) // shard 5
 		eng.Run(3)
+		if n, want := settle(poolWorkers, max(workers-1, 0)), max(workers-1, 0); n != want {
+			t.Fatalf("workers=%d: %d pool workers running, want this pool's %d", workers, n, want)
+		}
 		baseline := runtime.NumGoroutine()
 		check := func(what string, stream func(population.Sink) error, want func(error) bool) {
 			t.Helper()
@@ -98,7 +128,7 @@ func TestStreamSnapshotFailsWhole(t *testing.T) {
 			if left, _ := os.ReadDir(dir); len(left) != 0 {
 				t.Errorf("workers=%d, %s: left %d files behind, first %s", workers, what, len(left), left[0].Name())
 			}
-			if n := runtime.NumGoroutine(); n != baseline {
+			if n := settle(runtime.NumGoroutine, baseline); n != baseline {
 				t.Errorf("workers=%d, %s: %d goroutines after the failed stream, %d before", workers, what, n, baseline)
 			}
 		}

@@ -56,7 +56,8 @@ type ShardExchange struct {
 // of state transfer between an engine snapshot and the transport hosting
 // the agents — in process it is handed over as is; for a cluster it is the
 // payload that initialises, migrates or rebalances shards of a worker
-// (framed by the checkpoint codec, which splices the runs verbatim). A
+// (spelled by the checkpoint codec, which carries each run in a frame of
+// its own, with its length and CRC-32C, as a snapshot file does). A
 // transport whose owned shards have gaps transfers them one contiguous run
 // at a time.
 type RangeState struct {

@@ -10,19 +10,24 @@ import (
 	"sacs/internal/core"
 )
 
-// RenamedRun returns a copy of run, one shard's encoded agent states, with
-// the name of its k-th agent replaced: a state RestoreState must reject.
-func RenamedRun(run []byte, k int, name string) []byte {
-	d := codec.NewDecoder(run)
-	for i := 0; i < k; i++ {
-		core.SkipState(d)
-	}
-	start := d.Pos()
-	d.StrBytes()
+// RenamedRun spells the run of agents [lo, hi), each agent's state as
+// AppendState writes it, with agent id's name replaced: a run RestoreState
+// must reject.
+func RenamedRun(agent func(int) *core.Agent, lo, hi, id int, name string) []byte {
 	var e codec.Encoder
-	e.Raw(run[:start])
-	e.Str(name)
-	e.Raw(run[d.Pos():])
+	for i := lo; i < hi; i++ {
+		var st, own codec.Encoder
+		if err := agent(i).AppendState(&st); err != nil {
+			panic(err)
+		}
+		if i != id {
+			e.Raw(st.Bytes())
+			continue
+		}
+		own.Str(agent(i).Name())
+		e.Str(name)
+		e.Raw(st.Bytes()[own.Len():])
+	}
 	return e.Bytes()
 }
 
@@ -262,7 +267,7 @@ func TestAdoptFailureLeavesTransportUnchanged(t *testing.T) {
 	renamed := export(3, 5)
 	bounds := Partition(cfg.Agents, cfg.Shards)
 	last := len(renamed.Runs) - 1
-	renamed.Runs[last] = RenamedRun(renamed.Runs[last], bounds[5]-bounds[4]-1, "someone else")
+	renamed.Runs[last] = RenamedRun(src.Agent, bounds[4], bounds[5], bounds[5]-1, "someone else")
 
 	cases := []struct {
 		name string

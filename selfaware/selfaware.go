@@ -218,7 +218,8 @@ var RestorePopulation = population.Restore
 var (
 	// EncodeSnapshot writes a snapshot plus caller metadata to a writer.
 	EncodeSnapshot = checkpoint.Encode
-	// DecodeSnapshot reads one back, verifying magic, version and checksum.
+	// DecodeSnapshot reads one back, verifying magic, version and each
+	// frame's checksum.
 	DecodeSnapshot = checkpoint.Decode
 	// WriteSnapshot atomically writes a snapshot file (temp + rename).
 	WriteSnapshot = checkpoint.Write

@@ -558,78 +558,78 @@ func (t *Transport) tickWorker(wi int, w *tickWire, tick int, mail [][]core.Stim
 	return nil
 }
 
-// Export gathers every worker's hosted ranges in parallel and stitches the
-// full population state together in shard index order, validating that the
-// ranges tile [0, Shards) exactly as the owner map says. Agent states are
-// never decoded here: each shard's run is a slice of its worker's reply.
+// Export drains every owned run of the owner map, the workers in
+// parallel and each worker's runs in turn, and stitches the full
+// population state together in shard index order. It asks for exactly the
+// owner map's runs, so every shard is read once; a worker still hosting
+// shards the map gave away is not seen here but at the next tick (see
+// Migrate). Agent states are never decoded here: each shard's run is a
+// slice of its drain reply.
 func (t *Transport) Export() (*population.RangeState, error) {
 	if err := t.checkAlive(); err != nil {
 		return nil, err
 	}
-	parts := make([][]*population.RangeState, len(t.wires))
-	errs := make([]error, len(t.wires))
-	var wg sync.WaitGroup
-	for wi, w := range t.wires {
-		if len(w.shards) == 0 {
-			continue
-		}
-		c := t.client.conn(wi)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			body, err := c.call(msgExport, t.popHeader(wi).Bytes(), msgRanges)
-			if err != nil {
-				errs[wi] = err
-				return
-			}
-			d := codec.NewDecoder(body)
-			n := d.Count(checkpoint.MinRangeStateSize)
-			list := make([]*population.RangeState, 0, n)
-			for i := 0; i < n && d.Err() == nil; i++ {
-				list = append(list, checkpoint.DecodeRange(d, t.abounds))
-			}
-			if err := d.Finish(); err != nil {
-				errs[wi] = fmt.Errorf("cluster: worker %s: %w", c.addr, err)
-				return
-			}
-			parts[wi] = list
-		}()
-	}
-	wg.Wait()
 	full := &population.RangeState{
 		LoShard: 0, HiShard: t.spec.Shards, LoAgent: 0, HiAgent: t.spec.Agents,
 		ShardRNG: make([]uint64, t.spec.Shards),
 		AgentRNG: make([]uint64, t.spec.Agents),
 		Runs:     make([][]byte, t.spec.Shards),
 	}
-	covered := make([]bool, t.spec.Shards)
-	for wi, list := range parts {
-		if errs[wi] != nil {
-			return nil, errs[wi]
+	errs := make([]error, len(t.wires))
+	var wg sync.WaitGroup
+	for wi, w := range t.wires {
+		if len(w.shards) == 0 {
+			continue
 		}
-		addr := t.client.conn(wi).addr
-		for _, rs := range list {
-			for s := rs.LoShard; s < rs.HiShard; s++ {
-				if t.owner[s] != wi {
-					return nil, fmt.Errorf("cluster: worker %s exported shard %d, owner map says worker %s "+
-						"(split ownership after a failed migration?)", addr, s, t.client.conn(t.owner[s]).addr)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, r := range shardRuns(w.shards) {
+				body, err := t.drain(wi, r.lo, r.hi)
+				if err != nil {
+					errs[wi] = err
+					return
 				}
-				if covered[s] {
-					return nil, fmt.Errorf("cluster: worker %s exported shard %d twice", addr, s)
+				d := codec.NewDecoder(body)
+				rs := checkpoint.DecodeRange(d, t.abounds)
+				if err := d.Finish(); err != nil {
+					errs[wi] = fmt.Errorf("cluster: worker %s: %w", t.client.conn(wi).addr, err)
+					return
 				}
-				covered[s] = true
+				copy(full.ShardRNG[r.lo:r.hi], rs.ShardRNG)
+				copy(full.AgentRNG[rs.LoAgent:rs.HiAgent], rs.AgentRNG)
+				copy(full.Runs[r.lo:r.hi], rs.Runs)
 			}
-			copy(full.ShardRNG[rs.LoShard:rs.HiShard], rs.ShardRNG)
-			copy(full.AgentRNG[rs.LoAgent:rs.HiAgent], rs.AgentRNG)
-			copy(full.Runs[rs.LoShard:rs.HiShard], rs.Runs)
-		}
+		}()
 	}
-	for s, ok := range covered {
-		if !ok {
-			return nil, fmt.Errorf("cluster: shard %d exported by no worker", s)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	return full, nil
+}
+
+// drain asks worker wi for the state of shards [lo, hi), which it must
+// host, and returns the msgRange body as it arrived once its bounds are
+// checked to be the range asked for. It is read-only on the worker.
+func (t *Transport) drain(wi, lo, hi int) ([]byte, error) {
+	c := t.client.conn(wi)
+	e := t.popHeader(wi)
+	e.Int(lo)
+	e.Int(hi)
+	body, err := c.call(msgDrain, e.Bytes(), msgRange)
+	if err != nil {
+		return nil, err
+	}
+	d := codec.NewDecoder(body)
+	if gLo, gHi, aLo, aHi := d.Int(), d.Int(), d.Int(), d.Int(); d.Err() != nil ||
+		gLo != lo || gHi != hi || aLo != t.abounds[lo] || aHi != t.abounds[hi] {
+		return nil, fmt.Errorf("cluster: worker %s: drain [%d, %d) returned shards [%d, %d) agents [%d, %d) (%v)",
+			c.addr, lo, hi, gLo, gHi, aLo, aHi, d.Err())
+	}
+	return body, nil
 }
 
 // Install pushes each worker its owned runs' slices of rs — the
@@ -738,24 +738,14 @@ func (t *Transport) Migrate(lo, hi, to int) error {
 	}
 	src, dst := t.client.conn(from), t.client.conn(to)
 
-	e := t.popHeader(from)
-	e.Int(lo)
-	e.Int(hi)
-	body, err := src.call(msgMigrate, e.Bytes(), msgRange)
+	// The drained range goes on to the destination as it arrived; the
+	// destination validates it before adopting anything.
+	body, err := t.drain(from, lo, hi)
 	if err != nil {
 		return fmt.Errorf("cluster: migrate [%d, %d) %s→%s: drain: %w", lo, hi, src.addr, dst.addr, err)
 	}
-	// The drained range goes on to the destination as it arrived; only its
-	// bounds are read here, to check it is the range asked for. The
-	// destination validates the rest before adopting anything.
-	d := codec.NewDecoder(body)
-	if gLo, gHi, aLo, aHi := d.Int(), d.Int(), d.Int(), d.Int(); d.Err() != nil ||
-		gLo != lo || gHi != hi || aLo != t.abounds[lo] || aHi != t.abounds[hi] {
-		return fmt.Errorf("cluster: migrate [%d, %d) %s→%s: drained shards [%d, %d) agents [%d, %d) (%v)",
-			lo, hi, src.addr, dst.addr, gLo, gHi, aLo, aHi, d.Err())
-	}
 
-	e = t.popHeader(to)
+	e := t.popHeader(to)
 	e.Raw(body)
 	if _, err := dst.call(msgAdopt, e.Bytes(), msgOK); err != nil {
 		// The adopt may or may not have applied before the failure; try to

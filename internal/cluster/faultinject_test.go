@@ -377,7 +377,7 @@ func TestFaultDroppedExportTimesOutWithoutPoison(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tickBoth(t, i, ref, eng)
 	}
-	proxies[0].inject("req", msgExport, "drop", 0, 1)
+	proxies[0].inject("req", msgDrain, "drop", 0, 1)
 	cl.SetRPCTimeout(300 * time.Millisecond)
 	if _, err := eng.Snapshot(); err == nil {
 		t.Fatal("snapshot with dropped export should time out")

@@ -113,15 +113,18 @@ func FuzzWorkerRequest(f *testing.F) {
 	tick.Uvarint(1)
 	core.AppendStimulus(tick, extStim(0))
 	f.Add(byte(msgTick), tick.Bytes())
-	f.Add(byte(msgExport), fuzzRequest().Bytes())
+	export := fuzzRequest() // an export drains each hosted run whole
+	export.Int(0)
+	export.Int(2)
+	f.Add(byte(msgDrain), export.Bytes())
 	explain := fuzzRequest()
 	explain.Int(3)
 	explain.F64(0)
 	f.Add(byte(msgExplain), explain.Bytes())
-	migrate := fuzzRequest()
-	migrate.Int(1)
-	migrate.Int(2)
-	f.Add(byte(msgMigrate), migrate.Bytes())
+	drain := fuzzRequest()
+	drain.Int(1)
+	drain.Int(2)
+	f.Add(byte(msgDrain), drain.Bytes())
 	adopt := fuzzRequest()
 	checkpoint.AppendRange(adopt, state(2, 4))
 	f.Add(byte(msgAdopt), adopt.Bytes())

@@ -14,16 +14,14 @@ func msgName(t msgType) string {
 		return "install"
 	case msgTick:
 		return "tick"
-	case msgExport:
-		return "export"
 	case msgExplain:
 		return "explain"
 	case msgDrop:
 		return "drop"
 	case msgPing:
 		return "ping"
-	case msgMigrate:
-		return "migrate"
+	case msgDrain:
+		return "drain"
 	case msgAdopt:
 		return "adopt"
 	case msgRelease:
@@ -34,8 +32,8 @@ func msgName(t msgType) string {
 
 // requestTypes is every msgType a coordinator sends (the instrumented set).
 var requestTypes = []msgType{
-	msgInit, msgInstall, msgTick, msgExport, msgExplain, msgDrop, msgPing,
-	msgMigrate, msgAdopt, msgRelease,
+	msgInit, msgInstall, msgTick, msgExplain, msgDrop, msgPing,
+	msgDrain, msgAdopt, msgRelease,
 }
 
 // connMetrics is one worker connection's instrument set: registered once in

@@ -68,7 +68,12 @@ const maxFrame = 1 << 30
 // bytes, CRC-32C) in place of an agent count and the runs back to back,
 // and a model's one-point history only when a ring holds it (checkpoint
 // format version 2). Tick bodies are unchanged.
-const protocolVersion = 6
+//
+// v7 drops msgExport and its msgRanges reply: a coordinator exports by
+// sending v4's msgMigrate, renamed msgDrain, once per owned run of each
+// worker. Message type numbers after msgTickOK shift down by one; range,
+// tick and adopt bodies are unchanged.
+const protocolVersion = 7
 
 type msgType byte
 
@@ -84,16 +89,14 @@ const (
 	msgInstall                // id, epoch, RangeState (state transfer)
 	msgTick                   // id, epoch, tick, owned agents' mailboxes
 	msgTickOK                 // per-owned-shard exchanges
-	msgExport                 // id, epoch
-	msgRange                  // RangeState
+	msgRange                  // RangeState (drain reply)
 	msgExplain                // id, epoch, agent, now
 	msgText                   // rendered explanation
 	msgDrop                   // id, epoch (dropped only if the epoch still owns it)
 	msgPing                   // empty body (readiness probe)
-	msgMigrate                // id, epoch, shard range → msgRange (read-only drain of a hosted subrange)
+	msgDrain                  // id, epoch, shard range → msgRange (read-only copy of a hosted run: export and migration)
 	msgAdopt                  // id, epoch, RangeState (add a range to the hosted shards)
 	msgRelease                // id, epoch, shard range (forget it: a migration's source-side commit, or a failed adopt's rollback)
-	msgRanges                 // count-prefixed RangeStates in shard order (export reply)
 )
 
 var errFrameTooLarge = errors.New("cluster: frame exceeds size limit")

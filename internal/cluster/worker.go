@@ -199,14 +199,12 @@ func (w *Worker) handle(t msgType, body []byte, reply *codec.Encoder) (rt msgTyp
 		return w.handleInstall(body)
 	case msgTick:
 		return w.handleTick(body, reply)
-	case msgExport:
-		return w.handleExport(body)
 	case msgExplain:
 		return w.handleExplain(body)
 	case msgDrop:
 		return w.handleDrop(body)
-	case msgMigrate:
-		return w.handleMigrate(body)
+	case msgDrain:
+		return w.handleDrain(body)
 	case msgAdopt:
 		return w.handleAdopt(body)
 	case msgRelease:
@@ -377,44 +375,19 @@ func (p *workerPop) clearMail() {
 	}
 }
 
-func (w *Worker) handleExport(body []byte) (msgType, []byte) {
-	d := codec.NewDecoder(body)
-	id := d.StrBytes()
-	epoch := d.Uvarint()
-	if err := d.Finish(); err != nil {
-		return errReply(fmt.Errorf("bad export: %w", err))
-	}
-	p, err := w.pop(id, epoch)
-	if err != nil {
-		return errReply(err)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e := codec.NewEncoder()
-	e.Uvarint(uint64(len(p.runs)))
-	for _, r := range p.runs {
-		rs, err := p.t.ExportRange(r.lo, r.hi)
-		if err != nil {
-			return errReply(err)
-		}
-		checkpoint.AppendRange(e, rs)
-	}
-	return msgRanges, e.Bytes()
-}
-
-// handleMigrate is the source half of a live migration: a read-only drain
-// of shards [lo, hi), which must all be hosted here. Nothing is
-// released here — the source stays authoritative until the coordinator,
-// having confirmed the destination's adopt, sends msgRelease. A migration
-// that fails at any later step therefore leaves this worker's state
-// exactly as it was.
-func (w *Worker) handleMigrate(body []byte) (msgType, []byte) {
+// handleDrain copies out the state of shards [lo, hi), which must all be
+// hosted here: one run of a coordinator's export, or the source half of a
+// live migration. It is read-only — the source stays authoritative until
+// the coordinator, having confirmed the destination's adopt, sends
+// msgRelease — so a migration that fails at any later step leaves this
+// worker's state exactly as it was.
+func (w *Worker) handleDrain(body []byte) (msgType, []byte) {
 	d := codec.NewDecoder(body)
 	id := d.StrBytes()
 	epoch := d.Uvarint()
 	lo, hi := d.Int(), d.Int()
 	if err := d.Finish(); err != nil {
-		return errReply(fmt.Errorf("bad migrate: %w", err))
+		return errReply(fmt.Errorf("bad drain: %w", err))
 	}
 	p, err := w.pop(id, epoch)
 	if err != nil {
@@ -424,7 +397,7 @@ func (w *Worker) handleMigrate(body []byte) (msgType, []byte) {
 	defer p.mu.Unlock()
 	rs, err := p.t.ExportRange(lo, hi)
 	if err != nil {
-		return errReply(fmt.Errorf("migrate: %w (hosting shards %v)", err, p.runs))
+		return errReply(fmt.Errorf("drain: %w (hosting shards %v)", err, p.runs))
 	}
 	e := codec.NewEncoder()
 	checkpoint.AppendRange(e, rs)

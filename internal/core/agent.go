@@ -209,20 +209,15 @@ func (a *Agent) Step(now float64, metrics map[string]float64) []Action {
 	a.lastMetrics = metrics
 
 	// Sense, optionally limited by attention. The batch buffer is owned by
-	// the agent and reused every tick; processes consume it synchronously
-	// and must not retain it. Sensors implementing BatchSensor append in
-	// place; plain Sensors go through the allocating compatibility path.
+	// the agent and reused every tick; sensors append to it in place, and
+	// processes consume it synchronously and must not retain it.
 	sensors := a.sensors
 	if a.attention != nil {
 		sensors = a.attention.Pick(now, a.sensors, a.store)
 	}
 	batch := hot.stimBuf[:0]
 	for _, s := range sensors {
-		if bs, ok := s.(BatchSensor); ok {
-			batch = bs.SenseInto(now, batch)
-		} else {
-			batch = append(batch, s.Sense(now)...)
-		}
+		batch = s.SenseInto(now, batch)
 	}
 	hot.stimBuf = batch
 

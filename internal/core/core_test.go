@@ -37,7 +37,7 @@ func TestScalarSensor(t *testing.T) {
 	if s.Name() != "temp" {
 		t.Fatal("sensor name")
 	}
-	batch := s.Sense(3)
+	batch := s.SenseInto(3, nil)
 	if len(batch) != 1 || batch[0].Value != 6 || batch[0].Scope != Public || batch[0].Time != 3 {
 		t.Fatalf("sensed %+v", batch)
 	}

@@ -107,27 +107,6 @@ func TestStepReturnedActionsValidUntilNextStep(t *testing.T) {
 	}
 }
 
-// TestPlainSensorCompatShim: a Sensor that does not implement BatchSensor
-// still feeds the agent through the allocating fallback path.
-func TestPlainSensorCompatShim(t *testing.T) {
-	a := New(Config{
-		Name: "compat",
-		Caps: Caps(LevelStimulus),
-		Sensors: []Sensor{SensorFunc{SensorName: "legacy", Fn: func(now float64) []Stimulus {
-			return []Stimulus{
-				{Name: "x", Scope: Private, Value: 1, Time: now},
-				{Name: "y", Scope: Private, Value: 2, Time: now},
-			}
-		}}},
-		ExplainDepth: -1,
-	})
-	a.Step(0, nil)
-	if a.Store().Value("stim/x", -1) != 1 || a.Store().Value("stim/y", -1) != 2 {
-		t.Fatalf("legacy sensor stimuli not recorded: x=%v y=%v",
-			a.Store().Value("stim/x", -1), a.Store().Value("stim/y", -1))
-	}
-}
-
 // TestDescribeUsesNow: the self-report must anchor to the caller's clock,
 // not ignore it (the old signature took now and dropped it).
 func TestDescribeUsesNow(t *testing.T) {

@@ -108,37 +108,15 @@ type Stimulus struct {
 type Sensor interface {
 	// Name identifies the sensor.
 	Name() string
-	// Sense returns the stimuli observable now.
-	Sense(now float64) []Stimulus
-}
-
-// BatchSensor is an optional extension of Sensor for the tick hot path:
-// SenseInto appends the stimuli observable now to buf and returns the
-// extended slice, so steady-state sensing allocates nothing. Agent.Step
-// uses SenseInto when a sensor provides it and falls back to Sense (one
-// fresh slice per call) otherwise — existing Sensor implementations keep
-// working unchanged. Implementations must not retain buf.
-type BatchSensor interface {
-	Sensor
-	// SenseInto appends the stimuli observable now to buf.
+	// SenseInto appends the stimuli observable now to buf and returns the
+	// extended slice. buf is the agent's batch buffer, reused every step,
+	// so steady-state sensing allocates nothing; implementations must not
+	// retain it.
 	SenseInto(now float64, buf []Stimulus) []Stimulus
 }
 
-// SensorFunc adapts a function to the Sensor interface.
-type SensorFunc struct {
-	SensorName string
-	Fn         func(now float64) []Stimulus
-}
-
-// Name implements Sensor.
-func (s SensorFunc) Name() string { return s.SensorName }
-
-// Sense implements Sensor.
-func (s SensorFunc) Sense(now float64) []Stimulus { return s.Fn(now) }
-
 // ScalarSensor adapts a scalar-returning function to Sensor, producing one
-// stimulus named after the sensor. The returned sensor implements
-// BatchSensor, so agents sense it without allocating.
+// stimulus named after the sensor.
 func ScalarSensor(name string, scope Scope, fn func(now float64) float64) Sensor {
 	return &scalarSensor{name: name, scope: scope, fn: fn}
 }
@@ -154,12 +132,7 @@ type scalarSensor struct {
 // Name implements Sensor.
 func (s *scalarSensor) Name() string { return s.name }
 
-// Sense implements Sensor.
-func (s *scalarSensor) Sense(now float64) []Stimulus {
-	return s.SenseInto(now, nil)
-}
-
-// SenseInto implements BatchSensor.
+// SenseInto implements Sensor.
 //
 //sacs:hotpath
 func (s *scalarSensor) SenseInto(now float64, buf []Stimulus) []Stimulus {

@@ -1,4 +1,4 @@
-// Parallel export (LocalTransport.ExportRange fans one job per shard over
+// Parallel export (LocalTransport.ExportRange encodes the shards' runs on
 // the engine's pool) must be invisible in the snapshot: the encoded bytes
 // and the reported error are the serial loop's at every worker count.
 package population_test
@@ -9,7 +9,9 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"sacs/internal/codec"
 	"sacs/internal/core"
 	"sacs/internal/experiments"
 	"sacs/internal/learning"
@@ -35,6 +37,64 @@ func TestParallelExportBytesEqualAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: snapshot bytes differ from workers=%d", workers, exportWorkers[0])
 		}
 	}
+}
+
+// TestExportRangeRunsOwnTheirBuffers: every sub-range of an 8-shard
+// population, exported on every pool, holds each shard's run as the
+// agents' AppendState spells it, each in a buffer of its own — a run that
+// shared its encoder's reused buffer would be overwritten by a later one.
+func TestExportRangeRunsOwnTheirBuffers(t *testing.T) {
+	const agents, shards = 40, 8
+	for _, workers := range []int{0, 1, 2, 4} {
+		pool, closePool := newPool(workers)
+		cfg := experiments.S2Config(agents, shards, 5, pool)
+		lt := population.NewLocalTransport(cfg, 0, shards)
+		eng, err := population.NewWithTransport(cfg, lt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Run(6)
+		bounds := population.Partition(agents, shards)
+		want := make([][]byte, shards)
+		for s := range want {
+			var e codec.Encoder
+			for id := bounds[s]; id < bounds[s+1]; id++ {
+				if err := lt.Agent(id).AppendState(&e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want[s] = e.Bytes()
+		}
+		for lo := 0; lo < shards; lo++ {
+			for hi := lo + 1; hi <= shards; hi++ {
+				rs, err := lt.ExportRange(lo, hi)
+				if err != nil {
+					t.Fatalf("workers=%d [%d, %d): %v", workers, lo, hi, err)
+				}
+				for i, run := range rs.Runs {
+					if !bytes.Equal(run, want[lo+i]) {
+						t.Fatalf("workers=%d [%d, %d): shard %d's run differs from its agents' state", workers, lo, hi, lo+i)
+					}
+					for j := 0; j < i; j++ {
+						if overlap(run, rs.Runs[j]) {
+							t.Fatalf("workers=%d [%d, %d): shards %d and %d share a buffer", workers, lo, hi, lo+j, lo+i)
+						}
+					}
+				}
+			}
+		}
+		closePool()
+	}
+}
+
+// overlap reports whether a and b share any of their backing arrays'
+// capacity.
+func overlap(a, b []byte) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return pa < pb+uintptr(cap(b)) && pb < pa+uintptr(cap(a))
 }
 
 // opaquePredictor forecasts fine but has no exportable state, so an agent

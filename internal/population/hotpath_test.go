@@ -190,6 +190,57 @@ func TestWorkQuantilesAfterWrapRestoreResume(t *testing.T) {
 	check("resumed ticks", r)
 }
 
+// TestRestoreClampsOverlongWork: a snapshot whose work history holds more
+// than WorkWindow values (one built outside the engine) restores exactly
+// like one holding only the newest WorkWindow of them — the same history
+// re-exported and the same quantiles, before and after the ring wraps.
+func TestRestoreClampsOverlongWork(t *testing.T) {
+	snap, err := New(tinyConfig(1)).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := make([]float64, WorkWindow+7)
+	for i := range long {
+		long[i] = float64(i) // distinct, oldest smallest: the excess moves p50
+	}
+	restore := func(work []float64) *Engine {
+		s := *snap
+		s.Work = work
+		r, err := Restore(tinyConfig(1), &s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	got, want := restore(long), restore(long[7:])
+	check := func(stage string) {
+		t.Helper()
+		gs, err := got.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, err := want.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(gs.Work, ws.Work) {
+			t.Fatalf("%s: re-exported work history holds %d values, want the newest %d", stage, len(gs.Work), len(ws.Work))
+		}
+		for _, q := range []float64{0.50, 0.99} {
+			if g, w := got.Run(0).WorkQuantile(q), want.Run(0).WorkQuantile(q); g != w {
+				t.Fatalf("%s: WorkQuantile(%v) = %v, want %v", stage, q, g, w)
+			}
+		}
+	}
+	check("restored")
+	for i := 0; i < WorkWindow+20; i++ {
+		v := float64(WorkWindow - i%100)
+		got.pushWork(v)
+		want.pushWork(v)
+	}
+	check("wrapped")
+}
+
 // TestRunWorkHistoryAllocFree: on a full window, recording a tick's work
 // and Run must not allocate. The regression this pins down was a fresh
 // slice per Run call — per-epoch drivers (sawd, experiments) calling Run

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"sacs/internal/codec"
 	"sacs/internal/core"
 	"sacs/internal/stats"
 )
@@ -159,7 +160,7 @@ func (e *Engine) StreamSnapshot(k Sink) error {
 	if err := k.Head(s); err != nil {
 		return err
 	}
-	if err := lt.streamRuns(k.Run); err != nil {
+	if err := lt.streamRuns(0, e.cfg.Shards, func(enc *codec.Encoder) error { return k.Run(enc.Bytes()) }); err != nil {
 		return fmt.Errorf("population: snapshot at tick %d: %w", e.tick, err)
 	}
 	return nil
@@ -263,9 +264,10 @@ func (e *Engine) install(s *Snapshot) error {
 	e.tick = s.Tick
 	e.steps, e.messages, e.delivered, e.actions = s.Steps, s.Messages, s.Delivered, s.Actions
 	e.lastObserved = s.Observed
-	// Refill the work ring oldest-first. Snapshots written by the current
-	// format hold at most WorkWindow entries; older formats could carry up
-	// to 2·WorkWindow−1, of which the most recent WorkWindow are kept.
+	// Refill the work ring oldest-first. An engine's snapshot holds at most
+	// WorkWindow entries, but one built outside the engine (or a crafted
+	// file whose checksums are valid) may hold more: keep the newest
+	// WorkWindow, or the ring would hold the excess and never evict it.
 	w := s.Work
 	if len(w) > WorkWindow {
 		w = w[len(w)-WorkWindow:]

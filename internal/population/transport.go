@@ -91,7 +91,10 @@ type Transport interface {
 	// with its transport (resume from a checkpoint).
 	Step(tick int, mail [][]core.Stimulus) ([]*ShardExchange, error)
 	// Export returns the full population's executor state (RNG stream
-	// positions and agent states, in index order) for a snapshot.
+	// positions and agent states, in index order) for a snapshot, with
+	// each shard's run in a buffer of its own that the caller may keep.
+	// LocalTransport exports through ExportRange; a cluster drains each
+	// worker's owned runs.
 	Export() (*RangeState, error)
 	// Install overlays previously exported state onto freshly constructed
 	// agents — the transport half of Restore.
@@ -380,8 +383,8 @@ func (t *LocalTransport) stepShard(s int, res *ShardExchange, tick int, now floa
 // CostModel for its concurrency contract).
 func (t *LocalTransport) Costs() *CostModel { return t.costs }
 
-// Export copies out the owned shards' state in index order. They must form
-// one contiguous run; a transport with gaps exports run by run through
+// Export is ExportRange over the owned shards, which must form one
+// contiguous run; a transport with gaps exports run by run through
 // ExportRange.
 func (t *LocalTransport) Export() (*RangeState, error) {
 	if len(t.owned) == 0 {
@@ -391,14 +394,11 @@ func (t *LocalTransport) Export() (*RangeState, error) {
 }
 
 // ExportRange copies out the state of shards [lo, hi), which must all be
-// owned — the drain half of a live shard migration: the coordinator pulls
-// just the moving subrange, without materialising the whole transport's
-// state.
-//
-// The runs are encoded as one job per shard on the engine's pool, which is
-// idle at the barrier. Each job writes its agents' states into its own
-// run, so the result is byte-for-byte the serial loop's; when several
-// agents fail to export, the error names the lowest agent id.
+// owned — what a cluster worker answers a drain with, for an export or a
+// live migration. It is streamRuns with a sink that keeps each run's
+// buffer: every run is encoded into one of its own, so the result is
+// byte-for-byte the serial loop's. When several agents fail to export,
+// the error names the lowest agent id.
 func (t *LocalTransport) ExportRange(lo, hi int) (*RangeState, error) {
 	if err := ValidateShardRange(lo, hi, t.cfg.Shards); err != nil {
 		return nil, err
@@ -408,22 +408,17 @@ func (t *LocalTransport) ExportRange(lo, hi int) (*RangeState, error) {
 	}
 	rs := &RangeState{
 		LoShard: lo, HiShard: hi, LoAgent: t.bounds[lo], HiAgent: t.bounds[hi],
-		Runs: make([][]byte, hi-lo),
+		Runs: make([][]byte, 0, hi-lo),
 	}
 	rs.ShardRNG, rs.AgentRNG = t.positions(lo, hi)
-	key := runner.Key{Experiment: t.cfg.Name, System: "export"}
-	errs := runner.FanOut(t.cfg.Pool, key, hi-lo, func(i int) error {
-		var e codec.Encoder
-		if err := t.encodeRun(&e, lo+i, true); err != nil {
-			return err
-		}
-		rs.Runs[i] = e.Bytes()
+	err := t.streamRuns(lo, hi, func(e *codec.Encoder) error {
+		// Keep the run and hand its slot a fresh encoder.
+		rs.Runs = append(rs.Runs, e.Bytes())
+		*e = codec.Encoder{}
 		return nil
 	})
-	for _, err := range errs { // shard order, so the lowest failing agent
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return rs, nil
 }
@@ -443,73 +438,61 @@ func (t *LocalTransport) positions(lo, hi int) (shardRNG, agentRNG []uint64) {
 	return shardRNG, agentRNG
 }
 
-// encodeRun appends shard s's run to e: the states of its agents, in id
-// order. It is the one run encoder behind ExportRange and streamRuns.
-// reserve asks for room for the whole run once the first agent's size is
-// known; a reused buffer already holds about a run's worth.
-func (t *LocalTransport) encodeRun(e *codec.Encoder, s int, reserve bool) error {
-	first, end := t.bounds[s], t.bounds[s+1]
-	for id := first; id < end; id++ {
-		if reserve && id == first+1 {
-			// Room for the rest at the first agent's size plus an
-			// eighth: the run grows about once, not in many steps.
-			e.Reserve(e.Len() * (end - id) * 9 / 8)
-		}
-		if err := t.agents[id].AppendState(e); err != nil {
-			return fmt.Errorf("agent %d state: %w", id, err)
-		}
-	}
-	return nil
-}
-
-// streamRuns encodes the run of every shard of the population, which the
+// streamRuns encodes the run of every shard of [lo, hi), which the
 // transport must own, and hands each to run in shard order as soon as it
-// and every run before it are ready: the streamed half of
-// Engine.StreamSnapshot, which never holds all the runs at once.
+// and every run before it are ready. It is the one export schedule:
+// Engine.StreamSnapshot hands the runs on and never holds them all at
+// once; ExportRange keeps them.
 //
 // The pool's background workers encode ahead while the calling goroutine
 // hands runs over; whenever the next run is not ready and a buffer is
 // free, the caller encodes one too, so the stream never waits on a pool
 // busy elsewhere. At most Pool.Workers()+2 runs are in flight, each in one
-// of as many buffers reused within the call. A pool with no background
+// of as many encoders reused within the call. A pool with no background
 // worker (nil, or one worker) encodes and hands over shard by shard
-// through one buffer. A run is valid only during the call that hands it
-// over. The first error in shard order — an agent that cannot export, or
-// run's own — ends the stream, and streamRuns returns it once no job of
-// the call is left running.
-func (t *LocalTransport) streamRuns(run func([]byte) error) error {
-	n := t.cfg.Shards
+// through one encoder. The encoder run gets holds the run and belongs to
+// run for the call: run may take its buffer and leave it a zero Encoder,
+// or leave it to be reused for a later run. The first error in shard
+// order — an agent that cannot export, or run's own — ends the stream,
+// and streamRuns returns it once no job of the call is left running.
+func (t *LocalTransport) streamRuns(lo, hi int, run func(*codec.Encoder) error) error {
+	n := hi - lo
 	execs := t.cfg.Pool.Workers() - 1 // background encoders; the caller is the last worker
 	slots := 1
 	if execs > 0 {
 		slots = execs + 3
 	}
-	// Shard s is encoded into slot s%slots, which is free once shard
-	// s-slots has been handed over. mu guards everything but the buffers,
-	// which belong to a shard's encoder until it marks the slot ready, and
-	// then to the caller until it counts the run handed over.
+	// Run i (shard lo+i) is encoded into slot i%slots, which is free once
+	// run i-slots has been handed over. mu guards everything but the
+	// encoders, which belong to a run's encoding job until it marks the
+	// slot ready, and then to the caller until it counts the run handed
+	// over.
 	var (
 		mu      sync.Mutex
 		cond    = sync.NewCond(&mu)
 		bufs    = make([]codec.Encoder, slots)
 		ready   = make([]bool, slots)
 		errs    = make([]error, slots)
-		next    int  // the next shard to claim
+		next    int  // the next run to claim
 		handed  int  // runs handed over
 		stopped bool // the caller has stopped handing runs over
 	)
-	// claim, called with mu held, encodes the next shard when its slot is
+	// claim, called with mu held, encodes the next run when its slot is
 	// free and reports whether it did.
 	claim := func() bool {
-		s := next
-		if stopped || s >= n || s-handed >= slots {
+		i := next
+		if stopped || i >= n || i-handed >= slots {
 			return false
 		}
 		next++
 		mu.Unlock()
-		err := t.encodeShard(&bufs[s%slots], s, s < slots)
+		// Encode into a copy of the slot's encoder: the slots share cache
+		// lines, and two jobs appending through adjacent slice headers
+		// would contend for them on every write.
+		e := bufs[i%slots]
+		err := t.encodeShard(&e, lo+i)
 		mu.Lock()
-		ready[s%slots], errs[s%slots] = true, err
+		bufs[i%slots], ready[i%slots], errs[i%slots] = e, true, err
 		cond.Broadcast()
 		return true
 	}
@@ -556,7 +539,7 @@ func (t *LocalTransport) streamRuns(run func([]byte) error) error {
 		ready[slot] = false
 		mu.Unlock()
 		if err = errs[slot]; err == nil {
-			err = run(bufs[slot].Bytes())
+			err = run(&bufs[slot])
 		}
 		mu.Lock()
 		handed++
@@ -566,18 +549,32 @@ func (t *LocalTransport) streamRuns(run func([]byte) error) error {
 	return err
 }
 
-// encodeShard encodes shard s's run into e, emptied first; fresh says e
-// has held no run yet. A panic in an agent's export is reported as the
-// shard's error: streamRuns waits for every run it has claimed, so one
-// must always arrive.
-func (t *LocalTransport) encodeShard(e *codec.Encoder, s int, fresh bool) (err error) {
+// encodeShard encodes shard s's run into e, emptied first: the states of
+// its agents, in id order. An encoder that has held no run yet reserves
+// room for the whole run once the first agent's size is known; a reused
+// one already holds about a run's worth. A panic in an agent's export is
+// reported as the shard's error: streamRuns waits for every run it has
+// claimed, so one must always arrive.
+func (t *LocalTransport) encodeShard(e *codec.Encoder, s int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("shard %d export panicked: %v", s, r)
 		}
 	}()
+	reserve := cap(e.Bytes()) == 0
 	e.Reset()
-	return t.encodeRun(e, s, fresh)
+	first, end := t.bounds[s], t.bounds[s+1]
+	for id := first; id < end; id++ {
+		if reserve && id == first+1 {
+			// Room for the rest at the first agent's size plus an
+			// eighth: the run grows about once, not in many steps.
+			e.Reserve(e.Len() * (end - id) * 9 / 8)
+		}
+		if err := t.agents[id].AppendState(e); err != nil {
+			return fmt.Errorf("agent %d state: %w", id, err)
+		}
+	}
+	return nil
 }
 
 // checkState verifies that rs is a well-formed range of this population:

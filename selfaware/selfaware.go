@@ -47,14 +47,6 @@ type Stimulus = core.Stimulus
 // Sensor produces stimuli on demand.
 type Sensor = core.Sensor
 
-// BatchSensor is an optional Sensor extension for allocation-free sensing:
-// SenseInto appends stimuli to the agent's reused batch buffer. Sensors
-// that do not implement it keep working through Sense.
-type BatchSensor = core.BatchSensor
-
-// SensorFunc adapts a function to Sensor.
-type SensorFunc = core.SensorFunc
-
 // ScalarSensor adapts a scalar-returning function to Sensor.
 func ScalarSensor(name string, scope Scope, fn func(now float64) float64) Sensor {
 	return core.ScalarSensor(name, scope, fn)

@@ -135,6 +135,21 @@ func BenchmarkPopulationTickGossip(b *testing.B) {
 	runtime.KeepAlive(eng)
 }
 
+// BenchmarkPopulationNew is the cold-start rung: one op builds the gossip
+// population of BenchmarkPopulationTickGossip (S2, 1024 agents, 16 shards)
+// on a 2-worker pool, the construction sawd pays on every create and
+// resume. Its allocs/op gates what a new agent allocates.
+func BenchmarkPopulationNew(b *testing.B) {
+	const agents = 1024
+	p := runner.New(2)
+	defer p.Close()
+	cfg := experiments.S2Config(agents, 16, 1, p)
+	b.ReportAllocs()
+	for b.Loop() {
+		population.New(cfg)
+	}
+}
+
 // BenchmarkClusterTick is the cluster tick rung: the gossip population of
 // BenchmarkPopulationTickGossip (S2, 1024 agents, 16 shards) with its
 // shards on in-process workers over loopback TCP, the coordinator and its

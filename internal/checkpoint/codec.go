@@ -200,9 +200,8 @@ func decode(r io.Reader, size int64) (*population.Snapshot, map[string]string, e
 // codec.Decoder.Count keeps a lying count from allocating more than a
 // small multiple of the bytes that are actually there.
 const (
-	MinRangeStateSize = 6 // four bounds, two empty lists, no runs
-	minInboxSize      = 1 // an empty mailbox's count
-	minMetaSize       = 2 // an empty key and value
+	minInboxSize = 1 // an empty mailbox's count
+	minMetaSize  = 2 // an empty key and value
 )
 
 // appendHead writes the payload's head: the metadata, header fields, RNG

@@ -346,7 +346,6 @@ func TestMinSizesMatchEncoder(t *testing.T) {
 		got, want int
 	}{
 		{"stimulus", size(func(e *codec.Encoder) { core.AppendStimulus(e, core.Stimulus{}) }), core.MinStimulusSize},
-		{"range state", size(func(e *codec.Encoder) { AppendRange(e, &population.RangeState{}) }), MinRangeStateSize},
 		{"inbox", size(func(e *codec.Encoder) { e.Uvarint(0) }), minInboxSize},
 		{"metadata pair", size(func(e *codec.Encoder) { e.Str(""); e.Str("") }), minMetaSize},
 	} {

@@ -109,11 +109,13 @@ func New(cfg Config) *Agent {
 		sensors:   cfg.Sensors,
 		attention: cfg.Attention,
 		reasoner:  cfg.Reasoner,
-		effectors: make(map[string]Effector, len(cfg.Effectors)),
 		hot:       &StepState{},
 	}
-	for _, e := range cfg.Effectors {
-		a.effectors[e.Name()] = e
+	if len(cfg.Effectors) > 0 { // a nil map reads as an empty one
+		a.effectors = make(map[string]Effector, len(cfg.Effectors))
+		for _, e := range cfg.Effectors {
+			a.effectors[e.Name()] = e
+		}
 	}
 	if cfg.ExplainDepth >= 0 {
 		depth := cfg.ExplainDepth
@@ -125,7 +127,9 @@ func New(cfg Config) *Agent {
 
 	// Built-in processes, gated by capability level. The processes whose
 	// per-tick counters live in the agent's hot step state share a.hot, so
-	// an Arena.Adopt moves all of them with one rebind.
+	// an Arena.Adopt moves all of them with one rebind. Four is the number
+	// of built-in levels that add a process.
+	a.processes = make([]Process, 0, 4+len(cfg.ExtraProcesses))
 	a.stimProc = &StimulusProcess{Store: store}
 	a.processes = append(a.processes, a.stimProc)
 	if caps.Has(LevelInteraction) {
@@ -146,6 +150,7 @@ func New(cfg Config) *Agent {
 	a.processes = append(a.processes, cfg.ExtraProcesses...)
 	// Capabilities are immutable after construction, so the per-level gate
 	// is applied once here instead of per process per tick.
+	a.active = make([]Process, 0, len(a.processes))
 	for _, p := range a.processes {
 		if caps.Has(p.Level()) {
 			a.active = append(a.active, p)

@@ -9,8 +9,9 @@ package core
 // instead of pointer-chasing thousands of scattered heap objects.
 //
 // Only position-independent state lives here. The goal switcher itself
-// (goals.Switcher) stays outside: it is mutex-guarded and may be shared
-// between agents, so its schedule position is not per-agent step state.
+// (goals.Switcher) stays outside: it is a component the agent's builder
+// hands in, with its own schedule position and snapshot state, and like a
+// knowledge store it has one owner.
 type StepState struct {
 	Steps        int     // Step calls executed
 	Interactions float64 // interaction-awareness running count

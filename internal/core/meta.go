@@ -17,9 +17,8 @@ type MetaMonitor struct {
 	agent    *Agent
 	detector *learning.PageHinkley
 
-	// Pool of forecasting strategies the monitor can install into the
-	// agent's time-awareness process.
-	pool    []namedPredictorFactory
+	// Index into metaStrategies of the forecasting strategy installed in
+	// the agent's time-awareness process.
 	poolIdx int
 
 	// Adaptations counts strategy switches performed.
@@ -37,23 +36,26 @@ type namedPredictorFactory struct {
 	fn   func() learning.Predictor
 }
 
+// metaStrategies is the pool of forecasting strategies a MetaMonitor
+// rotates through. It is never modified, so every monitor shares it.
+var metaStrategies = [...]namedPredictorFactory{
+	{"ewma", func() learning.Predictor { return learning.NewEWMA(0.3) }},
+	{"holt", func() learning.Predictor { return learning.NewHolt(0.4, 0.2) }},
+	{"ar1", func() learning.Predictor { return learning.NewAR1() }},
+	{"window-mean", func() learning.Predictor { return learning.NewWindowMean(16) }},
+}
+
 // NewMetaMonitor returns a monitor with the default strategy pool (EWMA,
 // Holt, AR1, window-mean).
 func NewMetaMonitor(a *Agent) *MetaMonitor {
 	return &MetaMonitor{
 		agent:    a,
 		detector: learning.NewPageHinkley(0.005, 0.5),
-		pool: []namedPredictorFactory{
-			{"ewma", func() learning.Predictor { return learning.NewEWMA(0.3) }},
-			{"holt", func() learning.Predictor { return learning.NewHolt(0.4, 0.2) }},
-			{"ar1", func() learning.Predictor { return learning.NewAR1() }},
-			{"window-mean", func() learning.Predictor { return learning.NewWindowMean(16) }},
-		},
 	}
 }
 
 // ActiveStrategy names the forecasting strategy currently installed.
-func (m *MetaMonitor) ActiveStrategy() string { return m.pool[m.poolIdx].name }
+func (m *MetaMonitor) ActiveStrategy() string { return metaStrategies[m.poolIdx].name }
 
 // Observe runs one meta step: read own forecast error, test for drift in
 // it, and rotate the forecasting strategy when the current one degrades.
@@ -76,8 +78,8 @@ func (m *MetaMonitor) Observe(now float64) {
 
 	if m.detector.Observe(err) {
 		// Our own awareness has degraded: switch strategy and relearn.
-		m.poolIdx = (m.poolIdx + 1) % len(m.pool)
-		tp.SwapPredictor(m.pool[m.poolIdx].fn)
+		m.poolIdx = (m.poolIdx + 1) % len(metaStrategies)
+		tp.SwapPredictor(metaStrategies[m.poolIdx].fn)
 		m.Adaptations++
 	}
 }

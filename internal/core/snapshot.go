@@ -150,7 +150,7 @@ func (a *Agent) RestoreState(d *codec.Decoder) error {
 			return fmt.Errorf("core: agent %s state has meta state but agent lacks the meta level", a.name)
 		}
 		idx := d.Int()
-		if idx < 0 || idx >= len(a.meta.pool) {
+		if idx < 0 || idx >= len(metaStrategies) {
 			return fmt.Errorf("core: agent %s meta pool index %d out of range", a.name, idx)
 		}
 		a.meta.poolIdx = idx
@@ -160,7 +160,7 @@ func (a *Agent) RestoreState(d *codec.Decoder) error {
 			return fmt.Errorf("agent %s: %w", a.name, err)
 		}
 		if a.timeProc != nil {
-			a.timeProc.NewPredict = a.meta.pool[idx].fn
+			a.timeProc.NewPredict = metaStrategies[idx].fn
 		}
 	}
 	if hasTime {

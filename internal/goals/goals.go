@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Direction says whether larger or smaller metric values are better.
@@ -190,9 +189,12 @@ func (s *Set) Dominates(a, b map[string]float64) bool {
 }
 
 // Switcher holds the active goal set and a schedule of run-time switches,
-// operationalising "goals change while the system runs".
+// operationalising "goals change while the system runs". A switcher has one
+// owner at a time, as a knowledge store does: nothing in it is
+// synchronized, so it is used by one goroutine at a time, and a hand-over
+// between goroutines must order the accesses. A population panics at
+// construction when two of its agents would share a switcher.
 type Switcher struct {
-	mu       sync.RWMutex
 	active   *Set
 	schedule []switchAt
 	next     int
@@ -215,8 +217,6 @@ func NewSwitcher(initial *Set) *Switcher {
 // ScheduleSwitch arranges for set to become active at virtual time at.
 // Switches must be scheduled in increasing time order.
 func (w *Switcher) ScheduleSwitch(at float64, set *Set) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if n := len(w.schedule); n > 0 && w.schedule[n-1].at > at {
 		panic("goals: switches must be scheduled in time order")
 	}
@@ -226,8 +226,6 @@ func (w *Switcher) ScheduleSwitch(at float64, set *Set) {
 // Tick applies any due switches and returns the active set. changed is true
 // when a switch fired at this tick.
 func (w *Switcher) Tick(now float64) (active *Set, changed bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	for w.next < len(w.schedule) && w.schedule[w.next].at <= now {
 		w.active = w.schedule[w.next].set
 		w.next++
@@ -238,8 +236,4 @@ func (w *Switcher) Tick(now float64) (active *Set, changed bool) {
 }
 
 // Active returns the current goal set without advancing the schedule.
-func (w *Switcher) Active() *Set {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return w.active
-}
+func (w *Switcher) Active() *Set { return w.active }

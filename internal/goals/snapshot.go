@@ -11,8 +11,6 @@ import (
 // themselves are design-time code, so a restored Switcher is rebuilt with
 // the same initial set and schedule and then repositioned by RestoreState.
 func (w *Switcher) AppendState(e *codec.Encoder) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
 	e.Int(w.next)
 	e.Int(w.Switches)
 }
@@ -23,8 +21,6 @@ func (w *Switcher) AppendState(e *codec.Encoder) {
 // error.
 func (w *Switcher) RestoreState(d *codec.Decoder) error {
 	next, switches := d.Int(), d.Int()
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if next < 0 || next > len(w.schedule) {
 		return fmt.Errorf("goals: switcher state next=%d outside schedule of %d entries", next, len(w.schedule))
 	}

@@ -67,11 +67,13 @@ type Config struct {
 	Pool *runner.Pool
 	// New builds agent id; rng is that agent's own deterministic stream
 	// (derived from Seed and id, independent of sharding), which the
-	// factory may capture for use inside sensors or reasoners. Agents in
-	// different shards are stepped concurrently, so they must not share
-	// mutable state — in particular, never share one knowledge.Store
-	// across agents: a store has one owner, and construction panics when
-	// two agents share one.
+	// factory may capture for use inside sensors or reasoners. New is
+	// called concurrently for agents of different shards (one pool job
+	// per shard), and in id order within a shard. Agents in different
+	// shards are built and stepped concurrently, so they must not share
+	// mutable state — in particular, never share one knowledge.Store or
+	// goals.Switcher across agents: each has one owner, and construction
+	// panics when two agents share one.
 	New func(id int, rng *rand.Rand) *core.Agent
 	// Emit, when non-nil, runs after each agent's step to publish stimuli
 	// to other agents via EmitContext.Send.

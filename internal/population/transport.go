@@ -10,6 +10,7 @@ import (
 
 	"sacs/internal/codec"
 	"sacs/internal/core"
+	"sacs/internal/goals"
 	"sacs/internal/knowledge"
 	"sacs/internal/runner"
 	"sacs/internal/stats"
@@ -202,16 +203,17 @@ func NewLocalTransport(cfg Config, lo, hi int) *LocalTransport {
 // build constructs the agents, step arenas and RNG streams of the unowned
 // shards [lo, hi) into their global slots. It leaves the owned list alone:
 // the caller commits the shards, or drops them again.
+//
+// Construction is a pure function of Seed and agent id, so the shards are
+// built as one job each on the engine's pool (inline on a nil pool), each
+// agent from its own stream, in id order within its shard. A panicking
+// Config.New is re-raised unchanged after the fan-out; when several
+// shards fail, the lowest shard's failure is the one raised.
 func (t *LocalTransport) build(lo, hi int) {
-	loA, hiA := t.bounds[lo], t.bounds[hi]
-	for id := loA; id < hiA; id++ {
-		t.agentSrcs[id] = xrand.NewSource(mix(t.cfg.Seed, 0x9E3779B97F4A7C15, int64(id)))
-		t.agents[id] = t.cfg.New(id, rand.New(t.agentSrcs[id]))
-		if t.agents[id] == nil {
-			panic(fmt.Sprintf("population: Config.New returned nil for agent %d", id))
-		}
-	}
-	for s := lo; s < hi; s++ {
+	key := runner.Key{Experiment: t.cfg.Name, System: "build"}
+	fails := runner.FanOut(t.cfg.Pool, key, hi-lo, func(i int) (fail any) {
+		defer func() { fail = recover() }()
+		s := lo + i
 		// Re-home the shard's agents' hot step state into one contiguous
 		// arena block, in step order: the shard step then walks adjacent
 		// memory instead of pointer-chasing per-agent heap allocations.
@@ -219,22 +221,48 @@ func (t *LocalTransport) build(lo, hi int) {
 		// core.Arena) — so construction stays deterministic.
 		ar := core.NewArena(t.bounds[s+1] - t.bounds[s])
 		for id := t.bounds[s]; id < t.bounds[s+1]; id++ {
-			ar.Adopt(t.agents[id])
+			t.agentSrcs[id] = xrand.NewSource(mix(t.cfg.Seed, 0x9E3779B97F4A7C15, int64(id)))
+			a := t.cfg.New(id, rand.New(t.agentSrcs[id]))
+			if a == nil {
+				return nil // reported below, in shard order
+			}
+			t.agents[id] = a
+			ar.Adopt(a)
+		}
+		return nil
+	})
+	for s := lo; s < hi; s++ {
+		if fail := fails[s-lo]; fail != nil {
+			panic(fail)
+		}
+		for id := t.bounds[s]; id < t.bounds[s+1]; id++ {
+			if t.agents[id] == nil {
+				panic(fmt.Sprintf("population: Config.New returned nil for agent %d", id))
+			}
 		}
 		t.shardSrcs[s] = xrand.NewSource(mix(t.cfg.Seed, 0xBF58476D1CE4E5B9, int64(s)))
 		t.rngs[s] = rand.New(t.shardSrcs[s])
 	}
-	// A knowledge store has one owner (see knowledge.Store): two agents
-	// sharing one would be stepped concurrently by different shard jobs.
-	owner := make(map[*knowledge.Store]int, hiA-loA)
+	// A knowledge store and a goal switcher each have one owner (see
+	// knowledge.Store and goals.Switcher): two agents sharing one would be
+	// stepped concurrently by different shard jobs.
+	n := t.bounds[hi] - t.bounds[lo]
+	stores := make(map[*knowledge.Store]int, n)
+	switchers := make(map[*goals.Switcher]int, n)
 	for id, a := range t.agents {
 		if a == nil {
 			continue
 		}
-		if prev, ok := owner[a.Store()]; ok {
+		if prev, ok := stores[a.Store()]; ok {
 			panic(fmt.Sprintf("population: agents %d and %d share a knowledge store", prev, id))
 		}
-		owner[a.Store()] = id
+		stores[a.Store()] = id
+		if sw := a.Goals(); sw != nil {
+			if prev, ok := switchers[sw]; ok {
+				panic(fmt.Sprintf("population: agents %d and %d share a goal switcher", prev, id))
+			}
+			switchers[sw] = id
+		}
 	}
 }
 

@@ -7,11 +7,12 @@
 # is machine-independent and comparable across runs), converts the output
 # to JSON via cmd/benchjson, and gates against the committed baseline
 # BENCH_PR7.json (±10%): allocs/op for the agent step, the population
-# tick, the gossip population tick, the cluster tick over loopback and the
-# E9 experiment (its agents create their models in stores built outside
-# any population), plus a steps/sec floor on the 10k-agent
-# 4-worker tick (throughput must not silently erode, not just allocation
-# count).
+# tick, the gossip population tick, the cluster tick over loopback, the
+# construction of the gossip population (the cold start sawd pays on
+# create and resume) and the E9 experiment (its agents create their models
+# in stores built outside any population), plus a steps/sec floor on the
+# 10k-agent 4-worker tick (throughput must not silently erode, not just
+# allocation count).
 # CI calls this on every PR and uploads the JSON as an artifact; to refresh
 # the committed baseline after an intentional change, merge the "after"
 # numbers from the generated file into BENCH_PR7.json (keeping "before"
@@ -38,17 +39,18 @@ go test -run '^$' -bench \
   -benchmem -benchtime=20000x . | tee "$raw"
 
 # Macro-benchmarks: small fixed iteration counts (each op is a full tick —
-# in process or over loopback cluster workers — checkpoint round trip,
-# checkpoint write or read, or an S1 or E9 table build).
+# in process or over loopback cluster workers — a population's
+# construction, checkpoint round trip, checkpoint write or read, or an S1
+# or E9 table build).
 # CheckpointWrite and CheckpointRead are recorded, not gated.
 go test -run '^$' -bench \
-  '^(BenchmarkPopulationTick|BenchmarkPopulationTickGossip|BenchmarkClusterTick|BenchmarkCheckpointRoundTrip|BenchmarkCheckpointWrite|BenchmarkCheckpointRead|BenchmarkS1PopulationScaling|BenchmarkE9Explanation)$' \
+  '^(BenchmarkPopulationTick|BenchmarkPopulationTickGossip|BenchmarkPopulationNew|BenchmarkClusterTick|BenchmarkCheckpointRoundTrip|BenchmarkCheckpointWrite|BenchmarkCheckpointRead|BenchmarkS1PopulationScaling|BenchmarkE9Explanation)$' \
   -benchmem -benchtime=10x -timeout 30m . | tee -a "$raw"
 
 go run ./cmd/benchjson \
   -out "BENCH_${tag}.json" \
   -baseline "$baseline" \
-  -check AgentStepFullStack,PopulationTick,PopulationTickGossip,ClusterTick,E9Explanation \
+  -check AgentStepFullStack,PopulationTick,PopulationTickGossip,PopulationNew,ClusterTick,E9Explanation \
   -floor 'PopulationTick/agents=10000/workers=4:steps/sec' \
   -tolerance 0.10 \
   -note "tools/bench.sh ${tag}" < "$raw"
